@@ -1,8 +1,8 @@
 """Composite-boson ansatz states as explicit vectors in the pair or full
 basis.
 
-All constructors fix the global phase so that the first nonzero amplitude
-in basis order is real positive.
+All constructors fix the global phase with ``fock.fix_phase``: the first
+amplitude above 1e-12 in basis order is real positive.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .fock import (
     StateVector,
     fermion_a_create,
     fermion_b_create,
+    fix_phase,
     full_basis,
     pair_basis,
 )
@@ -47,18 +48,11 @@ class Partition:
         return "+".join(str(m) for m in self.parts)
 
 
-def _fix_phase(amp: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(np.abs(amp) > 1e-14)
-    if idx.size:
-        amp = amp * (abs(amp[idx[0]]) / amp[idx[0]])
-    return amp
-
-
 def _unit(basis, amp: np.ndarray) -> StateVector:
     nrm = np.linalg.norm(amp)
     if nrm == 0.0:
         raise ValueError("construction annihilated to the zero vector")
-    return StateVector(basis, _fix_phase(amp / nrm))
+    return StateVector(basis, fix_phase(amp / nrm))
 
 
 # ----------------------------------------------------------- bi-fermion tower

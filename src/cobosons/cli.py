@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ansatz import Partition, build_block, build_c_sr, build_partition_state, build_q_sr
-from .fock import embed_pair_state, full_basis, pair_basis, project_to_pair_sector
+from .fock import embed_pair_state, fix_phase, full_basis, pair_basis, project_to_pair_sector
 from .metrics import (
     chi_closed,
     chi_oracle,
@@ -208,10 +208,7 @@ def write_csv(out: Optional[str], comment_lines, header, rows):
 def cmd_ground_state(cfg: SweepConfig, gamma_u_j2: float) -> int:
     gamma = cfg.gamma(gamma_u_j2)
     gs = _ground_space_for(cfg, gamma)
-    vec = gs.vectors[:, 0]
-    idx = np.flatnonzero(np.abs(vec) > 1e-12)
-    if idx.size:
-        vec = vec * (abs(vec[idx[0]]) / vec[idx[0]])
+    vec = fix_phase(gs.vectors[:, 0])
     comments = [
         f"energy = {fmt(gs.energy)}",
         f"degeneracy = {gs.degeneracy}",
@@ -507,7 +504,7 @@ def sweep_config_from(values: dict) -> SweepConfig:
         kw.update(grid_min=lo, grid_max=hi, grid_points=pts)
     if "targets" in values:
         t = values["targets"]
-        kw["targets"] = tuple(parse_target(s) for s in t.split(",")) if isinstance(t, str) else t
+        kw["targets"] = parse_targets_grouped(t) if isinstance(t, str) else t
     if "out" in values:
         kw["out"] = values["out"]
     if "jobs" in values:
@@ -533,8 +530,6 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return cmd_verify()
     values = _merged(args)
-    if "targets" in values and isinstance(values["targets"], str):
-        values["targets"] = parse_targets_grouped(values["targets"])
     if args.command == "chi":
         d_range = parse_range(str(values.get("d", "2:12")))
         n_range = parse_range(str(values.get("n", "1:4")))

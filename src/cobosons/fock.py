@@ -94,6 +94,26 @@ def full_basis(d: int, n_a: int, n_b: int) -> FullBasis:
     return FullBasis(d, n_a, n_b, states, {s: i for i, s in enumerate(states)})
 
 
+# ------------------------------------------------------ vectorized bit moves
+
+def occupations(states, d: int) -> np.ndarray:
+    """(dim, d) 0/1 array: entry [i, k] is bit k of mask ``states[i]``."""
+    masks = np.asarray(states, dtype=np.int64)
+    return (masks[:, None] >> np.arange(d)) & 1
+
+
+def move(states, src: int, dst: int) -> tuple:
+    """Move one particle from site ``src`` to ``dst`` in every mask of the
+    ascending array ``states`` where that is allowed (src occupied, dst
+    empty).  Returns (from_idx, to_idx): positions of the old and the new
+    masks in ``states``."""
+    masks = np.asarray(states, dtype=np.int64)
+    allowed = (((masks >> src) & 1) == 1) & (((masks >> dst) & 1) == 0)
+    from_idx = np.flatnonzero(allowed)
+    moved = masks[from_idx] ^ ((1 << src) | (1 << dst))
+    return from_idx, np.searchsorted(masks, moved)
+
+
 # ----------------------------------------------------------------- operators
 
 def pair_create(mask: int, k: int):
@@ -109,10 +129,6 @@ def pair_annihilate(mask: int, k: int):
     if not mask & bit:
         return None
     return mask & ~bit
-
-
-def pair_number(mask: int, k: int) -> int:
-    return (mask >> k) & 1
 
 
 def _lower_sign(mask: int, k: int) -> int:
@@ -179,6 +195,15 @@ def create_string(cfg, ops) -> tuple:
 
 
 # --------------------------------------------------------------- state vector
+
+def fix_phase(amp: np.ndarray) -> np.ndarray:
+    """Global phase convention: the first amplitude above 1e-12 in basis
+    order is made real positive."""
+    idx = np.flatnonzero(np.abs(amp) > 1e-12)
+    if idx.size:
+        amp = amp * (abs(amp[idx[0]]) / amp[idx[0]])
+    return amp
+
 
 class StateVector:
     """Complex amplitudes over a basis; immutable after construction."""
@@ -260,12 +285,6 @@ def translate(state: StateVector, shift: int) -> StateVector:
 
 
 # ------------------------------------------------------- pair/full embedding
-
-def embed_pair_config(mask: int) -> tuple:
-    """Pair-sector bitmask as a full-sector configuration (same sites doubly
-    occupied).  The eta-string phase is global at fixed N and dropped."""
-    return (mask, mask)
-
 
 def embed_pair_state(state: StateVector, full: FullBasis) -> StateVector:
     basis = state.basis

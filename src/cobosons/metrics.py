@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ansatz import Partition, build_partition_state
-from .fock import BasisMismatchError, PairBasis, StateVector, popcount
+from .fock import BasisMismatchError, PairBasis, StateVector, move, occupations, popcount
 from .model import SparseOperator, build_effective_from_bars
 from .solve import GroundSpace
 
@@ -103,17 +103,6 @@ def chi_from_lambdas(lambdas: Sequence[float], n: int) -> float:
     for lam in lambdas:
         e[1:] = e[1:] + lam * e[:-1]
     return math.factorial(n) * float(e[n])
-
-
-def chi_direct_expansion(lambdas: Sequence[float], n: int) -> float:
-    """Brute-force subset expansion of e_N; oracle for chi_from_lambdas."""
-    total = 0.0
-    for subset in itertools.combinations(range(len(lambdas)), n):
-        prod = 1.0
-        for k in subset:
-            prod *= lambdas[k]
-        total += prod
-    return math.factorial(n) * total
 
 
 # ------------------------------------------------------------- ladder report
@@ -260,21 +249,12 @@ def single_pair_rdm(psi: StateVector) -> np.ndarray:
     if not isinstance(basis, PairBasis):
         raise BasisMismatchError("single-pair RDM is defined on the pair basis")
     d, n = basis.d, basis.n
+    masks = np.asarray(basis.states, dtype=np.int64)
     amp = psi.amplitudes
-    rho = np.zeros((d, d), dtype=complex)
-    for idx, mask in enumerate(basis.states):
-        a = amp[idx]
-        if a == 0:
-            continue
-        for j in range(d):
-            if not (mask >> j) & 1:
-                continue
-            rho[j, j] += abs(a) ** 2
-            removed = mask & ~(1 << j)
-            for i in range(d):
-                if i != j and not (mask >> i) & 1:
-                    new = removed | (1 << i)
-                    rho[i, j] += np.conj(amp[basis.index[new]]) * a
+    rho = np.diag(np.abs(amp) ** 2 @ occupations(masks, d)).astype(complex)
+    for i, j in itertools.permutations(range(d), 2):
+        from_idx, to_idx = move(masks, j, i)
+        rho[i, j] = np.vdot(amp[to_idx], amp[from_idx])
     return rho / n
 
 
@@ -287,21 +267,21 @@ def single_pair_purity(psi: StateVector):
 # ---------------------------------------------------------------- g2 function
 
 def g2(psi: StateVector, i: int, j: int) -> float:
-    """Second-order correlation <n_i n_j> / <n_i><n_j> of the pair state,
-    from raw expectation values (never from closed forms)."""
+    """Normal-ordered pair correlation
+    <eta_i^dag eta_j^dag eta_j eta_i> / (<n_i><n_j>), from raw expectation
+    values (never from closed forms).  Hard-core pairs cannot share a
+    site, so the on-site value g2(psi, i, i) is 0."""
     basis = psi.basis
     if not isinstance(basis, PairBasis):
         raise BasisMismatchError("g2 is defined on the pair basis")
     d, n = basis.d, basis.n
+    if not (0 <= i < d and 0 <= j < d):
+        raise ValueError(f"sites ({i}, {j}) outside [0, d={d})")
+    occ = occupations(basis.states, d)
     prob = np.abs(psi.amplitudes) ** 2
-    occ_i = occ_j = occ_ij = 0.0
-    for idx, mask in enumerate(basis.states):
-        bi = (mask >> i) & 1
-        bj = (mask >> j) & 1
-        occ_i += bi * prob[idx]
-        occ_j += bj * prob[idx]
-        if i != j:
-            occ_ij += bi * bj * prob[idx]
+    occ_i = float(prob @ occ[:, i])
+    occ_j = float(prob @ occ[:, j])
+    occ_ij = float(prob @ (occ[:, i] & occ[:, j])) if i != j else 0.0
     if occ_i == 0.0 or occ_j == 0.0:
         raise ValueError("zero mean occupation; g2 undefined")
     if abs(occ_i - n / d) > 1e-8 or abs(occ_j - n / d) > 1e-8:

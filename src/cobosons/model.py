@@ -15,13 +15,10 @@ from .fock import (
     FullBasis,
     PairBasis,
     StateVector,
-    fermion_a_annihilate,
-    fermion_a_create,
-    fermion_b_annihilate,
-    fermion_b_create,
     full_basis,
+    move,
+    occupations,
     pair_basis,
-    popcount,
 )
 
 HERMITICITY_TOL = 1e-14
@@ -78,7 +75,8 @@ class ChainBasis:
 
 
 class SparseOperator:
-    """Hermitian operator stored as sorted (row, col, value) triplets."""
+    """Hermitian operator assembled from (row, col, value) triplets;
+    duplicates are summed and zeros dropped."""
 
     def __init__(self, basis, rows, cols, vals, hermitian=True):
         rows = np.asarray(rows, dtype=np.int64)
@@ -95,11 +93,6 @@ class SparseOperator:
         self.basis = basis
         self.hermitian = hermitian
         self._csr = mat
-        coo = mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        self.rows = coo.row[order]
-        self.cols = coo.col[order]
-        self.vals = coo.data[order]
 
     @property
     def dim(self) -> int:
@@ -110,9 +103,6 @@ class SparseOperator:
 
     def to_csr(self) -> sp.csr_matrix:
         return self._csr
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self._csr @ vec
 
     def matvec(self, psi: StateVector) -> StateVector:
         if psi.basis is not self.basis and psi.basis != self.basis:
@@ -125,60 +115,64 @@ class SparseOperator:
         return complex(np.vdot(psi.amplitudes, self._csr @ psi.amplitudes))
 
 
+# ---------------------------------------------------------------- hopping
+
+def _operator(basis, mat) -> SparseOperator:
+    coo = mat.tocoo()
+    return SparseOperator(basis, coo.row, coo.col, coo.data)
+
+
+def _hop(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
+    """sum_k (c^dag_k c_{k+1} + h.c.) on one species' ascending masks.
+
+    With the canonical ascending mode order a nearest-neighbour hop
+    passes no other particle, except across the periodic bond (d-1, 0),
+    where it passes all n - 1 others: wrap_sign = (-1)^(n-1) for
+    fermions, +1 for hard-core pairs.
+    """
+    rows, cols, vals = [], [], []
+    for k in range(d):
+        kp = (k + 1) % d
+        sign = wrap_sign if kp == 0 else 1
+        for src, dst in ((kp, k), (k, kp)):
+            from_idx, to_idx = move(masks, src, dst)
+            rows.append(to_idx)
+            cols.append(from_idx)
+            vals.append(np.full(from_idx.size, float(sign)))
+    dim = masks.size
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
+
+
 # ------------------------------------------------------------- full Hubbard
 
-def _full_entries(params: ModelParams, basis: FullBasis):
-    d = params.d
-    rows, cols, vals = [], [], []
-    hops = [
-        (fermion_a_create, fermion_a_annihilate),
-        (fermion_b_create, fermion_b_annihilate),
-    ]
-    for col, cfg in enumerate(basis.states):
-        ma, mb = cfg
-        # point interaction: doubly occupied sites
-        diag = -params.u * popcount(ma & mb)
-        # nearest-neighbour attraction, both orientations (A at k with B at
-        # k+1, and B at k with A at k+1, periodic) so that projecting onto
-        # the pair subspace gives -2*gamma per occupied bond
-        full = (1 << d) - 1
-        mb_shift = ((mb >> 1) | (mb << (d - 1))) & full
-        ma_shift = ((ma >> 1) | (ma << (d - 1))) & full
-        diag += -params.gamma * (popcount(ma & mb_shift) + popcount(mb & ma_shift))
-        if diag:
-            rows.append(col)
-            cols.append(col)
-            vals.append(diag)
-        if params.j == 0:
-            continue
-        for create, annihilate in hops:
-            for i in range(d):
-                ip = (i + 1) % d
-                # c_i^dag c_{i+1} and c_{i+1}^dag c_i
-                for src, dst in ((ip, i), (i, ip)):
-                    res = annihilate(cfg, src)
-                    if res is None:
-                        continue
-                    mid, s1 = res
-                    res = create(mid, dst)
-                    if res is None:
-                        continue
-                    new, s2 = res
-                    rows.append(basis.index[new])
-                    cols.append(col)
-                    vals.append(-params.j * s1 * s2)
-    return rows, cols, vals
-
-
 def build_full_hamiltonian(params: ModelParams, basis: Optional[FullBasis] = None):
-    """H = J*H0 + U*Hp + gamma*Hnn on the two-species basis."""
+    """H = J*H0 + U*Hp + gamma*Hnn on the two-species basis.
+
+    The basis is the mask_a-major product of the species bases, so the
+    hopping is the Kronecker sum of the two single-species hops.
+    """
     if basis is None:
         if params.n_a is None or params.n_b is None:
             n = params.pair_count()
             basis = full_basis(params.d, n, n)
         else:
             basis = full_basis(params.d, params.n_a, params.n_b)
-    return SparseOperator(basis, *_full_entries(params, basis))
+    d = params.d
+    states = np.array(basis.states, dtype=np.int64)
+    masks_a, masks_b = np.unique(states[:, 0]), np.unique(states[:, 1])
+    occ_a, occ_b = occupations(masks_a, d), occupations(masks_b, d)
+    # nearest-neighbour attraction, both orientations (A at k with B at
+    # k+1, and B at k with A at k+1, periodic) so that projecting onto
+    # the pair subspace gives -2*gamma per occupied bond
+    bonds = occ_a @ np.roll(occ_b, -1, axis=1).T + np.roll(occ_a, -1, axis=1) @ occ_b.T
+    diag = -params.u * (occ_a @ occ_b.T) - params.gamma * bonds
+    hop_a = _hop(masks_a, d, (-1) ** (basis.n_a - 1))
+    hop_b = _hop(masks_b, d, (-1) ** (basis.n_b - 1))
+    # kronsum(B, A) = kron(I_a, B) + kron(A, I_b): index i_a * dim_b + i_b
+    hop = sp.kronsum(hop_b, hop_a)
+    return _operator(basis, sp.diags(diag.ravel()) - params.j * hop)
 
 
 # -------------------------------------------------------- effective pair model
@@ -198,27 +192,10 @@ def build_effective_from_bars(d, n, jbar, gammabar, basis: Optional[PairBasis] =
     """Pair model directly from the renormalized couplings Jbar, gammabar."""
     if basis is None:
         basis = pair_basis(d, n)
-    vnn = gammabar
-    full = (1 << d) - 1
-    rows, cols, vals = [], [], []
-    for col, mask in enumerate(basis.states):
-        mask_shift = ((mask >> 1) | (mask << (d - 1))) & full
-        bonds = popcount(mask & mask_shift)
-        if bonds and vnn:
-            rows.append(col)
-            cols.append(col)
-            vals.append(-vnn * bonds)
-        if jbar == 0:
-            continue
-        for k in range(d):
-            kp = (k + 1) % d
-            for src, dst in ((kp, k), (k, kp)):
-                if (mask >> src) & 1 and not (mask >> dst) & 1:
-                    new = (mask & ~(1 << src)) | (1 << dst)
-                    rows.append(basis.index[new])
-                    cols.append(col)
-                    vals.append(-jbar)
-    return SparseOperator(basis, rows, cols, vals)
+    masks = np.asarray(basis.states, dtype=np.int64)
+    occ = occupations(masks, d)
+    bonds = np.sum(occ & np.roll(occ, -1, axis=1), axis=1)
+    return _operator(basis, sp.diags(-gammabar * bonds) - jbar * _hop(masks, d, 1))
 
 
 # ------------------------------------------------------------ relative chains
@@ -258,30 +235,3 @@ def build_relative_chain(kind: str, params: ModelParams, r: int = 0, cutoff: int
             cols += [i, j]
             vals += [hop, hop.conjugate()]
     return SparseOperator(basis, rows, cols, vals)
-
-
-# ------------------------------------------------------------ matrix-free path
-
-def matvec_effective_free(params: ModelParams, psi: StateVector) -> StateVector:
-    """Matrix-free application of the effective Hamiltonian, regenerating
-    entries from the bitmask rules; must agree with the stored operator."""
-    basis = psi.basis
-    d = params.d
-    jbar = params.jbar
-    vnn = 2.0 * params.gamma - 4.0 * params.j**2 / params.u
-    full = (1 << d) - 1
-    out = np.zeros(basis.size, dtype=complex)
-    amp = psi.amplitudes
-    for i, mask in enumerate(basis.states):
-        a = amp[i]
-        if a == 0:
-            continue
-        mask_shift = ((mask >> 1) | (mask << (d - 1))) & full
-        out[i] += -vnn * popcount(mask & mask_shift) * a
-        for k in range(d):
-            kp = (k + 1) % d
-            for src, dst in ((kp, k), (k, kp)):
-                if (mask >> src) & 1 and not (mask >> dst) & 1:
-                    new = (mask & ~(1 << src)) | (1 << dst)
-                    out[basis.index[new]] += -jbar * a
-    return StateVector(basis, out)

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fock import StateVector, full_basis, pair_basis, project_to_pair_sector
+from .fock import StateVector, fix_phase, full_basis, pair_basis, project_to_pair_sector
 from .model import (
     ModelParams,
     SparseOperator,
@@ -96,12 +96,7 @@ def ground_space(op: SparseOperator, tol_deg: float = 1e-9, tol_res: float = 1e-
 
 def ground_state_vector(op: SparseOperator, **kw) -> StateVector:
     gs = ground_space(op, **kw)
-    vec = gs.vectors[:, 0]
-    # fix the global phase: first nonzero amplitude real positive
-    idx = np.flatnonzero(np.abs(vec) > 1e-12)
-    if idx.size:
-        vec = vec * (abs(vec[idx[0]]) / vec[idx[0]])
-    return StateVector(op.basis, vec)
+    return StateVector(op.basis, fix_phase(gs.vectors[:, 0]))
 
 
 # ------------------------------------------------------------- closed forms

@@ -2,17 +2,17 @@
 
 Each test pins one physical statement at an explicit tolerance.  Two
 assertions are knowingly red and kept honest rather than weakened; the
-analysis behind both is written up in the decisions ledger that
-accompanies this repository (notes/decisions.md):
+closed-form argument behind both is in docs/decisions.md:
 
 * ``test_effective_model_energy_agreement``: at gamma = 0 the full and
-  second-order effective models differ by ~56 J^4/U^3 (intrinsic
-  fourth-order pair binding, ~32 J^4/U^3 per pair), above the 10 J^4/U^3
+  second-order effective models differ by ~56 J^4/U^3 here: the intrinsic
+  fourth-order binding correction of 32 J^4/U^3 per pair, less ~8 J^4/U^3
+  of pair-pair interaction on d = 6.  That is above the 10 J^4/U^3
   budget.  The three gamma > 0 points pass.
 * ``test_two_block_square_norm_window``: two disjoint maximally
-  entangled blocks give norm^2 = 4 (1 - 1/p)^2 <= 3.0625 for any block
-  with at most 8 Slater terms, so the (3.5, 4) window is unreachable at
-  that size (it opens at p >= 16).
+  entangled blocks of p Slater terms each give norm^2 = 4 (1 - 1/p)^2,
+  which is 2.25 for the p = 4 blocks built here (3.0625 at p = 8), so the
+  (3.5, 4) window is unreachable at that size (it opens at p >= 16).
 """
 
 import math
@@ -47,7 +47,8 @@ from cobosons import (
 )
 from cobosons.cli import main as cli_main
 from cobosons.fock import project_to_pair_sector
-from cobosons.metrics import chi_direct_expansion, ledger_energy
+from cobosons.metrics import ledger_energy
+from oracles import chi_direct_expansion
 from cobosons import chain_bound_amplitudes
 from cobosons.solve import ground_state_vector, is_bound
 
@@ -165,14 +166,15 @@ def test_effective_model_energy_agreement():
     """Ground energies (dropped constant restored) within 10 J^4/U^3.
 
     KNOWN RED at gamma = 0: the intrinsic fourth-order binding correction
-    (~32 J^4/U^3 per pair, ~56 J^4/U^3 total here) exceeds the stated
-    budget at every overall energy scale.  See notes/decisions.md.
+    (32 J^4/U^3 per pair; ~56 J^4/U^3 for the two pairs here, after ~8
+    J^4/U^3 of pair-pair interaction) exceeds the stated budget at every
+    overall energy scale.  See docs/decisions.md.
     """
     for x, rep, tol in _equivalence_reports():
         delta = abs(rep.full_energies[0] - rep.effective_energies[0])
         assert delta <= tol, (
             f"gamma U/J^2 = {x}: |dE| = {delta:.3e} > {tol:.1e}; "
-            "see notes/decisions.md (fourth-order binding correction)"
+            "see docs/decisions.md (fourth-order binding correction)"
         )
 
 
@@ -279,7 +281,7 @@ def test_g2_checkpoints():
         assert g2(block, 0, sep) == 0.0
     # short-range block values: reported, not asserted against the printed
     # closed form (which disagrees with direct computation by a factor 1/N;
-    # see notes/decisions.md)
+    # see docs/decisions.md)
     for sep in range(1, n):
         direct = g2(block, 0, sep)
         computed_form = d * (n - sep) / n**2
@@ -332,16 +334,16 @@ def test_square_norm_rank_one_and_bipartite():
 
 
 def test_two_block_square_norm_window():
-    """KNOWN RED: norm^2 = 4 (1 - 1/p)^2 caps at 3.0625 for 8-term blocks.
+    """KNOWN RED: norm^2 = 4 (1 - 1/p)^2 is 2.25 for the p = 4 blocks built.
 
     The (3.5, 4) window needs p >= 16 Slater terms per block; see
-    notes/decisions.md for the closed-form argument.
+    docs/decisions.md for the closed-form argument.
     """
     from cobosons import square_norm_test
 
     rep = square_norm_test(factors=[_entangled_block(4, 0), _entangled_block(4, 8)])
     assert 3.5 < rep.norm_sq < 4.0, (
-        f"norm^2 = {rep.norm_sq} outside (3.5, 4); see notes/decisions.md"
+        f"norm^2 = {rep.norm_sq} outside (3.5, 4); see docs/decisions.md"
     )
 
 

@@ -11,6 +11,7 @@ from cobosons.cli import (
     parse_range,
     parse_target,
     parse_targets_grouped,
+    sweep_config_from,
 )
 
 
@@ -40,6 +41,11 @@ def test_parse_target_forms():
 def test_parse_targets_grouped():
     targets = parse_targets_grouped("q:1,0,partition:2+1,block:3")
     assert targets == (("q", 1, 0), ("partition", (2, 1)), ("block", 3))
+
+
+def test_sweep_config_groups_targets():
+    cfg = sweep_config_from({"targets": "q:1,0,c2:0,0,block:2"})
+    assert cfg.targets == (("q", 1, 0), ("c2", 0, 0), ("block", 2))
 
 
 def test_parse_grid_and_range():

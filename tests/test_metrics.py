@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobosons import (
+    StateVector,
     build_block,
     build_partition_state,
     chi_closed,
@@ -16,17 +18,14 @@ from cobosons import (
     g2,
     ladder_report,
     ledger_vs_exact_check,
+    pair_basis,
     ratio_lower_bound,
     schmidt_spectrum,
     single_pair_purity,
     square_norm_test,
 )
-from cobosons.metrics import (
-    chi_direct_expansion,
-    chi_from_lambdas,
-    ledger_energy,
-    single_pair_rdm,
-)
+from cobosons.metrics import chi_from_lambdas, ledger_energy, single_pair_rdm
+from oracles import chi_direct_expansion, g2_loop, single_pair_rdm_loop
 
 lambdas_strategy = st.lists(
     st.floats(0.01, 1.0, allow_nan=False), min_size=3, max_size=8
@@ -158,6 +157,26 @@ def test_single_pair_rdm_properties():
     assert evals.min() > -1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+    st.integers(0, 2**32 - 1),
+)
+def test_rdm_and_g2_match_loop_oracles(sizes, seed):
+    # summation order differs from the loops: agree to 1e-12 on unit states
+    d, n = sizes
+    basis = pair_basis(d, n)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    psi = StateVector(basis, a / np.linalg.norm(a))
+    assert np.abs(single_pair_rdm(psi) - single_pair_rdm_loop(psi)).max() <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # random states are not translation invariant
+        for i in range(d):
+            for j in range(d):
+                assert g2(psi, i, j) == pytest.approx(g2_loop(psi, i, j), rel=1e-12, abs=1e-12)
+
+
 def test_uniform_state_purity_closed_form():
     for d, n in ((10, 2), (10, 3), (10, 4)):
         psi, _ = build_partition_state(d, [1] * n)
@@ -187,6 +206,13 @@ def test_g2_block_state_vanishes_beyond_block():
 def test_g2_same_site_vanishes():
     psi = build_block(10, 4)
     assert g2(psi, 2, 2) == 0.0
+
+
+def test_g2_rejects_sites_outside_lattice():
+    psi = build_block(10, 4)
+    for i, j in ((-1, 0), (0, 10)):
+        with pytest.raises(ValueError):
+            g2(psi, i, j)
 
 
 def test_energy_ledger_entries_and_threshold():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobosons import (
     ModelParams,
@@ -15,7 +17,7 @@ from cobosons import (
     translate,
 )
 from cobosons.fock import popcount
-from cobosons.model import matvec_effective_free
+from oracles import effective_hamiltonian_oracle, full_hamiltonian_oracle, matvec_effective_free
 
 
 def test_model_params_validation():
@@ -108,6 +110,64 @@ def test_matvec_free_agrees_with_stored_operator(rng):
     a = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     psi = StateVector(basis, a / np.linalg.norm(a))
     assert np.allclose(matvec_effective_free(p, psi).amplitudes, h.matvec(psi).amplitudes)
+
+
+def _assert_same_csr(op, ref):
+    a, b = op.to_csr(), ref.to_csr()
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_builders_match_loop_oracles_exactly():
+    """Every full (d <= 8, N_A, N_B) and effective (d <= 8, N) size, with
+    the J = 0, U = 0 and gamma = 0 corners on the smaller lattices."""
+    for d in range(2, 9):
+        couplings = [(1.3, 2.7, 0.45)]
+        if d <= 5:
+            couplings += [(0.0, 2.0, 0.3), (1.1, 0.0, 0.7), (0.9, 3.0, 0.0)]
+        for j, u, gamma in couplings:
+            for n_a in range(d + 1):
+                for n_b in range(d + 1):
+                    p = ModelParams(j=j, u=u, gamma=gamma, d=d, n_a=n_a, n_b=n_b)
+                    basis = full_basis(d, n_a, n_b)
+                    _assert_same_csr(build_full_hamiltonian(p, basis), full_hamiltonian_oracle(p, basis))
+            if u == 0:
+                continue
+            for n in range(d + 1):
+                p = ModelParams(j=j, u=u, gamma=gamma, d=d, n=n)
+                basis = pair_basis(d, n)
+                _assert_same_csr(
+                    build_effective_hamiltonian(p, basis), effective_hamiltonian_oracle(p, basis)
+                )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, d), st.integers(0, d))
+    ),
+    st.floats(0.0, 3.0),
+    st.one_of(st.just(0.0), st.floats(0.1, 30.0)),
+    st.floats(0.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_builders_match_oracles_and_commute_with_translation(sizes, j, u, gamma, seed):
+    d, n_a, n_b = sizes
+    rng = np.random.default_rng(seed)
+    p = ModelParams(j=j, u=u, gamma=gamma, d=d, n_a=n_a, n_b=n_b)
+    cases = [(p, build_full_hamiltonian(p, full_basis(d, n_a, n_b)), full_hamiltonian_oracle)]
+    if u > 0:
+        pp = ModelParams(j=j, u=u, gamma=gamma, d=d, n=n_a)
+        cases.append((pp, build_effective_hamiltonian(pp, pair_basis(d, n_a)), effective_hamiltonian_oracle))
+    for params, h, oracle in cases:
+        basis = h.basis
+        _assert_same_csr(h, oracle(params, basis))
+        a = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        psi = StateVector(basis, a / np.linalg.norm(a))
+        lhs = h.matvec(translate(psi, 1)).amplitudes
+        rhs = translate(h.matvec(psi), 1).amplitudes
+        assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + j + u + gamma)
 
 
 def test_two_fermion_chain_structure():
