@@ -23,6 +23,7 @@ from .fock import (
     fix_phase,
     full_basis,
     pair_basis,
+    rotate,
 )
 
 
@@ -82,9 +83,9 @@ def build_c_sr(d: int, s: int, r: int, power: int = 1) -> StateVector:
                 new[out] = new.get(out, 0.0) + c * s1 * s2 * phase * scale
         coeffs = new
     basis = full_basis(d, power, power)
+    cfgs = np.array(list(coeffs), dtype=np.int64).reshape(-1, 2)
     amp = np.zeros(basis.size, dtype=complex)
-    for cfg, c in coeffs.items():
-        amp[basis.index[cfg]] = c
+    amp[basis.rank(cfgs[:, 0], cfgs[:, 1])] = list(coeffs.values())
     return _unit(basis, amp)
 
 
@@ -104,10 +105,12 @@ def build_q_sr(d: int, s: int, r: int) -> StateVector:
     if not (1 <= s <= d // 2 and 0 <= r < d):
         raise ValueError(f"labels s={s}, r={r} outside range for d={d}")
     basis = pair_basis(d, 2)
+    sites = np.arange(d)
+    masks = (1 << sites) | (1 << (sites + s) % d)
+    # Python complex arithmetic: numpy's complex division rounds differently
+    phases = [cmath.exp(2j * cmath.pi * k * r / d) / math.sqrt(d) for k in range(d)]
     amp = np.zeros(basis.size, dtype=complex)
-    for k in range(d):
-        mask = (1 << k) | (1 << ((k + s) % d))
-        amp[basis.index[mask]] += cmath.exp(2j * cmath.pi * k * r / d) / math.sqrt(d)
+    np.add.at(amp, basis.rank(masks), phases)  # unbuffered: s = d/2 visits count twice
     if np.linalg.norm(amp) == 0.0:
         raise ValueError(f"q_(s={s}, r={r}) vanishes for d={d}")
     return _unit(basis, amp)
@@ -115,23 +118,12 @@ def build_q_sr(d: int, s: int, r: int) -> StateVector:
 
 # --------------------------------------------------------------- block states
 
-def _block_mask(d: int, k: int, m: int) -> int:
-    full = (1 << d) - 1
-    mask = 0
-    for i in range(m):
-        mask |= 1 << ((k + i) % d)
-    return mask & full
-
-
 def build_block(d: int, m: int) -> StateVector:
-    """Uniform superposition of the d cyclic contiguous M-site blocks."""
+    """Uniform superposition of the d cyclic contiguous M-site blocks: the
+    one-part partition state |M>."""
     if not (1 <= m <= d):
         raise ValueError(f"block size M={m} outside [1, d={d}]")
-    basis = pair_basis(d, m)
-    amp = np.zeros(basis.size, dtype=complex)
-    for k in range(d):
-        amp[basis.index[_block_mask(d, k, m)]] = 1.0
-    return _unit(basis, amp)
+    return build_partition_state(d, (m,))[0]
 
 
 # ------------------------------------------------------------ partition states
@@ -150,20 +142,15 @@ def build_partition_state(d: int, partition) -> tuple:
     n = partition.total
     if n > d:
         raise ValueError(f"partition total {n} exceeds d={d}")
-    configs = {0}
+    configs = np.zeros(1, dtype=np.int64)
     for m in partition.parts:
-        new = set()
-        for mask in configs:
-            for k in range(d):
-                block = _block_mask(d, k, m)
-                if mask & block == 0:
-                    new.add(mask | block)
-        configs = new
-        if not configs:
+        blocks = rotate(np.int64((1 << m) - 1), np.arange(d), d)
+        fits = (configs[:, None] & blocks) == 0
+        configs = np.unique((configs[:, None] | blocks)[fits])
+        if not configs.size:
             raise ValueError(f"partition {partition} annihilates on d={d}")
     basis = pair_basis(d, n)
     amp = np.zeros(basis.size, dtype=complex)
-    for mask in configs:
-        amp[basis.index[mask]] = 1.0
-    norm_factor_sq = Fraction(d ** len(partition.parts), len(configs))
+    amp[basis.rank(configs)] = 1.0
+    norm_factor_sq = Fraction(d ** len(partition.parts), configs.size)
     return _unit(basis, amp), norm_factor_sq

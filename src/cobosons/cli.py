@@ -105,26 +105,37 @@ def parse_target(spec: str):
     raise ValueError(f"unknown target {spec!r}")
 
 
-def build_target(d: int, n: int, target):
-    """Pair-basis state for a parsed target."""
+def build_target(cfg: SweepConfig, target):
+    """State for a parsed target on the basis of ``cfg.model``.  A c2
+    target is built on the full basis; on the effective model it is its
+    doubly-occupied part."""
+    d, n = cfg.d, cfg.n
     if target[0] == "c2":
         if n != 2:
             raise ValueError("c2 targets need N = 2")
-        return project_to_pair_sector(build_c_sr(d, target[1], target[2], 2), pair_basis(d, 2))
+        psi = build_c_sr(d, target[1], target[2], 2)
+        if cfg.model == "full":
+            return psi
+        psi = project_to_pair_sector(psi, pair_basis(d, 2))
+        if psi.norm == 0.0:
+            raise ValueError(f"{target_label(target)} has no doubly-occupied part; use --model full")
+        return psi
     if target[0] == "q":
         if n != 2:
             raise ValueError("q targets need N = 2")
-        return build_q_sr(d, target[1], target[2])
-    if target[0] == "block":
+        psi = build_q_sr(d, target[1], target[2])
+    elif target[0] == "block":
         if target[1] != n:
             raise ValueError(f"block size {target[1]} != N = {n}")
-        return build_block(d, target[1])
-    if target[0] == "partition":
+        psi = build_block(d, target[1])
+    elif target[0] == "partition":
         part = Partition(target[1])
         if part.total != n:
             raise ValueError(f"partition {part} does not sum to N = {n}")
-        return build_partition_state(d, part)[0]
-    raise ValueError(f"unknown target {target!r}")
+        psi = build_partition_state(d, part)[0]
+    else:
+        raise ValueError(f"unknown target {target!r}")
+    return embed_pair_state(psi, full_basis(d, n, n)) if cfg.model == "full" else psi
 
 
 def target_label(target) -> str:
@@ -137,51 +148,42 @@ def target_label(target) -> str:
 
 # ------------------------------------------------------------- sweep workers
 
-def _ground_space_for(cfg: SweepConfig, gamma: float):
+def _hamiltonian(cfg: SweepConfig, gamma: float):
     params = ModelParams(j=cfg.j, u=cfg.u, gamma=gamma, d=cfg.d, n=cfg.n)
     if cfg.model == "full":
-        op = build_full_hamiltonian(params)
-    else:
-        op = build_effective_hamiltonian(params)
-    return ground_space(op, tol_deg=cfg.tol)
+        return build_full_hamiltonian(params)
+    return build_effective_hamiltonian(params)
 
 
 def _fidelity_point(args):
-    cfg_kw, x = args
-    cfg = SweepConfig(**cfg_kw)
+    cfg, x = args
     gamma = cfg.gamma(x)
-    gs = _ground_space_for(cfg, gamma)
-    row = [gamma, x]
-    for target in cfg.targets:
-        psi = build_target(cfg.d, cfg.n, target)
-        if cfg.model == "full":
-            psi = embed_pair_state(psi, full_basis(cfg.d, cfg.n, cfg.n))
-        row.append(fidelity(psi, gs))
-    return row
+    gs = ground_space(_hamiltonian(cfg, gamma), tol_deg=cfg.tol)
+    return [gamma, x] + [fidelity(build_target(cfg, t), gs) for t in cfg.targets]
 
 
 def _purity_point(args):
-    cfg_kw, x = args
-    cfg = SweepConfig(**cfg_kw)
+    cfg, x = args
     gamma = cfg.gamma(x)
-    params = ModelParams(j=cfg.j, u=cfg.u, gamma=gamma, d=cfg.d, n=cfg.n)
-    vec = ground_state_vector(build_effective_hamiltonian(params), tol_deg=cfg.tol)
+    vec = ground_state_vector(_hamiltonian(cfg, gamma), tol_deg=cfg.tol)
     _, p1 = single_pair_purity(vec)
     return [gamma, x, 1.0 - p1]
 
 
 def _g2_point(args):
-    cfg_kw, x = args
-    cfg = SweepConfig(**cfg_kw)
+    cfg, x = args
     gamma = cfg.gamma(x)
-    params = ModelParams(j=cfg.j, u=cfg.u, gamma=gamma, d=cfg.d, n=cfg.n)
-    vec = ground_state_vector(build_effective_hamiltonian(params), tol_deg=cfg.tol)
+    vec = ground_state_vector(_hamiltonian(cfg, gamma), tol_deg=cfg.tol)
     return [[gamma, x, sep, g2(vec, 0, sep)] for sep in range(1, cfg.d // 2 + 1)]
 
 
+def _require_effective(cfg: SweepConfig, command: str) -> None:
+    if cfg.model != "effective":
+        raise ValueError(f"{command} runs on the effective model only, got --model {cfg.model}")
+
+
 def run_grid(worker, cfg: SweepConfig):
-    cfg_kw = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-    args = [(cfg_kw, float(x)) for x in cfg.grid]
+    args = [(cfg, float(x)) for x in cfg.grid]
     if cfg.jobs == 1:
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -207,7 +209,7 @@ def write_csv(out: Optional[str], comment_lines, header, rows):
 
 def cmd_ground_state(cfg: SweepConfig, gamma_u_j2: float) -> int:
     gamma = cfg.gamma(gamma_u_j2)
-    gs = _ground_space_for(cfg, gamma)
+    gs = ground_space(_hamiltonian(cfg, gamma), tol_deg=cfg.tol)
     vec = fix_phase(gs.vectors[:, 0])
     comments = [
         f"energy = {fmt(gs.energy)}",
@@ -217,11 +219,11 @@ def cmd_ground_state(cfg: SweepConfig, gamma_u_j2: float) -> int:
         header = ["mask_a", "mask_b", "re", "im"]
         rows = [
             [f"0x{ma:x}", f"0x{mb:x}", a.real, a.imag]
-            for (ma, mb), a in zip(gs.basis.states, vec)
+            for (ma, mb), a in zip(gs.basis.states.tolist(), vec)
         ]
     else:
         header = ["mask", "re", "im"]
-        rows = [[f"0x{m:x}", a.real, a.imag] for m, a in zip(gs.basis.states, vec)]
+        rows = [[f"0x{m:x}", a.real, a.imag] for m, a in zip(gs.basis.states.tolist(), vec)]
     write_csv(cfg.out, comments, header, rows)
     return 0
 
@@ -254,6 +256,7 @@ def cmd_chi(cfg: SweepConfig, d_range, n_range, m_range) -> int:
 
 
 def cmd_purity_scan(cfg: SweepConfig) -> int:
+    _require_effective(cfg, "purity-scan")
     d, n = cfg.d, cfg.n
     rows = run_grid(_purity_point, cfg)
     # analytic checkpoints: independent-pairs value at gamma*U/J^2 = 4 and
@@ -269,6 +272,7 @@ def cmd_purity_scan(cfg: SweepConfig) -> int:
 
 
 def cmd_g2_scan(cfg: SweepConfig) -> int:
+    _require_effective(cfg, "g2-scan")
     blocks = run_grid(_g2_point, cfg)
     rows = [row for block in blocks for row in block]
     header = ["gamma", "gammaU_J2", "separation", "g2"]

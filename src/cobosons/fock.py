@@ -1,23 +1,25 @@
 """Bitmask Fock bases for hard-core pairs and spinful two-species fermions.
 
-Configurations are plain integers (pair sector) or ``(mask_a, mask_b)``
-tuples (full sector).  Bit ``k`` set means site ``k`` is occupied by the
-corresponding particle.  The canonical operator ordering for the full
-sector is: all a-type creation operators in ascending mode order, then all
-b-type creation operators in ascending mode order.  All fermionic signs
-below follow from that convention.
+Bit ``k`` of a mask set means site ``k`` is occupied.  A basis keeps its
+masks as read-only ascending int64 arrays, one per species, and ``rank``
+finds masks in them by binary search; a full basis is mask_a-major, so a
+configuration's index is ``i_a * len(masks_b) + i_b``.  The scalar fermion
+operators act on ``(mask_a, mask_b)`` tuples of ints.  The canonical
+operator ordering for the full sector is: all a-type creation operators in
+ascending mode order, then all b-type ones in ascending mode order.  All
+fermionic signs below follow from that convention.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_PAIR_SITES = 30
 MAX_FULL_SITES = 16
+MAX_BASIS_STATES = 1 << 24  # 128 MB of int64 masks, or 256 MB of complex amplitudes
 
 
 class BasisMismatchError(ValueError):
@@ -32,104 +34,124 @@ def popcount(x: int) -> int:
     return int(x).bit_count()
 
 
-def _check_particle_count(d: int, n: int, label: str) -> None:
+def _check_size(what: str, d: int, max_sites: int, **counts) -> None:
+    """Validate d and the particle counts, then the basis dimension, before
+    anything is enumerated."""
+    if d > max_sites:
+        raise CapacityError(f"{what} supports d <= {max_sites}, got {d}")
     if d < 1:
         raise ValueError(f"need at least one site, got d={d}")
-    if n < 0 or n > d:
-        raise ValueError(f"{label}={n} outside [0, d={d}]")
+    for label, n in counts.items():
+        if n < 0 or n > d:
+            raise ValueError(f"{label}={n} outside [0, d={d}]")
+    dim = math.prod(math.comb(d, n) for n in counts.values())
+    if dim > MAX_BASIS_STATES:
+        raise CapacityError(f"{what} d={d} {counts} has {dim} states, above {MAX_BASIS_STATES}")
+
+
+def _rank(masks: np.ndarray, query) -> np.ndarray:
+    """Positions of ``query`` in the ascending array ``masks``; KeyError
+    if any queried mask is not in it."""
+    query = np.asarray(query, dtype=np.int64)
+    idx = np.searchsorted(masks, query)
+    missing = masks[np.minimum(idx, masks.size - 1)] != query
+    if np.any(missing):
+        raise KeyError(f"mask {int(query[missing].flat[0]):#x} not in basis")
+    return idx
 
 
 @dataclass(frozen=True)
 class PairBasis:
-    """All C(d, n) bitmasks with n hard-core pairs on d sites, ascending."""
+    """All C(d, n) bitmasks with n hard-core pairs on d sites, ascending.
+    Bases compare and hash by (d, n) only."""
 
     d: int
     n: int
-    states: tuple = field(repr=False)
-    index: dict = field(repr=False)
+    states: np.ndarray = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.states.size
+
+    def rank(self, masks) -> np.ndarray:
+        return _rank(self.states, masks)
 
 
 @dataclass(frozen=True)
 class FullBasis:
-    """All C(d,n_a)*C(d,n_b) two-species configurations, (mask_a, mask_b)
-    sorted with mask_a major and mask_b minor."""
+    """All C(d,n_a)*C(d,n_b) two-species configurations, mask_a major and
+    mask_b minor.  Bases compare and hash by (d, n_a, n_b) only."""
 
     d: int
     n_a: int
     n_b: int
-    states: tuple = field(repr=False)
-    index: dict = field(repr=False)
+    masks_a: np.ndarray = field(repr=False, compare=False)
+    masks_b: np.ndarray = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.masks_a.size * self.masks_b.size
+
+    @property
+    def states(self) -> np.ndarray:
+        """(size, 2) array of the (mask_a, mask_b) rows in basis order."""
+        return np.column_stack([
+            np.repeat(self.masks_a, self.masks_b.size),
+            np.tile(self.masks_b, self.masks_a.size),
+        ])
+
+    def rank(self, masks_a, masks_b) -> np.ndarray:
+        return _rank(self.masks_a, masks_a) * self.masks_b.size + _rank(self.masks_b, masks_b)
 
 
-def _masks(d: int, n: int) -> list:
-    out = [sum(1 << k for k in occ) for occ in itertools.combinations(range(d), n)]
-    out.sort()
+def _masks(d: int, n: int) -> np.ndarray:
+    """Ascending masks with n of d bits set.  Pascal's rule: the c-bit masks
+    on sites [0, k] are those on [0, k), then the (c-1)-bit ones plus bit k."""
+    by_count = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * n
+    for k in range(d):
+        by_count = [by_count[0]] + [
+            np.concatenate([by_count[c], by_count[c - 1] | (1 << k)]) for c in range(1, n + 1)
+        ]
+    out = by_count[n]
+    out.setflags(write=False)
     return out
 
 
 def pair_basis(d: int, n: int) -> PairBasis:
-    if d > MAX_PAIR_SITES:
-        raise CapacityError(f"pair basis supports d <= {MAX_PAIR_SITES}, got {d}")
-    _check_particle_count(d, n, "N")
-    states = tuple(_masks(d, n))
-    return PairBasis(d, n, states, {m: i for i, m in enumerate(states)})
+    _check_size("pair basis", d, MAX_PAIR_SITES, N=n)
+    return PairBasis(d, n, _masks(d, n))
 
 
 def full_basis(d: int, n_a: int, n_b: int) -> FullBasis:
-    if d > MAX_FULL_SITES:
-        raise CapacityError(f"full basis supports d <= {MAX_FULL_SITES}, got {d}")
-    _check_particle_count(d, n_a, "N_A")
-    _check_particle_count(d, n_b, "N_B")
-    states = tuple(
-        (ma, mb) for ma in _masks(d, n_a) for mb in _masks(d, n_b)
-    )
-    return FullBasis(d, n_a, n_b, states, {s: i for i, s in enumerate(states)})
+    _check_size("full basis", d, MAX_FULL_SITES, N_A=n_a, N_B=n_b)
+    return FullBasis(d, n_a, n_b, _masks(d, n_a), _masks(d, n_b))
 
 
 # ------------------------------------------------------ vectorized bit moves
 
-def occupations(states, d: int) -> np.ndarray:
-    """(dim, d) 0/1 array: entry [i, k] is bit k of mask ``states[i]``."""
-    masks = np.asarray(states, dtype=np.int64)
+def occupations(masks: np.ndarray, d: int) -> np.ndarray:
+    """(dim, d) 0/1 array: entry [i, k] is bit k of the int64 mask ``masks[i]``."""
     return (masks[:, None] >> np.arange(d)) & 1
 
 
-def move(states, src: int, dst: int) -> tuple:
+def move(masks: np.ndarray, src: int, dst: int) -> tuple:
     """Move one particle from site ``src`` to ``dst`` in every mask of the
-    ascending array ``states`` where that is allowed (src occupied, dst
-    empty).  Returns (from_idx, to_idx): positions of the old and the new
-    masks in ``states``."""
-    masks = np.asarray(states, dtype=np.int64)
+    ascending int64 array ``masks`` where that is allowed (src occupied,
+    dst empty).  Returns (from_idx, to_idx): positions of the old and the
+    new masks in ``masks``."""
     allowed = (((masks >> src) & 1) == 1) & (((masks >> dst) & 1) == 0)
     from_idx = np.flatnonzero(allowed)
-    moved = masks[from_idx] ^ ((1 << src) | (1 << dst))
-    return from_idx, np.searchsorted(masks, moved)
+    return from_idx, _rank(masks, masks[from_idx] ^ ((1 << src) | (1 << dst)))
+
+
+def rotate(masks, shift, d: int):
+    """Cyclic site shift k -> k + shift (mod d) of the bits of ``masks``;
+    broadcasts over int64 arrays of masks and of shifts."""
+    shift = shift % d
+    return ((masks << shift) | (masks >> (d - shift))) & ((1 << d) - 1)
 
 
 # ----------------------------------------------------------------- operators
-
-def pair_create(mask: int, k: int):
-    """eta^dag_k; returns new mask or None (Pauli exclusion of pairs)."""
-    bit = 1 << k
-    if mask & bit:
-        return None
-    return mask | bit
-
-
-def pair_annihilate(mask: int, k: int):
-    bit = 1 << k
-    if not mask & bit:
-        return None
-    return mask & ~bit
-
 
 def _lower_sign(mask: int, k: int) -> int:
     return -1 if popcount(mask & ((1 << k) - 1)) & 1 else 1
@@ -237,13 +259,6 @@ class StateVector:
         return StateVector(self.basis, self.amplitudes / nrm)
 
 
-def from_dict(basis, coeffs: dict) -> StateVector:
-    amp = np.zeros(basis.size, dtype=complex)
-    for cfg, c in coeffs.items():
-        amp[basis.index[cfg]] = c
-    return StateVector(basis, amp)
-
-
 def inner_product(psi: StateVector, phi: StateVector) -> complex:
     """<psi|phi>, conjugate-linear in the first argument."""
     if psi.basis is not phi.basis and psi.basis != phi.basis:
@@ -253,10 +268,10 @@ def inner_product(psi: StateVector, phi: StateVector) -> complex:
 
 # ---------------------------------------------------------------- translation
 
-def _shift_mask(mask: int, shift: int, d: int) -> int:
-    shift %= d
-    full = (1 << d) - 1
-    return ((mask << shift) | (mask >> (d - shift))) & full if shift else mask
+def _wrap_signs(masks: np.ndarray, n: int, shift: int, d: int) -> np.ndarray:
+    """(-1)^((n-1) * w) per mask, w = number of its bits that wrap past d-1."""
+    wrapped = occupations(masks, d)[:, d - shift:].sum(axis=1)
+    return np.where((n - 1) * wrapped % 2, -1.0, 1.0)
 
 
 def translate(state: StateVector, shift: int) -> StateVector:
@@ -271,16 +286,12 @@ def translate(state: StateVector, shift: int) -> StateVector:
     shift %= d
     amp = np.zeros(basis.size, dtype=complex)
     if isinstance(basis, PairBasis):
-        for i, mask in enumerate(basis.states):
-            amp[basis.index[_shift_mask(mask, shift, d)]] = state.amplitudes[i]
+        amp[basis.rank(rotate(basis.states, shift, d))] = state.amplitudes
         return StateVector(basis, amp)
-    sign_a = -1 if (basis.n_a - 1) & 1 else 1
-    sign_b = -1 if (basis.n_b - 1) & 1 else 1
-    top = (1 << d) - (1 << (d - shift)) if shift else 0
-    for i, (ma, mb) in enumerate(basis.states):
-        sign = sign_a ** popcount(ma & top) * sign_b ** popcount(mb & top)
-        new = (_shift_mask(ma, shift, d), _shift_mask(mb, shift, d))
-        amp[basis.index[new]] = sign * state.amplitudes[i]
+    ma, mb = basis.masks_a, basis.masks_b
+    new = basis.rank(rotate(ma, shift, d)[:, None], rotate(mb, shift, d)[None, :])
+    sign = np.multiply.outer(_wrap_signs(ma, basis.n_a, shift, d), _wrap_signs(mb, basis.n_b, shift, d))
+    amp[new.ravel()] = sign.ravel() * state.amplitudes
     return StateVector(basis, amp)
 
 
@@ -293,8 +304,7 @@ def embed_pair_state(state: StateVector, full: FullBasis) -> StateVector:
     if full.d != basis.d or full.n_a != basis.n or full.n_b != basis.n:
         raise BasisMismatchError("full basis incompatible with pair sector")
     amp = np.zeros(full.size, dtype=complex)
-    for i, mask in enumerate(basis.states):
-        amp[full.index[(mask, mask)]] = state.amplitudes[i]
+    amp[full.rank(basis.states, basis.states)] = state.amplitudes
     return StateVector(full, amp)
 
 
@@ -305,7 +315,4 @@ def project_to_pair_sector(state: StateVector, pair: PairBasis) -> StateVector:
         raise BasisMismatchError("projection expects a full-basis state")
     if pair.d != basis.d or basis.n_a != pair.n or basis.n_b != pair.n:
         raise BasisMismatchError("pair basis incompatible with full basis")
-    amp = np.array(
-        [state.amplitudes[basis.index[(m, m)]] for m in pair.states], dtype=complex
-    )
-    return StateVector(pair, amp)
+    return StateVector(pair, state.amplitudes[basis.rank(pair.states, pair.states)])

@@ -249,11 +249,10 @@ def single_pair_rdm(psi: StateVector) -> np.ndarray:
     if not isinstance(basis, PairBasis):
         raise BasisMismatchError("single-pair RDM is defined on the pair basis")
     d, n = basis.d, basis.n
-    masks = np.asarray(basis.states, dtype=np.int64)
     amp = psi.amplitudes
-    rho = np.diag(np.abs(amp) ** 2 @ occupations(masks, d)).astype(complex)
+    rho = np.diag(np.abs(amp) ** 2 @ occupations(basis.states, d)).astype(complex)
     for i, j in itertools.permutations(range(d), 2):
-        from_idx, to_idx = move(masks, j, i)
+        from_idx, to_idx = move(basis.states, j, i)
         rho[i, j] = np.vdot(amp[to_idx], amp[from_idx])
     return rho / n
 

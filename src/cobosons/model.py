@@ -78,7 +78,7 @@ class SparseOperator:
     """Hermitian operator assembled from (row, col, value) triplets;
     duplicates are summed and zeros dropped."""
 
-    def __init__(self, basis, rows, cols, vals, hermitian=True):
+    def __init__(self, basis, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=complex)
@@ -86,12 +86,10 @@ class SparseOperator:
         mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         mat.sum_duplicates()
         mat.eliminate_zeros()
-        if hermitian:
-            dev = abs(mat - mat.getH())
-            if dev.nnz and dev.max() >= HERMITICITY_TOL:
-                raise ValueError(f"operator not Hermitian (max dev {dev.max():g})")
+        dev = abs(mat - mat.getH())
+        if dev.nnz and dev.max() >= HERMITICITY_TOL:
+            raise ValueError(f"operator not Hermitian (max dev {dev.max():g})")
         self.basis = basis
-        self.hermitian = hermitian
         self._csr = mat
 
     @property
@@ -160,8 +158,7 @@ def build_full_hamiltonian(params: ModelParams, basis: Optional[FullBasis] = Non
         else:
             basis = full_basis(params.d, params.n_a, params.n_b)
     d = params.d
-    states = np.array(basis.states, dtype=np.int64)
-    masks_a, masks_b = np.unique(states[:, 0]), np.unique(states[:, 1])
+    masks_a, masks_b = basis.masks_a, basis.masks_b
     occ_a, occ_b = occupations(masks_a, d), occupations(masks_b, d)
     # nearest-neighbour attraction, both orientations (A at k with B at
     # k+1, and B at k with A at k+1, periodic) so that projecting onto
@@ -192,10 +189,9 @@ def build_effective_from_bars(d, n, jbar, gammabar, basis: Optional[PairBasis] =
     """Pair model directly from the renormalized couplings Jbar, gammabar."""
     if basis is None:
         basis = pair_basis(d, n)
-    masks = np.asarray(basis.states, dtype=np.int64)
-    occ = occupations(masks, d)
+    occ = occupations(basis.states, d)
     bonds = np.sum(occ & np.roll(occ, -1, axis=1), axis=1)
-    return _operator(basis, sp.diags(-gammabar * bonds) - jbar * _hop(masks, d, 1))
+    return _operator(basis, sp.diags(-gammabar * bonds) - jbar * _hop(basis.states, d, 1))
 
 
 # ------------------------------------------------------------ relative chains

@@ -58,8 +58,6 @@ def ground_space(op: SparseOperator, tol_deg: float = 1e-9, tol_res: float = 1e-
     Dense below DENSE_LIMIT; Lanczos (ARPACK, deterministic uniform start
     vector) above.  The degeneracy tolerance scales with max(1, |E0|).
     """
-    if not op.hermitian:
-        raise ValueError("ground_space expects a Hermitian operator")
     n = op.dim
     if n < 1:
         raise ValueError("empty basis")

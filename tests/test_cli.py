@@ -165,6 +165,44 @@ def test_fidelity_scan_columns_and_values(tmp_path):
     assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_c2_targets_off_site_use_the_full_basis_state(tmp_path):
+    from cobosons import ModelParams, build_c_sr, build_full_hamiltonian, fidelity, ground_space
+
+    out = tmp_path / "c2.csv"
+    run_cli("fidelity-scan", "--model", "full", "--d", "6", "--n", "2", "--J", "1",
+            "--U", "4", "--gamma-grid", "0:4:2", "--targets", "c2:0,0,c2:1,0",
+            "--out", str(out))
+    header, rows = data_rows(read(out))
+    assert header == ["gamma", "gammaU_J2", "c2_0_0", "c2_1_0"]
+    for row in rows:
+        gs = ground_space(build_full_hamiltonian(
+            ModelParams(j=1.0, u=4.0, gamma=float(row[0]), d=6, n=2)))
+        want = fidelity(build_c_sr(6, 1, 0, 2), gs)
+        assert want > 1e-3
+        assert float(row[3]) == pytest.approx(want, rel=1e-12)
+
+
+def test_c2_target_without_pair_component_rejected_on_effective_model(tmp_path):
+    with pytest.raises(ValueError, match="doubly-occupied"):
+        run_cli("fidelity-scan", "--model", "effective", "--d", "6", "--n", "2",
+                "--J", "1", "--U", "1000", "--gamma-grid", "0:4:2",
+                "--targets", "c2:1,0", "--out", str(tmp_path / "c2.csv"))
+
+
+@pytest.mark.parametrize("command", ["purity-scan", "g2-scan"])
+def test_correlation_scans_reject_full_model(command, monkeypatch, tmp_path):
+    import cobosons.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting --model full")
+
+    monkeypatch.setattr(cli, "ground_state_vector", no_solve)
+    monkeypatch.setattr(cli, "ground_space", no_solve)
+    with pytest.raises(ValueError, match="effective model only"):
+        run_cli(command, "--model", "full", "--d", "6", "--n", "2", "--J", "1",
+                "--U", "1000", "--gamma-grid", "0:4:2", "--out", str(tmp_path / "x.csv"))
+
+
 def test_g2_scan_checkpoint(tmp_path):
     out = tmp_path / "g2.csv"
     run_cli("g2-scan", "--d", "10", "--n", "4", "--J", "1", "--U", "1000",

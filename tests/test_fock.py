@@ -14,33 +14,60 @@ from cobosons import (
     pair_basis,
     translate,
 )
+from cobosons import fock
 from cobosons.fock import (
     create_string,
     embed_pair_state,
     fermion_a_annihilate,
     fermion_a_create,
     fermion_b_create,
-    from_dict,
-    pair_annihilate,
-    pair_create,
     popcount,
     project_to_pair_sector,
 )
+from oracles import embed_pair_state_loop, project_to_pair_sector_loop, translate_loop
 
 
 def test_pair_basis_enumeration():
     basis = pair_basis(4, 2)
     assert basis.size == math.comb(4, 2)
-    assert basis.states == (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
-    assert all(basis.index[m] == i for i, m in enumerate(basis.states))
+    assert basis.states.dtype == np.int64
+    assert basis.states.tolist() == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+    assert basis.rank(basis.states).tolist() == list(range(basis.size))
+    with pytest.raises(ValueError):
+        basis.states[0] = 0  # read-only
 
 
 def test_full_basis_enumeration():
     basis = full_basis(3, 1, 2)
     assert basis.size == 3 * 3
+    assert basis.masks_a.tolist() == [0b001, 0b010, 0b100]
+    assert basis.masks_b.tolist() == [0b011, 0b101, 0b110]
     # mask_a major, mask_b minor, both ascending
-    assert basis.states[0] == (0b001, 0b011)
-    assert basis.states[-1] == (0b100, 0b110)
+    assert basis.states.shape == (9, 2)
+    assert basis.states[0].tolist() == [0b001, 0b011]
+    assert basis.states[-1].tolist() == [0b100, 0b110]
+    ranks = basis.rank(basis.states[:, 0], basis.states[:, 1])
+    assert ranks.tolist() == list(range(basis.size))
+
+
+def test_bases_compare_and_hash_by_parameters():
+    assert pair_basis(6, 2) == pair_basis(6, 2)
+    assert hash(pair_basis(6, 2)) == hash(pair_basis(6, 2))
+    assert full_basis(5, 2, 1) == full_basis(5, 2, 1)
+    assert hash(full_basis(5, 2, 1)) == hash(full_basis(5, 2, 1))
+    assert pair_basis(6, 2) != pair_basis(6, 3)
+    assert full_basis(5, 2, 1) != full_basis(5, 2, 2)
+
+
+def test_rank_rejects_masks_outside_basis():
+    basis = pair_basis(5, 2)
+    with pytest.raises(KeyError):
+        basis.rank(0b00111)  # three pairs
+    with pytest.raises(KeyError):
+        basis.rank([0b00011, 0b100000])  # second mask off the lattice
+    full = full_basis(4, 1, 2)
+    with pytest.raises(KeyError):
+        full.rank(0b0011, 0b0011)
 
 
 def test_capacity_limits():
@@ -50,18 +77,26 @@ def test_capacity_limits():
         full_basis(17, 1, 1)
 
 
+def test_capacity_by_dimension(monkeypatch):
+    # the largest sizes the benchmark ladder uses stay allowed
+    assert pair_basis(24, 8).size == 735471
+    assert full_basis(12, 4, 4).size == 245025
+
+    def never(d, n):
+        raise AssertionError(f"enumerated an oversize basis ({d}, {n})")
+
+    monkeypatch.setattr(fock, "_masks", never)
+    with pytest.raises(CapacityError):
+        pair_basis(30, 15)  # 155,117,520 states
+    with pytest.raises(CapacityError):
+        full_basis(16, 8, 8)  # 165,636,900 states
+
+
 def test_particle_count_validation():
     with pytest.raises(ValueError):
         pair_basis(4, 5)
     with pytest.raises(ValueError):
         full_basis(4, -1, 0)
-
-
-def test_pair_operators_hardcore():
-    assert pair_create(0b0101, 1) == 0b0111
-    assert pair_create(0b0101, 0) is None  # eta^dag on occupied site
-    assert pair_annihilate(0b0101, 2) == 0b0001
-    assert pair_annihilate(0b0101, 1) is None
 
 
 def test_fermion_sign_convention():
@@ -82,7 +117,7 @@ def test_double_create_annihilates():
 
 def test_eta_phase_is_plus_one():
     # eta^dag_k = a^dag_k b^dag_k applied to any pair configuration
-    for mask in pair_basis(5, 2).states:
+    for mask in pair_basis(5, 2).states.tolist():
         for k in range(5):
             if (mask >> k) & 1:
                 continue
@@ -166,8 +201,28 @@ def test_embed_project_roundtrip(random_state):
     assert np.allclose(back.amplitudes, random_state.amplitudes)
 
 
-def test_from_dict():
-    basis = pair_basis(4, 2)
-    psi = from_dict(basis, {0b0011: 1.0})
-    assert psi.amplitudes[basis.index[0b0011]] == 1.0
-    assert psi.norm == 1.0
+def _random_state(basis, seed):
+    rng = np.random.default_rng(seed)
+    return StateVector(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_array_paths_match_loop_oracles(data):
+    d = data.draw(st.integers(1, 7), label="d")
+    n_a = data.draw(st.integers(0, d), label="n_a")
+    n_b = data.draw(st.integers(0, d), label="n_b")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    pair = pair_basis(d, n_a)
+    full = full_basis(d, n_a, n_b)
+    for psi in (_random_state(pair, seed), _random_state(full, seed)):
+        for shift in range(-1, d + 1):  # includes shift 0 and both wraps
+            got = translate(psi, shift).amplitudes
+            assert np.array_equal(got, translate_loop(psi, shift).amplitudes)
+    diag = full_basis(d, n_a, n_a)
+    psi = _random_state(pair, seed)
+    assert np.array_equal(embed_pair_state(psi, diag).amplitudes,
+                          embed_pair_state_loop(psi, diag).amplitudes)
+    phi = _random_state(diag, seed)
+    assert np.array_equal(project_to_pair_sector(phi, pair).amplitudes,
+                          project_to_pair_sector_loop(phi, pair).amplitudes)
