@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ansatz import Partition, build_block, build_c_sr, build_partition_state, build_q_sr
-from .fock import embed_pair_state, fix_phase, full_basis, pair_basis, project_to_pair_sector
+from .fock import embed_pair_state, full_basis, pair_basis, project_to_pair_sector
 from .metrics import (
     chi_closed,
     chi_oracle,
@@ -210,7 +210,7 @@ def write_csv(out: Optional[str], comment_lines, header, rows):
 def cmd_ground_state(cfg: SweepConfig, gamma_u_j2: float) -> int:
     gamma = cfg.gamma(gamma_u_j2)
     gs = ground_space(_hamiltonian(cfg, gamma), tol_deg=cfg.tol)
-    vec = fix_phase(gs.vectors[:, 0])
+    vec = gs.state.amplitudes
     comments = [
         f"energy = {fmt(gs.energy)}",
         f"degeneracy = {gs.degeneracy}",

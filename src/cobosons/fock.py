@@ -248,10 +248,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    @property
-    def normalized(self) -> bool:
-        return abs(self.norm - 1.0) < 1e-12
-
     def unit(self) -> "StateVector":
         nrm = self.norm
         if nrm == 0.0:

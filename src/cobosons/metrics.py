@@ -115,10 +115,6 @@ class LadderReport:
     alpha_sq: tuple  # Fractions chi_N / chi_{N-1}, N = 1 .. n_max
     eps_norms: tuple  # Fractions <eps_N|eps_N>, N = 1 .. n_max
 
-    @property
-    def alphas(self) -> tuple:
-        return tuple(math.sqrt(a) for a in self.alpha_sq)
-
 
 def ratio_lower_bound(d: int, n: int, m: int) -> Fraction:
     """Lower bound on chi_{N+1}^(M) / chi_N^(M):
@@ -231,9 +227,7 @@ def fidelity(psi: StateVector, target) -> float:
     """|<target|psi>|^2 for a vector target, squared projection norm for a
     ground space; invariant under global phases."""
     if isinstance(target, GroundSpace):
-        if target.basis is not None and not (
-            target.basis is psi.basis or target.basis == psi.basis
-        ):
+        if not (target.basis is psi.basis or target.basis == psi.basis):
             raise BasisMismatchError("state and ground space bases differ")
         return float(np.sum(np.abs(target.vectors.conj().T @ psi.amplitudes) ** 2))
     if not (target.basis is psi.basis or target.basis == psi.basis):

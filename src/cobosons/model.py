@@ -75,15 +75,15 @@ class ChainBasis:
 
 
 class SparseOperator:
-    """Hermitian operator assembled from (row, col, value) triplets;
-    duplicates are summed and zeros dropped."""
+    """Hermitian operator on a basis, kept as a complex CSR matrix built
+    from the assembled sparse ``matrix``; duplicates are summed and zeros
+    dropped."""
 
-    def __init__(self, basis, rows, cols, vals):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=complex)
+    def __init__(self, basis, matrix):
         n = basis.size
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        mat = sp.csr_matrix(matrix, dtype=complex)
+        if mat.shape != (n, n):
+            raise ValueError(f"matrix shape {mat.shape} does not match basis size {n}")
         mat.sum_duplicates()
         mat.eliminate_zeros()
         dev = abs(mat - mat.getH())
@@ -114,11 +114,6 @@ class SparseOperator:
 
 
 # ---------------------------------------------------------------- hopping
-
-def _operator(basis, mat) -> SparseOperator:
-    coo = mat.tocoo()
-    return SparseOperator(basis, coo.row, coo.col, coo.data)
-
 
 def _hop(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
     """sum_k (c^dag_k c_{k+1} + h.c.) on one species' ascending masks.
@@ -169,7 +164,7 @@ def build_full_hamiltonian(params: ModelParams, basis: Optional[FullBasis] = Non
     hop_b = _hop(masks_b, d, (-1) ** (basis.n_b - 1))
     # kronsum(B, A) = kron(I_a, B) + kron(A, I_b): index i_a * dim_b + i_b
     hop = sp.kronsum(hop_b, hop_a)
-    return _operator(basis, sp.diags(diag.ravel()) - params.j * hop)
+    return SparseOperator(basis, sp.diags(diag.ravel()) - params.j * hop)
 
 
 # -------------------------------------------------------- effective pair model
@@ -191,7 +186,7 @@ def build_effective_from_bars(d, n, jbar, gammabar, basis: Optional[PairBasis] =
         basis = pair_basis(d, n)
     occ = occupations(basis.states, d)
     bonds = np.sum(occ & np.roll(occ, -1, axis=1), axis=1)
-    return _operator(basis, sp.diags(-gammabar * bonds) - jbar * _hop(basis.states, d, 1))
+    return SparseOperator(basis, sp.diags(-gammabar * bonds) - jbar * _hop(basis.states, d, 1))
 
 
 # ------------------------------------------------------------ relative chains
@@ -210,24 +205,16 @@ def build_relative_chain(kind: str, params: ModelParams, r: int = 0, cutoff: int
     if kind == "two_fermion":
         sites = tuple(range(-cutoff, cutoff + 1))
         hop = -params.j * (1 + phase)
-        diag = {0: -params.u}
+        site, onsite = 0, -params.u
     elif kind == "two_pair":
         sites = tuple(range(1, cutoff + 1))
         hop = -params.jbar * (1 + phase)
-        diag = {1: -params.gammabar}
+        site, onsite = 1, -params.gammabar
     else:
         raise ValueError(f"unknown chain kind {kind!r}")
-    basis = ChainBasis(kind, sites)
-    pos = {s: i for i, s in enumerate(sites)}
-    rows, cols, vals = [], [], []
-    for s, i in pos.items():
-        if s in diag:
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag[s])
-        if s + 1 in pos:
-            j = pos[s + 1]
-            rows += [j, i]
-            cols += [i, j]
-            vals += [hop, hop.conjugate()]
-    return SparseOperator(basis, rows, cols, vals)
+    diag = np.zeros(len(sites))
+    diag[sites.index(site)] = onsite
+    off = np.full(len(sites) - 1, hop)
+    # H[s+1, s] = hop below the diagonal, its conjugate above
+    mat = sp.diags([off, diag, off.conj()], [-1, 0, 1], dtype=complex)
+    return SparseOperator(ChainBasis(kind, sites), mat)

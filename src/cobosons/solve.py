@@ -19,6 +19,8 @@ from .model import (
 )
 
 DENSE_LIMIT = 2000
+RESIDUAL_TOL = 1e-10
+EQUIVALENCE_LEVELS = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -27,15 +29,22 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundSpace:
-    """Lowest eigenvalue with an orthonormal basis of its eigenspace."""
+    """Lowest eigenvalue with an orthonormal basis of its eigenspace, and
+    every eigenvalue the solver computed."""
 
     energy: float
     vectors: np.ndarray  # shape (dim, degeneracy), columns orthonormal
-    basis: object = None
+    basis: object
+    levels: np.ndarray  # ascending: the whole spectrum (dense) or the Ritz values (ARPACK)
 
     @property
     def degeneracy(self) -> int:
         return self.vectors.shape[1]
+
+    @property
+    def state(self) -> StateVector:
+        """The first ground vector, phase-fixed."""
+        return StateVector(self.basis, fix_phase(self.vectors[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -52,49 +61,44 @@ class BoundStateSolution:
         return np.power(self.r0, np.abs(np.asarray(s, dtype=float)))
 
 
-def ground_space(op: SparseOperator, tol_deg: float = 1e-9, tol_res: float = 1e-10) -> GroundSpace:
+def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
     """Lowest eigenvalue and all eigenvectors within tol_deg of it.
 
     Dense below DENSE_LIMIT; Lanczos (ARPACK, deterministic uniform start
-    vector) above.  The degeneracy tolerance scales with max(1, |E0|).
+    vector, 12 Ritz values) above.  The degeneracy window tol_deg and the
+    residual bound RESIDUAL_TOL both scale with max(1, |E0|); each
+    selected vector is checked against its own eigenvalue, so levels
+    split by less than the window stay in the ground space.
     """
     n = op.dim
     if n < 1:
         raise ValueError("empty basis")
-    if n == 1:
-        val = op.to_dense()[0, 0].real
-        return GroundSpace(val, np.ones((1, 1), dtype=complex), op.basis)
     if n < DENSE_LIMIT:
         evals, evecs = np.linalg.eigh(op.to_dense())
     else:
-        k = min(12, n - 1)
         v0 = np.full(n, 1.0 / math.sqrt(n))
         try:
-            evals, evecs = spla.eigsh(op.to_csr(), k=k, which="SA", v0=v0, tol=0)
+            evals, evecs = spla.eigsh(op.to_csr(), k=min(12, n - 1), which="SA", v0=v0, tol=0)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
     e0 = evals[0]
-    window = tol_deg * max(1.0, abs(e0))
-    sel = evals <= e0 + window
+    scale = max(1.0, abs(e0))
+    sel = evals <= e0 + tol_deg * scale
     if n >= DENSE_LIMIT and sel.all():
         # every Ritz value degenerate with the minimum: space not resolved
         raise ConvergenceError("degenerate window exceeds the computed spectrum")
-    vecs = np.asarray(evecs[:, sel], dtype=complex)
     # re-orthonormalize (eigh already orthonormal; cheap safeguard)
-    vecs, _ = np.linalg.qr(vecs)
-    mat = op.to_csr()
-    for i in range(vecs.shape[1]):
-        res = np.linalg.norm(mat @ vecs[:, i] - e0 * vecs[:, i])
-        if res >= tol_res * max(1.0, abs(e0)):
-            raise ConvergenceError(f"residual {res:g} above tolerance")
-    return GroundSpace(float(e0), vecs, op.basis)
+    vecs, _ = np.linalg.qr(np.asarray(evecs[:, sel], dtype=complex))
+    res = np.linalg.norm(op.to_csr() @ vecs - vecs * evals[sel], axis=0).max()
+    if res >= RESIDUAL_TOL * scale:
+        raise ConvergenceError(f"residual {res:g} above tolerance")
+    return GroundSpace(float(e0), vecs, op.basis, evals)
 
 
 def ground_state_vector(op: SparseOperator, **kw) -> StateVector:
-    gs = ground_space(op, **kw)
-    return StateVector(op.basis, fix_phase(gs.vectors[:, 0]))
+    return ground_space(op, **kw).state
 
 
 # ------------------------------------------------------------- closed forms
@@ -219,10 +223,11 @@ class EquivalenceReport:
     constant: float
 
 
-def spectral_equivalence_check(params: ModelParams, k_levels: int = 4) -> EquivalenceReport:
-    """Compare the k lowest effective-model energies against the pair-sector
-    levels of the full model (with the dropped constant -N(U + 4J^2/U)
-    restored) and report the pair-sector ground-state fidelity."""
+def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
+    """Compare the EQUIVALENCE_LEVELS lowest effective-model energies against
+    the lowest levels of the full model (with the dropped constant
+    -N(U + 4J^2/U) restored) and report the weight of the full ground
+    state's normalized pair-sector part in the effective ground space."""
     if params.u < 100.0 * params.j:
         raise ValueError("spectral equivalence requires U/J >= 100")
     n = params.pair_count()
@@ -238,26 +243,21 @@ def spectral_equivalence_check(params: ModelParams, k_levels: int = 4) -> Equiva
         )
 
     pbasis = pair_basis(params.d, n)
-    h_eff = build_effective_hamiltonian(params, pbasis)
-    eff_evals, eff_evecs = np.linalg.eigh(h_eff.to_dense())
+    eff = ground_space(build_effective_hamiltonian(params, pbasis))
+    full = ground_space(build_full_hamiltonian(params, full_basis(params.d, n, n)))
 
-    fbasis = full_basis(params.d, n, n)
-    h_full = build_full_hamiltonian(params, fbasis)
-    full_evals, full_evecs = np.linalg.eigh(h_full.to_dense())
-
-    full_ground = StateVector(fbasis, full_evecs[:, 0])
-    projected = project_to_pair_sector(full_ground, pbasis)
+    projected = project_to_pair_sector(full.state, pbasis)
     pnorm = projected.norm
     if pnorm == 0.0:
         fid = 0.0
     else:
-        overlap = np.vdot(eff_evecs[:, 0], projected.amplitudes / pnorm)
-        fid = float(abs(overlap) ** 2)
+        overlaps = eff.vectors.conj().T @ projected.amplitudes
+        fid = float(np.sum(np.abs(overlaps) ** 2)) / pnorm**2
 
-    k = min(k_levels, len(eff_evals), len(full_evals))
+    k = min(EQUIVALENCE_LEVELS, len(eff.levels), len(full.levels))
     return EquivalenceReport(
-        effective_energies=eff_evals[:k],
-        full_energies=full_evals[:k] - constant,
+        effective_energies=eff.levels[:k],
+        full_energies=full.levels[:k] - constant,
         fidelity=fid,
         degenerate=False,
         constant=constant,

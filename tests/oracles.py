@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from cobosons.fock import FullBasis, PairBasis, StateVector, create_string, popcount
 from cobosons.model import SparseOperator
@@ -59,7 +60,7 @@ def full_hamiltonian_oracle(params, basis) -> SparseOperator:
                     rows.append(index[new])
                     cols.append(col)
                     vals.append(-params.j * sign)
-    return SparseOperator(basis, rows, cols, vals)
+    return SparseOperator(basis, sp.coo_matrix((vals, (rows, cols)), shape=(basis.size,) * 2))
 
 
 def matvec_effective_free(params, psi: StateVector) -> StateVector:
@@ -95,7 +96,7 @@ def effective_hamiltonian_oracle(params, basis) -> SparseOperator:
         [matvec_effective_free(params, StateVector(basis, e)).amplitudes for e in unit]
     )
     rows, cols = np.nonzero(dense)
-    return SparseOperator(basis, rows, cols, dense[rows, cols])
+    return SparseOperator(basis, sp.coo_matrix(dense))
 
 
 def single_pair_rdm_loop(psi: StateVector) -> np.ndarray:

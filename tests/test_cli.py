@@ -182,6 +182,22 @@ def test_c2_targets_off_site_use_the_full_basis_state(tmp_path):
         assert float(row[3]) == pytest.approx(want, rel=1e-12)
 
 
+def test_c2_half_ring_target_agrees_between_models(tmp_path):
+    # on the effective model c2:d/2,r is the unnormalized doubly-occupied
+    # part, so its column is the overlap with the full c2 state
+    columns = []
+    for model in ("effective", "full"):
+        out = tmp_path / f"{model}.csv"
+        run_cli("fidelity-scan", "--model", model, "--d", "6", "--n", "2", "--J", "1",
+                "--U", "1000", "--gamma-grid", "0:4:2", "--targets", "c2:3,0",
+                "--out", str(out))
+        header, rows = data_rows(read(out))
+        assert header == ["gamma", "gammaU_J2", "c2_3_0"]
+        columns.append(np.array([float(r[2]) for r in rows]))
+    assert columns[0] == pytest.approx([0.08, 0.04], abs=1e-12)
+    assert np.abs(columns[0] - columns[1]).max() < 1e-6
+
+
 def test_c2_target_without_pair_component_rejected_on_effective_model(tmp_path):
     with pytest.raises(ValueError, match="doubly-occupied"):
         run_cli("fidelity-scan", "--model", "effective", "--d", "6", "--n", "2",

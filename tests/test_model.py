@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,4 +213,11 @@ def test_sparse_operator_rejects_non_hermitian():
 
     basis = pair_basis(4, 1)
     with pytest.raises(ValueError):
-        SparseOperator(basis, [0, 1], [1, 0], [1.0, 2.0])
+        SparseOperator(basis, sp.coo_matrix(([1.0, 2.0], ([0, 1], [1, 0])), shape=(4, 4)))
+
+
+def test_sparse_operator_rejects_matrix_of_another_size():
+    from cobosons.model import SparseOperator
+
+    with pytest.raises(ValueError, match="does not match basis size"):
+        SparseOperator(pair_basis(4, 1), sp.eye(3))

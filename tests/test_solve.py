@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cobosons import (
     ModelParams,
@@ -25,13 +26,26 @@ def test_ground_space_simple_matrix():
     from cobosons import pair_basis
 
     basis = pair_basis(4, 1)
-    op = SparseOperator(basis, [0, 1, 2, 3], [0, 1, 2, 3], [3.0, -1.0, 2.0, -1.0])
+    op = SparseOperator(basis, sp.diags([3.0, -1.0, 2.0, -1.0]))
     gs = ground_space(op)
     assert gs.energy == pytest.approx(-1.0)
     assert gs.degeneracy == 2
     # columns orthonormal
     overlap = gs.vectors.conj().T @ gs.vectors
     assert np.allclose(overlap, np.eye(2))
+
+
+def test_ground_space_checks_each_vector_against_its_own_level():
+    from cobosons.model import SparseOperator
+    from cobosons import pair_basis
+
+    # the second level lies inside the degeneracy window but 5e-10 above
+    # E0, above the residual bound: it belongs to the ground space
+    op = SparseOperator(pair_basis(3, 1), sp.diags([0.0, 5e-10, 1.0]))
+    gs = ground_space(op)
+    assert gs.energy == 0.0
+    assert gs.degeneracy == 2
+    assert np.array_equal(gs.levels, [0.0, 5e-10, 1.0])
 
 
 def test_ground_space_degenerate_full_model():
@@ -132,6 +146,27 @@ def test_spectral_equivalence_degenerate_flag():
     p = ModelParams(j=0.0, u=10.0, gamma=0.0, d=4, n=1)
     rep = spectral_equivalence_check(p)
     assert rep.degenerate and rep.fidelity is None
+
+
+def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
+    from cobosons import solve
+    from cobosons.model import SparseOperator
+
+    p = ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2)
+    want = spectral_equivalence_check(p)
+    to_dense = SparseOperator.to_dense
+
+    def guarded(self):
+        assert self.dim < 100, f"densified a dim-{self.dim} operator"
+        return to_dense(self)
+
+    monkeypatch.setattr(solve, "DENSE_LIMIT", 100)
+    monkeypatch.setattr(SparseOperator, "to_dense", guarded)
+    got = spectral_equivalence_check(p)  # full model: dim 225 > DENSE_LIMIT
+    assert np.abs(got.effective_energies - want.effective_energies).max() < 1e-9
+    assert np.abs(got.full_energies - want.full_energies).max() < 1e-9
+    assert got.fidelity == pytest.approx(want.fidelity, abs=1e-9)
+    assert got.constant == want.constant
 
 
 def test_spectral_equivalence_single_pair():
