@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 MAX_PAIR_SITES = 30
 MAX_FULL_SITES = 16
@@ -270,25 +271,47 @@ def _wrap_signs(masks: np.ndarray, n: int, shift: int, d: int) -> np.ndarray:
     return np.where((n - 1) * wrapped % 2, -1.0, 1.0)
 
 
-def translate(state: StateVector, shift: int) -> StateVector:
-    """Cyclic site shift k -> k + shift (mod d).
+def translation(basis, shift: int) -> tuple:
+    """Cyclic site shift k -> k + shift (mod d) of every basis state:
+    (index, sign) with T^shift |i> = sign[i] |index[i]>.
 
     On the full basis, creation operators whose mode wraps past d-1 are
     moved back to the front of their species string, giving a
-    (-1)^(n-1)-per-wrapped-mode sign within each species.
+    (-1)^(n-1)-per-wrapped-mode sign within each species; pair states
+    carry sign +1.
     """
-    basis = state.basis
     d = basis.d
     shift %= d
-    amp = np.zeros(basis.size, dtype=complex)
     if isinstance(basis, PairBasis):
-        amp[basis.rank(rotate(basis.states, shift, d))] = state.amplitudes
-        return StateVector(basis, amp)
+        return basis.rank(rotate(basis.states, shift, d)), np.ones(basis.size)
     ma, mb = basis.masks_a, basis.masks_b
-    new = basis.rank(rotate(ma, shift, d)[:, None], rotate(mb, shift, d)[None, :])
+    index = basis.rank(rotate(ma, shift, d)[:, None], rotate(mb, shift, d)[None, :])
     sign = np.multiply.outer(_wrap_signs(ma, basis.n_a, shift, d), _wrap_signs(mb, basis.n_b, shift, d))
-    amp[new.ravel()] = sign.ravel() * state.amplitudes
-    return StateVector(basis, amp)
+    return index.ravel(), sign.ravel()
+
+
+def translate(state: StateVector, shift: int) -> StateVector:
+    """T^shift applied to a state (see ``translation``)."""
+    index, sign = translation(state.basis, shift)
+    amp = np.zeros(state.basis.size, dtype=complex)
+    amp[index] = sign * state.amplitudes
+    return StateVector(state.basis, amp)
+
+
+def orbit_projector(index: np.ndarray, d: int) -> sp.csr_matrix:
+    """(dim, orbits) isometry whose columns are the normalized uniform sums
+    over the orbits of the one-site translation with permutation ``index``
+    (from ``translation(basis, 1)``): the K = 0 states when every sign of
+    that translation is +1.  An orbit is labelled by its representative,
+    the smallest basis index (the minimum of ``rotate``) over the d shifts;
+    memory stays O(dim)."""
+    dim = index.size
+    rep = pos = np.arange(dim)
+    for _ in range(d - 1):
+        pos = index[pos]
+        rep = np.minimum(rep, pos)
+    _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+    return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(dim), orbit)), shape=(dim, size.size))
 
 
 # ------------------------------------------------------- pair/full embedding

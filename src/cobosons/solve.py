@@ -8,9 +8,22 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
-from .fock import StateVector, fix_phase, full_basis, pair_basis, project_to_pair_sector
+from .fock import (
+    FullBasis,
+    PairBasis,
+    StateVector,
+    fix_phase,
+    full_basis,
+    orbit_projector,
+    pair_basis,
+    project_to_pair_sector,
+    translation,
+)
 from .model import (
     ModelParams,
     SparseOperator,
@@ -21,6 +34,7 @@ from .model import (
 DENSE_LIMIT = 2000
 RESIDUAL_TOL = 1e-10
 EQUIVALENCE_LEVELS = 4
+LEVELS = 12  # eigenpairs per solve; the dense path computes all when the window holds them all
 
 
 class ConvergenceError(RuntimeError):
@@ -29,13 +43,21 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundSpace:
-    """Lowest eigenvalue with an orthonormal basis of its eigenspace, and
-    every eigenvalue the solver computed."""
+    """Lowest eigenvalue with an orthonormal basis of its eigenspace, every
+    eigenvalue the solver computed, and how they were computed.
+
+    ``path`` is "dense", "sector" or "arpack" (see ``ground_space``);
+    ``residual`` is the largest |H v - e v| over the ground vectors, each
+    against its own eigenvalue e and the whole operator.  On the sector
+    path ``levels`` are the levels of the K = 0 block only.
+    """
 
     energy: float
     vectors: np.ndarray  # shape (dim, degeneracy), columns orthonormal
     basis: object
-    levels: np.ndarray  # ascending: the whole spectrum (dense) or the Ritz values (ARPACK)
+    levels: np.ndarray  # ascending: the lowest LEVELS eigenvalues, or all of them
+    path: str
+    residual: float
 
     @property
     def degeneracy(self) -> int:
@@ -61,40 +83,105 @@ class BoundStateSolution:
         return np.power(self.r0, np.abs(np.asarray(s, dtype=float)))
 
 
+def _window(evals: np.ndarray, tol_deg: float) -> np.ndarray:
+    """Mask of the levels within tol_deg * max(1, |E0|) of the lowest."""
+    return evals <= evals[0] + tol_deg * max(1.0, abs(evals[0]))
+
+
+def _dense(a: np.ndarray, tol_deg: float) -> tuple:
+    """Lowest LEVELS eigenpairs of a dense Hermitian matrix, solved as real
+    when its imaginary part is exactly zero; the whole spectrum when all of
+    them fall inside the degeneracy window."""
+    if np.iscomplexobj(a) and not a.imag.any():
+        a = a.real
+    if a.shape[0] > LEVELS:
+        evals, evecs = la.eigh(a, subset_by_index=[0, LEVELS - 1])
+        if not _window(evals, tol_deg).all():
+            return evals, evecs
+    return la.eigh(a)
+
+
+def _arpack(mat, tol_deg: float) -> tuple:
+    """Lowest LEVELS Ritz pairs by complex Lanczos (ARPACK) from the
+    deterministic uniform start vector, ascending.  Complex ``eigsh`` runs
+    ``eigs``, which needs k < n - 1."""
+    n = mat.shape[0]
+    v0 = np.full(n, 1.0 / math.sqrt(n))
+    try:
+        evals, evecs = spla.eigsh(mat.astype(complex, copy=False), k=min(LEVELS, n - 2), which="SA", v0=v0, tol=0)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
+    order = np.argsort(evals)
+    if _window(evals[order], tol_deg).all():
+        # every Ritz value degenerate with the minimum: space not resolved
+        raise ConvergenceError("degenerate window exceeds the computed spectrum")
+    return evals[order], evecs[:, order]
+
+
+def _zero_momentum_projector(h: sp.csr_matrix, basis):
+    """The K = 0 isometry P of ``orbit_projector`` when the operator is
+    certified to have a unique ground state at K = 0, else None.
+
+    Certified: h is real, every off-diagonal element is < 0, its graph is
+    connected, and the basis has a one-site translation T whose signs are
+    all +1 with T h T^-1 == h exactly.  By Perron-Frobenius the ground
+    state is then unique and positive, hence invariant under T.  Every
+    check is O(nnz).
+    """
+    if not isinstance(basis, (PairBasis, FullBasis)) or np.any(h.data.imag):
+        return None
+    h = h.real.tocoo()
+    if np.any(h.data[h.row != h.col] >= 0):
+        return None
+    if connected_components(h, directed=False, return_labels=False) != 1:
+        return None
+    index, sign = translation(basis, 1)
+    if np.any(sign != 1):
+        return None
+    moved = sp.csr_matrix((h.data, (index[h.row], index[h.col])), shape=h.shape)
+    if (moved != h.tocsr()).nnz:
+        return None
+    return orbit_projector(index, basis.d)
+
+
 def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
     """Lowest eigenvalue and all eigenvectors within tol_deg of it.
 
-    Dense below DENSE_LIMIT; Lanczos (ARPACK, deterministic uniform start
-    vector, 12 Ritz values) above.  The degeneracy window tol_deg and the
-    residual bound RESIDUAL_TOL both scale with max(1, |E0|); each
-    selected vector is checked against its own eigenvalue, so levels
-    split by less than the window stay in the ground space.
+    The path follows the operator:
+    - "dense" below DENSE_LIMIT: the lowest LEVELS eigenpairs by dense
+      ``eigh``, real when the matrix is;
+    - "sector" at or above DENSE_LIMIT, when ``_zero_momentum_projector``
+      certifies the operator: only the K = 0 block P^T H P is solved (dense
+      below DENSE_LIMIT, ARPACK above) and its vectors are lifted with P;
+    - "arpack" otherwise: Lanczos on the whole operator (deterministic
+      uniform start vector, LEVELS Ritz values).
+    The degeneracy window tol_deg and the residual bound RESIDUAL_TOL both
+    scale with max(1, |E0|); each selected vector is checked against its
+    own eigenvalue and the whole operator, so levels split by less than
+    the window stay in the ground space.
     """
     n = op.dim
     if n < 1:
         raise ValueError("empty basis")
+    h = op.to_csr()
+    proj = None if n < DENSE_LIMIT else _zero_momentum_projector(h, op.basis)
     if n < DENSE_LIMIT:
-        evals, evecs = np.linalg.eigh(op.to_dense())
+        path, (evals, evecs) = "dense", _dense(op.to_dense(), tol_deg)
+    elif proj is None:
+        path, (evals, evecs) = "arpack", _arpack(h, tol_deg)
     else:
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        try:
-            evals, evecs = spla.eigsh(op.to_csr(), k=min(12, n - 1), which="SA", v0=v0, tol=0)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
-    e0 = evals[0]
-    scale = max(1.0, abs(e0))
-    sel = evals <= e0 + tol_deg * scale
-    if n >= DENSE_LIMIT and sel.all():
-        # every Ritz value degenerate with the minimum: space not resolved
-        raise ConvergenceError("degenerate window exceeds the computed spectrum")
+        block = proj.T @ h.real @ proj
+        small = block.shape[0] < DENSE_LIMIT
+        path, (evals, evecs) = "sector", _dense(block.toarray(), tol_deg) if small else _arpack(block, tol_deg)
+    sel = _window(evals, tol_deg)
+    vecs = evecs[:, sel] if proj is None else proj @ evecs[:, sel]
     # re-orthonormalize (eigh already orthonormal; cheap safeguard)
-    vecs, _ = np.linalg.qr(np.asarray(evecs[:, sel], dtype=complex))
-    res = np.linalg.norm(op.to_csr() @ vecs - vecs * evals[sel], axis=0).max()
+    vecs, _ = np.linalg.qr(np.asarray(vecs, dtype=complex))
+    scale = max(1.0, abs(evals[0]))
+    res = float(np.linalg.norm(h @ vecs - vecs * evals[sel], axis=0).max())
     if res >= RESIDUAL_TOL * scale:
         raise ConvergenceError(f"residual {res:g} above tolerance")
-    return GroundSpace(float(e0), vecs, op.basis, evals)
+    return GroundSpace(float(evals[0]), vecs, op.basis, evals, path, res)
 
 
 def ground_state_vector(op: SparseOperator, **kw) -> StateVector:
@@ -140,11 +227,9 @@ def chain_bound_amplitudes(chain: SparseOperator, energy: float) -> np.ndarray:
     *relative* accuracy at every site; the halves are matched at the
     potential site and the result normalized.
     """
-    dense = chain.to_csr()
+    csr = chain.to_csr()
     n = chain.dim
-    diag = dense.diagonal()
-    lower = np.array([dense[i + 1, i] for i in range(n - 1)])
-    upper = np.array([dense[i, i + 1] for i in range(n - 1)])
+    diag, lower, upper = csr.diagonal(), csr.diagonal(-1), csr.diagonal(1)
     kind = getattr(chain.basis, "kind", "")
     anchor = chain.basis.sites.index(0) if kind == "two_fermion" else 0
 
@@ -227,7 +312,11 @@ def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
     """Compare the EQUIVALENCE_LEVELS lowest effective-model energies against
     the lowest levels of the full model (with the dropped constant
     -N(U + 4J^2/U) restored) and report the weight of the full ground
-    state's normalized pair-sector part in the effective ground space."""
+    state's normalized pair-sector part in the effective ground space.
+
+    The levels are each model's ``GroundSpace.levels``: a model solved on
+    the sector path (at or above DENSE_LIMIT states) contributes its K = 0
+    levels only."""
     if params.u < 100.0 * params.j:
         raise ValueError("spectral equivalence requires U/J >= 100")
     n = params.pair_count()

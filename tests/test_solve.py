@@ -1,24 +1,34 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobosons import (
     ModelParams,
     analytic_two_fermion,
     analytic_two_pair,
+    build_effective_from_bars,
     build_effective_hamiltonian,
     build_full_hamiltonian,
     build_relative_chain,
     ground_space,
+    pair_basis,
 )
+from cobosons import solve
+from cobosons.fock import occupations
+from cobosons.model import SparseOperator
 from cobosons.solve import (
+    chain_bound_amplitudes,
     geometric_tail,
     ground_state_vector,
     is_bound,
     spectral_equivalence_check,
 )
+from oracles import chain_bound_amplitudes_loop
 
 
 def test_ground_space_simple_matrix():
@@ -174,3 +184,137 @@ def test_spectral_equivalence_single_pair():
     rep = spectral_equivalence_check(p)
     assert rep.fidelity > 0.9999
     assert abs(rep.full_energies[0] - rep.effective_energies[0]) < 1e-6
+
+
+# ------------------------------------------------------- solver paths
+
+def _ground_projector(gs):
+    return gs.vectors @ gs.vectors.conj().T
+
+
+SECTOR_CASES = [
+    ("effective", d, n, x)
+    for d in range(2, 11)
+    for n in range(1, d)
+    for x in (0.0, 2.0, 4.0, 6.0)
+] + [
+    ("full", d, (n_a, n_b), x)
+    for d in range(2, 7)
+    for n_a in (1, 3, 5)
+    for n_b in (1, 3, 5)
+    if n_a < d and n_b < d
+    for x in (0.0, 2.0, 4.0, 6.0)
+]
+
+
+def _sector_case(model, d, n, x):
+    if model == "effective":
+        return build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=x * 1e-3, d=d, n=n))
+    return build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=x * 0.1, d=d, n_a=n[0], n_b=n[1]))
+
+
+@pytest.mark.parametrize("model", ["effective", "full"])
+def test_sector_path_matches_whole_operator_dense_solve(model):
+    # effective sizes d <= 10 and full models with odd N_A, N_B, d <= 6:
+    # the K = 0 block, solved dense (limit = dim) or by ARPACK (limit 14,
+    # blocks of 14 states and more), gives the whole operator's E0,
+    # degeneracy and ground projector
+    for case in (c for c in SECTOR_CASES if c[0] == model):
+        op = _sector_case(*case)
+        want = ground_space(op)
+        assert want.path == "dense"
+        scale = max(1.0, abs(want.energy))
+        for limit in (op.dim, 14):
+            if op.dim < max(limit, 2):
+                continue
+            with mock.patch.object(solve, "DENSE_LIMIT", limit):
+                got = ground_space(op)
+            assert got.path == "sector", case
+            assert got.degeneracy == want.degeneracy == 1, case
+            assert abs(got.energy - want.energy) < 1e-12 * scale, case
+            assert np.abs(_ground_projector(got) - _ground_projector(want)).max() < 1e-12 * scale, case
+            assert got.residual < solve.RESIDUAL_TOL * scale
+
+
+def _with_site_potential(op):
+    occ = occupations(op.basis.states, op.basis.d)[:, 0]
+    return SparseOperator(op.basis, op.to_csr() + sp.diags(0.3e-3 * occ))
+
+
+def _stoquastic_part(op):
+    csr = op.to_csr()
+    diag = sp.diags(csr.diagonal())
+    return SparseOperator(op.basis, diag - abs(csr - diag))
+
+
+def _with_complex_hopping(op):
+    csr = op.to_csr()
+    phase = np.exp(0.3j)
+    return SparseOperator(op.basis, sp.diags(csr.diagonal()) + phase * sp.triu(csr, 1) + np.conj(phase) * sp.tril(csr, -1))
+
+
+UNCERTIFIED = {
+    # Hermitian, but the hops carry a phase
+    "complex hopping": lambda: _with_complex_hopping(
+        build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2))),
+    # no off-diagonal element: the graph is disconnected
+    "J = 0": lambda: build_effective_hamiltonian(ModelParams(j=0.0, u=1e3, gamma=4e-3, d=6, n=3)),
+    # even N per species: the wrap bond is +J and T has signs -1
+    "even N": lambda: build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2)),
+    # every off-diagonal < 0 and connected, but T still has signs -1
+    "even N, |off-diagonal|": lambda: _stoquastic_part(
+        build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2))),
+    # hopping +Jbar: connected, T-invariant with signs +1, but not stoquastic
+    "positive hopping": lambda: build_effective_from_bars(6, 2, -2e-3, 4e-3),
+    "diagonal, not invariant": lambda: SparseOperator(pair_basis(6, 3), sp.diags(np.arange(20.0))),
+    # stoquastic and connected, but [H, T] != 0
+    "site potential": lambda: _with_site_potential(
+        build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCERTIFIED))
+def test_uncertified_operators_solve_the_whole_operator(name):
+    op = UNCERTIFIED[name]()
+    want = ground_space(op)
+    with mock.patch.object(solve, "DENSE_LIMIT", 14):
+        got = ground_space(op)
+    assert got.path == "arpack"
+    assert got.degeneracy == want.degeneracy
+    assert abs(got.energy - want.energy) < 1e-12 * max(1.0, abs(want.energy))
+
+
+def test_ground_space_reports_real_dense_path_and_residual():
+    op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=8, n=3))
+    gs = ground_space(op)
+    assert gs.path == "dense"
+    assert len(gs.levels) == solve.LEVELS
+    want = np.linalg.eigvalsh(op.to_dense())[: solve.LEVELS]
+    assert np.abs(gs.levels - want).max() < 1e-12
+    h = op.to_csr()
+    assert gs.residual == np.linalg.norm(h @ gs.vectors - gs.vectors * gs.energy, axis=0).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_effective_ground_state_is_positive(data):
+    # Perron-Frobenius: every off-diagonal element is -Jbar < 0 and the
+    # graph is connected, so the phase-fixed ground state is positive
+    d = data.draw(st.integers(2, 10))
+    n = data.draw(st.integers(1, d - 1))
+    x = data.draw(st.floats(0.0, 20.0))
+    op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=x * 1e-3, d=d, n=n))
+    for limit in (solve.DENSE_LIMIT, op.dim):
+        with mock.patch.object(solve, "DENSE_LIMIT", limit):
+            amp = ground_space(op).state.amplitudes
+        assert amp.real.min() >= -1e-14
+        assert np.abs(amp.imag).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind, r", [("two_fermion", 0), ("two_fermion", 1), ("two_pair", 0)])
+def test_chain_amplitudes_bit_identical_to_loop(kind, r):
+    p = ModelParams(j=1.0, u=3.0, gamma=3.0, d=10, n=2)
+    chain = build_relative_chain(kind, p, r=r, cutoff=400)  # 801 or 400 sites
+    energy = ground_space(chain).energy
+    got = chain_bound_amplitudes(chain, energy)
+    assert np.array_equal(got, chain_bound_amplitudes_loop(chain, energy))
