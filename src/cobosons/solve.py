@@ -148,11 +148,11 @@ def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
     """Lowest eigenvalue and all eigenvectors within tol_deg of it.
 
     The path follows the operator:
-    - "dense" below DENSE_LIMIT: the lowest LEVELS eigenpairs by dense
-      ``eigh``, real when the matrix is;
-    - "sector" at or above DENSE_LIMIT, when ``_zero_momentum_projector``
-      certifies the operator: only the K = 0 block P^T H P is solved (dense
-      below DENSE_LIMIT, ARPACK above) and its vectors are lifted with P;
+    - "sector", at any size, when ``_zero_momentum_projector`` certifies
+      the operator: only the K = 0 block P^T H P is solved (dense below
+      DENSE_LIMIT, ARPACK above) and its vectors are lifted with P;
+    - "dense" for any other operator below DENSE_LIMIT: the lowest LEVELS
+      eigenpairs by dense ``eigh``, real when the matrix is;
     - "arpack" otherwise: Lanczos on the whole operator (deterministic
       uniform start vector, LEVELS Ritz values).
     The degeneracy window tol_deg and the residual bound RESIDUAL_TOL both
@@ -164,15 +164,15 @@ def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
     if n < 1:
         raise ValueError("empty basis")
     h = op.to_csr()
-    proj = None if n < DENSE_LIMIT else _zero_momentum_projector(h, op.basis)
-    if n < DENSE_LIMIT:
-        path, (evals, evecs) = "dense", _dense(op.to_dense(), tol_deg)
-    elif proj is None:
-        path, (evals, evecs) = "arpack", _arpack(h, tol_deg)
-    else:
+    proj = _zero_momentum_projector(h, op.basis)
+    if proj is not None:
         block = proj.T @ h.real @ proj
         small = block.shape[0] < DENSE_LIMIT
         path, (evals, evecs) = "sector", _dense(block.toarray(), tol_deg) if small else _arpack(block, tol_deg)
+    elif n < DENSE_LIMIT:
+        path, (evals, evecs) = "dense", _dense(op.to_dense(), tol_deg)
+    else:
+        path, (evals, evecs) = "arpack", _arpack(h, tol_deg)
     sel = _window(evals, tol_deg)
     vecs = evecs[:, sel] if proj is None else proj @ evecs[:, sel]
     # re-orthonormalize (eigh already orthonormal; cheap safeguard)
@@ -314,9 +314,10 @@ def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
     -N(U + 4J^2/U) restored) and report the weight of the full ground
     state's normalized pair-sector part in the effective ground space.
 
-    The levels are each model's ``GroundSpace.levels``: a model solved on
-    the sector path (at or above DENSE_LIMIT states) contributes its K = 0
-    levels only."""
+    The levels are each model's ``GroundSpace.levels``.  A model solved on
+    the sector path has K = 0 levels only, so when just one of the two
+    models took it only E0 is compared: a certified model's ground level
+    lies at K = 0, so its lowest K = 0 level is its E0."""
     if params.u < 100.0 * params.j:
         raise ValueError("spectral equivalence requires U/J >= 100")
     n = params.pair_count()
@@ -343,7 +344,8 @@ def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
         overlaps = eff.vectors.conj().T @ projected.amplitudes
         fid = float(np.sum(np.abs(overlaps) ** 2)) / pnorm**2
 
-    k = min(EQUIVALENCE_LEVELS, len(eff.levels), len(full.levels))
+    same_sectors = (eff.path == "sector") == (full.path == "sector")
+    k = min(EQUIVALENCE_LEVELS if same_sectors else 1, len(eff.levels), len(full.levels))
     return EquivalenceReport(
         effective_energies=eff.levels[:k],
         full_energies=full.levels[:k] - constant,

@@ -190,48 +190,3 @@ def chi_direct_expansion(lambdas, n: int) -> float:
             prod *= lambdas[k]
         total += prod
     return math.factorial(n) * total
-
-
-def chain_bound_amplitudes_loop(chain: SparseOperator, energy: float) -> np.ndarray:
-    """``solve.chain_bound_amplitudes`` with the chain's sub- and
-    super-diagonal read one element at a time from the CSR matrix."""
-    dense = chain.to_csr()
-    n = chain.dim
-    diag = dense.diagonal()
-    lower = np.array([dense[i + 1, i] for i in range(n - 1)])
-    upper = np.array([dense[i, i + 1] for i in range(n - 1)])
-    anchor = chain.basis.sites.index(0) if chain.basis.kind == "two_fermion" else 0
-
-    def backward(start, stop):
-        x = np.zeros(n, dtype=complex)
-        x[start] = 1.0
-        if start == stop:
-            return x
-        x[start - 1] = (energy - diag[start]) / lower[start - 1] * x[start]
-        for i in range(start - 1, stop, -1):
-            x[i - 1] = ((energy - diag[i]) * x[i] - upper[i] * x[i + 1]) / lower[i - 1]
-            if abs(x[i - 1]) > 1e250:
-                x[stop:start + 1] /= abs(x[i - 1])
-        return x
-
-    def forward(start, stop):
-        x = np.zeros(n, dtype=complex)
-        x[start] = 1.0
-        if start == stop:
-            return x
-        x[start + 1] = (energy - diag[start]) / upper[start] * x[start]
-        for i in range(start + 1, stop):
-            x[i + 1] = ((energy - diag[i]) * x[i] - lower[i - 1] * x[i - 1]) / upper[i]
-            if abs(x[i + 1]) > 1e250:
-                x[start:stop + 1] /= abs(x[i + 1])
-        return x
-
-    right = backward(n - 1, anchor)
-    right /= right[anchor]
-    if anchor == 0:
-        vec = right
-    else:
-        left = forward(0, anchor)
-        vec = left / left[anchor]
-        vec[anchor:] = right[anchor:]
-    return vec / np.linalg.norm(vec)

@@ -22,13 +22,11 @@ from cobosons import solve
 from cobosons.fock import occupations
 from cobosons.model import SparseOperator
 from cobosons.solve import (
-    chain_bound_amplitudes,
     geometric_tail,
     ground_state_vector,
     is_bound,
     spectral_equivalence_check,
 )
-from oracles import chain_bound_amplitudes_loop
 
 
 def test_ground_space_simple_matrix():
@@ -179,6 +177,15 @@ def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
     assert got.constant == want.constant
 
 
+@pytest.mark.parametrize("d, n, levels", [(8, 3, 4), (6, 3, 4), (6, 2, 1)])
+def test_spectral_equivalence_compares_levels_of_the_same_sectors(d, n, levels):
+    # effective model on the sector path; the full model with odd N too,
+    # with even N on the whole operator, where only E0 is comparable
+    rep = spectral_equivalence_check(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
+    assert len(rep.effective_energies) == len(rep.full_energies) == levels
+    assert np.abs(rep.full_energies - rep.effective_energies).max() < 1e-6
+
+
 def test_spectral_equivalence_single_pair():
     p = ModelParams(j=1.0, u=1000.0, gamma=0.0, d=6, n=1)
     rep = spectral_equivalence_check(p)
@@ -213,26 +220,31 @@ def _sector_case(model, d, n, x):
     return build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=x * 0.1, d=d, n_a=n[0], n_b=n[1]))
 
 
+def _whole_operator_dense(op, tol_deg=1e-9):
+    """E0 and the window's ground vectors of the whole operator."""
+    evals, evecs = np.linalg.eigh(op.to_dense())
+    sel = evals <= evals[0] + tol_deg * max(1.0, abs(evals[0]))
+    return evals[0], evecs[:, sel]
+
+
 @pytest.mark.parametrize("model", ["effective", "full"])
 def test_sector_path_matches_whole_operator_dense_solve(model):
     # effective sizes d <= 10 and full models with odd N_A, N_B, d <= 6:
-    # the K = 0 block, solved dense (limit = dim) or by ARPACK (limit 14,
+    # the K = 0 block, solved dense (default limit) or by ARPACK (limit 14,
     # blocks of 14 states and more), gives the whole operator's E0,
     # degeneracy and ground projector
     for case in (c for c in SECTOR_CASES if c[0] == model):
         op = _sector_case(*case)
-        want = ground_space(op)
-        assert want.path == "dense"
-        scale = max(1.0, abs(want.energy))
-        for limit in (op.dim, 14):
-            if op.dim < max(limit, 2):
-                continue
+        energy, vectors = _whole_operator_dense(op)
+        scale = max(1.0, abs(energy))
+        for limit in (solve.DENSE_LIMIT, 14):
             with mock.patch.object(solve, "DENSE_LIMIT", limit):
                 got = ground_space(op)
             assert got.path == "sector", case
-            assert got.degeneracy == want.degeneracy == 1, case
-            assert abs(got.energy - want.energy) < 1e-12 * scale, case
-            assert np.abs(_ground_projector(got) - _ground_projector(want)).max() < 1e-12 * scale, case
+            assert got.degeneracy == vectors.shape[1] == 1, case
+            assert abs(got.energy - energy) < 1e-12 * scale, case
+            want = vectors @ vectors.conj().T
+            assert np.abs(_ground_projector(got) - want).max() < 1e-12 * scale, case
             assert got.residual < solve.RESIDUAL_TOL * scale
 
 
@@ -277,6 +289,7 @@ UNCERTIFIED = {
 def test_uncertified_operators_solve_the_whole_operator(name):
     op = UNCERTIFIED[name]()
     want = ground_space(op)
+    assert want.path == "dense"
     with mock.patch.object(solve, "DENSE_LIMIT", 14):
         got = ground_space(op)
     assert got.path == "arpack"
@@ -285,7 +298,8 @@ def test_uncertified_operators_solve_the_whole_operator(name):
 
 
 def test_ground_space_reports_real_dense_path_and_residual():
-    op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=8, n=3))
+    # even N: not certified, real, dim 225
+    op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=6, n=2))
     gs = ground_space(op)
     assert gs.path == "dense"
     assert len(gs.levels) == solve.LEVELS
@@ -304,7 +318,7 @@ def test_effective_ground_state_is_positive(data):
     n = data.draw(st.integers(1, d - 1))
     x = data.draw(st.floats(0.0, 20.0))
     op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=x * 1e-3, d=d, n=n))
-    for limit in (solve.DENSE_LIMIT, op.dim):
+    for limit in (solve.DENSE_LIMIT, 14):
         with mock.patch.object(solve, "DENSE_LIMIT", limit):
             amp = ground_space(op).state.amplitudes
         assert amp.real.min() >= -1e-14
@@ -312,9 +326,11 @@ def test_effective_ground_state_is_positive(data):
 
 
 @pytest.mark.parametrize("kind, r", [("two_fermion", 0), ("two_fermion", 1), ("two_pair", 0)])
-def test_chain_amplitudes_bit_identical_to_loop(kind, r):
+def test_chain_diagonals_equal_elementwise_reads(kind, r):
+    # chain_bound_amplitudes reads the chain with csr.diagonal(+-1); the
+    # same values, bit for bit, as reading it one element at a time
     p = ModelParams(j=1.0, u=3.0, gamma=3.0, d=10, n=2)
-    chain = build_relative_chain(kind, p, r=r, cutoff=400)  # 801 or 400 sites
-    energy = ground_space(chain).energy
-    got = chain_bound_amplitudes(chain, energy)
-    assert np.array_equal(got, chain_bound_amplitudes_loop(chain, energy))
+    csr = build_relative_chain(kind, p, r=r, cutoff=400).to_csr()  # 801 or 400 sites
+    n = csr.shape[0]
+    assert np.array_equal(csr.diagonal(-1), [csr[i + 1, i] for i in range(n - 1)])
+    assert np.array_equal(csr.diagonal(1), [csr[i, i + 1] for i in range(n - 1)])

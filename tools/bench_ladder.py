@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Before/after numbers for a change to the ground solver.
 
-    python3 tools/bench_ladder.py --parent DIR [--pairs 10] [--seconds 20] \
-        [--timeout 300] [--out BENCH.json]
+    python3 tools/bench_ladder.py --parent DIR [--out BENCH.json]
 
 DIR is a checkout of the parent commit.  For each checkout (the parent and
 this one) the script records:
 
 - the size ladder: one ``ground_space`` solve per (model, d, N), each in its
-  own process so that a solve above ``--timeout`` seconds is cut and
+  own process so that a solve above TIMEOUT_S seconds is cut and
   recorded as not run, with the basis dimension, the solver path, the solve
   and build times, the degeneracy and the peak RSS;
-- the four benchmark workloads: ``--pairs`` runs of each checkout's
-  ``benchmarks/run.py`` per workload, alternating which side runs first,
-  seeds 1..pairs, with the medians and quartiles of every end-to-end metric
-  and the pairs the change wins on ``rows_per_s``.
+- the four benchmark workloads: PAIRS runs of SECONDS seconds of each
+  checkout's ``benchmarks/run.py`` per workload, alternating which side
+  runs first, seeds 1..PAIRS, with the medians and quartiles of every
+  end-to-end metric and the pairs the change wins on ``rows_per_s``.
 
 Checkouts older than ``GroundSpace.path`` had two paths, chosen by
 dimension alone; their path is reported from that rule.
@@ -32,6 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("effective_arpack_assembly", "correlation_scans", "full_dense_crossover", "checkpoints")
 GAMMA_U_J2 = 10.5
+PAIRS = 10  # alternating parent/change runs per workload
+SECONDS = 20  # run length, the benchmark's run_seconds
+TIMEOUT_S = 300  # a ladder solve past this is recorded as not run
 # (model, d, N); effective at J = 1, U = 1000, full at J = 100, U = 1e5
 LADDER = (
     ("effective", 10, 4), ("effective", 16, 6), ("effective", 20, 8), ("effective", 24, 8),
@@ -58,20 +60,20 @@ print(json.dumps({"dim": op.dim, "path": path, "build_s": t1 - t0, "solve_s": t2
 """
 
 
-def ladder_entry(checkout: Path, model: str, d: int, n: int, timeout: float) -> dict:
+def ladder_entry(checkout: Path, model: str, d: int, n: int) -> dict:
     argv = [sys.executable, "-c", SOLVE, str(checkout / "src"), model, str(d), str(n), str(GAMMA_U_J2)]
     try:
-        out = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, check=True)
+        out = subprocess.run(argv, capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
     except subprocess.TimeoutExpired:
-        return {"result": f"not run (> {timeout:g} s)"}
+        return {"result": f"not run (> {TIMEOUT_S} s)"}
     except subprocess.CalledProcessError as exc:
         return {"result": "failed", "error": exc.stderr.strip().splitlines()[-1]}
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def workload_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def workload_run(checkout: Path, workload: str, seed: int) -> dict:
     argv = [sys.executable, str(checkout / "benchmarks" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, cwd=checkout)
     record = json.loads(out.stdout.strip().splitlines()[-1])
     metrics = {name: m["value"] for name, m in record["metrics"].items()}
@@ -92,9 +94,6 @@ def summary(runs: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--timeout", type=float, default=300.0)
     parser.add_argument("--out", type=Path, help="JSON output (default stdout)")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
@@ -103,25 +102,25 @@ def main(argv=None) -> int:
     for model, d, n in LADDER:
         row = {"model": model, "d": d, "N": n, "gamma_u_j2": GAMMA_U_J2}
         for side, checkout in sides.items():
-            row[side] = ladder_entry(checkout, model, d, n, args.timeout)
+            row[side] = ladder_entry(checkout, model, d, n)
             print(json.dumps({"ladder": [model, d, n], side: row[side]}), file=sys.stderr)
         ladder.append(row)
 
     workloads = {}
     for workload in WORKLOADS:
         runs = {side: [] for side in sides}
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = list(sides) if seed % 2 else list(reversed(sides))
             for side in order:
-                runs[side].append(workload_run(sides[side], workload, seed, args.seconds))
+                runs[side].append(workload_run(sides[side], workload, seed))
             print(json.dumps({"workload": workload, "seed": seed,
                               **{s: runs[s][-1]["rows_per_s"] for s in sides}}), file=sys.stderr)
         wins = sum(c["rows_per_s"] > p["rows_per_s"] for p, c in zip(runs["parent"], runs["change"]))
         workloads[workload] = {**{side: summary(r) for side, r in runs.items()},
-                               "rows_per_s_change_wins": f"{wins}/{args.pairs}"}
+                               "rows_per_s_change_wins": f"{wins}/{PAIRS}"}
 
-    text = json.dumps({"ladder": ladder, "workloads": workloads, "pairs": args.pairs,
-                       "seconds": args.seconds, "timeout_s": args.timeout}, indent=1) + "\n"
+    text = json.dumps({"ladder": ladder, "workloads": workloads, "pairs": PAIRS,
+                       "seconds": SECONDS, "timeout_s": TIMEOUT_S}, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
