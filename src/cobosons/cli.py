@@ -429,7 +429,7 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-CONFIG_KEYS = ("model", "d", "n", "J", "U", "gamma-grid", "targets", "out", "jobs", "tol")
+CONFIG_KEYS = ("model", "d", "n", "J", "U", "gamma-grid", "targets", "out", "jobs", "tol", "m")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="chi table over (d, N, M) ranges")
     add_common(p)
-    p.add_argument("--m", default="1", help="M range lo:hi")
+    p.add_argument("--m", help="M range lo:hi (default 1)")
 
     sub.add_parser("verify", help="run the analytic checkpoint suite")
     return parser
@@ -480,7 +480,7 @@ def _merged(args) -> dict:
     flag_map = {
         "model": "model", "d": "d", "n": "n", "J": "J", "U": "U",
         "gamma_grid": "gamma-grid", "targets": "targets", "out": "out",
-        "jobs": "jobs", "tol": "tol",
+        "jobs": "jobs", "tol": "tol", "m": "m",
     }
     for attr, key in flag_map.items():
         val = getattr(args, attr, None)
@@ -537,7 +537,7 @@ def main(argv=None) -> int:
     if args.command == "chi":
         d_range = parse_range(str(values.get("d", "2:12")))
         n_range = parse_range(str(values.get("n", "1:4")))
-        m_range = parse_range(str(values.get("m", getattr(args, "m", "1"))))
+        m_range = parse_range(str(values.get("m", "1")))
         cfg = SweepConfig(out=values.get("out"))
         return cmd_chi(cfg, d_range, n_range, m_range)
     cfg = sweep_config_from(values)

@@ -298,20 +298,49 @@ def translate(state: StateVector, shift: int) -> StateVector:
     return StateVector(state.basis, amp)
 
 
-def orbit_projector(index: np.ndarray, d: int) -> sp.csr_matrix:
-    """(dim, orbits) isometry whose columns are the normalized uniform sums
-    over the orbits of the one-site translation with permutation ``index``
-    (from ``translation(basis, 1)``): the K = 0 states when every sign of
-    that translation is +1.  An orbit is labelled by its representative,
-    the smallest basis index (the minimum of ``rotate``) over the d shifts;
-    memory stays O(dim)."""
+def momentum_projector(index: np.ndarray, sign: np.ndarray, d: int, K: int) -> sp.csr_matrix:
+    """(dim, states) isometry P_K onto momentum sector K of the one-site
+    translation T|i> = sign[i] |index[i]> (from ``translation(basis, 1)``):
+    T P_K = exp(2 pi i K / d) P_K.
+
+    An orbit is labelled by its representative r, the smallest basis index
+    (the minimum of ``rotate``) over the d shifts.  A state i reaches r
+    after m shifts, T^m |i> = s |r>.  An orbit of period p, where
+    T^p |r> = s_p |r>, gives a column to sector K only if
+    exp(-2 pi i K p / d) s_p = 1; its amplitude on i is
+    s exp(2 pi i K m / d) / sqrt(p).  Columns follow the representatives
+    in ascending order.  P_K is real for K = 0 and for K = d / 2; with
+    K = 0 and every sign +1 it is the uniform orbit sum and the walk
+    tracks the representatives alone.  Memory stays O(dim)."""
     dim = index.size
+    K %= d
+    track = K != 0 or np.any(sign != 1)
     rep = pos = np.arange(dim)
-    for _ in range(d - 1):
+    shift = np.zeros(dim, dtype=np.int64)
+    acc = to_rep = np.ones(dim)
+    for m in range(1, d):
+        if track:
+            acc = acc * sign[pos]
         pos = index[pos]
+        if track:
+            new = pos < rep
+            shift[new] = m
+            to_rep = np.where(new, acc, to_rep)
         rep = np.minimum(rep, pos)
-    _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
-    return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(dim), orbit)), shape=(dim, size.size))
+    reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+    amp = 1.0 / np.sqrt(size[orbit])
+    if not track:
+        return sp.csr_matrix((amp, (np.arange(dim), orbit)), shape=(dim, size.size))
+    # T^p |r> = sign[r] T^(p-1) |index[r]> = sign[r] to_rep[index[r]] |r>
+    period_sign = sign[reps] * to_rep[index[reps]]
+    keep = (2 * K * size) % (2 * d) == np.where(period_sign > 0, 0, d)
+    rows = np.flatnonzero(keep[orbit])
+    if 2 * K % d == 0:
+        amp = amp * to_rep * np.where(2 * K * shift // d % 2, -1.0, 1.0)
+    else:
+        amp = amp * to_rep * np.exp(2j * np.pi * (K * shift % d) / d)
+    cols = (np.cumsum(keep) - 1)[orbit[rows]]
+    return sp.csr_matrix((amp[rows], (rows, cols)), shape=(dim, int(keep.sum())))
 
 
 # ------------------------------------------------------- pair/full embedding

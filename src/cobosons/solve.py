@@ -19,7 +19,7 @@ from .fock import (
     StateVector,
     fix_phase,
     full_basis,
-    orbit_projector,
+    momentum_projector,
     pair_basis,
     project_to_pair_sector,
     translation,
@@ -46,10 +46,14 @@ class GroundSpace:
     """Lowest eigenvalue with an orthonormal basis of its eigenspace, every
     eigenvalue the solver computed, and how they were computed.
 
-    ``path`` is "dense", "sector" or "arpack" (see ``ground_space``);
-    ``residual`` is the largest |H v - e v| over the ground vectors, each
-    against its own eigenvalue e and the whole operator.  On the sector
-    path ``levels`` are the levels of the K = 0 block only.
+    ``path`` is "dense", "sector", "momenta" or "arpack" (see
+    ``ground_space``); ``residual`` is the largest |H v - e v| over the
+    ground vectors, each against its own eigenvalue e and the whole
+    operator.  On the sector path ``levels`` are the levels of the K = 0
+    block only; on the momenta path they are the lowest LEVELS of the union
+    of every sector's levels.  ``momenta`` is the momentum K (in units of
+    2 pi / d) of each ground vector: all 0 on the sector path, the sector
+    of each vector on the momenta path, None on "dense" and "arpack".
     """
 
     energy: float
@@ -58,6 +62,7 @@ class GroundSpace:
     levels: np.ndarray  # ascending: the lowest LEVELS eigenvalues, or all of them
     path: str
     residual: float
+    momenta: Optional[tuple]
 
     @property
     def degeneracy(self) -> int:
@@ -118,70 +123,118 @@ def _arpack(mat, tol_deg: float) -> tuple:
     return evals[order], evecs[:, order]
 
 
-def _zero_momentum_projector(h: sp.csr_matrix, basis):
-    """The K = 0 isometry P of ``orbit_projector`` when the operator is
-    certified to have a unique ground state at K = 0, else None.
-
-    Certified: h is real, every off-diagonal element is < 0, its graph is
-    connected, and the basis has a one-site translation T whose signs are
-    all +1 with T h T^-1 == h exactly.  By Perron-Frobenius the ground
-    state is then unique and positive, hence invariant under T.  Every
-    check is O(nnz).
-    """
-    if not isinstance(basis, (PairBasis, FullBasis)) or np.any(h.data.imag):
-        return None
-    h = h.real.tocoo()
-    if np.any(h.data[h.row != h.col] >= 0):
-        return None
-    if connected_components(h, directed=False, return_labels=False) != 1:
+def _invariant_translation(h: sp.csr_matrix, basis):
+    """(index, sign) of the one-site translation T of ``basis`` (see
+    ``fock.translation``) when T h T^-1 == h holds exactly, else None.
+    Each entry h[r, c] moves to (index[r], index[c]) with the factor
+    sign[r] * sign[c]; O(nnz)."""
+    if not isinstance(basis, (PairBasis, FullBasis)):
         return None
     index, sign = translation(basis, 1)
-    if np.any(sign != 1):
-        return None
-    moved = sp.csr_matrix((h.data, (index[h.row], index[h.col])), shape=h.shape)
-    if (moved != h.tocsr()).nnz:
-        return None
-    return orbit_projector(index, basis.d)
+    coo = h.tocoo()
+    data = coo.data if np.all(sign == 1) else coo.data * (sign[coo.row] * sign[coo.col])
+    moved = sp.csr_matrix((data, (index[coo.row], index[coo.col])), shape=h.shape)
+    return None if (moved != h).nnz else (index, sign)
+
+
+def _certified(h: sp.csr_matrix, sign: np.ndarray) -> bool:
+    """Whether a translation-invariant operator has its unique ground state
+    at K = 0: h is real, every off-diagonal element is < 0, its graph is
+    connected, and every sign of T is +1.  By Perron-Frobenius the ground
+    state is then unique and positive, hence invariant under T.  O(nnz)."""
+    if np.iscomplexobj(h) or np.any(sign != 1):
+        return False
+    coo = h.tocoo()
+    if np.any(coo.data[coo.row != coo.col] >= 0):
+        return False
+    return connected_components(coo, directed=False, return_labels=False) == 1
+
+
+def _momentum_sectors(h: sp.csr_matrix, index: np.ndarray, sign: np.ndarray, d: int,
+                      tol_deg: float, zero_only: bool) -> tuple:
+    """Solve the momentum blocks P_K^H h P_K of a translation-invariant
+    operator, each dense below DENSE_LIMIT and by ARPACK above: K = 0
+    alone when ``zero_only``, else every K.  A real h solves K = 0..d/2
+    and takes the -K sector as the complex conjugate of the +K one.
+    Returns (levels, vectors, momenta): the union of the sector levels
+    sorted stably by level and then by K, and the lifted vectors and the K
+    of the levels inside the window."""
+    mirror = not np.iscomplexobj(h)
+    sectors = {}  # K -> (P_K, levels, block vectors, conjugated)
+    for k in (0,) if zero_only else range(d // 2 + 1 if mirror else d):
+        proj = momentum_projector(index, sign, d, k)
+        if proj.shape[1]:
+            block = proj.conj().T @ h @ proj
+            small = block.shape[0] < DENSE_LIMIT
+            evals, evecs = _dense(block.toarray(), tol_deg) if small else _arpack(block, tol_deg)
+            sectors[k] = (proj, evals, evecs, False)
+            if mirror and 0 < k < d - k:
+                sectors[d - k] = sectors[k][:3] + (True,)
+    ks = np.concatenate([np.full(s[1].size, k) for k, s in sectors.items()])
+    slots = np.concatenate([np.arange(s[1].size) for s in sectors.values()])
+    levels = np.concatenate([s[1] for s in sectors.values()])
+    order = np.lexsort((ks, levels))
+    levels, ks, slots = levels[order], ks[order], slots[order]
+    sel = _window(levels, tol_deg)
+    cols = []
+    for k, slot in zip(ks[sel], slots[sel]):
+        proj, _, evecs, conjugated = sectors[k]
+        vec = proj @ evecs[:, slot]
+        cols.append(vec.conj() if conjugated else vec)
+    return levels, np.column_stack(cols), tuple(int(k) for k in ks[sel])
 
 
 def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
     """Lowest eigenvalue and all eigenvectors within tol_deg of it.
 
     The path follows the operator:
-    - "sector", at any size, when ``_zero_momentum_projector`` certifies
-      the operator: only the K = 0 block P^T H P is solved (dense below
-      DENSE_LIMIT, ARPACK above) and its vectors are lifted with P;
+    - "sector", at any size, when the operator commutes exactly with the
+      one-site translation T (``_invariant_translation``) and
+      ``_certified`` puts its unique ground state at K = 0: only the K = 0
+      block P^T H P is solved (dense below DENSE_LIMIT, ARPACK above) and
+      its vectors are lifted with P;
+    - "momenta", at any size, for any other operator that commutes with T:
+      every momentum block P_K^H H P_K is solved (dense below DENSE_LIMIT,
+      ARPACK above; for a real operator the -K blocks are the conjugates
+      of the +K ones), the window is applied to the union of the sector
+      levels and the vectors are lifted with their P_K;
     - "dense" for any other operator below DENSE_LIMIT: the lowest LEVELS
       eigenpairs by dense ``eigh``, real when the matrix is;
     - "arpack" otherwise: Lanczos on the whole operator (deterministic
       uniform start vector, LEVELS Ritz values).
-    The degeneracy window tol_deg and the residual bound RESIDUAL_TOL both
-    scale with max(1, |E0|); each selected vector is checked against its
-    own eigenvalue and the whole operator, so levels split by less than
-    the window stay in the ground space.
+    ``GroundSpace.momenta`` holds the K of each ground vector on the two
+    translation paths and None on the others.  The degeneracy window
+    tol_deg and the residual bound RESIDUAL_TOL both scale with
+    max(1, |E0|); each selected vector is checked against its own
+    eigenvalue and the whole operator, so levels split by less than the
+    window stay in the ground space.
     """
     n = op.dim
     if n < 1:
         raise ValueError("empty basis")
     h = op.to_csr()
-    proj = _zero_momentum_projector(h, op.basis)
-    if proj is not None:
-        block = proj.T @ h.real @ proj
-        small = block.shape[0] < DENSE_LIMIT
-        path, (evals, evecs) = "sector", _dense(block.toarray(), tol_deg) if small else _arpack(block, tol_deg)
-    elif n < DENSE_LIMIT:
-        path, (evals, evecs) = "dense", _dense(op.to_dense(), tol_deg)
+    h_solve = h if np.any(h.data.imag) else h.real
+    symmetry = _invariant_translation(h_solve, op.basis)
+    momenta = None
+    if symmetry is not None:
+        certified = _certified(h_solve, symmetry[1])
+        path = "sector" if certified else "momenta"
+        evals, vecs, momenta = _momentum_sectors(h_solve, *symmetry, op.basis.d, tol_deg, certified)
     else:
-        path, (evals, evecs) = "arpack", _arpack(h, tol_deg)
+        if n < DENSE_LIMIT:
+            path, (evals, evecs) = "dense", _dense(op.to_dense(), tol_deg)
+        else:
+            path, (evals, evecs) = "arpack", _arpack(h, tol_deg)
+        vecs = evecs[:, _window(evals, tol_deg)]
     sel = _window(evals, tol_deg)
-    vecs = evecs[:, sel] if proj is None else proj @ evecs[:, sel]
     # re-orthonormalize (eigh already orthonormal; cheap safeguard)
     vecs, _ = np.linalg.qr(np.asarray(vecs, dtype=complex))
     scale = max(1.0, abs(evals[0]))
     res = float(np.linalg.norm(h @ vecs - vecs * evals[sel], axis=0).max())
     if res >= RESIDUAL_TOL * scale:
         raise ConvergenceError(f"residual {res:g} above tolerance")
-    return GroundSpace(float(evals[0]), vecs, op.basis, evals, path, res)
+    levels = evals[:LEVELS] if path == "momenta" else evals
+    return GroundSpace(float(evals[0]), vecs, op.basis, levels, path, res, momenta)
 
 
 def ground_state_vector(op: SparseOperator, **kw) -> StateVector:

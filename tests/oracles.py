@@ -190,3 +190,17 @@ def chi_direct_expansion(lambdas, n: int) -> float:
             prod *= lambdas[k]
         total += prod
     return math.factorial(n) * total
+
+
+def orbit_projector(index: np.ndarray, d: int) -> sp.csr_matrix:
+    """(dim, orbits) isometry whose columns are the normalized uniform sums
+    over the orbits of the one-site translation with permutation ``index``:
+    the K = 0 states when every sign of that translation is +1.  An orbit
+    is labelled by its smallest basis index."""
+    dim = index.size
+    rep = pos = np.arange(dim)
+    for _ in range(d - 1):
+        pos = index[pos]
+        rep = np.minimum(rep, pos)
+    _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+    return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(dim), orbit)), shape=(dim, size.size))

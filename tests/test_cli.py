@@ -266,3 +266,15 @@ def test_verify_exits_zero(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert all(l.startswith(("ok", "#")) for l in lines)
     assert lines[-1] == "# 0 failure(s)"
+
+
+def test_chi_m_flag_overrides_config(tmp_path):
+    cfgfile = tmp_path / "chi.cfg"
+    cfgfile.write_text("m = 1:3\n", encoding="utf-8")
+    out = tmp_path / "chi.csv"
+    run_cli("chi", "--config", str(cfgfile), "--d", "4", "--n", "1", "--m", "2", "--out", str(out))
+    _, rows = data_rows(read(out))
+    assert [r[2] for r in rows] == ["2"]
+    run_cli("chi", "--config", str(cfgfile), "--d", "4", "--n", "1", "--out", str(out))
+    _, rows = data_rows(read(out))
+    assert [r[2] for r in rows] == ["1", "2", "3"]

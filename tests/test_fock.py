@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +22,12 @@ from cobosons.fock import (
     fermion_a_annihilate,
     fermion_a_create,
     fermion_b_create,
+    momentum_projector,
     popcount,
     project_to_pair_sector,
+    translation,
 )
-from oracles import embed_pair_state_loop, project_to_pair_sector_loop, translate_loop
+from oracles import embed_pair_state_loop, orbit_projector, project_to_pair_sector_loop, translate_loop
 
 
 def test_pair_basis_enumeration():
@@ -226,3 +229,39 @@ def test_array_paths_match_loop_oracles(data):
     phi = _random_state(diag, seed)
     assert np.array_equal(project_to_pair_sector(phi, pair).amplitudes,
                           project_to_pair_sector_loop(phi, pair).amplitudes)
+
+
+MOMENTUM_BASES = [pair_basis(d, n) for d in range(1, 11) for n in range(d + 1)] + [
+    full_basis(d, n_a, n_b) for d in range(1, 7) for n_a in range(d + 1) for n_b in range(d + 1)
+]
+
+
+def test_momentum_projectors_are_isometries_onto_translation_eigenspaces():
+    # T P_K = exp(2 pi i K / d) P_K, P_K^H P_K = 1, and the d sectors
+    # together hold every state, with the signs -1 of even-N species
+    for basis in MOMENTUM_BASES:
+        d = basis.d
+        index, sign = translation(basis, 1)
+        shift = sp.csr_matrix((sign, (index, np.arange(basis.size))), shape=(basis.size,) * 2)
+        total = 0
+        for k in range(d):
+            proj = momentum_projector(index, sign, d, k)
+            total += proj.shape[1]
+            if 2 * k % d == 0:
+                assert not np.iscomplexobj(proj), (basis, k)
+            gram = (proj.conj().T @ proj).toarray()
+            assert np.abs(gram - np.eye(proj.shape[1])).max(initial=0.0) < 1e-14, (basis, k)
+            phase = np.exp(2j * np.pi * k / d)
+            assert np.abs((shift @ proj - phase * proj).toarray()).max(initial=0.0) < 1e-14, (basis, k)
+        assert total == basis.size, basis
+
+
+def test_zero_momentum_projector_with_positive_signs_is_the_orbit_sum():
+    for basis in MOMENTUM_BASES:
+        index, sign = translation(basis, 1)
+        if np.any(sign != 1):
+            continue
+        got, want = momentum_projector(index, sign, basis.d, 0), orbit_projector(index, basis.d)
+        assert got.dtype == want.dtype and got.shape == want.shape, basis
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (basis, part)

@@ -19,7 +19,7 @@ from cobosons import (
     pair_basis,
 )
 from cobosons import solve
-from cobosons.fock import occupations
+from cobosons.fock import momentum_projector, rotate, translation
 from cobosons.model import SparseOperator
 from cobosons.solve import (
     geometric_tail,
@@ -242,6 +242,7 @@ def test_sector_path_matches_whole_operator_dense_solve(model):
                 got = ground_space(op)
             assert got.path == "sector", case
             assert got.degeneracy == vectors.shape[1] == 1, case
+            assert got.momenta == (0,), case
             assert abs(got.energy - energy) < 1e-12 * scale, case
             want = vectors @ vectors.conj().T
             assert np.abs(_ground_projector(got) - want).max() < 1e-12 * scale, case
@@ -249,7 +250,7 @@ def test_sector_path_matches_whole_operator_dense_solve(model):
 
 
 def _with_site_potential(op):
-    occ = occupations(op.basis.states, op.basis.d)[:, 0]
+    occ = (op.basis.states & 1).reshape(op.dim, -1).sum(axis=1)  # site 0, both species
     return SparseOperator(op.basis, op.to_csr() + sp.diags(0.3e-3 * occ))
 
 
@@ -265,15 +266,26 @@ def _with_complex_hopping(op):
     return SparseOperator(op.basis, sp.diags(csr.diagonal()) + phase * sp.triu(csr, 1) + np.conj(phase) * sp.tril(csr, -1))
 
 
+def _with_flux(op, phi=0.3):
+    """A pair hop k -> k + 1 (mod d) picks up exp(i phi) and the reverse hop
+    exp(-i phi): a flux through the ring, which keeps [H, T] = 0 (d >= 3)."""
+    coo = op.to_csr().tocoo()
+    states, d = op.basis.states, op.basis.d
+    dst, src = states[coo.row] & ~states[coo.col], states[coo.col] & ~states[coo.row]
+    forward = dst == rotate(src, 1, d)
+    phase = np.where(coo.row == coo.col, 1.0, np.where(forward, np.exp(1j * phi), np.exp(-1j * phi)))
+    return SparseOperator(op.basis, sp.coo_matrix((coo.data * phase, (coo.row, coo.col)), shape=coo.shape))
+
+
 UNCERTIFIED = {
-    # Hermitian, but the hops carry a phase
+    # Hermitian, but the hops carry a phase that depends on the basis order
     "complex hopping": lambda: _with_complex_hopping(
         build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2))),
     # no off-diagonal element: the graph is disconnected
     "J = 0": lambda: build_effective_hamiltonian(ModelParams(j=0.0, u=1e3, gamma=4e-3, d=6, n=3)),
     # even N per species: the wrap bond is +J and T has signs -1
     "even N": lambda: build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2)),
-    # every off-diagonal < 0 and connected, but T still has signs -1
+    # every off-diagonal < 0 and connected, but T has signs -1 that |.| drops
     "even N, |off-diagonal|": lambda: _stoquastic_part(
         build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2))),
     # hopping +Jbar: connected, T-invariant with signs +1, but not stoquastic
@@ -282,24 +294,96 @@ UNCERTIFIED = {
     # stoquastic and connected, but [H, T] != 0
     "site potential": lambda: _with_site_potential(
         build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=3))),
+    # complex and T-invariant: every sector is solved; the ground state
+    # lies at K = 0 for the smaller flux and at K = 4 (-2) for the larger
+    "flux": lambda: _with_flux(
+        build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2))),
+    "flux, K != 0": lambda: _with_flux(
+        build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2)), phi=0.8),
 }
+INVARIANT = {"J = 0", "even N", "positive hopping", "flux", "flux, K != 0"}
+
+
+def _assert_momenta_path_matches_whole_operator(op, case):
+    """At the default DENSE_LIMIT and at 14 (blocks of 14 states and more
+    on ARPACK): the "momenta" path gives the whole operator's E0,
+    degeneracy and ground projector, and each ground vector lies in the
+    sector ``momenta`` names."""
+    energy, vectors = _whole_operator_dense(op)
+    scale = max(1.0, abs(energy))
+    index, sign = translation(op.basis, 1)
+    d = op.basis.d
+    for limit in (solve.DENSE_LIMIT, 14):
+        with mock.patch.object(solve, "DENSE_LIMIT", limit):
+            got = ground_space(op)
+        assert got.path == "momenta", case
+        assert got.degeneracy == vectors.shape[1], case
+        assert abs(got.energy - energy) < 1e-12 * scale, case
+        want = vectors @ vectors.conj().T
+        assert np.abs(_ground_projector(got) - want).max() < 1e-12 * scale, case
+        assert got.residual < solve.RESIDUAL_TOL * scale
+        assert len(got.momenta) == got.degeneracy
+        for vec, k in zip(got.vectors.T, got.momenta):
+            moved = np.zeros_like(vec)
+            moved[index] = sign * vec
+            assert np.abs(moved - np.exp(2j * np.pi * k / d) * vec).max() < 1e-12, case
 
 
 @pytest.mark.parametrize("name", sorted(UNCERTIFIED))
 def test_uncertified_operators_solve_the_whole_operator(name):
+    # translation-invariant operators in every momentum sector, the others
+    # on the whole matrix
     op = UNCERTIFIED[name]()
+    if name in INVARIANT:
+        _assert_momenta_path_matches_whole_operator(op, name)
+        return
     want = ground_space(op)
-    assert want.path == "dense"
+    assert want.path == "dense" and want.momenta is None
     with mock.patch.object(solve, "DENSE_LIMIT", 14):
         got = ground_space(op)
-    assert got.path == "arpack"
+    assert got.path == "arpack" and got.momenta is None
     assert got.degeneracy == want.degeneracy
     assert abs(got.energy - want.energy) < 1e-12 * max(1.0, abs(want.energy))
 
 
+EVEN_N_CASES = [
+    (d, n_a, n_b, x)
+    for d in range(3, 7)
+    for n_a in range(1, d)
+    for n_b in range(1, d)
+    if n_a % 2 == 0 or n_b % 2 == 0
+    for x in (0.0, 4.0)
+]
+
+
+def test_even_n_full_models_solve_every_momentum_sector():
+    for d, n_a, n_b, x in EVEN_N_CASES:
+        op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=x * 0.1, d=d, n_a=n_a, n_b=n_b))
+        _assert_momenta_path_matches_whole_operator(op, (d, n_a, n_b, x))
+
+
+def test_momentum_blocks_hold_the_whole_spectrum():
+    # every effective size with d <= 10 and every full size with d <= 6:
+    # the d blocks P_K^H H P_K together have the spectrum of H
+    ops = [build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
+           for d in range(2, 11) for n in range(0, d + 1)]
+    ops += [build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.4, d=d, n_a=n_a, n_b=n_b))
+            for d in range(2, 7) for n_a in range(0, d + 1) for n_b in range(0, d + 1)]
+    for op in ops:
+        h, d = op.to_csr(), op.basis.d
+        index, sign = translation(op.basis, 1)
+        levels = []
+        for k in range(d):
+            proj = momentum_projector(index, sign, d, k)
+            levels.append(np.linalg.eigvalsh((proj.conj().T @ h @ proj).toarray()))
+        want = np.linalg.eigvalsh(op.to_dense())
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(np.sort(np.concatenate(levels)) - want).max() < 1e-12 * scale, op.basis
+
+
 def test_ground_space_reports_real_dense_path_and_residual():
-    # even N: not certified, real, dim 225
-    op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=6, n=2))
+    # even N with a site potential: real, not translation invariant, dim 225
+    op = _with_site_potential(build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=6, n=2)))
     gs = ground_space(op)
     assert gs.path == "dense"
     assert len(gs.levels) == solve.LEVELS

@@ -37,7 +37,8 @@ TIMEOUT_S = 300  # a ladder solve past this is recorded as not run
 # (model, d, N); effective at J = 1, U = 1000, full at J = 100, U = 1e5
 LADDER = (
     ("effective", 10, 4), ("effective", 16, 6), ("effective", 20, 8), ("effective", 24, 8),
-    ("full", 8, 2), ("full", 10, 3), ("full", 12, 3),
+    ("full", 8, 2), ("full", 10, 2), ("full", 12, 2), ("full", 10, 3), ("full", 12, 3),
+    ("full", 10, 4),
 )
 
 SOLVE = r"""
