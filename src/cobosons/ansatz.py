@@ -18,10 +18,10 @@ from .fock import (
     FullBasis,
     PairBasis,
     StateVector,
-    fermion_a_create,
-    fermion_b_create,
+    _wrap_signs,
     fix_phase,
     full_basis,
+    occupations,
     pair_basis,
     rotate,
 )
@@ -60,32 +60,23 @@ def _unit(basis, amp: np.ndarray) -> StateVector:
 
 def build_c_sr(d: int, s: int, r: int, power: int = 1) -> StateVector:
     """Normalized (c^dag_{s,r})^N |0> on FullBasis(d, N, N), where
-    c^dag_{s,r} = d^{-1/2} sum_k e^{i 2 pi k r / d} a^dag_k b^dag_{k+s}."""
+    c^dag_{s,r} = d^{-1/2} sum_k e^{i 2 pi k r / d} a^dag_k b^dag_{k+s}.
+
+    The bilinears commute, so each set of N modes k (an a-mask) gives one
+    configuration, b-mask = the a-mask rotated by s, with amplitude
+    (-1)^{N(N-1)/2} N! d^{-N/2} e^{i 2 pi r sum k / d} times the sign of
+    sorting the rotated b string.  That sign is the translation's wrap
+    sign ``_wrap_signs``; the common factor drops out in normalization.
+    """
     if not (0 <= s < d and 0 <= r < d):
         raise ValueError(f"labels s={s}, r={r} outside [0, d)")
     if power < 1:
         raise ValueError("need power >= 1")
-    coeffs = {(0, 0): 1.0 + 0.0j}
-    scale = 1.0 / math.sqrt(d)
-    for _ in range(power):
-        new = {}
-        for cfg, c in coeffs.items():
-            for k in range(d):
-                res = fermion_b_create(cfg, (k + s) % d)
-                if res is None:
-                    continue
-                mid, s1 = res
-                res = fermion_a_create(mid, k)
-                if res is None:
-                    continue
-                out, s2 = res
-                phase = cmath.exp(2j * cmath.pi * k * r / d)
-                new[out] = new.get(out, 0.0) + c * s1 * s2 * phase * scale
-        coeffs = new
     basis = full_basis(d, power, power)
-    cfgs = np.array(list(coeffs), dtype=np.int64).reshape(-1, 2)
+    masks = basis.masks_a
+    phase = np.exp(2j * np.pi * (r * (occupations(masks, d) @ np.arange(d)) % d) / d)
     amp = np.zeros(basis.size, dtype=complex)
-    amp[basis.rank(cfgs[:, 0], cfgs[:, 1])] = list(coeffs.values())
+    amp[basis.rank(masks, rotate(masks, s, d))] = _wrap_signs(masks, power, s, d) * phase
     return _unit(basis, amp)
 
 

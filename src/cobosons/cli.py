@@ -415,7 +415,8 @@ def parse_grid(text: str) -> tuple:
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; flags override."""
+    """Flat key = value lines; '#' starts a comment; flags override.  A
+    key outside CONFIG_KEYS is an error."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -425,6 +426,8 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line {raw.rstrip()!r}")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} in {path}; keys: {', '.join(CONFIG_KEYS)}")
             out[key] = val
     return out
 
@@ -477,13 +480,8 @@ def _merged(args) -> dict:
     values = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    flag_map = {
-        "model": "model", "d": "d", "n": "n", "J": "J", "U": "U",
-        "gamma_grid": "gamma-grid", "targets": "targets", "out": "out",
-        "jobs": "jobs", "tol": "tol", "m": "m",
-    }
-    for attr, key in flag_map.items():
-        val = getattr(args, attr, None)
+    for key in CONFIG_KEYS:
+        val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             values[key] = val
     return values

@@ -3,8 +3,7 @@
 Bit ``k`` of a mask set means site ``k`` is occupied.  A basis keeps its
 masks as read-only ascending int64 arrays, one per species, and ``rank``
 finds masks in them by binary search; a full basis is mask_a-major, so a
-configuration's index is ``i_a * len(masks_b) + i_b``.  The scalar fermion
-operators act on ``(mask_a, mask_b)`` tuples of ints.  The canonical
+configuration's index is ``i_a * len(masks_b) + i_b``.  The canonical
 operator ordering for the full sector is: all a-type creation operators in
 ascending mode order, then all b-type ones in ascending mode order.  All
 fermionic signs below follow from that convention.
@@ -150,71 +149,6 @@ def rotate(masks, shift, d: int):
     broadcasts over int64 arrays of masks and of shifts."""
     shift = shift % d
     return ((masks << shift) | (masks >> (d - shift))) & ((1 << d) - 1)
-
-
-# ----------------------------------------------------------------- operators
-
-def _lower_sign(mask: int, k: int) -> int:
-    return -1 if popcount(mask & ((1 << k) - 1)) & 1 else 1
-
-
-def fermion_a_create(cfg, k: int):
-    """a^dag_k on (mask_a, mask_b); returns ((mask_a', mask_b), sign) or None."""
-    ma, mb = cfg
-    bit = 1 << k
-    if ma & bit:
-        return None
-    return (ma | bit, mb), _lower_sign(ma, k)
-
-
-def fermion_a_annihilate(cfg, k: int):
-    ma, mb = cfg
-    bit = 1 << k
-    if not ma & bit:
-        return None
-    return (ma & ~bit, mb), _lower_sign(ma, k)
-
-
-def fermion_b_create(cfg, k: int):
-    """b^dag_k; crosses the whole a-string, hence the popcount(mask_a) factor."""
-    ma, mb = cfg
-    bit = 1 << k
-    if mb & bit:
-        return None
-    sign = _lower_sign(mb, k) * (-1 if popcount(ma) & 1 else 1)
-    return (ma, mb | bit), sign
-
-
-def fermion_b_annihilate(cfg, k: int):
-    ma, mb = cfg
-    bit = 1 << k
-    if not mb & bit:
-        return None
-    sign = _lower_sign(mb, k) * (-1 if popcount(ma) & 1 else 1)
-    return (ma, mb & ~bit), sign
-
-
-def create_string(cfg, ops) -> tuple:
-    """Apply a product of elementary operators, rightmost first.
-
-    ``ops`` is a sequence of ("a+"|"a-"|"b+"|"b-", k) pairs written in
-    operator order (leftmost first).  Returns (cfg, sign) or None if the
-    string annihilates the configuration.
-    """
-    table = {
-        "a+": fermion_a_create,
-        "a-": fermion_a_annihilate,
-        "b+": fermion_b_create,
-        "b-": fermion_b_annihilate,
-    }
-    sign = 1
-    for name, k in reversed(ops):
-        res = table[name](cfg, k)
-        if res is None:
-            return None
-        cfg, s = res
-        sign *= s
-    return cfg, sign
 
 
 # --------------------------------------------------------------- state vector

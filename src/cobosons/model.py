@@ -75,17 +75,21 @@ class ChainBasis:
 
 
 class SparseOperator:
-    """Hermitian operator on a basis, kept as a complex CSR matrix built
-    from the assembled sparse ``matrix``; duplicates are summed and zeros
-    dropped."""
+    """Hermitian operator on a basis, kept as a CSR matrix built from the
+    assembled sparse ``matrix``; duplicates are summed and zeros dropped.
+    The matrix is float64 unless some entry has a nonzero imaginary part,
+    and complex128 then."""
 
     def __init__(self, basis, matrix):
         n = basis.size
-        mat = sp.csr_matrix(matrix, dtype=complex)
+        mat = sp.csr_matrix(matrix, copy=True)  # summed and pruned in place below
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not match basis size {n}")
         mat.sum_duplicates()
         mat.eliminate_zeros()
+        if np.iscomplexobj(mat) and not mat.data.imag.any():
+            mat.data = mat.data.real.copy()  # astype(float) would warn about the imaginary part
+        mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
         dev = abs(mat - mat.getH())
         if dev.nnz and dev.max() >= HERMITICITY_TOL:
             raise ValueError(f"operator not Hermitian (max dev {dev.max():g})")

@@ -95,7 +95,8 @@ def _window(evals: np.ndarray, tol_deg: float) -> np.ndarray:
 
 def _dense(a: np.ndarray, tol_deg: float) -> tuple:
     """Lowest LEVELS eigenpairs of a dense Hermitian matrix, solved as real
-    when its imaginary part is exactly zero; the whole spectrum when all of
+    when its imaginary part is exactly zero (a momentum block takes its
+    dtype from P_K, not from the operator); the whole spectrum when all of
     them fall inside the degeneracy window."""
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
@@ -213,13 +214,12 @@ def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
     if n < 1:
         raise ValueError("empty basis")
     h = op.to_csr()
-    h_solve = h if np.any(h.data.imag) else h.real
-    symmetry = _invariant_translation(h_solve, op.basis)
+    symmetry = _invariant_translation(h, op.basis)
     momenta = None
     if symmetry is not None:
-        certified = _certified(h_solve, symmetry[1])
+        certified = _certified(h, symmetry[1])
         path = "sector" if certified else "momenta"
-        evals, vecs, momenta = _momentum_sectors(h_solve, *symmetry, op.basis.d, tol_deg, certified)
+        evals, vecs, momenta = _momentum_sectors(h, *symmetry, op.basis.d, tol_deg, certified)
     else:
         if n < DENSE_LIMIT:
             path, (evals, evecs) = "dense", _dense(op.to_dense(), tol_deg)

@@ -4,16 +4,89 @@ Each function regenerates its result one basis configuration at a time
 from the elementary bitmask and fermion-operator rules, independently of
 the bit-move kernel the library uses.  Tests compare the library against
 them.
+
+The scalar fermion operators act on ``(mask_a, mask_b)`` tuples of ints,
+with the library's canonical ordering: all a-type creation operators in
+ascending mode order, then all b-type ones in ascending mode order.
 """
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from cobosons.fock import FullBasis, PairBasis, StateVector, create_string, popcount
+from cobosons.fock import FullBasis, PairBasis, StateVector, fix_phase, full_basis, popcount
 from cobosons.model import SparseOperator
+
+
+# ------------------------------------------------------- scalar fermion operators
+
+def _lower_sign(mask: int, k: int) -> int:
+    return -1 if popcount(mask & ((1 << k) - 1)) & 1 else 1
+
+
+def fermion_a_create(cfg, k: int):
+    """a^dag_k on (mask_a, mask_b); returns ((mask_a', mask_b), sign) or None."""
+    ma, mb = cfg
+    bit = 1 << k
+    if ma & bit:
+        return None
+    return (ma | bit, mb), _lower_sign(ma, k)
+
+
+def fermion_a_annihilate(cfg, k: int):
+    ma, mb = cfg
+    bit = 1 << k
+    if not ma & bit:
+        return None
+    return (ma & ~bit, mb), _lower_sign(ma, k)
+
+
+def fermion_b_create(cfg, k: int):
+    """b^dag_k; crosses the whole a-string, hence the popcount(mask_a) factor."""
+    ma, mb = cfg
+    bit = 1 << k
+    if mb & bit:
+        return None
+    sign = _lower_sign(mb, k) * (-1 if popcount(ma) & 1 else 1)
+    return (ma, mb | bit), sign
+
+
+def fermion_b_annihilate(cfg, k: int):
+    ma, mb = cfg
+    bit = 1 << k
+    if not mb & bit:
+        return None
+    sign = _lower_sign(mb, k) * (-1 if popcount(ma) & 1 else 1)
+    return (ma, mb & ~bit), sign
+
+
+def create_string(cfg, ops) -> tuple:
+    """Apply a product of elementary operators, rightmost first.
+
+    ``ops`` is a sequence of ("a+"|"a-"|"b+"|"b-", k) pairs written in
+    operator order (leftmost first).  Returns (cfg, sign) or None if the
+    string annihilates the configuration.
+    """
+    table = {
+        "a+": fermion_a_create,
+        "a-": fermion_a_annihilate,
+        "b+": fermion_b_create,
+        "b-": fermion_b_annihilate,
+    }
+    sign = 1
+    for name, k in reversed(ops):
+        res = table[name](cfg, k)
+        if res is None:
+            return None
+        cfg, s = res
+        sign *= s
+    return cfg, sign
+
+
+# ---------------------------------------------------------------- references
 
 
 def configs(basis) -> list:
@@ -204,3 +277,30 @@ def orbit_projector(index: np.ndarray, d: int) -> sp.csr_matrix:
         rep = np.minimum(rep, pos)
     _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
     return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(dim), orbit)), shape=(dim, size.size))
+
+
+def build_c_sr_loop(d: int, s: int, r: int, power: int = 1) -> StateVector:
+    """(c^dag_{s,r})^N |0> applied one bilinear a^dag_k b^dag_{k+s} at a
+    time to a dict of configurations, normalized and phase-fixed."""
+    coeffs = {(0, 0): 1.0 + 0.0j}
+    scale = 1.0 / math.sqrt(d)
+    for _ in range(power):
+        new = {}
+        for cfg, c in coeffs.items():
+            for k in range(d):
+                res = fermion_b_create(cfg, (k + s) % d)
+                if res is None:
+                    continue
+                mid, s1 = res
+                res = fermion_a_create(mid, k)
+                if res is None:
+                    continue
+                out, s2 = res
+                phase = cmath.exp(2j * cmath.pi * k * r / d)
+                new[out] = new.get(out, 0.0) + c * s1 * s2 * phase * scale
+        coeffs = new
+    basis = full_basis(d, power, power)
+    cfgs = np.array(list(coeffs), dtype=np.int64).reshape(-1, 2)
+    amp = np.zeros(basis.size, dtype=complex)
+    amp[basis.rank(cfgs[:, 0], cfgs[:, 1])] = list(coeffs.values())
+    return StateVector(basis, fix_phase(amp / np.linalg.norm(amp)))

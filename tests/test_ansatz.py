@@ -15,6 +15,7 @@ from cobosons import (
     translate,
 )
 from cobosons.fock import project_to_pair_sector
+from oracles import build_c_sr_loop
 
 
 def test_partition_validation():
@@ -42,6 +43,19 @@ def test_c_sr_basis_is_orthonormal():
         for j, b in enumerate(states):
             want = 1.0 if i == j else 0.0
             assert abs(abs(inner_product(a, b)) - want) < 1e-12
+
+
+def test_c_sr_matches_loop_oracle():
+    """Every (s, r, N) for d <= 8, and N <= 4 for d = 9, 10: the same
+    nonzero positions and amplitudes within 2e-15 after fix_phase."""
+    for d in range(1, 11):
+        for n in range(1, (d if d <= 8 else 4) + 1):
+            for s in range(d):
+                for r in range(d):
+                    got = build_c_sr(d, s, r, n).amplitudes
+                    want = build_c_sr_loop(d, s, r, n).amplitudes
+                    assert np.array_equal(got != 0, want != 0), (d, s, r, n)
+                    assert np.abs(got - want).max() <= 2e-15, (d, s, r, n)
 
 
 def test_c_sr_label_validation():

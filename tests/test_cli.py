@@ -101,6 +101,21 @@ def test_config_file_rejects_bad_line(tmp_path):
         load_config_file(str(bad))
 
 
+def test_config_file_rejects_unknown_key_before_any_basis(tmp_path, monkeypatch):
+    from cobosons import fock
+
+    def never(d, n):
+        raise AssertionError(f"enumerated a basis ({d}, {n}) despite the bad key")
+
+    monkeypatch.setattr(fock, "_masks", never)
+    cfgfile = tmp_path / "typo.cfg"
+    cfgfile.write_text("dd = 12\nmodel = effective\nn = 2\n", encoding="utf-8")
+    out = tmp_path / "gs.csv"
+    with pytest.raises(ValueError, match="unknown config key 'dd'"):
+        run_cli("ground-state", "--config", str(cfgfile), "--out", str(out))
+    assert not out.exists()
+
+
 def test_ground_state_uniform_at_compensation_point(tmp_path):
     out = tmp_path / "gs.csv"
     run_cli("ground-state", "--model", "effective", "--d", "6", "--n", "2",

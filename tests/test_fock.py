@@ -17,17 +17,23 @@ from cobosons import (
 )
 from cobosons import fock
 from cobosons.fock import (
-    create_string,
     embed_pair_state,
-    fermion_a_annihilate,
-    fermion_a_create,
-    fermion_b_create,
     momentum_projector,
     popcount,
     project_to_pair_sector,
     translation,
 )
-from oracles import embed_pair_state_loop, orbit_projector, project_to_pair_sector_loop, translate_loop
+from oracles import (
+    _lower_sign,
+    create_string,
+    embed_pair_state_loop,
+    fermion_a_annihilate,
+    fermion_a_create,
+    fermion_b_create,
+    orbit_projector,
+    project_to_pair_sector_loop,
+    translate_loop,
+)
 
 
 def test_pair_basis_enumeration():
@@ -137,8 +143,6 @@ def test_anticommutation_of_creation_strings():
 
 @given(st.integers(0, 2**8 - 1), st.integers(0, 7))
 def test_lower_sign_matches_popcount_parity(mask, k):
-    from cobosons.fock import _lower_sign
-
     expected = (-1) ** popcount(mask & ((1 << k) - 1))
     assert _lower_sign(mask, k) == expected
 

@@ -216,6 +216,25 @@ def test_sparse_operator_rejects_non_hermitian():
         SparseOperator(basis, sp.coo_matrix(([1.0, 2.0], ([0, 1], [1, 0])), shape=(4, 4)))
 
 
+def test_sparse_operator_dtype_follows_the_matrix():
+    from cobosons.model import SparseOperator
+
+    for d in range(2, 7):
+        for n in range(d + 1):
+            p = ModelParams(j=1.3, u=2.7, gamma=0.45, d=d, n=n)
+            assert build_full_hamiltonian(p).to_csr().dtype == np.float64, (d, n)
+            assert build_effective_hamiltonian(p).to_csr().dtype == np.float64, (d, n)
+    p = ModelParams(j=1.0, u=4.0, gamma=0.0, d=8, n=1)
+    assert build_relative_chain("two_fermion", p, r=0, cutoff=5).to_csr().dtype == np.float64
+    assert build_relative_chain("two_fermion", p, r=2, cutoff=5).to_csr().dtype == np.complex128
+    real = build_effective_hamiltonian(ModelParams(j=1.0, u=9.0, gamma=0.5, d=6, n=3)).to_csr()
+    as_complex = SparseOperator(pair_basis(6, 3), real.astype(complex)).to_csr()
+    assert as_complex.dtype == np.float64
+    assert as_complex.data.tobytes() == real.data.tobytes()
+    assert np.array_equal(as_complex.indices, real.indices)
+    assert np.array_equal(as_complex.indptr, real.indptr)
+
+
 def test_sparse_operator_rejects_matrix_of_another_size():
     from cobosons.model import SparseOperator
 
