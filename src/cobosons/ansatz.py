@@ -134,13 +134,21 @@ def build_partition_state(d: int, partition) -> tuple:
     if n > d:
         raise ValueError(f"partition total {n} exceeds d={d}")
     configs = np.zeros(1, dtype=np.int64)
-    for m in partition.parts:
+    for m in (m for m in partition.parts if m > 1):
         blocks = rotate(np.int64((1 << m) - 1), np.arange(d), d)
         fits = (configs[:, None] & blocks) == 0
         configs = np.unique((configs[:, None] | blocks)[fits])
         if not configs.size:
             raise ValueError(f"partition {partition} annihilates on d={d}")
     basis = pair_basis(d, n)
+    if partition.parts[-1] == 1:
+        # the singletons fill any free sites: the configurations are the
+        # masks that hold a placement of the larger blocks, found without
+        # enumerating the up to C(d, d/2) partial placements on the way
+        holds = np.zeros(basis.size, dtype=bool)
+        for config in configs:
+            holds |= (basis.states & config) == config
+        configs = basis.states[holds]
     amp = np.zeros(basis.size, dtype=complex)
     amp[basis.rank(configs)] = 1.0
     norm_factor_sq = Fraction(d ** len(partition.parts), configs.size)

@@ -36,12 +36,13 @@ from .model import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
     build_relative_chain,
+    gamma_coupling,
 )
 from .solve import (
+    GroundSolver,
     analytic_two_fermion,
     analytic_two_pair,
     ground_space,
-    ground_state_vector,
     spectral_equivalence_check,
 )
 
@@ -155,26 +156,34 @@ def _hamiltonian(cfg: SweepConfig, gamma: float):
     return build_effective_hamiltonian(params)
 
 
-def _fidelity_point(args):
-    cfg, x = args
-    gamma = cfg.gamma(x)
-    gs = ground_space(_hamiltonian(cfg, gamma), tol_deg=cfg.tol)
-    return [gamma, x] + [fidelity(build_target(cfg, t), gs) for t in cfg.targets]
+def _sweep(cfg: SweepConfig, xs):
+    """(gamma, x, ground space) at each point x of a chunk of the grid, all
+    from one solver: H(gamma) = H(0) + gamma * diag(c)."""
+    op = _hamiltonian(cfg, 0.0)
+    solver = GroundSolver(op, gamma_coupling(op.basis), tol_deg=cfg.tol)
+    for x in xs:
+        gamma = cfg.gamma(x)
+        yield gamma, x, solver(gamma)
 
 
-def _purity_point(args):
-    cfg, x = args
-    gamma = cfg.gamma(x)
-    vec = ground_state_vector(_hamiltonian(cfg, gamma), tol_deg=cfg.tol)
-    _, p1 = single_pair_purity(vec)
-    return [gamma, x, 1.0 - p1]
+def _fidelity_chunk(args):
+    cfg, xs = args
+    targets = [build_target(cfg, t) for t in cfg.targets]
+    return [[gamma, x] + [fidelity(t, gs) for t in targets] for gamma, x, gs in _sweep(cfg, xs)]
 
 
-def _g2_point(args):
-    cfg, x = args
-    gamma = cfg.gamma(x)
-    vec = ground_state_vector(_hamiltonian(cfg, gamma), tol_deg=cfg.tol)
-    return [[gamma, x, sep, g2(vec, 0, sep)] for sep in range(1, cfg.d // 2 + 1)]
+def _purity_chunk(args):
+    cfg, xs = args
+    return [[gamma, x, 1.0 - single_pair_purity(gs.state)[1]] for gamma, x, gs in _sweep(cfg, xs)]
+
+
+def _g2_chunk(args):
+    cfg, xs = args
+    rows = []
+    for gamma, x, gs in _sweep(cfg, xs):
+        vec = gs.state
+        rows += [[gamma, x, sep, g2(vec, 0, sep)] for sep in range(1, cfg.d // 2 + 1)]
+    return rows
 
 
 def _require_effective(cfg: SweepConfig, command: str) -> None:
@@ -182,12 +191,15 @@ def _require_effective(cfg: SweepConfig, command: str) -> None:
         raise ValueError(f"{command} runs on the effective model only, got --model {cfg.model}")
 
 
-def run_grid(worker, cfg: SweepConfig):
-    args = [(cfg, float(x)) for x in cfg.grid]
-    if cfg.jobs == 1:
-        return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(worker, args))
+def run_grid(worker, cfg: SweepConfig) -> list:
+    """Rows of ``worker`` over the grid in grid order.  Each of the
+    ``cfg.jobs`` workers gets one contiguous chunk of the grid and builds
+    its solver and targets once for it."""
+    chunks = [(cfg, [float(x) for x in chunk]) for chunk in np.array_split(cfg.grid, cfg.jobs) if chunk.size]
+    if len(chunks) == 1:
+        return worker(chunks[0])
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [row for rows in pool.map(worker, chunks) for row in rows]
 
 
 # ---------------------------------------------------------------- CSV output
@@ -231,7 +243,7 @@ def cmd_ground_state(cfg: SweepConfig, gamma_u_j2: float) -> int:
 def cmd_fidelity_scan(cfg: SweepConfig) -> int:
     if not cfg.targets:
         raise ValueError("fidelity-scan needs at least one --targets entry")
-    rows = run_grid(_fidelity_point, cfg)
+    rows = run_grid(_fidelity_chunk, cfg)
     header = ["gamma", "gammaU_J2"] + [target_label(t) for t in cfg.targets]
     comments = [f"model = {cfg.model}, d = {cfg.d}, N = {cfg.n}, J = {fmt(cfg.j)}, U = {fmt(cfg.u)}"]
     write_csv(cfg.out, comments, header, rows)
@@ -258,7 +270,7 @@ def cmd_chi(cfg: SweepConfig, d_range, n_range, m_range) -> int:
 def cmd_purity_scan(cfg: SweepConfig) -> int:
     _require_effective(cfg, "purity-scan")
     d, n = cfg.d, cfg.n
-    rows = run_grid(_purity_point, cfg)
+    rows = run_grid(_purity_chunk, cfg)
     # analytic checkpoints: independent-pairs value at gamma*U/J^2 = 4 and
     # the molecular (block-state) plateau at large gamma
     uniform = 1.0 / d + (d - n) ** 2 / (d * (d - 1))
@@ -273,8 +285,7 @@ def cmd_purity_scan(cfg: SweepConfig) -> int:
 
 def cmd_g2_scan(cfg: SweepConfig) -> int:
     _require_effective(cfg, "g2-scan")
-    blocks = run_grid(_g2_point, cfg)
-    rows = [row for block in blocks for row in block]
+    rows = run_grid(_g2_chunk, cfg)
     header = ["gamma", "gammaU_J2", "separation", "g2"]
     comments = [f"model = effective, d = {cfg.d}, N = {cfg.n}, J = {fmt(cfg.j)}, U = {fmt(cfg.u)}"]
     write_csv(cfg.out, comments, header, rows)
@@ -552,5 +563,17 @@ def main(argv=None) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def run(argv=None) -> int:
+    """Console entry: ``main``, with a ValueError (a bad config key or
+    target, a ``CapacityError``, a ``BasisMismatchError``, ...) reported
+    as one line on stderr and exit status 2, as argparse reports a bad
+    flag."""
+    try:
+        return main(argv)
+    except ValueError as exc:
+        sys.stderr.write(f"cobosons: error: {exc}\n")
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -106,7 +106,13 @@ class FullBasis:
 
 def _masks(d: int, n: int) -> np.ndarray:
     """Ascending masks with n of d bits set.  Pascal's rule: the c-bit masks
-    on sites [0, k] are those on [0, k), then the (c-1)-bit ones plus bit k."""
+    on sites [0, k] are those on [0, k), then the (c-1)-bit ones plus bit k.
+    Above half filling the masks are the complements of the (d-n)-bit ones,
+    which keeps the counts on the way below C(d, n) instead of near 2^d."""
+    if 2 * n > d:
+        out = np.ascontiguousarray((((1 << d) - 1) ^ _masks(d, d - n))[::-1])
+        out.setflags(write=False)
+        return out
     by_count = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * n
     for k in range(d):
         by_count = [by_count[0]] + [
@@ -232,49 +238,72 @@ def translate(state: StateVector, shift: int) -> StateVector:
     return StateVector(state.basis, amp)
 
 
-def momentum_projector(index: np.ndarray, sign: np.ndarray, d: int, K: int) -> sp.csr_matrix:
-    """(dim, states) isometry P_K onto momentum sector K of the one-site
-    translation T|i> = sign[i] |index[i]> (from ``translation(basis, 1)``):
-    T P_K = exp(2 pi i K / d) P_K.
+@dataclass(frozen=True)
+class Orbits:
+    """The orbits of the one-site translation T|i> = sign[i] |index[i]>
+    (from ``translation(basis, 1)``), from one walk over the d shifts.
 
     An orbit is labelled by its representative r, the smallest basis index
-    (the minimum of ``rotate``) over the d shifts.  A state i reaches r
-    after m shifts, T^m |i> = s |r>.  An orbit of period p, where
-    T^p |r> = s_p |r>, gives a column to sector K only if
-    exp(-2 pi i K p / d) s_p = 1; its amplitude on i is
-    s exp(2 pi i K m / d) / sqrt(p).  Columns follow the representatives
-    in ascending order.  P_K is real for K = 0 and for K = d / 2; with
-    K = 0 and every sign +1 it is the uniform orbit sum and the walk
-    tracks the representatives alone.  Memory stays O(dim)."""
+    (the minimum of ``rotate``) on it; ``reps`` holds them ascending and
+    ``size`` the period p of each.  State i lies on orbit ``orbit[i]`` and
+    reaches its representative after ``shift[i]`` shifts,
+    T^shift |i> = to_rep[i] |r>; ``period_sign[o]`` is s_p in
+    T^p |r> = s_p |r>.  Memory stays O(dim)."""
+
+    d: int
+    reps: np.ndarray
+    size: np.ndarray
+    orbit: np.ndarray
+    shift: np.ndarray
+    to_rep: np.ndarray
+    period_sign: np.ndarray
+
+    def in_sector(self, K: int) -> np.ndarray:
+        """Mask of the orbits that give sector K a column: those with
+        exp(-2 pi i K p / d) s_p = 1."""
+        d = self.d
+        return (2 * (K % d) * self.size) % (2 * d) == np.where(self.period_sign > 0, 0, d)
+
+    def projector(self, K: int) -> sp.csr_matrix:
+        """(dim, states) isometry P_K onto momentum sector K:
+        T P_K = exp(2 pi i K / d) P_K.  An orbit in the sector has the
+        amplitude to_rep[i] exp(2 pi i K shift[i] / d) / sqrt(p) on state i;
+        columns follow the representatives in ascending order.  P_K is
+        real for K = 0 and for K = d / 2; with K = 0 and every sign +1 it
+        is the uniform orbit sum."""
+        d, K = self.d, K % self.d
+        keep = self.in_sector(K)
+        rows = np.flatnonzero(keep[self.orbit])
+        amp = 1.0 / np.sqrt(self.size[self.orbit])
+        if 2 * K % d == 0:
+            amp = amp * self.to_rep * np.where(2 * K * self.shift // d % 2, -1.0, 1.0)
+        else:
+            amp = amp * self.to_rep * np.exp(2j * np.pi * (K * self.shift % d) / d)
+        cols = (np.cumsum(keep) - 1)[self.orbit[rows]]
+        return sp.csr_matrix((amp[rows], (rows, cols)), shape=(self.orbit.size, int(keep.sum())))
+
+
+def translation_orbits(index: np.ndarray, sign: np.ndarray, d: int) -> Orbits:
+    """Walk every state once around its orbit of the one-site translation
+    (see ``Orbits``); every momentum sector reuses the result."""
     dim = index.size
-    K %= d
-    track = K != 0 or np.any(sign != 1)
+    signed = np.any(sign != 1)
     rep = pos = np.arange(dim)
     shift = np.zeros(dim, dtype=np.int64)
     acc = to_rep = np.ones(dim)
     for m in range(1, d):
-        if track:
+        if signed:
             acc = acc * sign[pos]
         pos = index[pos]
-        if track:
-            new = pos < rep
-            shift[new] = m
+        new = pos < rep
+        shift[new] = m
+        if signed:
             to_rep = np.where(new, acc, to_rep)
         rep = np.minimum(rep, pos)
     reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
-    amp = 1.0 / np.sqrt(size[orbit])
-    if not track:
-        return sp.csr_matrix((amp, (np.arange(dim), orbit)), shape=(dim, size.size))
     # T^p |r> = sign[r] T^(p-1) |index[r]> = sign[r] to_rep[index[r]] |r>
     period_sign = sign[reps] * to_rep[index[reps]]
-    keep = (2 * K * size) % (2 * d) == np.where(period_sign > 0, 0, d)
-    rows = np.flatnonzero(keep[orbit])
-    if 2 * K % d == 0:
-        amp = amp * to_rep * np.where(2 * K * shift // d % 2, -1.0, 1.0)
-    else:
-        amp = amp * to_rep * np.exp(2j * np.pi * (K * shift % d) / d)
-    cols = (np.cumsum(keep) - 1)[orbit[rows]]
-    return sp.csr_matrix((amp[rows], (rows, cols)), shape=(dim, int(keep.sum())))
+    return Orbits(d, reps, size, orbit, shift, to_rep, period_sign)
 
 
 # ------------------------------------------------------- pair/full embedding

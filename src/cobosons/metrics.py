@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ansatz import Partition, build_partition_state
-from .fock import BasisMismatchError, PairBasis, StateVector, move, occupations, popcount
+from .fock import BasisMismatchError, PairBasis, StateVector, occupations, pair_basis, popcount
 from .model import SparseOperator, build_effective_from_bars
 from .solve import GroundSpace
 
@@ -243,12 +243,15 @@ def single_pair_rdm(psi: StateVector) -> np.ndarray:
     if not isinstance(basis, PairBasis):
         raise BasisMismatchError("single-pair RDM is defined on the pair basis")
     d, n = basis.d, basis.n
-    amp = psi.amplitudes
-    rho = np.diag(np.abs(amp) ** 2 @ occupations(basis.states, d)).astype(complex)
-    for i, j in itertools.permutations(range(d), 2):
-        from_idx, to_idx = move(basis.states, j, i)
-        rho[i, j] = np.vdot(amp[to_idx], amp[from_idx])
-    return rho / n
+    # eta_i^dag eta_j joins the (N-1)-pair rest m to a pair at j or at i:
+    # rho_ij = sum_m conj(A[m, i]) A[m, j] / N with A[m, k] = psi(m | 1 << k),
+    # and 0 where m holds k
+    rest = pair_basis(d, n - 1).states
+    amp = np.zeros((rest.size, d), dtype=complex)
+    for k in range(d):
+        free = np.flatnonzero(((rest >> k) & 1) == 0)
+        amp[free, k] = psi.amplitudes[basis.rank(rest[free] | (1 << k))]
+    return amp.conj().T @ amp / n
 
 
 def single_pair_purity(psi: StateVector):

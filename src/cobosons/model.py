@@ -158,17 +158,13 @@ def build_full_hamiltonian(params: ModelParams, basis: Optional[FullBasis] = Non
             basis = full_basis(params.d, params.n_a, params.n_b)
     d = params.d
     masks_a, masks_b = basis.masks_a, basis.masks_b
-    occ_a, occ_b = occupations(masks_a, d), occupations(masks_b, d)
-    # nearest-neighbour attraction, both orientations (A at k with B at
-    # k+1, and B at k with A at k+1, periodic) so that projecting onto
-    # the pair subspace gives -2*gamma per occupied bond
-    bonds = occ_a @ np.roll(occ_b, -1, axis=1).T + np.roll(occ_a, -1, axis=1) @ occ_b.T
-    diag = -params.u * (occ_a @ occ_b.T) - params.gamma * bonds
+    onsite = occupations(masks_a, d) @ occupations(masks_b, d).T
+    diag = -params.u * onsite.ravel() - params.gamma * bond_counts(basis)
     hop_a = _hop(masks_a, d, (-1) ** (basis.n_a - 1))
     hop_b = _hop(masks_b, d, (-1) ** (basis.n_b - 1))
     # kronsum(B, A) = kron(I_a, B) + kron(A, I_b): index i_a * dim_b + i_b
     hop = sp.kronsum(hop_b, hop_a)
-    return SparseOperator(basis, sp.diags(diag.ravel()) - params.j * hop)
+    return SparseOperator(basis, sp.diags(diag) - params.j * hop)
 
 
 # -------------------------------------------------------- effective pair model
@@ -188,9 +184,30 @@ def build_effective_from_bars(d, n, jbar, gammabar, basis: Optional[PairBasis] =
     """Pair model directly from the renormalized couplings Jbar, gammabar."""
     if basis is None:
         basis = pair_basis(d, n)
-    occ = occupations(basis.states, d)
-    bonds = np.sum(occ & np.roll(occ, -1, axis=1), axis=1)
-    return SparseOperator(basis, sp.diags(-gammabar * bonds) - jbar * _hop(basis.states, d, 1))
+    return SparseOperator(basis, sp.diags(-gammabar * bond_counts(basis)) - jbar * _hop(basis.states, d, 1))
+
+
+# ------------------------------------------------------- the gamma direction
+
+def bond_counts(basis) -> np.ndarray:
+    """Occupied nearest-neighbour bonds (periodic) of every basis state.
+    On a pair basis: adjacent pairs.  On a full basis: A at k with B at
+    k+1 and B at k with A at k+1, both orientations, so that projecting
+    onto the pair subspace gives two per adjacent pair."""
+    d = basis.d
+    if isinstance(basis, PairBasis):
+        occ = occupations(basis.states, d)
+        return np.sum(occ & np.roll(occ, -1, axis=1), axis=1)
+    occ_a, occ_b = occupations(basis.masks_a, d), occupations(basis.masks_b, d)
+    return (occ_a @ np.roll(occ_b, -1, axis=1).T + np.roll(occ_a, -1, axis=1) @ occ_b.T).ravel()
+
+
+def gamma_coupling(basis) -> np.ndarray:
+    """c with H(gamma) = H(0) + gamma * diag(c) for the Hamiltonian of
+    ``basis``: -2 * bonds for the pair model (gammabar = 2(gamma - Jbar)),
+    -bonds for the full model."""
+    bonds = bond_counts(basis).astype(float)
+    return -2.0 * bonds if isinstance(basis, PairBasis) else -bonds
 
 
 # ------------------------------------------------------------ relative chains

@@ -19,10 +19,10 @@ from .fock import (
     StateVector,
     fix_phase,
     full_basis,
-    momentum_projector,
     pair_basis,
     project_to_pair_sector,
     translation,
+    translation_orbits,
 )
 from .model import (
     ModelParams,
@@ -47,7 +47,7 @@ class GroundSpace:
     eigenvalue the solver computed, and how they were computed.
 
     ``path`` is "dense", "sector", "momenta" or "arpack" (see
-    ``ground_space``); ``residual`` is the largest |H v - e v| over the
+    ``GroundSolver``); ``residual`` is the largest |H v - e v| over the
     ground vectors, each against its own eigenvalue e and the whole
     operator.  On the sector path ``levels`` are the levels of the K = 0
     block only; on the momenta path they are the lowest LEVELS of the union
@@ -151,54 +151,29 @@ def _certified(h: sp.csr_matrix, sign: np.ndarray) -> bool:
     return connected_components(coo, directed=False, return_labels=False) == 1
 
 
-def _momentum_sectors(h: sp.csr_matrix, index: np.ndarray, sign: np.ndarray, d: int,
-                      tol_deg: float, zero_only: bool) -> tuple:
-    """Solve the momentum blocks P_K^H h P_K of a translation-invariant
-    operator, each dense below DENSE_LIMIT and by ARPACK above: K = 0
-    alone when ``zero_only``, else every K.  A real h solves K = 0..d/2
-    and takes the -K sector as the complex conjugate of the +K one.
-    Returns (levels, vectors, momenta): the union of the sector levels
-    sorted stably by level and then by K, and the lifted vectors and the K
-    of the levels inside the window."""
-    mirror = not np.iscomplexobj(h)
-    sectors = {}  # K -> (P_K, levels, block vectors, conjugated)
-    for k in (0,) if zero_only else range(d // 2 + 1 if mirror else d):
-        proj = momentum_projector(index, sign, d, k)
-        if proj.shape[1]:
-            block = proj.conj().T @ h @ proj
-            small = block.shape[0] < DENSE_LIMIT
-            evals, evecs = _dense(block.toarray(), tol_deg) if small else _arpack(block, tol_deg)
-            sectors[k] = (proj, evals, evecs, False)
-            if mirror and 0 < k < d - k:
-                sectors[d - k] = sectors[k][:3] + (True,)
-    ks = np.concatenate([np.full(s[1].size, k) for k, s in sectors.items()])
-    slots = np.concatenate([np.arange(s[1].size) for s in sectors.values()])
-    levels = np.concatenate([s[1] for s in sectors.values()])
-    order = np.lexsort((ks, levels))
-    levels, ks, slots = levels[order], ks[order], slots[order]
-    sel = _window(levels, tol_deg)
-    cols = []
-    for k, slot in zip(ks[sel], slots[sel]):
-        proj, _, evecs, conjugated = sectors[k]
-        vec = proj @ evecs[:, slot]
-        cols.append(vec.conj() if conjugated else vec)
-    return levels, np.column_stack(cols), tuple(int(k) for k in ks[sel])
+class GroundSolver:
+    """Ground spaces of the operator family op + gamma * diag(coupling).
 
-
-def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
-    """Lowest eigenvalue and all eigenvectors within tol_deg of it.
+    Everything that does not depend on gamma is done once, here: the
+    translation check (``_invariant_translation`` on ``op``, and
+    coupling[index] == coupling exactly), the Perron check
+    (``_certified``, which reads only the off-diagonal part, so it holds
+    for every gamma), the orbit walk and the momentum blocks
+    P_K^H op P_K.  The gamma term of a block is diag(coupling[reps]),
+    exact because the coupling is constant on each orbit.  A call
+    ``solver(gamma)`` then pays only the block eigensolve, and checks each
+    ground vector against the whole operator at that gamma.
 
     The path follows the operator:
     - "sector", at any size, when the operator commutes exactly with the
-      one-site translation T (``_invariant_translation``) and
-      ``_certified`` puts its unique ground state at K = 0: only the K = 0
-      block P^T H P is solved (dense below DENSE_LIMIT, ARPACK above) and
-      its vectors are lifted with P;
+      one-site translation T and ``_certified`` puts its unique ground
+      state at K = 0: only the K = 0 block is solved (dense below
+      DENSE_LIMIT, ARPACK above) and its vectors are lifted with P;
     - "momenta", at any size, for any other operator that commutes with T:
-      every momentum block P_K^H H P_K is solved (dense below DENSE_LIMIT,
-      ARPACK above; for a real operator the -K blocks are the conjugates
-      of the +K ones), the window is applied to the union of the sector
-      levels and the vectors are lifted with their P_K;
+      every momentum block is solved (dense below DENSE_LIMIT, ARPACK
+      above; for a real operator the -K blocks are the conjugates of the
+      +K ones), the window is applied to the union of the sector levels
+      and the vectors are lifted with their P_K;
     - "dense" for any other operator below DENSE_LIMIT: the lowest LEVELS
       eigenpairs by dense ``eigh``, real when the matrix is;
     - "arpack" otherwise: Lanczos on the whole operator (deterministic
@@ -210,31 +185,103 @@ def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
     eigenvalue and the whole operator, so levels split by less than the
     window stay in the ground space.
     """
-    n = op.dim
-    if n < 1:
-        raise ValueError("empty basis")
-    h = op.to_csr()
-    symmetry = _invariant_translation(h, op.basis)
-    momenta = None
-    if symmetry is not None:
-        certified = _certified(h, symmetry[1])
-        path = "sector" if certified else "momenta"
-        evals, vecs, momenta = _momentum_sectors(h, *symmetry, op.basis.d, tol_deg, certified)
-    else:
-        if n < DENSE_LIMIT:
-            path, (evals, evecs) = "dense", _dense(op.to_dense(), tol_deg)
+
+    def __init__(self, op: SparseOperator, coupling=None, tol_deg: float = 1e-9):
+        n = op.dim
+        if n < 1:
+            raise ValueError("empty basis")
+        self.basis, self.tol_deg = op.basis, tol_deg
+        self._h = op.to_csr()
+        self._coupling = np.zeros(n) if coupling is None else np.asarray(coupling, dtype=float)
+        if self._coupling.shape != (n,):
+            raise ValueError(f"coupling shape {self._coupling.shape} does not match basis size {n}")
+        symmetry = _invariant_translation(self._h, op.basis)
+        if symmetry is not None and np.array_equal(self._coupling[symmetry[0]], self._coupling):
+            certified = _certified(self._h, symmetry[1])
+            self.path = "sector" if certified else "momenta"
+            self._sectors = self._blocks(*symmetry, certified)
         else:
-            path, (evals, evecs) = "arpack", _arpack(h, tol_deg)
-        vecs = evecs[:, _window(evals, tol_deg)]
-    sel = _window(evals, tol_deg)
-    # re-orthonormalize (eigh already orthonormal; cheap safeguard)
-    vecs, _ = np.linalg.qr(np.asarray(vecs, dtype=complex))
-    scale = max(1.0, abs(evals[0]))
-    res = float(np.linalg.norm(h @ vecs - vecs * evals[sel], axis=0).max())
-    if res >= RESIDUAL_TOL * scale:
-        raise ConvergenceError(f"residual {res:g} above tolerance")
-    levels = evals[:LEVELS] if path == "momenta" else evals
-    return GroundSpace(float(evals[0]), vecs, op.basis, levels, path, res, momenta)
+            self.path = "dense" if n < DENSE_LIMIT else "arpack"
+            self._sectors = None
+
+    def _blocks(self, index: np.ndarray, sign: np.ndarray, zero_only: bool) -> dict:
+        """K -> (P_K, P_K^H h P_K, coupling of each column): K = 0 alone
+        when ``zero_only``, else every K, or K = 0..d/2 for a real h."""
+        d = self.basis.d
+        orbits = translation_orbits(index, sign, d)
+        mirror = not np.iscomplexobj(self._h)
+        blocks = {}
+        for k in (0,) if zero_only else range(d // 2 + 1 if mirror else d):
+            proj = orbits.projector(k)
+            if proj.shape[1]:
+                coupling = self._coupling[orbits.reps[orbits.in_sector(k)]]
+                blocks[k] = (proj, proj.conj().T @ self._h @ proj, coupling)
+        return blocks
+
+    def _momentum_levels(self, gamma: float) -> tuple:
+        """Solve every block at gamma.  Returns (levels, vectors, momenta):
+        the union of the sector levels sorted stably by level and then by
+        K, and the lifted vectors and the K of the levels inside the
+        window."""
+        d, tol_deg = self.basis.d, self.tol_deg
+        mirror = not np.iscomplexobj(self._h)
+        solved = {}  # K -> (P_K, levels, block vectors, conjugated)
+        for k, (proj, block, coupling) in self._sectors.items():
+            if gamma:
+                block = block + sp.diags(gamma * coupling)
+            small = block.shape[0] < DENSE_LIMIT
+            evals, evecs = _dense(block.toarray(), tol_deg) if small else _arpack(block, tol_deg)
+            solved[k] = (proj, evals, evecs, False)
+            if mirror and 0 < k < d - k:
+                solved[d - k] = solved[k][:3] + (True,)
+        ks = np.concatenate([np.full(s[1].size, k) for k, s in solved.items()])
+        slots = np.concatenate([np.arange(s[1].size) for s in solved.values()])
+        levels = np.concatenate([s[1] for s in solved.values()])
+        order = np.lexsort((ks, levels))
+        levels, ks, slots = levels[order], ks[order], slots[order]
+        sel = _window(levels, tol_deg)
+        cols = []
+        for k, slot in zip(ks[sel], slots[sel]):
+            proj, _, evecs, conjugated = solved[k]
+            vec = proj @ evecs[:, slot]
+            cols.append(vec.conj() if conjugated else vec)
+        return levels, np.column_stack(cols), tuple(int(k) for k in ks[sel])
+
+    def __call__(self, gamma: float = 0.0) -> GroundSpace:
+        """Lowest eigenvalue and all eigenvectors within tol_deg of it, of
+        op + gamma * diag(coupling)."""
+        tol_deg, h = self.tol_deg, self._h
+        shifted = gamma * self._coupling if gamma else None
+        momenta = None
+        if self._sectors is not None:
+            evals, vecs, momenta = self._momentum_levels(gamma)
+        else:
+            if self.path == "dense":
+                a = h.toarray()
+                if shifted is not None:
+                    a[np.diag_indices_from(a)] += shifted
+                evals, evecs = _dense(a, tol_deg)
+            else:
+                evals, evecs = _arpack(h if shifted is None else h + sp.diags(shifted), tol_deg)
+            vecs = evecs[:, _window(evals, tol_deg)]
+        sel = _window(evals, tol_deg)
+        # re-orthonormalize (eigh already orthonormal; cheap safeguard)
+        vecs, _ = np.linalg.qr(np.asarray(vecs, dtype=complex))
+        scale = max(1.0, abs(evals[0]))
+        hv = h @ vecs
+        if shifted is not None:
+            hv = hv + shifted[:, None] * vecs
+        res = float(np.linalg.norm(hv - vecs * evals[sel], axis=0).max())
+        if res >= RESIDUAL_TOL * scale:
+            raise ConvergenceError(f"residual {res:g} above tolerance")
+        levels = evals[:LEVELS] if self.path == "momenta" else evals
+        return GroundSpace(float(evals[0]), vecs, self.basis, levels, self.path, res, momenta)
+
+
+def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
+    """Lowest eigenvalue and all eigenvectors within tol_deg of it, solved
+    on the path ``GroundSolver`` picks for ``op``."""
+    return GroundSolver(op, tol_deg=tol_deg)(0.0)
 
 
 def ground_state_vector(op: SparseOperator, **kw) -> StateVector:

@@ -216,6 +216,17 @@ def _shift_mask(mask: int, shift: int, d: int) -> int:
     return ((mask << shift) | (mask >> (d - shift))) & full if shift else mask
 
 
+def partition_configs_loop(d: int, parts) -> set:
+    """Every configuration of the block-creation product of ``parts``:
+    each block of m adjacent sites (periodic) placed one at a time on the
+    sites the earlier blocks left free."""
+    configs = {0}
+    for m in parts:
+        blocks = [_shift_mask((1 << m) - 1, k, d) for k in range(d)]
+        configs = {c | b for c in configs for b in blocks if not c & b}
+    return configs
+
+
 def translate_loop(state: StateVector, shift: int) -> StateVector:
     """Cyclic site shift k -> k + shift (mod d), one configuration at a
     time, with a (-1)^(n-1) sign per wrapped mode within each species."""

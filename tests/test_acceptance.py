@@ -162,6 +162,20 @@ def test_effective_model_fidelity():
         assert rep.fidelity is not None and rep.fidelity >= 0.999, x
 
 
+def test_uniform_state_is_the_ground_state_at_the_isotropic_point(tmp_path):
+    """At gamma*U/J^2 = 4 the pair model is the XXZ chain at Delta = 1, where
+    the uniform state |1+...+1> is an exact ground state: F = 1 within 1e-12
+    through fidelity-scan, for every (d, N) with dim <= 2000."""
+    sizes = [(d, n) for d in range(2, 31) for n in range(1, d + 1) if math.comb(d, n) <= 2000]
+    out = tmp_path / "uniform.csv"
+    for d, n in sizes:
+        cli_main(["fidelity-scan", "--model", "effective", "--d", str(d), "--n", str(n),
+                  "--J", "1", "--U", "1000", "--gamma-grid", "4:4:2",
+                  "--targets", "partition:" + "+".join(["1"] * n), "--out", str(out)])
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[2:]]
+        assert len(rows) == 2 and all(abs(float(r[2]) - 1.0) <= 1e-12 for r in rows), (d, n, rows)
+
+
 def test_effective_model_energy_agreement():
     """Ground energies (dropped constant restored) within 10 J^4/U^3.
 

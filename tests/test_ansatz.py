@@ -15,7 +15,7 @@ from cobosons import (
     translate,
 )
 from cobosons.fock import project_to_pair_sector
-from oracles import build_c_sr_loop
+from oracles import build_c_sr_loop, partition_configs_loop
 
 
 def test_partition_validation():
@@ -122,6 +122,34 @@ def test_partition_state_norm_factors():
     assert nsq == Fraction(6**3, math.comb(6, 3))
     nonzero = np.abs(psi.amplitudes)
     assert np.allclose(nonzero, 1 / math.sqrt(math.comb(6, 3)))
+
+
+def _partitions(n, largest=None):
+    """Non-increasing tuples of positive parts summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for m in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - m, m):
+            yield (m,) + rest
+
+
+def test_partition_states_match_the_placement_loop():
+    # every partition of every N <= d <= 9: the support is the set of block
+    # placements, the amplitude uniform, N^2 = d^k / #configurations
+    for d in range(1, 10):
+        for n in range(1, d + 1):
+            for parts in _partitions(n):
+                configs = partition_configs_loop(d, parts)
+                if not configs:
+                    with pytest.raises(ValueError, match="annihilates"):
+                        build_partition_state(d, parts)
+                    continue
+                psi, nsq = build_partition_state(d, parts)
+                support = np.flatnonzero(psi.amplitudes)
+                assert psi.basis.states[support].tolist() == sorted(configs), (d, parts)
+                assert np.all(psi.amplitudes[support] == psi.amplitudes[support[0]]), (d, parts)
+                assert nsq == Fraction(d ** len(parts), len(configs)), (d, parts)
 
 
 def test_partition_state_translation_invariant():

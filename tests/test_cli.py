@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +121,19 @@ def test_config_file_rejects_unknown_key_before_any_basis(tmp_path, monkeypatch)
     assert not out.exists()
 
 
+def test_console_entry_reports_input_errors_in_one_line(tmp_path):
+    cfgfile = tmp_path / "typo.cfg"
+    cfgfile.write_text("dd = 12\nmodel = effective\nn = 2\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cobosons.cli", "ground-state", "--config", str(cfgfile)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("cobosons: error: unknown config key 'dd'")
+
+
 def test_ground_state_uniform_at_compensation_point(tmp_path):
     out = tmp_path / "gs.csv"
     run_cli("ground-state", "--model", "effective", "--d", "6", "--n", "2",
@@ -227,11 +245,52 @@ def test_correlation_scans_reject_full_model(command, monkeypatch, tmp_path):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before rejecting --model full")
 
-    monkeypatch.setattr(cli, "ground_state_vector", no_solve)
+    monkeypatch.setattr(cli, "GroundSolver", no_solve)
     monkeypatch.setattr(cli, "ground_space", no_solve)
     with pytest.raises(ValueError, match="effective model only"):
         run_cli(command, "--model", "full", "--d", "6", "--n", "2", "--J", "1",
                 "--U", "1000", "--gamma-grid", "0:4:2", "--out", str(tmp_path / "x.csv"))
+
+
+SWEEPS = [  # (command, model, targets, target builds)
+    ("fidelity-scan", "effective", "q:1,0,partition:1+1,block:2",
+     ("build_q_sr", "build_partition_state", "build_block")),
+    ("fidelity-scan", "full", "q:1,0,c2:0,0,partition:1+1",
+     ("build_q_sr", "build_c_sr", "build_partition_state")),
+    ("purity-scan", "effective", None, ("build_block",)),  # the plateau column
+    ("g2-scan", "effective", None, ()),
+]
+
+
+@pytest.mark.parametrize("command, model, targets, builds", SWEEPS)
+def test_sweep_builds_once_per_chunk(command, model, targets, builds, monkeypatch, tmp_path):
+    # a five-point grid in one chunk (--jobs 1): the Hamiltonian, the
+    # translation check, the orbit walk and every target are built once
+    import cobosons.cli as cli
+    from cobosons import solve
+
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("build_effective_hamiltonian", "build_full_hamiltonian", "build_q_sr",
+                 "build_c_sr", "build_partition_state", "build_block"):
+        count(cli, name)
+    count(solve, "_invariant_translation")
+    count(solve, "translation_orbits")
+    argv = [command, "--model", model, "--d", "6", "--n", "2", "--J", "1", "--U", "1000",
+            "--gamma-grid", "0:8:5", "--jobs", "1", "--out", str(tmp_path / "sweep.csv")]
+    run_cli(*argv, *(["--targets", targets] if targets else []))
+    assert len(data_rows(read(tmp_path / "sweep.csv"))[1]) == 5 * (3 if command == "g2-scan" else 1)
+    want = Counter([f"build_{model}_hamiltonian", "_invariant_translation", "translation_orbits", *builds])
+    assert calls == want
 
 
 def test_g2_scan_checkpoint(tmp_path):

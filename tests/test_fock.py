@@ -18,10 +18,10 @@ from cobosons import (
 from cobosons import fock
 from cobosons.fock import (
     embed_pair_state,
-    momentum_projector,
     popcount,
     project_to_pair_sector,
     translation,
+    translation_orbits,
 )
 from oracles import (
     _lower_sign,
@@ -44,6 +44,15 @@ def test_pair_basis_enumeration():
     assert basis.rank(basis.states).tolist() == list(range(basis.size))
     with pytest.raises(ValueError):
         basis.states[0] = 0  # read-only
+
+
+def test_pair_basis_enumeration_at_every_filling():
+    # above half filling the masks are enumerated as complements
+    for d in range(1, 13):
+        for n in range(d + 1):
+            states = pair_basis(d, n).states
+            assert states.tolist() == [m for m in range(1 << d) if popcount(m) == n], (d, n)
+            assert states.dtype == np.int64 and not states.flags.writeable
 
 
 def test_full_basis_enumeration():
@@ -247,9 +256,10 @@ def test_momentum_projectors_are_isometries_onto_translation_eigenspaces():
         d = basis.d
         index, sign = translation(basis, 1)
         shift = sp.csr_matrix((sign, (index, np.arange(basis.size))), shape=(basis.size,) * 2)
+        orbits = translation_orbits(index, sign, d)
         total = 0
         for k in range(d):
-            proj = momentum_projector(index, sign, d, k)
+            proj = orbits.projector(k)
             total += proj.shape[1]
             if 2 * k % d == 0:
                 assert not np.iscomplexobj(proj), (basis, k)
@@ -265,7 +275,7 @@ def test_zero_momentum_projector_with_positive_signs_is_the_orbit_sum():
         index, sign = translation(basis, 1)
         if np.any(sign != 1):
             continue
-        got, want = momentum_projector(index, sign, basis.d, 0), orbit_projector(index, basis.d)
+        got, want = translation_orbits(index, sign, basis.d).projector(0), orbit_projector(index, basis.d)
         assert got.dtype == want.dtype and got.shape == want.shape, basis
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part)), (basis, part)

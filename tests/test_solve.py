@@ -19,9 +19,10 @@ from cobosons import (
     pair_basis,
 )
 from cobosons import solve
-from cobosons.fock import momentum_projector, rotate, translation
-from cobosons.model import SparseOperator
+from cobosons.fock import rotate, translation, translation_orbits
+from cobosons.model import SparseOperator, gamma_coupling
 from cobosons.solve import (
+    GroundSolver,
     geometric_tail,
     ground_state_vector,
     is_bound,
@@ -371,10 +372,10 @@ def test_momentum_blocks_hold_the_whole_spectrum():
             for d in range(2, 7) for n_a in range(0, d + 1) for n_b in range(0, d + 1)]
     for op in ops:
         h, d = op.to_csr(), op.basis.d
-        index, sign = translation(op.basis, 1)
+        orbits = translation_orbits(*translation(op.basis, 1), d)
         levels = []
         for k in range(d):
-            proj = momentum_projector(index, sign, d, k)
+            proj = orbits.projector(k)
             levels.append(np.linalg.eigvalsh((proj.conj().T @ h @ proj).toarray()))
         want = np.linalg.eigvalsh(op.to_dense())
         scale = max(1.0, np.abs(want).max())
@@ -391,6 +392,54 @@ def test_ground_space_reports_real_dense_path_and_residual():
     assert np.abs(gs.levels - want).max() < 1e-12
     h = op.to_csr()
     assert gs.residual == np.linalg.norm(h @ gs.vectors - gs.vectors * gs.energy, axis=0).max()
+
+
+GRID_X = (0.0, 1.5, 4.0, 9.0, 20.0)  # gamma*U/J^2, through the isotropic point 4
+GRID_CASES = [("effective", d, n) for d in range(2, 11) for n in range(0, d + 1)] + [
+    ("full", d, (n_a, n_b)) for d in range(2, 7) for n_a in range(1, d) for n_b in range(1, d)
+]
+
+
+@pytest.mark.parametrize("model, limit", [("effective", solve.DENSE_LIMIT), ("effective", 14),
+                                          ("full", solve.DENSE_LIMIT)])
+def test_ground_solver_matches_a_fresh_solve_at_every_grid_point(model, limit, monkeypatch):
+    # one solver from H(0) and c, called at each gamma, against ground_space
+    # of the operator built at that gamma: effective d <= 10 and every N
+    # (blocks of 14 states and more on ARPACK at limit 14), full d <= 6 with
+    # odd and even N_A, N_B (sector and momenta paths)
+    monkeypatch.setattr(solve, "DENSE_LIMIT", limit)
+    for _, d, n in (c for c in GRID_CASES if c[0] == model):
+        base = _sector_case(model, d, n, 0.0)
+        solver = GroundSolver(base, gamma_coupling(base.basis))
+        for x in GRID_X:
+            case = (model, d, n, x, limit)
+            want = ground_space(_sector_case(model, d, n, x))
+            got = solver(x * (1e-3 if model == "effective" else 0.1))
+            scale = max(1.0, abs(want.energy))
+            assert (got.path, got.degeneracy, got.momenta) == (want.path, want.degeneracy, want.momenta), case
+            assert abs(got.energy - want.energy) < 1e-12 * scale, case
+            diff = np.abs(_ground_projector(got) - _ground_projector(want)).max()
+            assert diff < 1e-12 * scale, case
+
+
+def test_ground_solver_rejects_a_coupling_of_another_size():
+    op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=0.0, d=6, n=2))
+    with pytest.raises(ValueError, match="coupling shape"):
+        GroundSolver(op, np.zeros(op.dim + 1))
+
+
+def test_ground_solver_drops_translations_the_coupling_breaks():
+    # H(0) commutes with T, the coupling (a site potential) does not: the
+    # whole operator is solved, at every gamma against a fresh build
+    op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=3))
+    site = (op.basis.states & 1).astype(float)
+    solver = GroundSolver(op, site)
+    for gamma in (0.0, 3e-4):
+        want = ground_space(SparseOperator(op.basis, op.to_csr() + sp.diags(gamma * site)))
+        got = solver(gamma)
+        assert got.path == "dense"
+        assert abs(got.energy - want.energy) < 1e-12
+        assert np.abs(_ground_projector(got) - _ground_projector(want)).max() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
