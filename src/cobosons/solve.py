@@ -3,12 +3,15 @@ two-fermion and two-pair relative chains."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
+import scipy.linalg.cython_lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
@@ -35,6 +38,8 @@ DENSE_LIMIT = 2000
 RESIDUAL_TOL = 1e-10
 EQUIVALENCE_LEVELS = 4
 LEVELS = 12  # eigenpairs per solve; the dense path computes all when the window holds them all
+# Dense eigensolves below this size run on one BLAS thread (see _eigh).
+SERIAL_BLAS_BELOW = 512
 
 
 class ConvergenceError(RuntimeError):
@@ -93,6 +98,36 @@ def _window(evals: np.ndarray, tol_deg: float) -> np.ndarray:
     return evals <= evals[0] + tol_deg * max(1.0, abs(evals[0]))
 
 
+@functools.cache
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS behind
+    scipy.linalg's LAPACK: it sets that library's thread count and
+    returns the previous one.  None with another BLAS or OpenBLAS older
+    than 0.3.27."""
+    try:
+        set_threads = ctypes.CDLL(scipy.linalg.cython_lapack.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+    return set_threads
+
+
+def _eigh(a: np.ndarray, **kw) -> tuple:
+    """``la.eigh``, on one BLAS thread below SERIAL_BLAS_BELOW.  LAPACK's
+    tridiagonal reduction joins the BLAS threads once per column, so on
+    a small matrix a second thread gains little (about 10% at n = 504 on
+    two vCPUs, nothing at n <= 300) and every join waits for a core
+    that another process may hold; above the size it gains 25-65%."""
+    set_threads = _blas_thread_setter() if a.shape[0] < SERIAL_BLAS_BELOW else None
+    if set_threads is None:
+        return la.eigh(a, **kw)
+    previous = set_threads(1)
+    try:
+        return la.eigh(a, **kw)
+    finally:
+        set_threads(previous)
+
+
 def _dense(a: np.ndarray, tol_deg: float) -> tuple:
     """Lowest LEVELS eigenpairs of a dense Hermitian matrix, solved as real
     when its imaginary part is exactly zero (a momentum block takes its
@@ -101,10 +136,10 @@ def _dense(a: np.ndarray, tol_deg: float) -> tuple:
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
     if a.shape[0] > LEVELS:
-        evals, evecs = la.eigh(a, subset_by_index=[0, LEVELS - 1])
+        evals, evecs = _eigh(a, subset_by_index=[0, LEVELS - 1])
         if not _window(evals, tol_deg).all():
             return evals, evecs
-    return la.eigh(a)
+    return _eigh(a)
 
 
 def _arpack(mat, tol_deg: float) -> tuple:

@@ -394,7 +394,29 @@ def test_ground_space_reports_real_dense_path_and_residual():
     assert gs.residual == np.linalg.norm(h @ gs.vectors - gs.vectors * gs.energy, axis=0).max()
 
 
-GRID_X = (0.0, 1.5, 4.0, 9.0, 20.0)  # gamma*U/J^2, through the isotropic point 4
+@pytest.mark.parametrize("n", [solve.SERIAL_BLAS_BELOW - 1, solve.SERIAL_BLAS_BELOW])
+def test_small_dense_eigensolves_run_on_one_blas_thread(n, monkeypatch):
+    set_threads = solve._blas_thread_setter()
+    if set_threads is None:
+        pytest.skip("scipy.linalg does not run on OpenBLAS 0.3.27 or newer")
+
+    def count():  # set_threads(k) returns the count it replaces
+        replaced = set_threads(1)
+        set_threads(replaced)
+        return replaced
+
+    before = count()
+    seen = []
+    eigh = solve.la.eigh
+    monkeypatch.setattr(solve.la, "eigh", lambda a, **kw: (seen.append(count()), eigh(a, **kw))[1])
+    a = np.diag(np.arange(n, dtype=float)) - np.eye(n, k=1) - np.eye(n, k=-1)
+    evals, _ = solve._eigh(a, subset_by_index=[0, 2])
+    assert seen == [1 if n < solve.SERIAL_BLAS_BELOW else before]
+    assert count() == before
+    assert np.abs(evals - np.linalg.eigvalsh(a)[:3]).max() < 1e-12
+
+
+GRID_X =(0.0, 1.5, 4.0, 9.0, 20.0)  # gamma*U/J^2, through the isotropic point 4
 GRID_CASES = [("effective", d, n) for d in range(2, 11) for n in range(0, d + 1)] + [
     ("full", d, (n_a, n_b)) for d in range(2, 7) for n_a in range(1, d) for n_b in range(1, d)
 ]
