@@ -10,6 +10,7 @@ in the dimensionless combination gamma*U/J^2 and converted internally.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -487,6 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process; ``parse_args`` returns
+    a fresh namespace on every call, so nothing carries over."""
+    return build_parser()
+
+
 def _merged(args) -> dict:
     values = {}
     if getattr(args, "config", None):
@@ -539,7 +547,7 @@ def parse_targets_grouped(text: str) -> tuple:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify()
     values = _merged(args)

@@ -230,6 +230,30 @@ def translation(basis, shift: int) -> tuple:
     return index.ravel(), sign.ravel()
 
 
+def _reverse(masks: np.ndarray, d: int) -> np.ndarray:
+    """Bit reversal k -> d - 1 - k of every int64 mask."""
+    out = np.zeros_like(masks)
+    for k in range(d):
+        out |= ((masks >> k) & 1) << (d - 1 - k)
+    return out
+
+
+def reflection(basis) -> np.ndarray:
+    """Site reflection k -> d - 1 - k of every basis state, as the bare
+    permutation R|i> = |index[i]> (no fermionic sign): ``index``."""
+    d = basis.d
+    if isinstance(basis, PairBasis):
+        # the reversed masks are the basis masks in another order: sorted
+        # first, they are found in one cache-friendly pass
+        reversed_masks = _reverse(basis.states, d)
+        order = np.argsort(reversed_masks)
+        index = np.empty_like(order)
+        index[order] = basis.rank(reversed_masks[order])
+        return index
+    index = basis.rank(_reverse(basis.masks_a, d)[:, None], _reverse(basis.masks_b, d)[None, :])
+    return index.ravel()
+
+
 def translate(state: StateVector, shift: int) -> StateVector:
     """T^shift applied to a state (see ``translation``)."""
     index, sign = translation(state.basis, shift)

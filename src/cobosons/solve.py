@@ -24,6 +24,7 @@ from .fock import (
     full_basis,
     pair_basis,
     project_to_pair_sector,
+    reflection,
     translation,
     translation_orbits,
 )
@@ -54,11 +55,15 @@ class GroundSpace:
     ``path`` is "dense", "sector", "momenta" or "arpack" (see
     ``GroundSolver``); ``residual`` is the largest |H v - e v| over the
     ground vectors, each against its own eigenvalue e and the whole
-    operator.  On the sector path ``levels`` are the levels of the K = 0
-    block only; on the momenta path they are the lowest LEVELS of the union
-    of every sector's levels.  ``momenta`` is the momentum K (in units of
-    2 pi / d) of each ground vector: all 0 on the sector path, the sector
-    of each vector on the momenta path, None on "dense" and "arpack".
+    operator.  On the sector path ``levels`` are the levels of the one
+    block solved: the reflection-even K = 0 block when the operator
+    commutes with the site reflection, else the K = 0 block.  On the
+    momenta path they are the lowest LEVELS of the union of every sector's
+    levels.  ``momenta`` is the momentum K (in units of 2 pi / d) of each
+    ground vector: all 0 on the sector path, the sector of each vector on
+    the momenta path, None on "dense" and "arpack".  ``dims`` is the
+    dimension of every block solved, in order of K on the momenta path;
+    the whole operator's dimension on "dense" and "arpack".
     """
 
     energy: float
@@ -68,6 +73,7 @@ class GroundSpace:
     path: str
     residual: float
     momenta: Optional[tuple]
+    dims: tuple
 
     @property
     def degeneracy(self) -> int:
@@ -159,31 +165,40 @@ def _arpack(mat, tol_deg: float) -> tuple:
     return evals[order], evecs[:, order]
 
 
-def _invariant_translation(h: sp.csr_matrix, basis):
+def _invariant(h: sp.csr_matrix, coo: sp.coo_matrix, index: np.ndarray, sign=None) -> bool:
+    """Whether the permutation |i> -> sign[i] |index[i]> leaves h exactly
+    unchanged.  Each entry h[r, c] moves to (index[r], index[c]) with the
+    factor sign[r] * sign[c] (``coo`` is h with its entries in the same
+    order); the moved rows are gathered, their columns sorted, and the
+    result compared array by array with h, whose CSR form is canonical.
+    O(nnz)."""
+    data = h.data if sign is None or np.all(sign == 1) else h.data * (sign[coo.row] * sign[coo.col])
+    inverse = np.empty_like(index)
+    inverse[index] = np.arange(index.size)
+    moved = sp.csr_matrix((data, index[h.indices], h.indptr), shape=h.shape)[inverse]
+    moved.sort_indices()
+    return all(np.array_equal(getattr(moved, a), getattr(h, a)) for a in ("indptr", "indices", "data"))
+
+
+def _invariant_translation(h: sp.csr_matrix, coo: sp.coo_matrix, basis):
     """(index, sign) of the one-site translation T of ``basis`` (see
-    ``fock.translation``) when T h T^-1 == h holds exactly, else None.
-    Each entry h[r, c] moves to (index[r], index[c]) with the factor
-    sign[r] * sign[c]; O(nnz)."""
+    ``fock.translation``) when T h T^-1 == h holds exactly, else None."""
     if not isinstance(basis, (PairBasis, FullBasis)):
         return None
     index, sign = translation(basis, 1)
-    coo = h.tocoo()
-    data = coo.data if np.all(sign == 1) else coo.data * (sign[coo.row] * sign[coo.col])
-    moved = sp.csr_matrix((data, (index[coo.row], index[coo.col])), shape=h.shape)
-    return None if (moved != h).nnz else (index, sign)
+    return (index, sign) if _invariant(h, coo, index, sign) else None
 
 
-def _certified(h: sp.csr_matrix, sign: np.ndarray) -> bool:
+def _certified(h: sp.csr_matrix, coo: sp.coo_matrix, sign: np.ndarray) -> bool:
     """Whether a translation-invariant operator has its unique ground state
     at K = 0: h is real, every off-diagonal element is < 0, its graph is
     connected, and every sign of T is +1.  By Perron-Frobenius the ground
     state is then unique and positive, hence invariant under T.  O(nnz)."""
     if np.iscomplexobj(h) or np.any(sign != 1):
         return False
-    coo = h.tocoo()
     if np.any(coo.data[coo.row != coo.col] >= 0):
         return False
-    return connected_components(coo, directed=False, return_labels=False) == 1
+    return connected_components(h, directed=False, return_labels=False) == 1
 
 
 class GroundSolver:
@@ -193,7 +208,9 @@ class GroundSolver:
     translation check (``_invariant_translation`` on ``op``, and
     coupling[index] == coupling exactly), the Perron check
     (``_certified``, which reads only the off-diagonal part, so it holds
-    for every gamma), the orbit walk and the momentum blocks
+    for every gamma), on a certified operator the reflection check
+    (R op R^T == op and coupling[R] == coupling exactly, with R the bare
+    site reflection ``fock.reflection``), the orbit walk and the blocks
     P_K^H op P_K.  The gamma term of a block is diag(coupling[reps]),
     exact because the coupling is constant on each orbit.  A call
     ``solver(gamma)`` then pays only the block eigensolve, and checks each
@@ -201,9 +218,13 @@ class GroundSolver:
 
     The path follows the operator:
     - "sector", at any size, when the operator commutes exactly with the
-      one-site translation T and ``_certified`` puts its unique ground
-      state at K = 0: only the K = 0 block is solved (dense below
-      DENSE_LIMIT, ARPACK above) and its vectors are lifted with P;
+      one-site translation T and ``_certified`` makes its ground state
+      the unique positive Perron vector.  Every basis permutation that
+      commutes with the operator leaves that vector fixed, so only one
+      block is solved (dense below DENSE_LIMIT, ARPACK above) and its
+      vectors are lifted with P: the orbit sums of the group generated by
+      T and R when R commutes too (the reflection-even K = 0 block), else
+      the K = 0 orbit sums of T;
     - "momenta", at any size, for any other operator that commutes with T:
       every momentum block is solved (dense below DENSE_LIMIT, ARPACK
       above; for a real operator the -K blocks are the conjugates of the
@@ -214,11 +235,11 @@ class GroundSolver:
     - "arpack" otherwise: Lanczos on the whole operator (deterministic
       uniform start vector, LEVELS Ritz values).
     ``GroundSpace.momenta`` holds the K of each ground vector on the two
-    translation paths and None on the others.  The degeneracy window
-    tol_deg and the residual bound RESIDUAL_TOL both scale with
-    max(1, |E0|); each selected vector is checked against its own
-    eigenvalue and the whole operator, so levels split by less than the
-    window stay in the ground space.
+    translation paths and None on the others; ``dims`` holds the size of
+    every block solved.  The degeneracy window tol_deg and the residual
+    bound RESIDUAL_TOL both scale with max(1, |E0|); each selected vector
+    is checked against its own eigenvalue and the whole operator, so
+    levels split by less than the window stay in the ground space.
     """
 
     def __init__(self, op: SparseOperator, coupling=None, tol_deg: float = 1e-9):
@@ -230,23 +251,63 @@ class GroundSolver:
         self._coupling = np.zeros(n) if coupling is None else np.asarray(coupling, dtype=float)
         if self._coupling.shape != (n,):
             raise ValueError(f"coupling shape {self._coupling.shape} does not match basis size {n}")
-        symmetry = _invariant_translation(self._h, op.basis)
+        coo = self._h.tocoo()
+        symmetry = _invariant_translation(self._h, coo, op.basis)
         if symmetry is not None and np.array_equal(self._coupling[symmetry[0]], self._coupling):
-            certified = _certified(self._h, symmetry[1])
-            self.path = "sector" if certified else "momenta"
-            self._sectors = self._blocks(*symmetry, certified)
+            index, sign = symmetry
+            if _certified(self._h, coo, sign):
+                self.path = "sector"
+                self._sectors = self._zero_block(index, sign, self._reflection(coo))
+            else:
+                self.path = "momenta"
+                self._sectors = self._blocks(index, sign)
+            self.dims = tuple(block.shape[0] for _, block, _ in self._sectors.values())
         else:
             self.path = "dense" if n < DENSE_LIMIT else "arpack"
             self._sectors = None
+            self.dims = (n,)
 
-    def _blocks(self, index: np.ndarray, sign: np.ndarray, zero_only: bool) -> dict:
-        """K -> (P_K, P_K^H h P_K, coupling of each column): K = 0 alone
-        when ``zero_only``, else every K, or K = 0..d/2 for a real h."""
+    def _reflection(self, coo: sp.coo_matrix):
+        """The bare site reflection R of the basis (``fock.reflection``)
+        when R h R^T == h and coupling[R] == coupling hold exactly, else
+        None."""
+        index = reflection(self.basis)
+        if np.array_equal(self._coupling[index], self._coupling) and _invariant(self._h, coo, index):
+            return index
+        return None
+
+    def _zero_block(self, index: np.ndarray, sign: np.ndarray, reflect) -> dict:
+        """{0: (P, P^T h P, coupling of each column)} for a certified h.
+        The columns of P are the normalized orbit sums of T, of T and R
+        when ``reflect`` (the reflection index) is given; the
+        representative of a state is then min(trep[i], trep[R[i]]), with
+        trep its translation-orbit representative.  Columns follow the
+        representatives in ascending order."""
+        orbits = translation_orbits(index, sign, self.basis.d)
+        rep = orbits.reps[orbits.orbit]
+        if reflect is not None:
+            rep = np.minimum(rep, rep[reflect])
+        reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+        proj = sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(rep.size), orbit)),
+                             shape=(rep.size, reps.size))
+        # The group commutes with h, so every state of orbit a has the same
+        # sum of h over orbit b: (P^T h P)[a, b] = sqrt(|a| / |b|) * the sum
+        # on the row of the representative.  Only those rows are read; the
+        # mean with the transpose makes the block exactly symmetric.
+        rows = self._h[reps].tocoo()
+        cols = orbit[rows.col]
+        block = sp.csr_matrix((rows.data * np.sqrt(size[rows.row] / size[cols]), (rows.row, cols)),
+                              shape=(reps.size, reps.size))
+        return {0: (proj, (block + block.T) * 0.5, self._coupling[reps])}
+
+    def _blocks(self, index: np.ndarray, sign: np.ndarray) -> dict:
+        """K -> (P_K, P_K^H h P_K, coupling of each column) for every K
+        with a column, or K = 0..d/2 for a real h."""
         d = self.basis.d
         orbits = translation_orbits(index, sign, d)
         mirror = not np.iscomplexobj(self._h)
         blocks = {}
-        for k in (0,) if zero_only else range(d // 2 + 1 if mirror else d):
+        for k in range(d // 2 + 1 if mirror else d):
             proj = orbits.projector(k)
             if proj.shape[1]:
                 coupling = self._coupling[orbits.reps[orbits.in_sector(k)]]
@@ -310,7 +371,7 @@ class GroundSolver:
         if res >= RESIDUAL_TOL * scale:
             raise ConvergenceError(f"residual {res:g} above tolerance")
         levels = evals[:LEVELS] if self.path == "momenta" else evals
-        return GroundSpace(float(evals[0]), vecs, self.basis, levels, self.path, res, momenta)
+        return GroundSpace(float(evals[0]), vecs, self.basis, levels, self.path, res, momenta, self.dims)
 
 
 def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:

@@ -352,3 +352,27 @@ def test_chi_m_flag_overrides_config(tmp_path):
     run_cli("chi", "--config", str(cfgfile), "--d", "4", "--n", "1", "--out", str(out))
     _, rows = data_rows(read(out))
     assert [r[2] for r in rows] == ["1", "2", "3"]
+
+
+def test_successive_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    # main keeps one parser per process: a flag of one call must not leak
+    # into the next (--gamma-u-j2, --tol, --m and --model are dropped
+    # between calls), and each call prints what the same call prints alone
+    calls = [
+        ["ground-state", "--model", "full", "--d", "4", "--n", "1", "--J", "1", "--U", "100",
+         "--gamma-u-j2", "6", "--tol", "1e-6"],
+        ["ground-state", "--d", "5", "--n", "2", "--J", "1", "--U", "1000"],
+        ["chi", "--d", "4:5", "--n", "1:2", "--m", "1:2"],
+        ["chi", "--d", "4", "--n", "1"],
+        ["energy-ledger", "--n", "3", "--gamma-grid", "0:8:3"],
+        ["fidelity-scan", "--d", "6", "--n", "2", "--gamma-grid", "0:8:3", "--targets", "q:1,0"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = [subprocess.Popen([sys.executable, "-m", "cobosons.cli", *argv], stdout=subprocess.PIPE,
+                              text=True, env=env) for argv in calls]
+    for argv, proc in zip(calls, fresh):
+        assert run_cli(*argv) == 0
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, argv
+        assert capsys.readouterr().out == out, argv

@@ -20,6 +20,7 @@ from cobosons.fock import (
     embed_pair_state,
     popcount,
     project_to_pair_sector,
+    reflection,
     translation,
     translation_orbits,
 )
@@ -279,3 +280,21 @@ def test_zero_momentum_projector_with_positive_signs_is_the_orbit_sum():
         assert got.dtype == want.dtype and got.shape == want.shape, basis
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part)), (basis, part)
+
+
+def _reversed_bits(mask, d):
+    return sum(1 << (d - 1 - k) for k in range(d) if mask >> k & 1)
+
+
+def test_reflection_reverses_the_sites_of_every_state():
+    # R|i> = |index[i]> with the bits of each mask reversed, k -> d-1-k,
+    # against a per-state loop; R is an involution
+    for basis in MOMENTUM_BASES:
+        index, d = reflection(basis), basis.d
+        if isinstance(basis, fock.PairBasis):
+            want = [basis.rank([_reversed_bits(int(m), d)])[0] for m in basis.states]
+        else:
+            want = [basis.rank([_reversed_bits(int(a), d)], [_reversed_bits(int(b), d)])[0]
+                    for a, b in basis.states]
+        assert np.array_equal(index, want), basis
+        assert np.array_equal(index[index], np.arange(basis.size)), basis

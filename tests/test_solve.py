@@ -19,7 +19,7 @@ from cobosons import (
     pair_basis,
 )
 from cobosons import solve
-from cobosons.fock import rotate, translation, translation_orbits
+from cobosons.fock import occupations, reflection, rotate, translation, translation_orbits
 from cobosons.model import SparseOperator, gamma_coupling
 from cobosons.solve import (
     GroundSolver,
@@ -178,7 +178,7 @@ def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
     assert got.constant == want.constant
 
 
-@pytest.mark.parametrize("d, n, levels", [(8, 3, 4), (6, 3, 4), (6, 2, 1)])
+@pytest.mark.parametrize("d, n, levels", [(8, 3, 4), (6, 3, 3), (6, 2, 1)])
 def test_spectral_equivalence_compares_levels_of_the_same_sectors(d, n, levels):
     # effective model on the sector path; the full model with odd N too,
     # with even N on the whole operator, where only E0 is comparable
@@ -248,6 +248,106 @@ def test_sector_path_matches_whole_operator_dense_solve(model):
             want = vectors @ vectors.conj().T
             assert np.abs(_ground_projector(got) - want).max() < 1e-12 * scale, case
             assert got.residual < solve.RESIDUAL_TOL * scale
+
+
+@pytest.mark.parametrize("model", ["effective", "full"])
+def test_sector_path_solves_the_reflection_even_block(model):
+    # every effective SECTOR_CASES entry and every full one (odd N_A, N_B):
+    # dense and on ARPACK (limit 14), the ground vector is invariant under
+    # the site reflection R, and every level of the block solved is a
+    # level of the whole operator
+    for case in (c for c in SECTOR_CASES if c[0] == model):
+        op = _sector_case(*case)
+        whole = np.linalg.eigvalsh(op.to_dense())
+        scale = max(1.0, abs(whole[0]))
+        index = reflection(op.basis)
+        for limit in (solve.DENSE_LIMIT, 14):
+            with mock.patch.object(solve, "DENSE_LIMIT", limit):
+                got = ground_space(op)
+            assert got.path == "sector", case
+            assert np.abs(got.vectors[index] - got.vectors).max() < 1e-12, case
+            assert np.abs(got.levels[:, None] - whole).min(axis=1).max() < 1e-12 * scale, case
+
+
+def _chiral_count(basis):
+    """Occurrences of the site pattern 1101 (k, k+1 and k+3 occupied, k+2
+    empty) around the ring, per pair state: translation invariant, but
+    the reflection turns it into 1011.  (The three-site n_k n_{k+1}
+    (1 - n_{k+2}) is no example: every run of two or more pairs has one
+    110 end and one 011 end, so its ring sum is reflection invariant.)"""
+    occ = occupations(basis.states, basis.d)
+    pattern = occ * np.roll(occ, -1, axis=1) * (1 - np.roll(occ, -2, axis=1)) * np.roll(occ, -3, axis=1)
+    return pattern.sum(axis=1).astype(float)
+
+
+@pytest.mark.parametrize("breaks", ["operator", "coupling"])
+def test_operators_that_break_the_reflection_solve_the_whole_zero_momentum_block(breaks):
+    # certified and translation invariant, but the chiral 1101 count, in
+    # the operator or in the coupling, breaks R: the solver keeps every
+    # K = 0 orbit sum of T and matches the whole operator's dense solve,
+    # whose ground vector is not R-invariant
+    base = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=6e-3, d=8, n=3))
+    chiral = _chiral_count(base.basis)
+    if breaks == "operator":
+        op, coupling = SparseOperator(base.basis, base.to_csr() + sp.diags(0.5e-3 * chiral)), np.zeros(base.dim)
+    else:
+        op, coupling = base, chiral
+    orbits = translation_orbits(*translation(op.basis, 1), op.basis.d).reps.size
+    assert ground_space(base).dims[0] < orbits
+    index = reflection(op.basis)
+    for gamma in (0.0, 0.7e-3):
+        energy, vectors = _whole_operator_dense(SparseOperator(op.basis, op.to_csr() + sp.diags(gamma * coupling)))
+        if breaks == "operator" or gamma:
+            assert np.abs(vectors[index] - vectors).max() > 1e-3
+        for limit in (solve.DENSE_LIMIT, 14):
+            with mock.patch.object(solve, "DENSE_LIMIT", limit):
+                got = GroundSolver(op, coupling)(gamma)
+            assert (got.path, got.dims, got.degeneracy) == ("sector", (orbits,), 1), (gamma, limit)
+            assert abs(got.energy - energy) < 1e-12 * max(1.0, abs(energy))
+            assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-12
+
+
+def _bracelets(basis):
+    """Orbits of the pair masks under rotations and reflections, counted
+    by a loop over the states."""
+    d, canonical = basis.d, set()
+    for mask in basis.states.tolist():
+        bits = tuple(mask >> k & 1 for k in range(d))
+        forms = [bits[s:] + bits[:s] for s in range(d)]
+        canonical.add(min(forms + [f[::-1] for f in forms]))
+    return len(canonical)
+
+
+def _sector_sizes(basis):
+    """States in each momentum sector K = 0..d-1, from the characters
+    tr(T^m) of the signed translation."""
+    d, dim = basis.d, basis.size
+    traces = []
+    for m in range(d):
+        index, sign = translation(basis, m)
+        traces.append(sign[index == np.arange(dim)].sum())
+    phases = np.exp(-2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    return np.rint((phases @ np.array(traces)).real / d).astype(int)
+
+
+def test_ground_space_reports_the_dimension_of_each_block_solved(monkeypatch):
+    # sector: one column per bracelet (280 at d = 16, N = 6, from 504
+    # necklaces); momenta: every real sector K = 0..d/2; dense and arpack:
+    # the whole operator
+    for d, n in ((8, 3), (10, 4), (16, 6)):
+        op = _sector_case("effective", d, n, 15.5)
+        assert ground_space(op).dims == (_bracelets(op.basis),), (d, n)
+    assert ground_space(_sector_case("effective", 16, 6, 15.5)).dims == (280,)
+
+    op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=6, n=2))
+    gs = ground_space(op)
+    assert gs.path == "momenta"
+    assert gs.dims == tuple(_sector_sizes(op.basis)[: op.basis.d // 2 + 1])
+
+    op = _with_site_potential(op)
+    assert (ground_space(op).path, ground_space(op).dims) == ("dense", (225,))
+    monkeypatch.setattr(solve, "DENSE_LIMIT", 14)
+    assert (ground_space(op).path, ground_space(op).dims) == ("arpack", (225,))
 
 
 def _with_site_potential(op):
