@@ -47,6 +47,7 @@ from .metrics import (
     SchmidtSpectrum,
     chi_closed,
     chi_oracle,
+    chi_oracle_series,
     energy_ledger,
     fidelity,
     g2,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -19,11 +20,16 @@ from typing import Optional
 
 import numpy as np
 
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
 from .ansatz import Partition, build_block, build_c_sr, build_partition_state, build_q_sr
-from .fock import embed_pair_state, full_basis, pair_basis, project_to_pair_sector
+from .fock import CapacityError, embed_pair_state, full_basis, pair_basis, project_to_pair_sector
 from .metrics import (
     chi_closed,
-    chi_oracle,
+    chi_oracle_steps,
     energy_ledger,
     fidelity,
     g2,
@@ -41,6 +47,7 @@ from .model import (
 )
 from .solve import (
     GroundSolver,
+    _blas_thread_setter,
     analytic_two_fermion,
     analytic_two_pair,
     ground_space,
@@ -192,14 +199,25 @@ def _require_effective(cfg: SweepConfig, command: str) -> None:
         raise ValueError(f"{command} runs on the effective model only, got --model {cfg.model}")
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer of ``run_grid``: one OpenBLAS thread in the worker,
+    for scipy.linalg's LAPACK and for numpy's own OpenBLAS, each where it
+    exposes ``openblas_set_num_threads_local``.  Otherwise every worker
+    starts a thread pool as large as the machine and the workers
+    oversubscribe the cores."""
+    for set_threads in (_blas_thread_setter(), _blas_thread_setter(_multiarray_umath.__file__)):
+        if set_threads is not None:
+            set_threads(1)
+
+
 def run_grid(worker, cfg: SweepConfig) -> list:
     """Rows of ``worker`` over the grid in grid order.  Each of the
     ``cfg.jobs`` workers gets one contiguous chunk of the grid and builds
-    its solver and targets once for it."""
+    its solver and targets once for it, on one BLAS thread."""
     chunks = [(cfg, [float(x) for x in chunk]) for chunk in np.array_split(cfg.grid, cfg.jobs) if chunk.size]
     if len(chunks) == 1:
         return worker(chunks[0])
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    with ProcessPoolExecutor(max_workers=len(chunks), initializer=_one_blas_thread) as pool:
         return [row for rows in pool.map(worker, chunks) for row in rows]
 
 
@@ -251,16 +269,29 @@ def cmd_fidelity_scan(cfg: SweepConfig) -> int:
     return 0
 
 
+def _oracle_prefix(d: int, n_max: int, m: int) -> list:
+    """chi_oracle_series(d, n_max, m), cut before the first entry beyond
+    the oracle's capacity."""
+    prefix = []
+    try:
+        for chi in itertools.islice(chi_oracle_steps(d, m), n_max):
+            prefix.append(chi)
+    except CapacityError:
+        pass
+    return prefix
+
+
 def cmd_chi(cfg: SweepConfig, d_range, n_range, m_range) -> int:
     header = ["d", "N", "M", "chi_closed", "chi_oracle", "ratio_next", "lower_bound"]
     rows = []
     for d in range(d_range[0], d_range[1] + 1):
+        oracles = {m: _oracle_prefix(d, n_range[1], m) for m in range(m_range[0], m_range[1] + 1)}
         for n in range(n_range[0], n_range[1] + 1):
             for m in range(m_range[0], m_range[1] + 1):
                 if n * m > d:
                     continue
                 closed = chi_closed(d, n, m)
-                oracle = fmt(chi_oracle(d, n, m)) if d <= 24 else ""
+                oracle = fmt(oracles[m][n - 1]) if n <= len(oracles[m]) else ""
                 ratio = fmt(chi_closed(d, n + 1, m) / closed) if closed else ""
                 bound = fmt(ratio_lower_bound(d, n, m))
                 rows.append([str(d), str(n), str(m), fmt(closed), oracle, ratio, bound])
@@ -322,8 +353,8 @@ def _verify_checks():
         (d, n, m)
         for d in range(2, 11)
         for m in range(1, 4)
-        for n in range(1, d // m + 1)
-        if chi_closed(d, n, m) != chi_oracle(d, n, m)
+        for n, oracle in enumerate(chi_oracle_steps(d, m), start=1)
+        if chi_closed(d, n, m) != oracle
     ]
     yield "chi closed == oracle (d <= 10, M <= 3)", not bad, f"mismatches: {bad[:3]}"
 

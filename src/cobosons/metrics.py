@@ -19,7 +19,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ansatz import Partition, build_partition_state
-from .fock import BasisMismatchError, PairBasis, StateVector, occupations, pair_basis, popcount
+from .fock import (
+    MAX_BASIS_STATES,
+    BasisMismatchError,
+    CapacityError,
+    PairBasis,
+    StateVector,
+    occupations,
+    pair_basis,
+    popcount,
+)
 from .model import SparseOperator, build_effective_from_bars
 from .solve import GroundSpace
 
@@ -67,32 +76,68 @@ def chi_closed(d: int, n: int, m: int = 1) -> Fraction:
     return Fraction(num, d**n)
 
 
-def chi_oracle(d: int, n: int, m: int = 1) -> Fraction:
-    """chi_N^(M) from the explicit norm of the N-fold block-creation state.
+def chi_oracle_steps(d: int, m: int = 1):
+    """chi_N^(M) for N = 1, 2, ..., d // M in turn, from the explicit norms
+    of the block-creation states (sum_k B_k)^N |0>, one expansion step
+    per entry.
 
     Blocks of M adjacent pairs are laid on the open chain (start sites
     0..d-M), matching the stars-and-bars count behind the closed form;
-    see the wrap-around note in the README.  Exact integer arithmetic:
-    amplitudes are integer multiples of d^{-N/2}.
+    see the wrap-around note in the README.  Each step keeps the occupied
+    masks and their integer amplitudes (multiples of d^{-N/2}); adding a
+    block to every mask it does not overlap and merging equal masks (a
+    sort and ``np.add.reduceat``) gives the next step.  An amplitude
+    counts ordered block sequences, so it is below (d-M+1)^N: int64 while
+    that bound stays below 2^63, Python ints from the first step where it
+    does not.  A step with more than ``fock.MAX_BASIS_STATES`` candidates
+    (masks * (d-M+1)) raises ``CapacityError`` before it is built, after
+    every entry before it has been yielded.
     """
+    if d < 1 or m < 1:
+        raise ValueError("need d, N, M >= 1")
+    if d > 24:
+        raise CapacityError(f"oracle capacity is d <= 24, got {d}")
+    starts = d - m + 1
+    blocks = ((1 << m) - 1) << np.arange(starts, dtype=np.int64)
+    masks = np.zeros(1, dtype=np.int64)
+    amps = np.ones(1, dtype=np.int64)
+    for n in range(1, d // m + 1):
+        if masks.size * starts > MAX_BASIS_STATES:
+            raise CapacityError(f"chi oracle step N = {n} at d = {d}, M = {m} has "
+                                f"{masks.size * starts} candidates, above {MAX_BASIS_STATES}")
+        if starts**n >= 2**63:
+            amps = amps.astype(object)
+        free = [(masks & block) == 0 for block in blocks]
+        grown = np.concatenate([masks[sel] | block for sel, block in zip(free, blocks)])
+        order = np.argsort(grown, kind="stable")
+        grown, weights = grown[order], np.concatenate([amps[sel] for sel in free])[order]
+        first = np.flatnonzero(np.r_[True, grown[1:] != grown[:-1]])
+        masks, amps = grown[first], np.add.reduceat(weights, first)
+        values, counts = np.unique(amps, return_counts=True)
+        norm_sq = sum(int(v) ** 2 * int(c) for v, c in zip(values, counts))
+        yield Fraction(norm_sq, d**n * math.factorial(n))
+
+
+def chi_oracle_series(d: int, n_max: int, m: int = 1) -> tuple:
+    """(chi_1^(M), ..., chi_{n_max}^(M)) from one expansion
+    (``chi_oracle_steps``); the entries with N M > d are 0."""
+    if n_max < 1:
+        raise ValueError("need d, N, M >= 1")
+    series = tuple(itertools.islice(chi_oracle_steps(d, m), n_max))
+    return series + (Fraction(0),) * (n_max - len(series))
+
+
+def chi_oracle(d: int, n: int, m: int = 1) -> Fraction:
+    """chi_N^(M) from the explicit norm of the N-fold block-creation state:
+    the last entry of ``chi_oracle_series(d, n, m)``, and 0 without an
+    expansion when N M > d."""
     if d < 1 or n < 1 or m < 1:
         raise ValueError("need d, N, M >= 1")
     if d > 24:
-        raise ValueError(f"oracle capacity is d <= 24, got {d}")
+        raise CapacityError(f"oracle capacity is d <= 24, got {d}")
     if n * m > d:
         return Fraction(0)
-    coeffs = {0: 1}
-    for _ in range(n):
-        new = {}
-        for mask, c in coeffs.items():
-            for k in range(d - m + 1):
-                block = ((1 << m) - 1) << k
-                if mask & block == 0:
-                    key = mask | block
-                    new[key] = new.get(key, 0) + c
-        coeffs = new
-    norm_sq = sum(c * c for c in coeffs.values())
-    return Fraction(norm_sq, d**n * math.factorial(n))
+    return chi_oracle_series(d, n, m)[-1]
 
 
 def chi_from_lambdas(lambdas: Sequence[float], n: int) -> float:

@@ -52,7 +52,7 @@ class GroundSpace:
     """Lowest eigenvalue with an orthonormal basis of its eigenspace, every
     eigenvalue the solver computed, and how they were computed.
 
-    ``path`` is "dense", "sector", "momenta" or "arpack" (see
+    ``path`` is "dense", "banded", "sector", "momenta" or "arpack" (see
     ``GroundSolver``); ``residual`` is the largest |H v - e v| over the
     ground vectors, each against its own eigenvalue e and the whole
     operator.  On the sector path ``levels`` are the levels of the one
@@ -61,9 +61,9 @@ class GroundSpace:
     momenta path they are the lowest LEVELS of the union of every sector's
     levels.  ``momenta`` is the momentum K (in units of 2 pi / d) of each
     ground vector: all 0 on the sector path, the sector of each vector on
-    the momenta path, None on "dense" and "arpack".  ``dims`` is the
-    dimension of every block solved, in order of K on the momenta path;
-    the whole operator's dimension on "dense" and "arpack".
+    the momenta path, None on "dense", "banded" and "arpack".  ``dims`` is
+    the dimension of every block solved, in order of K on the momenta
+    path; the whole operator's dimension on the other paths.
     """
 
     energy: float
@@ -105,13 +105,13 @@ def _window(evals: np.ndarray, tol_deg: float) -> np.ndarray:
 
 
 @functools.cache
-def _blas_thread_setter():
-    """``openblas_set_num_threads_local`` of the OpenBLAS behind
-    scipy.linalg's LAPACK: it sets that library's thread count and
-    returns the previous one.  None with another BLAS or OpenBLAS older
-    than 0.3.27."""
+def _blas_thread_setter(library: str = scipy.linalg.cython_lapack.__file__):
+    """``openblas_set_num_threads_local`` of the OpenBLAS that the
+    extension module ``library`` links, by default scipy.linalg's LAPACK:
+    it sets that library's thread count and returns the previous one.
+    None with another BLAS or OpenBLAS older than 0.3.27."""
     try:
-        set_threads = ctypes.CDLL(scipy.linalg.cython_lapack.__file__).openblas_set_num_threads_local
+        set_threads = ctypes.CDLL(library).openblas_set_num_threads_local
     except (OSError, AttributeError):
         return None
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
@@ -146,6 +146,36 @@ def _dense(a: np.ndarray, tol_deg: float) -> tuple:
         if not _window(evals, tol_deg).all():
             return evals, evecs
     return _eigh(a)
+
+
+def _banded(h: sp.csr_matrix, shift, tol_deg: float) -> tuple:
+    """Lowest LEVELS eigenpairs of a Hermitian h whose entries all lie on
+    the main and first off-diagonals (plus the real diagonal ``shift``);
+    the whole spectrum when all of them fall inside the degeneracy window.
+
+    The diagonal gauge D = diag(prod_{j<i} e_j / |e_j|), with e_j the
+    subdiagonal, makes D^H h D real symmetric with subdiagonal |e_j|, so
+    one real tridiagonal solve serves real and complex chains; its vectors
+    u give h's as D u.  LAPACK's MRRR driver (``stemr``) computes them:
+    the inverse iteration behind the band solver's index selection
+    (``stein``) returns a NaN ground vector once a bound-state tail
+    underflows, as at 2401 sites with r0 = 1/2."""
+    sub = h.diagonal(-1)
+    size = np.abs(sub)
+    phase = np.ones_like(sub)
+    phase[size > 0] = sub[size > 0] / size[size > 0]
+    gauge = np.concatenate([[1], np.cumprod(phase)])
+    diag = h.diagonal().real if shift is None else h.diagonal().real + shift
+
+    def solve(**select):
+        evals, vecs = la.eigh_tridiagonal(diag, size, lapack_driver="stemr", **select)
+        return evals, gauge[:, None] * vecs
+
+    if h.shape[0] > LEVELS:
+        evals, evecs = solve(select="i", select_range=(0, LEVELS - 1))
+        if not _window(evals, tol_deg).all():
+            return evals, evecs
+    return solve()
 
 
 def _arpack(mat, tol_deg: float) -> tuple:
@@ -230,6 +260,11 @@ class GroundSolver:
       above; for a real operator the -K blocks are the conjugates of the
       +K ones), the window is applied to the union of the sector levels
       and the vectors are lifted with their P_K;
+    - "banded", at any size, for an operator on a basis without a lattice
+      translation (not a PairBasis or FullBasis: the relative chains)
+      whose entries all lie on the main and first off-diagonals: the
+      lowest LEVELS eigenpairs of the tridiagonal matrix (``_banded``),
+      in O(n) memory and without ARPACK above DENSE_LIMIT;
     - "dense" for any other operator below DENSE_LIMIT: the lowest LEVELS
       eigenpairs by dense ``eigh``, real when the matrix is;
     - "arpack" otherwise: Lanczos on the whole operator (deterministic
@@ -263,7 +298,11 @@ class GroundSolver:
                 self._sectors = self._blocks(index, sign)
             self.dims = tuple(block.shape[0] for _, block, _ in self._sectors.values())
         else:
-            self.path = "dense" if n < DENSE_LIMIT else "arpack"
+            lattice = isinstance(op.basis, (PairBasis, FullBasis))
+            if not lattice and np.all(np.abs(coo.row - coo.col) <= 1):
+                self.path = "banded"
+            else:
+                self.path = "dense" if n < DENSE_LIMIT else "arpack"
             self._sectors = None
             self.dims = (n,)
 
@@ -352,7 +391,9 @@ class GroundSolver:
         if self._sectors is not None:
             evals, vecs, momenta = self._momentum_levels(gamma)
         else:
-            if self.path == "dense":
+            if self.path == "banded":
+                evals, evecs = _banded(h, shifted, tol_deg)
+            elif self.path == "dense":
                 a = h.toarray()
                 if shifted is not None:
                     a[np.diag_indices_from(a)] += shifted
@@ -368,7 +409,7 @@ class GroundSolver:
         if shifted is not None:
             hv = hv + shifted[:, None] * vecs
         res = float(np.linalg.norm(hv - vecs * evals[sel], axis=0).max())
-        if res >= RESIDUAL_TOL * scale:
+        if not res < RESIDUAL_TOL * scale:  # a NaN residual fails too
             raise ConvergenceError(f"residual {res:g} above tolerance")
         levels = evals[:LEVELS] if self.path == "momenta" else evals
         return GroundSpace(float(evals[0]), vecs, self.basis, levels, self.path, res, momenta, self.dims)
@@ -463,34 +504,6 @@ def chain_bound_amplitudes(chain: SparseOperator, energy: float) -> np.ndarray:
         vec = left / left[anchor]
         vec[anchor:] = right[anchor:]
     return vec / np.linalg.norm(vec)
-
-
-# ----------------------------------------------------- finite-chain bound test
-
-def geometric_tail(amplitudes: np.ndarray, tail_fraction: float = 0.25):
-    """Fit |amp| ~ r^s over the trailing fraction of a chain eigenvector.
-
-    Returns (r_fit, tail_mass).  A bound state decays geometrically with
-    r < 1 and carries negligible tail mass; threshold cases are left to
-    the caller.
-    """
-    amp = np.abs(np.asarray(amplitudes))
-    n = amp.size
-    m = max(3, int(n * tail_fraction))
-    tail = amp[n - m:]
-    tail_mass = float(np.sum(tail**2))
-    good = tail > 1e-280
-    if good.sum() < 2:
-        return 0.0, tail_mass
-    logs = np.log(tail[good])
-    xs = np.arange(n - m, n)[good]
-    slope = np.polyfit(xs, logs, 1)[0]
-    return float(np.exp(slope)), tail_mass
-
-
-def is_bound(amplitudes: np.ndarray, r_tol: float = 1e-3, mass_tol: float = 1e-8) -> bool:
-    r_fit, tail_mass = geometric_tail(amplitudes)
-    return tail_mass < mass_tol and r_fit < 1.0 - r_tol
 
 
 # ------------------------------------------------------ full vs effective model

@@ -13,6 +13,7 @@ ascending mode order, then all b-type ones in ascending mode order.
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -274,6 +275,60 @@ def chi_direct_expansion(lambdas, n: int) -> float:
             prod *= lambdas[k]
         total += prod
     return math.factorial(n) * total
+
+
+def chi_oracle_dict(d: int, n: int, m: int = 1) -> Fraction:
+    """chi_N^(M) from the explicit norm of the N-fold block-creation state.
+
+    Blocks of M adjacent pairs are laid on the open chain (start sites
+    0..d-M), matching the stars-and-bars count behind the closed form;
+    see the wrap-around note in the README.  Exact integer arithmetic:
+    amplitudes are integer multiples of d^{-N/2}.
+    """
+    if d < 1 or n < 1 or m < 1:
+        raise ValueError("need d, N, M >= 1")
+    if d > 24:
+        raise ValueError(f"oracle capacity is d <= 24, got {d}")
+    if n * m > d:
+        return Fraction(0)
+    coeffs = {0: 1}
+    for _ in range(n):
+        new = {}
+        for mask, c in coeffs.items():
+            for k in range(d - m + 1):
+                block = ((1 << m) - 1) << k
+                if mask & block == 0:
+                    key = mask | block
+                    new[key] = new.get(key, 0) + c
+        coeffs = new
+    norm_sq = sum(c * c for c in coeffs.values())
+    return Fraction(norm_sq, d**n * math.factorial(n))
+
+
+def geometric_tail(amplitudes: np.ndarray, tail_fraction: float = 0.25):
+    """Fit |amp| ~ r^s over the trailing fraction of a chain eigenvector.
+
+    Returns (r_fit, tail_mass).  A bound state decays geometrically with
+    r < 1 and carries negligible tail mass; threshold cases are left to
+    the caller.
+    """
+    amp = np.abs(np.asarray(amplitudes))
+    n = amp.size
+    m = max(3, int(n * tail_fraction))
+    tail = amp[n - m:]
+    tail_mass = float(np.sum(tail**2))
+    good = tail > 1e-280
+    if good.sum() < 2:
+        return 0.0, tail_mass
+    logs = np.log(tail[good])
+    xs = np.arange(n - m, n)[good]
+    slope = np.polyfit(xs, logs, 1)[0]
+    return float(np.exp(slope)), tail_mass
+
+
+def is_bound(amplitudes: np.ndarray, r_tol: float = 1e-3, mass_tol: float = 1e-8) -> bool:
+    r_fit, tail_mass = geometric_tail(amplitudes)
+    return tail_mass < mass_tol and r_fit < 1.0 - r_tol
 
 
 def orbit_projector(index: np.ndarray, d: int) -> sp.csr_matrix:

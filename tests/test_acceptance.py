@@ -48,9 +48,9 @@ from cobosons import (
 from cobosons.cli import main as cli_main
 from cobosons.fock import project_to_pair_sector
 from cobosons.metrics import ledger_energy
-from oracles import chi_direct_expansion
+from oracles import chi_direct_expansion, is_bound
 from cobosons import chain_bound_amplitudes
-from cobosons.solve import ground_state_vector, is_bound
+from cobosons.solve import ground_state_vector
 
 CHAIN_CUTOFF = 400
 

@@ -8,14 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cobosons import solve
 from cobosons.cli import (
     SweepConfig,
+    _multiarray_umath,
     load_config_file,
     main,
     parse_grid,
     parse_range,
     parse_target,
     parse_targets_grouped,
+    run_grid,
     sweep_config_from,
 )
 
@@ -322,6 +325,43 @@ def test_chi_table(tmp_path):
     assert header[:5] == ["d", "N", "M", "chi_closed", "chi_oracle"]
     for r in rows:
         assert r[3] == r[4]  # closed form equals the oracle
+
+
+def test_chi_table_leaves_the_oracle_empty_beyond_its_capacity(tmp_path):
+    # d = 24: the oracle reaches N = 8 (the step to N = 9 has more than
+    # 2^24 candidates) and d = 25 is beyond its site cap
+    out = tmp_path / "chi.csv"
+    run_cli("chi", "--d", "24:25", "--n", "7:9", "--out", str(out))
+    _, rows = data_rows(read(out))
+    assert [(r[0], r[1], r[4] == r[3], r[4] == "") for r in rows] == [
+        ("24", "7", True, False), ("24", "8", True, False), ("24", "9", False, True),
+        ("25", "7", False, True), ("25", "8", False, True), ("25", "9", False, True)]
+
+
+def _blas_threads():
+    """The OpenBLAS thread count of scipy.linalg's LAPACK and of numpy,
+    each None where its setter is not found."""
+    counts = []
+    for set_threads in (solve._blas_thread_setter(), solve._blas_thread_setter(_multiarray_umath.__file__)):
+        if set_threads is None:
+            counts.append(None)
+        else:
+            counts.append(set_threads(1))  # returns the count it replaces
+            set_threads(counts[-1])
+    return tuple(counts)
+
+
+def _blas_threads_chunk(_chunk):
+    return [_blas_threads()]
+
+
+def test_jobs_workers_run_on_one_blas_thread():
+    if solve._blas_thread_setter() is None:
+        pytest.skip("scipy.linalg does not run on OpenBLAS 0.3.27 or newer")
+    before = _blas_threads()
+    rows = run_grid(_blas_threads_chunk, SweepConfig(jobs=2))
+    assert rows == [tuple(None if c is None else 1 for c in before)] * 2
+    assert _blas_threads() == before
 
 
 def test_jobs_do_not_change_output(tmp_path):

@@ -24,8 +24,10 @@ from cobosons import (
     single_pair_purity,
     square_norm_test,
 )
-from cobosons.metrics import chi_from_lambdas, ledger_energy, single_pair_rdm
-from oracles import chi_direct_expansion, g2_loop, single_pair_rdm_loop
+from cobosons import metrics
+from cobosons.fock import MAX_BASIS_STATES, CapacityError
+from cobosons.metrics import chi_from_lambdas, chi_oracle_series, ledger_energy, single_pair_rdm
+from oracles import chi_direct_expansion, chi_oracle_dict, g2_loop, single_pair_rdm_loop
 
 lambdas_strategy = st.lists(
     st.floats(0.01, 1.0, allow_nan=False), min_size=3, max_size=8
@@ -69,6 +71,38 @@ def test_chi_oracle_matches_closed_small():
 def test_chi_oracle_capacity():
     with pytest.raises(ValueError):
         chi_oracle(25, 1, 1)
+
+
+def test_chi_oracle_series_equals_the_dict_expansion():
+    # every entry against the per-mask dict reference, exactly; every
+    # prefix of a series is the shorter series
+    for d in range(1, 15):
+        for m in range(1, 5):
+            top = max(1, d // m)
+            series = chi_oracle_series(d, top, m)
+            assert series == tuple(chi_oracle_dict(d, n, m) for n in range(1, top + 1)), (d, m)
+            for n in range(1, top):
+                assert chi_oracle_series(d, n, m) == series[:n], (d, n, m)
+    assert chi_oracle_series(5, 4, 2) == (chi_closed(5, 1, 2), chi_closed(5, 2, 2), 0, 0)
+
+
+def test_chi_oracle_series_past_int64_amplitudes():
+    # 16^16 = 2^64: the last step carries its amplitudes as Python ints
+    series = chi_oracle_series(16, 16, 1)
+    assert series == tuple(chi_closed(16, n, 1) for n in range(1, 17))
+
+
+def test_chi_oracle_raises_before_the_step_beyond_capacity(monkeypatch):
+    # step N = 9 at d = 24 would hold C(24, 8) * 24 = 735471 * 24 candidate
+    # masks, above 2^24: the error comes before any of its arrays exist,
+    # after steps 1..8 (step 8 sorts C(24, 7) * 17 grown masks)
+    assert math.comb(24, 8) * 24 > MAX_BASIS_STATES
+    sorted_sizes = []
+    argsort = np.argsort
+    monkeypatch.setattr(metrics.np, "argsort", lambda a, **kw: (sorted_sizes.append(a.size), argsort(a, **kw))[1])
+    with pytest.raises(CapacityError, match="N = 9"):
+        chi_oracle(24, 9, 1)
+    assert sorted_sizes == [math.comb(24, n - 1) * (25 - n) for n in range(1, 9)]
 
 
 @settings(max_examples=50, deadline=None)

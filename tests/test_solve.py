@@ -18,16 +18,15 @@ from cobosons import (
     ground_space,
     pair_basis,
 )
-from cobosons import solve
+from cobosons import ChainBasis, solve
 from cobosons.fock import occupations, reflection, rotate, translation, translation_orbits
 from cobosons.model import SparseOperator, gamma_coupling
 from cobosons.solve import (
     GroundSolver,
-    geometric_tail,
     ground_state_vector,
-    is_bound,
     spectral_equivalence_check,
 )
+from oracles import geometric_tail, is_bound
 
 
 def test_ground_space_simple_matrix():
@@ -589,3 +588,52 @@ def test_chain_diagonals_equal_elementwise_reads(kind, r):
     n = csr.shape[0]
     assert np.array_equal(csr.diagonal(-1), [csr[i + 1, i] for i in range(n - 1)])
     assert np.array_equal(csr.diagonal(1), [csr[i, i + 1] for i in range(n - 1)])
+
+
+CHAIN_CASES = [(kind, r, cutoff) for kind in ("two_fermion", "two_pair") for r in (0, 3) for cutoff in (3, 5, 400)]
+
+
+@pytest.mark.parametrize("kind, r, cutoff", CHAIN_CASES)
+def test_relative_chains_take_the_banded_path(kind, r, cutoff):
+    # real (r = 0) and complex (r != 0) tridiagonal chains: the levels and
+    # the ground projector of dense eigh, also with a diagonal gamma term
+    p = ModelParams(j=1.0, u=3.0, gamma=3.0, d=10, n=2)
+    chain = build_relative_chain(kind, p, r=r, cutoff=cutoff)
+    site = np.arange(chain.dim) % 3 == 0
+    for gamma in (0.0, 0.7):
+        got = GroundSolver(chain, site)(gamma)
+        evals, evecs = np.linalg.eigh(chain.to_dense() + gamma * np.diag(site))
+        scale = max(1.0, abs(evals[0]))
+        assert (got.path, got.dims, got.momenta, got.degeneracy) == ("banded", (chain.dim,), None, 1)
+        assert np.abs(got.levels - evals[: got.levels.size]).max() < 1e-12 * scale
+        assert got.levels.size == min(solve.LEVELS, chain.dim)
+        want = np.outer(evecs[:, 0], evecs[:, 0].conj())
+        assert np.abs(_ground_projector(got) - want).max() < 1e-12 * scale
+        assert got.residual < solve.RESIDUAL_TOL * scale
+
+
+def test_banded_path_past_the_dense_limit_and_on_tiny_chains():
+    # 2401 sites, above DENSE_LIMIT: banded, not ARPACK, and the bound
+    # state of the infinite line (its tail 2^-1200 underflows)
+    chain = build_relative_chain("two_fermion", ModelParams(j=1.0, u=3.0, gamma=0.0, d=10, n=1), cutoff=1200)
+    gs = ground_space(chain)
+    assert (gs.path, gs.dims) == ("banded", (2401,))
+    assert abs(gs.energy - analytic_two_fermion(1.0, 3.0).energy) < 1e-12 * 5.0
+    assert np.isfinite(gs.vectors).all() and gs.residual < solve.RESIDUAL_TOL * 5.0
+    # one state; two states with a complex hop; two degenerate states
+    for matrix, energy, degeneracy in (([[2.0]], 2.0, 1), ([[1.0, 1j], [-1j, 1.0]], 0.0, 1),
+                                       ([[1.0, 0.0], [0.0, 1.0]], 1.0, 2)):
+        op = SparseOperator(ChainBasis("test", tuple(range(len(matrix)))), sp.csr_matrix(np.array(matrix)))
+        gs = ground_space(op)
+        assert (gs.path, gs.degeneracy) == ("banded", degeneracy)
+        assert abs(gs.energy - energy) < 1e-14
+        assert np.array_equal(gs.levels, np.linalg.eigvalsh(matrix))
+
+
+def test_a_nan_ground_vector_fails_the_residual_check(monkeypatch):
+    chain = build_relative_chain("two_pair", ModelParams(j=1.0, u=2.0, gamma=3.0, d=10, n=2), cutoff=50)
+    tridiagonal = solve.la.eigh_tridiagonal
+    nan_vectors = np.full((50, solve.LEVELS), np.nan)
+    monkeypatch.setattr(solve.la, "eigh_tridiagonal", lambda *a, **kw: (tridiagonal(*a, **kw)[0], nan_vectors))
+    with pytest.raises(solve.ConvergenceError, match="residual nan"):
+        ground_space(chain)

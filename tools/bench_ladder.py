@@ -10,6 +10,9 @@ this one) the script records:
   own process so that a solve above TIMEOUT_S seconds is cut and
   recorded as not run, with the basis dimension, the solver path, the solve
   and build times, the degeneracy and the peak RSS;
+- the chain ladder: the median of CHAIN_REPEATS ``ground_space`` solves of
+  each relative chain in CHAIN_LADDER, after one untimed solve, in its own
+  process, with the chain's size, the solver path and the energy;
 - the four benchmark workloads: PAIRS runs of SECONDS seconds of each
   checkout's ``benchmarks/run.py`` per workload, alternating which side
   runs first, seeds 1..PAIRS, with the medians and quartiles of every
@@ -40,6 +43,10 @@ LADDER = (
     ("full", 8, 2), ("full", 10, 2), ("full", 12, 2), ("full", 10, 3), ("full", 12, 3),
     ("full", 10, 4),
 )
+# (kind, r, cutoff) of build_relative_chain at J = 1, U = 3, gamma = 3, d = 10
+CHAIN_LADDER = (("two_fermion", 0, 400), ("two_pair", 0, 400), ("two_fermion", 1, 400),
+                ("two_fermion", 0, 1200))
+CHAIN_REPEATS = 5
 
 SOLVE = r"""
 import json, resource, sys, time
@@ -61,8 +68,25 @@ print(json.dumps({"dim": op.dim, "path": path, "build_s": t1 - t0, "solve_s": t2
 """
 
 
-def ladder_entry(checkout: Path, model: str, d: int, n: int) -> dict:
-    argv = [sys.executable, "-c", SOLVE, str(checkout / "src"), model, str(d), str(n), str(GAMMA_U_J2)]
+CHAIN = r"""
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from cobosons import ModelParams, build_relative_chain, ground_space, solve
+kind, r, cutoff, repeats = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), int(sys.argv[5])
+chain = build_relative_chain(kind, ModelParams(j=1.0, u=3.0, gamma=3.0, d=10, n=2), r=r, cutoff=cutoff)
+gs = ground_space(chain)
+times = []
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    ground_space(chain)
+    times.append(time.perf_counter() - t0)
+path = getattr(gs, "path", "dense" if chain.dim < solve.DENSE_LIMIT else "arpack")
+print(json.dumps({"dim": chain.dim, "path": path, "solve_s": statistics.median(times), "energy": gs.energy}))
+"""
+
+
+def run_json(argv: list) -> dict:
+    """The JSON last line of a timed script run, or why it gave none."""
     try:
         out = subprocess.run(argv, capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
     except subprocess.TimeoutExpired:
@@ -70,6 +94,15 @@ def ladder_entry(checkout: Path, model: str, d: int, n: int) -> dict:
     except subprocess.CalledProcessError as exc:
         return {"result": "failed", "error": exc.stderr.strip().splitlines()[-1]}
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def ladder_entry(checkout: Path, model: str, d: int, n: int) -> dict:
+    return run_json([sys.executable, "-c", SOLVE, str(checkout / "src"), model, str(d), str(n), str(GAMMA_U_J2)])
+
+
+def chain_entry(checkout: Path, kind: str, r: int, cutoff: int) -> dict:
+    return run_json([sys.executable, "-c", CHAIN, str(checkout / "src"), kind, str(r), str(cutoff),
+                     str(CHAIN_REPEATS)])
 
 
 def workload_run(checkout: Path, workload: str, seed: int) -> dict:
@@ -107,6 +140,14 @@ def main(argv=None) -> int:
             print(json.dumps({"ladder": [model, d, n], side: row[side]}), file=sys.stderr)
         ladder.append(row)
 
+    chains = []
+    for kind, r, cutoff in CHAIN_LADDER:
+        row = {"kind": kind, "r": r, "cutoff": cutoff}
+        for side, checkout in sides.items():
+            row[side] = chain_entry(checkout, kind, r, cutoff)
+            print(json.dumps({"chain": [kind, r, cutoff], side: row[side]}), file=sys.stderr)
+        chains.append(row)
+
     workloads = {}
     for workload in WORKLOADS:
         runs = {side: [] for side in sides}
@@ -120,7 +161,7 @@ def main(argv=None) -> int:
         workloads[workload] = {**{side: summary(r) for side, r in runs.items()},
                                "rows_per_s_change_wins": f"{wins}/{PAIRS}"}
 
-    text = json.dumps({"ladder": ladder, "workloads": workloads, "pairs": PAIRS,
+    text = json.dumps({"ladder": ladder, "chains": chains, "workloads": workloads, "pairs": PAIRS,
                        "seconds": SECONDS, "timeout_s": TIMEOUT_S}, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
