@@ -199,24 +199,32 @@ def _require_effective(cfg: SweepConfig, command: str) -> None:
         raise ValueError(f"{command} runs on the effective model only, got --model {cfg.model}")
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer of ``run_grid``: one OpenBLAS thread in the worker,
-    for scipy.linalg's LAPACK and for numpy's own OpenBLAS, each where it
-    exposes ``openblas_set_num_threads_local``.  Otherwise every worker
-    starts a thread pool as large as the machine and the workers
-    oversubscribe the cores."""
-    for set_threads in (_blas_thread_setter(), _blas_thread_setter(_multiarray_umath.__file__)):
-        if set_threads is not None:
-            set_threads(1)
+def _one_blas_thread() -> list:
+    """One OpenBLAS thread for scipy.linalg's LAPACK and for numpy's own
+    OpenBLAS, each where it exposes ``openblas_set_num_threads_local``;
+    returns (setter, previous count) of each.  Every chunk of ``run_grid``
+    runs under it.  In a pool worker it keeps the workers from
+    oversubscribing the cores with one thread pool each; and since a
+    dense block of SERIAL_BLAS_BELOW states or more and an ARPACK block
+    round differently on more threads, one chunk in this process runs
+    under it too, so that ``--jobs`` does not change the output."""
+    setters = (_blas_thread_setter(), _blas_thread_setter(_multiarray_umath.__file__))
+    return [(set_threads, set_threads(1)) for set_threads in setters if set_threads is not None]
 
 
 def run_grid(worker, cfg: SweepConfig) -> list:
     """Rows of ``worker`` over the grid in grid order.  Each of the
     ``cfg.jobs`` workers gets one contiguous chunk of the grid and builds
-    its solver and targets once for it, on one BLAS thread."""
+    its solver and targets once for it, on one BLAS thread.  A single
+    chunk runs in this process, whose thread counts are then restored."""
     chunks = [(cfg, [float(x) for x in chunk]) for chunk in np.array_split(cfg.grid, cfg.jobs) if chunk.size]
     if len(chunks) == 1:
-        return worker(chunks[0])
+        previous = _one_blas_thread()
+        try:
+            return worker(chunks[0])
+        finally:
+            for set_threads, count in previous:
+                set_threads(count)
     with ProcessPoolExecutor(max_workers=len(chunks), initializer=_one_blas_thread) as pool:
         return [row for rows in pool.map(worker, chunks) for row in rows]
 

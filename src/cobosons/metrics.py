@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -138,16 +138,6 @@ def chi_oracle(d: int, n: int, m: int = 1) -> Fraction:
     if n * m > d:
         return Fraction(0)
     return chi_oracle_series(d, n, m)[-1]
-
-
-def chi_from_lambdas(lambdas: Sequence[float], n: int) -> float:
-    """chi_N of a generic bi-fermion with Schmidt coefficients lambda_k:
-    N! times the elementary symmetric polynomial e_N(lambda)."""
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for lam in lambdas:
-        e[1:] = e[1:] + lam * e[:-1]
-    return math.factorial(n) * float(e[n])
 
 
 # ------------------------------------------------------------- ladder report
@@ -366,10 +356,6 @@ class LedgerDeviation:
     partition: Partition
     exact: float
     predicted: float
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.exact - self.predicted)
 
 
 def ledger_vs_exact_check(d, n, partition, jbar, gammabar) -> LedgerDeviation:

@@ -100,16 +100,8 @@ class SparseOperator:
     def dim(self) -> int:
         return self.basis.size
 
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
     def to_csr(self) -> sp.csr_matrix:
         return self._csr
-
-    def matvec(self, psi: StateVector) -> StateVector:
-        if psi.basis is not self.basis and psi.basis != self.basis:
-            raise BasisMismatchError("operator and state live in different bases")
-        return StateVector(psi.basis, self._csr @ psi.amplitudes)
 
     def expectation(self, psi: StateVector) -> complex:
         if psi.basis is not self.basis and psi.basis != self.basis:

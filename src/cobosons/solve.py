@@ -52,18 +52,18 @@ class GroundSpace:
     """Lowest eigenvalue with an orthonormal basis of its eigenspace, every
     eigenvalue the solver computed, and how they were computed.
 
-    ``path`` is "dense", "banded", "sector", "momenta" or "arpack" (see
-    ``GroundSolver``); ``residual`` is the largest |H v - e v| over the
-    ground vectors, each against its own eigenvalue e and the whole
-    operator.  On the sector path ``levels`` are the levels of the one
-    block solved: the reflection-even K = 0 block when the operator
-    commutes with the site reflection, else the K = 0 block.  On the
-    momenta path they are the lowest LEVELS of the union of every sector's
-    levels.  ``momenta`` is the momentum K (in units of 2 pi / d) of each
-    ground vector: all 0 on the sector path, the sector of each vector on
-    the momenta path, None on "dense", "banded" and "arpack".  ``dims`` is
-    the dimension of every block solved, in order of K on the momenta
-    path; the whole operator's dimension on the other paths.
+    ``GroundSolver`` solves blocks of the operator: the whole operator on
+    "dense", "banded" and "arpack", one block on "sector" (the
+    reflection-even K = 0 block when the operator commutes with the site
+    reflection, else the K = 0 block) and every momentum block on
+    "momenta".  ``path`` names the path; ``levels`` are the union of the
+    levels computed in those blocks, ascending, cut to the lowest LEVELS
+    on "momenta"; ``residual`` is the largest |H v - e v| over the ground
+    vectors, each against its own eigenvalue e and the whole operator.
+    ``momenta`` is the momentum K (in units of 2 pi / d) of the block of
+    each ground vector, all 0 on "sector", None on the whole-operator
+    paths.  ``dims`` is the dimension of every block solved, in order of
+    K.
     """
 
     energy: float
@@ -148,10 +148,10 @@ def _dense(a: np.ndarray, tol_deg: float) -> tuple:
     return _eigh(a)
 
 
-def _banded(h: sp.csr_matrix, shift, tol_deg: float) -> tuple:
+def _banded(h: sp.csr_matrix, tol_deg: float) -> tuple:
     """Lowest LEVELS eigenpairs of a Hermitian h whose entries all lie on
-    the main and first off-diagonals (plus the real diagonal ``shift``);
-    the whole spectrum when all of them fall inside the degeneracy window.
+    the main and first off-diagonals; the whole spectrum when all of them
+    fall inside the degeneracy window.
 
     The diagonal gauge D = diag(prod_{j<i} e_j / |e_j|), with e_j the
     subdiagonal, makes D^H h D real symmetric with subdiagonal |e_j|, so
@@ -165,7 +165,7 @@ def _banded(h: sp.csr_matrix, shift, tol_deg: float) -> tuple:
     phase = np.ones_like(sub)
     phase[size > 0] = sub[size > 0] / size[size > 0]
     gauge = np.concatenate([[1], np.cumprod(phase)])
-    diag = h.diagonal().real if shift is None else h.diagonal().real + shift
+    diag = h.diagonal().real
 
     def solve(**select):
         evals, vecs = la.eigh_tridiagonal(diag, size, lapack_driver="stemr", **select)
@@ -193,6 +193,21 @@ def _arpack(mat, tol_deg: float) -> tuple:
         # every Ritz value degenerate with the minimum: space not resolved
         raise ConvergenceError("degenerate window exceeds the computed spectrum")
     return evals[order], evecs[:, order]
+
+
+def _project(h: sp.csr_matrix, proj: sp.csr_matrix) -> tuple:
+    """(P^H h P, the representative of each column) for an isometry P
+    whose columns have disjoint supports and span a subspace that h maps
+    into itself.  Then h P = P (P^H h P), so with r_a the first row of
+    column a, (P^H h P)[a, b] = (h[r_a] P)[b] / P[r_a, a]: only the rows
+    of the representatives are read.  The mean with the conjugate
+    transpose makes the block exactly Hermitian."""
+    csc = proj.tocsc()  # its indices ascend within each column
+    first = csc.indptr[:-1]
+    reps = csc.indices[first]
+    block = h[reps] @ proj
+    block.data /= np.repeat(csc.data[first], np.diff(block.indptr))
+    return (block + block.conj().T) * 0.5, reps
 
 
 def _invariant(h: sp.csr_matrix, coo: sp.coo_matrix, index: np.ndarray, sign=None) -> bool:
@@ -234,47 +249,40 @@ def _certified(h: sp.csr_matrix, coo: sp.coo_matrix, sign: np.ndarray) -> bool:
 class GroundSolver:
     """Ground spaces of the operator family op + gamma * diag(coupling).
 
-    Everything that does not depend on gamma is done once, here: the
-    translation check (``_invariant_translation`` on ``op``, and
-    coupling[index] == coupling exactly), the Perron check
-    (``_certified``, which reads only the off-diagonal part, so it holds
-    for every gamma), on a certified operator the reflection check
-    (R op R^T == op and coupling[R] == coupling exactly, with R the bare
-    site reflection ``fock.reflection``), the orbit walk and the blocks
-    P_K^H op P_K.  The gamma term of a block is diag(coupling[reps]),
-    exact because the coupling is constant on each orbit.  A call
-    ``solver(gamma)`` then pays only the block eigensolve, and checks each
-    ground vector against the whole operator at that gamma.
-
+    ``__init__`` does everything that does not depend on gamma and keeps
+    the blocks to solve, K -> (P or None, block, coupling of each column).
     The path follows the operator:
     - "sector", at any size, when the operator commutes exactly with the
-      one-site translation T and ``_certified`` makes its ground state
-      the unique positive Perron vector.  Every basis permutation that
-      commutes with the operator leaves that vector fixed, so only one
-      block is solved (dense below DENSE_LIMIT, ARPACK above) and its
-      vectors are lifted with P: the orbit sums of the group generated by
-      T and R when R commutes too (the reflection-even K = 0 block), else
-      the K = 0 orbit sums of T;
-    - "momenta", at any size, for any other operator that commutes with T:
-      every momentum block is solved (dense below DENSE_LIMIT, ARPACK
-      above; for a real operator the -K blocks are the conjugates of the
-      +K ones), the window is applied to the union of the sector levels
-      and the vectors are lifted with their P_K;
+      one-site translation T (``_invariant_translation`` on ``op``, and
+      coupling[index] == coupling) and ``_certified`` makes its ground
+      state the unique positive Perron vector (the check reads only the
+      off-diagonal part, so it holds for every gamma).  Every basis
+      permutation that commutes with the operator fixes that vector, so
+      one block is kept: P holds the orbit sums of the group generated by
+      T and the bare site reflection R (``fock.reflection``) when
+      R op R^T == op and coupling[R] == coupling hold exactly (the
+      reflection-even K = 0 block), else the K = 0 orbit sums of T;
+    - "momenta", at any size, for any other operator that commutes with
+      T: P_K = ``Orbits.projector(K)`` for every K with a column, K =
+      0..d/2 for a real operator, whose -K blocks are the conjugates of
+      the +K ones;
     - "banded", at any size, for an operator on a basis without a lattice
       translation (not a PairBasis or FullBasis: the relative chains)
-      whose entries all lie on the main and first off-diagonals: the
-      lowest LEVELS eigenpairs of the tridiagonal matrix (``_banded``),
-      in O(n) memory and without ARPACK above DENSE_LIMIT;
-    - "dense" for any other operator below DENSE_LIMIT: the lowest LEVELS
-      eigenpairs by dense ``eigh``, real when the matrix is;
-    - "arpack" otherwise: Lanczos on the whole operator (deterministic
-      uniform start vector, LEVELS Ritz values).
-    ``GroundSpace.momenta`` holds the K of each ground vector on the two
-    translation paths and None on the others; ``dims`` holds the size of
-    every block solved.  The degeneracy window tol_deg and the residual
-    bound RESIDUAL_TOL both scale with max(1, |E0|); each selected vector
-    is checked against its own eigenvalue and the whole operator, so
-    levels split by less than the window stay in the ground space.
+      whose entries all lie on the main and first off-diagonals;
+    - "dense" for any other operator below DENSE_LIMIT, "arpack" above.
+    On the last three the whole operator is the one block, with no P.
+    ``_project`` reads every P^H op P from the representatives' rows; its
+    gamma term is diag(coupling[reps]), exact because the coupling is
+    constant on each orbit.
+
+    A call ``solver(gamma)`` runs one loop: add gamma * diag(coupling) to
+    each block and solve it (``_banded`` on the banded path, else
+    ``_dense`` below DENSE_LIMIT and ``_arpack`` above), apply the
+    degeneracy window to the union of the levels, lift the vectors inside
+    it with their P, and check each against its own eigenvalue and the
+    whole operator at that gamma.  The window tol_deg and the residual
+    bound RESIDUAL_TOL both scale with max(1, |E0|), so levels split by
+    less than the window stay in the ground space.
     """
 
     def __init__(self, op: SparseOperator, coupling=None, tol_deg: float = 1e-9):
@@ -282,135 +290,90 @@ class GroundSolver:
         if n < 1:
             raise ValueError("empty basis")
         self.basis, self.tol_deg = op.basis, tol_deg
-        self._h = op.to_csr()
+        self._h = h = op.to_csr()
         self._coupling = np.zeros(n) if coupling is None else np.asarray(coupling, dtype=float)
         if self._coupling.shape != (n,):
             raise ValueError(f"coupling shape {self._coupling.shape} does not match basis size {n}")
-        coo = self._h.tocoo()
-        symmetry = _invariant_translation(self._h, coo, op.basis)
+        coo = h.tocoo()
+        symmetry = _invariant_translation(h, coo, op.basis)
         if symmetry is not None and np.array_equal(self._coupling[symmetry[0]], self._coupling):
             index, sign = symmetry
-            if _certified(self._h, coo, sign):
+            orbits = translation_orbits(index, sign, op.basis.d)
+            if _certified(h, coo, sign):
                 self.path = "sector"
-                self._sectors = self._zero_block(index, sign, self._reflection(coo))
+                projectors = {0: self._zero_projector(orbits, coo)}
             else:
                 self.path = "momenta"
-                self._sectors = self._blocks(index, sign)
-            self.dims = tuple(block.shape[0] for _, block, _ in self._sectors.values())
+                ks = range(op.basis.d if np.iscomplexobj(h) else op.basis.d // 2 + 1)
+                projectors = {k: orbits.projector(k) for k in ks}
+            self._blocks = {}
+            for k, proj in projectors.items():
+                if proj.shape[1]:
+                    block, reps = _project(h, proj)
+                    self._blocks[k] = (proj, block, self._coupling[reps])
         else:
             lattice = isinstance(op.basis, (PairBasis, FullBasis))
             if not lattice and np.all(np.abs(coo.row - coo.col) <= 1):
                 self.path = "banded"
             else:
                 self.path = "dense" if n < DENSE_LIMIT else "arpack"
-            self._sectors = None
-            self.dims = (n,)
+            self._blocks = {0: (None, h, self._coupling)}
+        self.dims = tuple(block.shape[0] for _, block, _ in self._blocks.values())
 
-    def _reflection(self, coo: sp.coo_matrix):
-        """The bare site reflection R of the basis (``fock.reflection``)
-        when R h R^T == h and coupling[R] == coupling hold exactly, else
-        None."""
-        index = reflection(self.basis)
-        if np.array_equal(self._coupling[index], self._coupling) and _invariant(self._h, coo, index):
-            return index
-        return None
-
-    def _zero_block(self, index: np.ndarray, sign: np.ndarray, reflect) -> dict:
-        """{0: (P, P^T h P, coupling of each column)} for a certified h.
-        The columns of P are the normalized orbit sums of T, of T and R
-        when ``reflect`` (the reflection index) is given; the
+    def _zero_projector(self, orbits, coo: sp.coo_matrix) -> sp.csr_matrix:
+        """The normalized orbit sums of T, of T and R when the bare site
+        reflection R leaves h and the coupling exactly unchanged; the
         representative of a state is then min(trep[i], trep[R[i]]), with
         trep its translation-orbit representative.  Columns follow the
         representatives in ascending order."""
-        orbits = translation_orbits(index, sign, self.basis.d)
         rep = orbits.reps[orbits.orbit]
-        if reflect is not None:
-            rep = np.minimum(rep, rep[reflect])
-        reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
-        proj = sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(rep.size), orbit)),
-                             shape=(rep.size, reps.size))
-        # The group commutes with h, so every state of orbit a has the same
-        # sum of h over orbit b: (P^T h P)[a, b] = sqrt(|a| / |b|) * the sum
-        # on the row of the representative.  Only those rows are read; the
-        # mean with the transpose makes the block exactly symmetric.
-        rows = self._h[reps].tocoo()
-        cols = orbit[rows.col]
-        block = sp.csr_matrix((rows.data * np.sqrt(size[rows.row] / size[cols]), (rows.row, cols)),
-                              shape=(reps.size, reps.size))
-        return {0: (proj, (block + block.T) * 0.5, self._coupling[reps])}
-
-    def _blocks(self, index: np.ndarray, sign: np.ndarray) -> dict:
-        """K -> (P_K, P_K^H h P_K, coupling of each column) for every K
-        with a column, or K = 0..d/2 for a real h."""
-        d = self.basis.d
-        orbits = translation_orbits(index, sign, d)
-        mirror = not np.iscomplexobj(self._h)
-        blocks = {}
-        for k in range(d // 2 + 1 if mirror else d):
-            proj = orbits.projector(k)
-            if proj.shape[1]:
-                coupling = self._coupling[orbits.reps[orbits.in_sector(k)]]
-                blocks[k] = (proj, proj.conj().T @ self._h @ proj, coupling)
-        return blocks
-
-    def _momentum_levels(self, gamma: float) -> tuple:
-        """Solve every block at gamma.  Returns (levels, vectors, momenta):
-        the union of the sector levels sorted stably by level and then by
-        K, and the lifted vectors and the K of the levels inside the
-        window."""
-        d, tol_deg = self.basis.d, self.tol_deg
-        mirror = not np.iscomplexobj(self._h)
-        solved = {}  # K -> (P_K, levels, block vectors, conjugated)
-        for k, (proj, block, coupling) in self._sectors.items():
-            if gamma:
-                block = block + sp.diags(gamma * coupling)
-            small = block.shape[0] < DENSE_LIMIT
-            evals, evecs = _dense(block.toarray(), tol_deg) if small else _arpack(block, tol_deg)
-            solved[k] = (proj, evals, evecs, False)
-            if mirror and 0 < k < d - k:
-                solved[d - k] = solved[k][:3] + (True,)
-        ks = np.concatenate([np.full(s[1].size, k) for k, s in solved.items()])
-        slots = np.concatenate([np.arange(s[1].size) for s in solved.values()])
-        levels = np.concatenate([s[1] for s in solved.values()])
-        order = np.lexsort((ks, levels))
-        levels, ks, slots = levels[order], ks[order], slots[order]
-        sel = _window(levels, tol_deg)
-        cols = []
-        for k, slot in zip(ks[sel], slots[sel]):
-            proj, _, evecs, conjugated = solved[k]
-            vec = proj @ evecs[:, slot]
-            cols.append(vec.conj() if conjugated else vec)
-        return levels, np.column_stack(cols), tuple(int(k) for k in ks[sel])
+        index = reflection(self.basis)
+        if np.array_equal(self._coupling[index], self._coupling) and _invariant(self._h, coo, index):
+            rep = np.minimum(rep, rep[index])
+        _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+        return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(rep.size), orbit)),
+                             shape=(rep.size, size.size))
 
     def __call__(self, gamma: float = 0.0) -> GroundSpace:
         """Lowest eigenvalue and all eigenvectors within tol_deg of it, of
         op + gamma * diag(coupling)."""
         tol_deg, h = self.tol_deg, self._h
-        shifted = gamma * self._coupling if gamma else None
-        momenta = None
-        if self._sectors is not None:
-            evals, vecs, momenta = self._momentum_levels(gamma)
-        else:
+        mirror = not np.iscomplexobj(h)  # only momentum blocks have K > 0
+        solved = {}  # K -> (P, levels, block vectors, conjugated)
+        for k, (proj, block, coupling) in self._blocks.items():
+            if gamma:
+                block = block + sp.diags(gamma * coupling)
             if self.path == "banded":
-                evals, evecs = _banded(h, shifted, tol_deg)
-            elif self.path == "dense":
-                a = h.toarray()
-                if shifted is not None:
-                    a[np.diag_indices_from(a)] += shifted
-                evals, evecs = _dense(a, tol_deg)
+                evals, evecs = _banded(block, tol_deg)
+            elif block.shape[0] < DENSE_LIMIT:
+                evals, evecs = _dense(block.toarray(), tol_deg)
             else:
-                evals, evecs = _arpack(h if shifted is None else h + sp.diags(shifted), tol_deg)
-            vecs = evecs[:, _window(evals, tol_deg)]
+                evals, evecs = _arpack(block, tol_deg)
+            solved[k] = (proj, evals, evecs, False)
+            if mirror and 0 < k < self.basis.d - k:
+                solved[self.basis.d - k] = (proj, evals, evecs, True)
+        # the union of the levels, sorted stably by level and then by K
+        ks = np.concatenate([np.full(s[1].size, k) for k, s in solved.items()])
+        slots = np.concatenate([np.arange(s[1].size) for s in solved.values()])
+        evals = np.concatenate([s[1] for s in solved.values()])
+        order = np.lexsort((ks, evals))
+        evals, ks, slots = evals[order], ks[order], slots[order]
         sel = _window(evals, tol_deg)
+        cols = []
+        for k, slot in zip(ks[sel], slots[sel]):
+            proj, _, evecs, conjugated = solved[k]
+            vec = evecs[:, slot] if proj is None else proj @ evecs[:, slot]
+            cols.append(vec.conj() if conjugated else vec)
         # re-orthonormalize (eigh already orthonormal; cheap safeguard)
-        vecs, _ = np.linalg.qr(np.asarray(vecs, dtype=complex))
+        vecs, _ = np.linalg.qr(np.asarray(np.column_stack(cols), dtype=complex))
         scale = max(1.0, abs(evals[0]))
         hv = h @ vecs
-        if shifted is not None:
-            hv = hv + shifted[:, None] * vecs
+        if gamma:
+            hv = hv + (gamma * self._coupling)[:, None] * vecs
         res = float(np.linalg.norm(hv - vecs * evals[sel], axis=0).max())
         if not res < RESIDUAL_TOL * scale:  # a NaN residual fails too
             raise ConvergenceError(f"residual {res:g} above tolerance")
+        momenta = tuple(int(k) for k in ks[sel]) if self.path in ("sector", "momenta") else None
         levels = evals[:LEVELS] if self.path == "momenta" else evals
         return GroundSpace(float(evals[0]), vecs, self.basis, levels, self.path, res, momenta, self.dims)
 
@@ -470,37 +433,27 @@ def chain_bound_amplitudes(chain: SparseOperator, energy: float) -> np.ndarray:
     kind = getattr(chain.basis, "kind", "")
     anchor = chain.basis.sites.index(0) if kind == "two_fermion" else 0
 
-    def backward(start, stop):
-        # indices start -> stop (descending), recurrence toward the anchor
+    def toward(diag, lower, upper, stop):
+        # x[n-1] = 1 and rows n-1 .. stop+1 of (h - E) x = 0, recurring
+        # from the open end n-1 down to ``stop``
         x = np.zeros(n, dtype=complex)
-        x[start] = 1.0
-        if start == stop:
+        x[n - 1] = 1.0
+        if stop == n - 1:
             return x
-        x[start - 1] = (energy - diag[start]) / lower[start - 1] * x[start]
-        for i in range(start - 1, stop, -1):
+        x[n - 2] = (energy - diag[n - 1]) / lower[n - 2] * x[n - 1]
+        for i in range(n - 2, stop, -1):
             x[i - 1] = ((energy - diag[i]) * x[i] - upper[i] * x[i + 1]) / lower[i - 1]
             if abs(x[i - 1]) > 1e250:
-                x[stop:start + 1] /= abs(x[i - 1])
+                x[stop:] /= abs(x[i - 1])
         return x
 
-    def forward(start, stop):
-        x = np.zeros(n, dtype=complex)
-        x[start] = 1.0
-        if start == stop:
-            return x
-        x[start + 1] = (energy - diag[start]) / upper[start] * x[start]
-        for i in range(start + 1, stop):
-            x[i + 1] = ((energy - diag[i]) * x[i] - lower[i - 1] * x[i - 1]) / upper[i]
-            if abs(x[i + 1]) > 1e250:
-                x[start:stop + 1] /= abs(x[i + 1])
-        return x
-
-    right = backward(n - 1, anchor)
+    right = toward(diag, lower, upper, anchor)
     right /= right[anchor]  # anchor is the bound-state peak
     if anchor == 0:
         vec = right
     else:
-        left = forward(0, anchor)
+        # the same recurrence on the mirrored chain, from site 0 up
+        left = toward(diag[::-1], upper[::-1], lower[::-1], n - 1 - anchor)[::-1]
         vec = left / left[anchor]
         vec[anchor:] = right[anchor:]
     return vec / np.linalg.norm(vec)

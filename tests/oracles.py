@@ -266,6 +266,16 @@ def project_to_pair_sector_loop(state: StateVector, pair) -> StateVector:
     return StateVector(pair, amp)
 
 
+def chi_from_lambdas(lambdas, n: int) -> float:
+    """chi_N of a generic bi-fermion with Schmidt coefficients lambda_k:
+    N! times the elementary symmetric polynomial e_N(lambda)."""
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    for lam in lambdas:
+        e[1:] = e[1:] + lam * e[:-1]
+    return math.factorial(n) * float(e[n])
+
+
 def chi_direct_expansion(lambdas, n: int) -> float:
     """Brute-force subset expansion of e_N; oracle for chi_from_lambdas."""
     total = 0.0

@@ -356,23 +356,28 @@ def _blas_threads_chunk(_chunk):
 
 
 def test_jobs_workers_run_on_one_blas_thread():
+    # in each pool worker, and in this process for one chunk, which then
+    # gets its own counts back
     if solve._blas_thread_setter() is None:
         pytest.skip("scipy.linalg does not run on OpenBLAS 0.3.27 or newer")
     before = _blas_threads()
-    rows = run_grid(_blas_threads_chunk, SweepConfig(jobs=2))
-    assert rows == [tuple(None if c is None else 1 for c in before)] * 2
-    assert _blas_threads() == before
+    for jobs in (1, 2):
+        rows = run_grid(_blas_threads_chunk, SweepConfig(jobs=jobs))
+        assert rows == [tuple(None if c is None else 1 for c in before)] * jobs
+        assert _blas_threads() == before
 
 
 def test_jobs_do_not_change_output(tmp_path):
-    args = ["fidelity-scan", "--model", "effective", "--d", "8", "--n", "2",
-            "--J", "1", "--U", "1000", "--gamma-grid", "0:8:5",
-            "--targets", "q:1,0"]
-    out1 = tmp_path / "seq.csv"
-    out2 = tmp_path / "par.csv"
-    run_cli(*args, "--jobs", "1", "--out", str(out1))
-    run_cli(*args, "--jobs", "2", "--out", str(out2))
-    assert read(out1) == read(out2)
+    # the second case solves a 600-state block, at or above
+    # SERIAL_BLAS_BELOW: dense eigh on as many BLAS threads as the chunk
+    for case in (["--d", "8", "--n", "2", "--gamma-grid", "0:8:5", "--targets", "q:1,0"],
+                 ["--d", "17", "--n", "7", "--gamma-grid", "0:8:4", "--targets", "partition:7"]):
+        args = ["fidelity-scan", "--model", "effective", "--J", "1", "--U", "1000", *case]
+        out1 = tmp_path / "seq.csv"
+        out2 = tmp_path / "par.csv"
+        run_cli(*args, "--jobs", "1", "--out", str(out1))
+        run_cli(*args, "--jobs", "2", "--out", str(out2))
+        assert read(out1) == read(out2), case
 
 
 def test_verify_exits_zero(capsys):

@@ -41,7 +41,7 @@ def test_bars():
 def test_full_hamiltonian_is_hermitian_and_real_spectrum():
     p = ModelParams(j=1.0, u=2.0, gamma=0.5, d=4, n=2)
     h = build_full_hamiltonian(p)
-    dense = h.to_dense()
+    dense = h.to_csr().toarray()
     assert np.allclose(dense, dense.conj().T)
 
 
@@ -50,7 +50,7 @@ def test_full_hamiltonian_diagonal_terms():
     p = ModelParams(j=0.0, u=3.0, gamma=0.25, d=d, n_a=2, n_b=2)
     basis = full_basis(d, 2, 2)
     h = build_full_hamiltonian(p, basis)
-    dense = h.to_dense()
+    dense = h.to_csr().toarray()
     full = (1 << d) - 1
     for i, (ma, mb) in enumerate(basis.states):
         pairs = popcount(ma & mb)
@@ -68,8 +68,8 @@ def test_full_hamiltonian_translation_symmetry(rng):
     h = build_full_hamiltonian(p, basis)
     a = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     psi = StateVector(basis, a / np.linalg.norm(a))
-    lhs = h.matvec(translate(psi, 1)).amplitudes
-    rhs = translate(h.matvec(psi), 1).amplitudes
+    lhs = h.to_csr() @ translate(psi, 1).amplitudes
+    rhs = translate(StateVector(basis, h.to_csr() @ psi.amplitudes), 1).amplitudes
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_effective_matrix_elements():
     p = ModelParams(j=1.0, u=10.0, gamma=0.8, d=d, n=2)
     basis = pair_basis(d, 2)
     h = build_effective_hamiltonian(p, basis)
-    dense = h.to_dense()
+    dense = h.to_csr().toarray()
     jbar = p.jbar
     vnn = 2.0 * p.gamma - 4.0 * p.j**2 / p.u
     assert vnn == pytest.approx(p.gammabar)
@@ -99,8 +99,8 @@ def test_effective_matrix_elements():
 
 def test_effective_model_closes_over_bars():
     p = ModelParams(j=1.0, u=50.0, gamma=0.3, d=6, n=2)
-    direct = build_effective_hamiltonian(p).to_dense()
-    bars = build_effective_from_bars(6, 2, p.jbar, p.gammabar).to_dense()
+    direct = build_effective_hamiltonian(p).to_csr().toarray()
+    bars = build_effective_from_bars(6, 2, p.jbar, p.gammabar).to_csr().toarray()
     assert np.allclose(direct, bars)
 
 
@@ -110,7 +110,7 @@ def test_matvec_free_agrees_with_stored_operator(rng):
     h = build_effective_hamiltonian(p, basis)
     a = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     psi = StateVector(basis, a / np.linalg.norm(a))
-    assert np.allclose(matvec_effective_free(p, psi).amplitudes, h.matvec(psi).amplitudes)
+    assert np.allclose(matvec_effective_free(p, psi).amplitudes, h.to_csr() @ psi.amplitudes)
 
 
 def _assert_same_csr(op, ref):
@@ -166,15 +166,15 @@ def test_builders_match_oracles_and_commute_with_translation(sizes, j, u, gamma,
         _assert_same_csr(h, oracle(params, basis))
         a = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         psi = StateVector(basis, a / np.linalg.norm(a))
-        lhs = h.matvec(translate(psi, 1)).amplitudes
-        rhs = translate(h.matvec(psi), 1).amplitudes
+        lhs = h.to_csr() @ translate(psi, 1).amplitudes
+        rhs = translate(StateVector(basis, h.to_csr() @ psi.amplitudes), 1).amplitudes
         assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + j + u + gamma)
 
 
 def test_two_fermion_chain_structure():
     p = ModelParams(j=1.5, u=4.0, gamma=0.0, d=8, n=1)
     chain = build_relative_chain("two_fermion", p, r=0, cutoff=5)
-    dense = chain.to_dense()
+    dense = chain.to_csr().toarray()
     assert chain.basis.sites == tuple(range(-5, 6))
     center = chain.basis.sites.index(0)
     assert dense[center, center] == pytest.approx(-4.0)
@@ -185,7 +185,7 @@ def test_two_fermion_chain_structure():
 def test_two_pair_chain_structure():
     p = ModelParams(j=1.0, u=2.0, gamma=3.0, d=8, n=2)  # Jbar = 1, gammabar = 4
     chain = build_relative_chain("two_pair", p, r=0, cutoff=6)
-    dense = chain.to_dense()
+    dense = chain.to_csr().toarray()
     assert chain.basis.sites == tuple(range(1, 7))
     assert dense[0, 0] == pytest.approx(-4.0)
     assert dense[0, 1] == pytest.approx(-2.0)
@@ -194,7 +194,7 @@ def test_two_pair_chain_structure():
 def test_chain_nonzero_momentum_phase():
     p = ModelParams(j=1.0, u=4.0, gamma=0.0, d=8, n=1)
     chain = build_relative_chain("two_fermion", p, r=2, cutoff=4)
-    dense = chain.to_dense()
+    dense = chain.to_csr().toarray()
     hop = -(1 + np.exp(2j * np.pi * 2 / 8))
     assert dense[1, 0] == pytest.approx(hop)
     assert dense[0, 1] == pytest.approx(np.conj(hop))

@@ -157,19 +157,17 @@ def test_spectral_equivalence_degenerate_flag():
 
 
 def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
-    from cobosons import solve
-    from cobosons.model import SparseOperator
-
+    # no matrix of DENSE_LIMIT states or more reaches dense eigh
     p = ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2)
     want = spectral_equivalence_check(p)
-    to_dense = SparseOperator.to_dense
+    dense = solve._dense
 
-    def guarded(self):
-        assert self.dim < 100, f"densified a dim-{self.dim} operator"
-        return to_dense(self)
+    def guarded(a, tol_deg):
+        assert a.shape[0] < 100, f"densified a dim-{a.shape[0]} block"
+        return dense(a, tol_deg)
 
     monkeypatch.setattr(solve, "DENSE_LIMIT", 100)
-    monkeypatch.setattr(SparseOperator, "to_dense", guarded)
+    monkeypatch.setattr(solve, "_dense", guarded)
     got = spectral_equivalence_check(p)  # full model: dim 225 > DENSE_LIMIT
     assert np.abs(got.effective_energies - want.effective_energies).max() < 1e-9
     assert np.abs(got.full_energies - want.full_energies).max() < 1e-9
@@ -222,7 +220,7 @@ def _sector_case(model, d, n, x):
 
 def _whole_operator_dense(op, tol_deg=1e-9):
     """E0 and the window's ground vectors of the whole operator."""
-    evals, evecs = np.linalg.eigh(op.to_dense())
+    evals, evecs = np.linalg.eigh(op.to_csr().toarray())
     sel = evals <= evals[0] + tol_deg * max(1.0, abs(evals[0]))
     return evals[0], evecs[:, sel]
 
@@ -257,7 +255,7 @@ def test_sector_path_solves_the_reflection_even_block(model):
     # level of the whole operator
     for case in (c for c in SECTOR_CASES if c[0] == model):
         op = _sector_case(*case)
-        whole = np.linalg.eigvalsh(op.to_dense())
+        whole = np.linalg.eigvalsh(op.to_csr().toarray())
         scale = max(1.0, abs(whole[0]))
         index = reflection(op.basis)
         for limit in (solve.DENSE_LIMIT, 14):
@@ -279,20 +277,23 @@ def _chiral_count(basis):
     return pattern.sum(axis=1).astype(float)
 
 
-@pytest.mark.parametrize("breaks", ["operator", "coupling"])
-def test_operators_that_break_the_reflection_solve_the_whole_zero_momentum_block(breaks):
-    # certified and translation invariant, but the chiral 1101 count, in
-    # the operator or in the coupling, breaks R: the solver keeps every
-    # K = 0 orbit sum of T and matches the whole operator's dense solve,
-    # whose ground vector is not R-invariant
-    base = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=6e-3, d=8, n=3))
+def _chiral_case(breaks):
+    """(op, coupling): certified and translation invariant, but the chiral
+    1101 count, in the operator or in the coupling, breaks R."""
+    base = _sector_case("effective", 8, 3, 6.0)
     chiral = _chiral_count(base.basis)
     if breaks == "operator":
-        op, coupling = SparseOperator(base.basis, base.to_csr() + sp.diags(0.5e-3 * chiral)), np.zeros(base.dim)
-    else:
-        op, coupling = base, chiral
+        return SparseOperator(base.basis, base.to_csr() + sp.diags(0.5e-3 * chiral)), np.zeros(base.dim)
+    return base, chiral
+
+
+@pytest.mark.parametrize("breaks", ["operator", "coupling"])
+def test_operators_that_break_the_reflection_solve_the_whole_zero_momentum_block(breaks):
+    # the solver keeps every K = 0 orbit sum of T and matches the whole
+    # operator's dense solve, whose ground vector is not R-invariant
+    op, coupling = _chiral_case(breaks)
     orbits = translation_orbits(*translation(op.basis, 1), op.basis.d).reps.size
-    assert ground_space(base).dims[0] < orbits
+    assert ground_space(_sector_case("effective", 8, 3, 6.0)).dims[0] < orbits
     index = reflection(op.basis)
     for gamma in (0.0, 0.7e-3):
         energy, vectors = _whole_operator_dense(SparseOperator(op.basis, op.to_csr() + sp.diags(gamma * coupling)))
@@ -476,9 +477,34 @@ def test_momentum_blocks_hold_the_whole_spectrum():
         for k in range(d):
             proj = orbits.projector(k)
             levels.append(np.linalg.eigvalsh((proj.conj().T @ h @ proj).toarray()))
-        want = np.linalg.eigvalsh(op.to_dense())
+        want = np.linalg.eigvalsh(op.to_csr().toarray())
         scale = max(1.0, np.abs(want).max())
         assert np.abs(np.sort(np.concatenate(levels)) - want).max() < 1e-12 * scale, op.basis
+
+
+def test_every_block_equals_the_projected_operator():
+    # effective d <= 10 and full d <= 6 at every filling, with the gamma
+    # coupling, the two flux operators and both reflection-breaking cases:
+    # each block the solver keeps is P^H h P, and its coupling P^H diag(c) P
+    cases = [(op, gamma_coupling(op.basis)) for op in
+             [build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
+              for d in range(2, 11) for n in range(0, d + 1)]
+             + [build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.4, d=d, n_a=n_a, n_b=n_b))
+                for d in range(2, 7) for n_a in range(0, d + 1) for n_b in range(0, d + 1)]]
+    cases += [(UNCERTIFIED[name](), None) for name in ("flux", "flux, K != 0")]
+    cases += [_chiral_case(breaks) for breaks in ("operator", "coupling")]
+    paths = set()
+    for op, coupling in cases:
+        solver = GroundSolver(op, coupling)
+        paths.add(solver.path)
+        h = op.to_csr()
+        c = np.zeros(op.dim) if coupling is None else coupling
+        for k, (proj, block, block_coupling) in solver._blocks.items():
+            want = (proj.conj().T @ h @ proj).toarray()
+            assert np.abs(block.toarray() - want).max() <= 1e-12 * max(1.0, abs(h).max()), (op.basis, k)
+            want = (proj.conj().T @ sp.diags(c) @ proj).toarray()
+            assert np.abs(np.diag(block_coupling) - want).max() <= 1e-12 * max(1.0, np.abs(c).max()), (op.basis, k)
+    assert paths == {"sector", "momenta"}
 
 
 def test_ground_space_reports_real_dense_path_and_residual():
@@ -487,7 +513,7 @@ def test_ground_space_reports_real_dense_path_and_residual():
     gs = ground_space(op)
     assert gs.path == "dense"
     assert len(gs.levels) == solve.LEVELS
-    want = np.linalg.eigvalsh(op.to_dense())[: solve.LEVELS]
+    want = np.linalg.eigvalsh(op.to_csr().toarray())[: solve.LEVELS]
     assert np.abs(gs.levels - want).max() < 1e-12
     h = op.to_csr()
     assert gs.residual == np.linalg.norm(h @ gs.vectors - gs.vectors * gs.energy, axis=0).max()
@@ -602,7 +628,7 @@ def test_relative_chains_take_the_banded_path(kind, r, cutoff):
     site = np.arange(chain.dim) % 3 == 0
     for gamma in (0.0, 0.7):
         got = GroundSolver(chain, site)(gamma)
-        evals, evecs = np.linalg.eigh(chain.to_dense() + gamma * np.diag(site))
+        evals, evecs = np.linalg.eigh(chain.to_csr().toarray() + gamma * np.diag(site))
         scale = max(1.0, abs(evals[0]))
         assert (got.path, got.dims, got.momenta, got.degeneracy) == ("banded", (chain.dim,), None, 1)
         assert np.abs(got.levels - evals[: got.levels.size]).max() < 1e-12 * scale
