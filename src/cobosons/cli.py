@@ -2,9 +2,9 @@
 sweeps, chi tables, and the partition energy ledger, all written as CSV.
 
 Every subcommand is deterministic: identical inputs give byte-identical
-output.  Sweeps over the gamma grid can be evaluated in parallel with
-``--jobs``; rows are buffered and written in grid order.  Grids are given
-in the dimensionless combination gamma*U/J^2 and converted internally.
+output.  A sweep solves its gamma grid in order, in this process, from one
+``GroundSolver``.  Grids are given in the dimensionless combination
+gamma*U/J^2 and converted internally.
 """
 
 from __future__ import annotations
@@ -12,18 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-
-try:
-    from numpy._core import _multiarray_umath
-except ImportError:  # numpy < 2
-    from numpy.core import _multiarray_umath
 
 from .ansatz import Partition, build_block, build_c_sr, build_partition_state, build_q_sr
 from .fock import CapacityError, embed_pair_state, full_basis, pair_basis, project_to_pair_sector
@@ -47,7 +42,6 @@ from .model import (
 )
 from .solve import (
     GroundSolver,
-    _blas_thread_setter,
     analytic_two_fermion,
     analytic_two_pair,
     ground_space,
@@ -63,7 +57,7 @@ def fmt(x) -> str:
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: model selector, lattice content, couplings, gamma grid
-    (in gamma*U/J^2), output path, parallelism, and solver tolerance."""
+    (in gamma*U/J^2), output path, and solver tolerance."""
 
     model: str = "effective"
     d: int = 10
@@ -75,7 +69,6 @@ class SweepConfig:
     grid_points: int = 41
     targets: tuple = ()
     out: Optional[str] = None
-    jobs: int = 1
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -83,10 +76,10 @@ class SweepConfig:
             raise ValueError(f"model must be full or effective, got {self.model!r}")
         if self.grid_points < 2:
             raise ValueError(f"grid needs >= 2 points, got {self.grid_points}")
+        if not (math.isfinite(self.grid_min) and math.isfinite(self.grid_max) and self.grid_min >= 0):
+            raise ValueError(f"gamma grid must be finite and >= 0, got {self.grid_min:g}:{self.grid_max:g}")
         if self.tol <= 0:
             raise ValueError(f"tolerance must be > 0, got {self.tol}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     @property
     def grid(self) -> np.ndarray:
@@ -155,7 +148,7 @@ def target_label(target) -> str:
     return "partition_" + "_".join(str(m) for m in target[1])
 
 
-# ------------------------------------------------------------- sweep workers
+# ------------------------------------------------------------------ sweeps
 
 def _hamiltonian(cfg: SweepConfig, gamma: float):
     params = ModelParams(j=cfg.j, u=cfg.u, gamma=gamma, d=cfg.d, n=cfg.n)
@@ -164,69 +157,19 @@ def _hamiltonian(cfg: SweepConfig, gamma: float):
     return build_effective_hamiltonian(params)
 
 
-def _sweep(cfg: SweepConfig, xs):
-    """(gamma, x, ground space) at each point x of a chunk of the grid, all
-    from one solver: H(gamma) = H(0) + gamma * diag(c)."""
+def _sweep(cfg: SweepConfig):
+    """(gamma, x, ground space) at each point x of the grid, all from one
+    solver: H(gamma) = H(0) + gamma * diag(c)."""
     op = _hamiltonian(cfg, 0.0)
     solver = GroundSolver(op, gamma_coupling(op.basis), tol_deg=cfg.tol)
-    for x in xs:
+    for x in cfg.grid.tolist():
         gamma = cfg.gamma(x)
         yield gamma, x, solver(gamma)
-
-
-def _fidelity_chunk(args):
-    cfg, xs = args
-    targets = [build_target(cfg, t) for t in cfg.targets]
-    return [[gamma, x] + [fidelity(t, gs) for t in targets] for gamma, x, gs in _sweep(cfg, xs)]
-
-
-def _purity_chunk(args):
-    cfg, xs = args
-    return [[gamma, x, 1.0 - single_pair_purity(gs.state)[1]] for gamma, x, gs in _sweep(cfg, xs)]
-
-
-def _g2_chunk(args):
-    cfg, xs = args
-    rows = []
-    for gamma, x, gs in _sweep(cfg, xs):
-        vec = gs.state
-        rows += [[gamma, x, sep, g2(vec, 0, sep)] for sep in range(1, cfg.d // 2 + 1)]
-    return rows
 
 
 def _require_effective(cfg: SweepConfig, command: str) -> None:
     if cfg.model != "effective":
         raise ValueError(f"{command} runs on the effective model only, got --model {cfg.model}")
-
-
-def _one_blas_thread() -> list:
-    """One OpenBLAS thread for scipy.linalg's LAPACK and for numpy's own
-    OpenBLAS, each where it exposes ``openblas_set_num_threads_local``;
-    returns (setter, previous count) of each.  Every chunk of ``run_grid``
-    runs under it.  In a pool worker it keeps the workers from
-    oversubscribing the cores with one thread pool each; and since a
-    dense block of SERIAL_BLAS_BELOW states or more and an ARPACK block
-    round differently on more threads, one chunk in this process runs
-    under it too, so that ``--jobs`` does not change the output."""
-    setters = (_blas_thread_setter(), _blas_thread_setter(_multiarray_umath.__file__))
-    return [(set_threads, set_threads(1)) for set_threads in setters if set_threads is not None]
-
-
-def run_grid(worker, cfg: SweepConfig) -> list:
-    """Rows of ``worker`` over the grid in grid order.  Each of the
-    ``cfg.jobs`` workers gets one contiguous chunk of the grid and builds
-    its solver and targets once for it, on one BLAS thread.  A single
-    chunk runs in this process, whose thread counts are then restored."""
-    chunks = [(cfg, [float(x) for x in chunk]) for chunk in np.array_split(cfg.grid, cfg.jobs) if chunk.size]
-    if len(chunks) == 1:
-        previous = _one_blas_thread()
-        try:
-            return worker(chunks[0])
-        finally:
-            for set_threads, count in previous:
-                set_threads(count)
-    with ProcessPoolExecutor(max_workers=len(chunks), initializer=_one_blas_thread) as pool:
-        return [row for rows in pool.map(worker, chunks) for row in rows]
 
 
 # ---------------------------------------------------------------- CSV output
@@ -270,7 +213,8 @@ def cmd_ground_state(cfg: SweepConfig, gamma_u_j2: float) -> int:
 def cmd_fidelity_scan(cfg: SweepConfig) -> int:
     if not cfg.targets:
         raise ValueError("fidelity-scan needs at least one --targets entry")
-    rows = run_grid(_fidelity_chunk, cfg)
+    targets = [build_target(cfg, t) for t in cfg.targets]
+    rows = [[gamma, x] + [fidelity(t, gs) for t in targets] for gamma, x, gs in _sweep(cfg)]
     header = ["gamma", "gammaU_J2"] + [target_label(t) for t in cfg.targets]
     comments = [f"model = {cfg.model}, d = {cfg.d}, N = {cfg.n}, J = {fmt(cfg.j)}, U = {fmt(cfg.u)}"]
     write_csv(cfg.out, comments, header, rows)
@@ -310,7 +254,7 @@ def cmd_chi(cfg: SweepConfig, d_range, n_range, m_range) -> int:
 def cmd_purity_scan(cfg: SweepConfig) -> int:
     _require_effective(cfg, "purity-scan")
     d, n = cfg.d, cfg.n
-    rows = run_grid(_purity_chunk, cfg)
+    rows = [[gamma, x, 1.0 - single_pair_purity(gs.state)[1]] for gamma, x, gs in _sweep(cfg)]
     # analytic checkpoints: independent-pairs value at gamma*U/J^2 = 4 and
     # the molecular (block-state) plateau at large gamma
     uniform = 1.0 / d + (d - n) ** 2 / (d * (d - 1))
@@ -325,7 +269,10 @@ def cmd_purity_scan(cfg: SweepConfig) -> int:
 
 def cmd_g2_scan(cfg: SweepConfig) -> int:
     _require_effective(cfg, "g2-scan")
-    rows = run_grid(_g2_chunk, cfg)
+    rows = []
+    for gamma, x, gs in _sweep(cfg):
+        vec = gs.state
+        rows += [[gamma, x, sep, g2(vec, 0, sep)] for sep in range(1, cfg.d // 2 + 1)]
     header = ["gamma", "gammaU_J2", "separation", "g2"]
     comments = [f"model = effective, d = {cfg.d}, N = {cfg.n}, J = {fmt(cfg.j)}, U = {fmt(cfg.u)}"]
     write_csv(cfg.out, comments, header, rows)
@@ -354,8 +301,6 @@ def cmd_energy_ledger(cfg: SweepConfig) -> int:
 
 def _verify_checks():
     """Fast analytic-checkpoint suite; yields (name, ok, detail)."""
-    import math
-
     # chi closed form == construction oracle
     bad = [
         (d, n, m)
@@ -451,17 +396,17 @@ def parse_range(text: str) -> tuple:
     else:
         lo = hi = int(text)
     if lo < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+        raise ValueError(f"bad range {text!r}")
     return lo, hi
 
 
 def parse_grid(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be min:max:points")
+        raise ValueError(f"grid must be min:max:points, got {text!r}")
     lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
     if pts < 2 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}")
+        raise ValueError(f"bad grid {text!r}")
     return lo, hi, pts
 
 
@@ -483,7 +428,7 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-CONFIG_KEYS = ("model", "d", "n", "J", "U", "gamma-grid", "targets", "out", "jobs", "tol", "m")
+CONFIG_KEYS = ("model", "d", "n", "J", "U", "gamma-grid", "targets", "out", "tol", "m")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma-grid", help="min:max:points in gamma*U/J^2 units")
         p.add_argument("--targets", help="comma list: c2:s,r / q:s,r / block:M / partition:M1+M2+...")
         p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--jobs", type=int, help="parallel sweep workers")
         p.add_argument("--tol", type=float, help="solver degeneracy tolerance")
 
     p = sub.add_parser("ground-state", help="ground state amplitudes at one gamma")
@@ -567,8 +511,6 @@ def sweep_config_from(values: dict) -> SweepConfig:
         kw["targets"] = parse_targets_grouped(t) if isinstance(t, str) else t
     if "out" in values:
         kw["out"] = values["out"]
-    if "jobs" in values:
-        kw["jobs"] = int(values["jobs"])
     if "tol" in values:
         kw["tol"] = float(values["tol"])
     return replace(cfg, **kw)

@@ -260,11 +260,15 @@ def square_norm_test(strings=None, factors=None) -> SquareNormReport:
 
 def fidelity(psi: StateVector, target) -> float:
     """|<target|psi>|^2 for a vector target, squared projection norm for a
-    ground space; invariant under global phases."""
+    ground space; invariant under global phases.  The ground-space overlaps
+    are an einsum, not a BLAS product: OpenBLAS threads that product on a
+    vector of about 1e5 states, where on two vCPUs it ran 8x slower and
+    left a thread spinning for about 50 ms after each call, and its last
+    digits followed the thread count."""
     if isinstance(target, GroundSpace):
         if not (target.basis is psi.basis or target.basis == psi.basis):
             raise BasisMismatchError("state and ground space bases differ")
-        return float(np.sum(np.abs(target.vectors.conj().T @ psi.amplitudes) ** 2))
+        return float(np.sum(np.abs(np.einsum("ik,i->k", target.vectors.conj(), psi.amplitudes)) ** 2))
     if not (target.basis is psi.basis or target.basis == psi.basis):
         raise BasisMismatchError("states live in different bases")
     return float(abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2)

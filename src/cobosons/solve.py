@@ -3,6 +3,7 @@ two-fermion and two-pair relative chains."""
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -39,7 +40,7 @@ DENSE_LIMIT = 2000
 RESIDUAL_TOL = 1e-10
 EQUIVALENCE_LEVELS = 4
 LEVELS = 12  # eigenpairs per solve; the dense path computes all when the window holds them all
-# Dense eigensolves below this size run on one BLAS thread (see _eigh).
+# Dense eigensolves below this size run on one BLAS thread (see _serial_blas).
 SERIAL_BLAS_BELOW = 512
 
 
@@ -105,31 +106,38 @@ def _window(evals: np.ndarray, tol_deg: float) -> np.ndarray:
 
 
 @functools.cache
-def _blas_thread_setter(library: str = scipy.linalg.cython_lapack.__file__):
-    """``openblas_set_num_threads_local`` of the OpenBLAS that the
-    extension module ``library`` links, by default scipy.linalg's LAPACK:
-    it sets that library's thread count and returns the previous one.
-    None with another BLAS or OpenBLAS older than 0.3.27."""
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of scipy.linalg's OpenBLAS: it
+    sets that library's thread count and returns the previous one.  None
+    with another BLAS or OpenBLAS older than 0.3.27."""
     try:
-        set_threads = ctypes.CDLL(library).openblas_set_num_threads_local
+        set_threads = ctypes.CDLL(scipy.linalg.cython_lapack.__file__).openblas_set_num_threads_local
     except (OSError, AttributeError):
         return None
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
     return set_threads
 
 
-def _eigh(a: np.ndarray, **kw) -> tuple:
-    """``la.eigh``, on one BLAS thread below SERIAL_BLAS_BELOW.  LAPACK's
-    tridiagonal reduction joins the BLAS threads once per column, so on
-    a small matrix a second thread gains little (about 10% at n = 504 on
-    two vCPUs, nothing at n <= 300) and every join waits for a core
-    that another process may hold; above the size it gains 25-65%."""
-    set_threads = _blas_thread_setter() if a.shape[0] < SERIAL_BLAS_BELOW else None
+@contextlib.contextmanager
+def _serial_blas(serial: bool = True):
+    """scipy's OpenBLAS on one thread inside the block when ``serial``, its
+    count restored after.  The one thread rule of the solver: every ARPACK
+    solve, and every dense solve below SERIAL_BLAS_BELOW, runs under it;
+    everything else runs at the library's count.  ARPACK's Lanczos steps
+    are too small to share: on two vCPUs a 21-point sweep at effective
+    d = 20, N = 8 took 9.7 s wall and 9.7 s CPU on one thread, against
+    12.3 s wall and 23.4 s CPU on two.  Dense ``eigh`` joins the threads
+    once per column of its tridiagonal reduction, so below
+    SERIAL_BLAS_BELOW a second thread gains little (1.04x at 300 states,
+    1.14x at 504) and makes each join wait for a core that another
+    process may hold; above it gains 1.2x-1.7x."""
+    set_threads = _blas_thread_setter() if serial else None
     if set_threads is None:
-        return la.eigh(a, **kw)
+        yield
+        return
     previous = set_threads(1)
     try:
-        return la.eigh(a, **kw)
+        yield
     finally:
         set_threads(previous)
 
@@ -138,14 +146,16 @@ def _dense(a: np.ndarray, tol_deg: float) -> tuple:
     """Lowest LEVELS eigenpairs of a dense Hermitian matrix, solved as real
     when its imaginary part is exactly zero (a momentum block takes its
     dtype from P_K, not from the operator); the whole spectrum when all of
-    them fall inside the degeneracy window."""
+    them fall inside the degeneracy window.  One BLAS thread below
+    SERIAL_BLAS_BELOW (``_serial_blas``)."""
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
-    if a.shape[0] > LEVELS:
-        evals, evecs = _eigh(a, subset_by_index=[0, LEVELS - 1])
-        if not _window(evals, tol_deg).all():
-            return evals, evecs
-    return _eigh(a)
+    with _serial_blas(a.shape[0] < SERIAL_BLAS_BELOW):
+        if a.shape[0] > LEVELS:
+            evals, evecs = la.eigh(a, subset_by_index=[0, LEVELS - 1])
+            if not _window(evals, tol_deg).all():
+                return evals, evecs
+        return la.eigh(a)
 
 
 def _banded(h: sp.csr_matrix, tol_deg: float) -> tuple:
@@ -180,12 +190,13 @@ def _banded(h: sp.csr_matrix, tol_deg: float) -> tuple:
 
 def _arpack(mat, tol_deg: float) -> tuple:
     """Lowest LEVELS Ritz pairs by complex Lanczos (ARPACK) from the
-    deterministic uniform start vector, ascending.  Complex ``eigsh`` runs
-    ``eigs``, which needs k < n - 1."""
+    deterministic uniform start vector, ascending, under ``_serial_blas``.
+    Complex ``eigsh`` runs ``eigs``, which needs k < n - 1."""
     n = mat.shape[0]
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
-        evals, evecs = spla.eigsh(mat.astype(complex, copy=False), k=min(LEVELS, n - 2), which="SA", v0=v0, tol=0)
+        with _serial_blas():
+            evals, evecs = spla.eigsh(mat.astype(complex, copy=False), k=min(LEVELS, n - 2), which="SA", v0=v0, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
     order = np.argsort(evals)

@@ -8,17 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cobosons import solve
 from cobosons.cli import (
     SweepConfig,
-    _multiarray_umath,
     load_config_file,
     main,
     parse_grid,
     parse_range,
     parse_target,
     parse_targets_grouped,
-    run_grid,
     sweep_config_from,
 )
 
@@ -60,11 +57,9 @@ def test_parse_grid_and_range():
     assert parse_grid("0:10:21") == (0.0, 10.0, 21)
     assert parse_range("3:7") == (3, 7)
     assert parse_range("5") == (5, 5)
-    import argparse
-
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(ValueError):
         parse_grid("0:10")
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(ValueError):
         parse_range("7:3")
 
 
@@ -75,8 +70,26 @@ def test_sweep_config_validation():
         SweepConfig(grid_points=1)
     with pytest.raises(ValueError):
         SweepConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(jobs=0)
+
+
+def test_sweep_config_rejects_negative_or_nonfinite_gamma_before_any_basis(tmp_path, monkeypatch):
+    # sweeps build only H(0), so ModelParams never sees the grid's gamma
+    from cobosons import fock
+
+    def never(d, n):
+        raise AssertionError(f"enumerated a basis ({d}, {n}) despite the bad grid")
+
+    monkeypatch.setattr(fock, "_masks", never)
+    for lo, hi in ((-8.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="gamma grid must be finite and >= 0"):
+            SweepConfig(grid_min=lo, grid_max=hi)
+    cfgfile = tmp_path / "neg.cfg"
+    cfgfile.write_text("gamma-grid = -8:0:3\n", encoding="utf-8")
+    for argv in (["fidelity-scan", "--gamma-grid=-8:0:3", "--targets", "block:2"],
+                 ["purity-scan", "--config", str(cfgfile)]):
+        with pytest.raises(ValueError, match="gamma grid must be finite and >= 0"):
+            run_cli(*argv, "--d", "6", "--n", "2", "--out", str(tmp_path / "x.csv"))
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -129,12 +142,20 @@ def test_console_entry_reports_input_errors_in_one_line(tmp_path):
     cfgfile.write_text("dd = 12\nmodel = effective\nn = 2\n", encoding="utf-8")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "cobosons.cli", "ground-state", "--config", str(cfgfile)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith("cobosons: error: unknown config key 'dd'")
+    scan = ["fidelity-scan", "--d", "6", "--n", "2", "--targets", "block:2", "--gamma-grid"]
+    cases = [
+        (["ground-state", "--config", str(cfgfile)], "unknown config key 'dd'"),
+        ([*scan, "1:2"], "grid must be min:max:points"),
+        ([*scan, "0:1:1"], "bad grid '0:1:1'"),
+        (["chi", "--d", "5:2"], "bad range '5:2'"),
+    ]
+    for argv, message in cases:
+        proc = subprocess.run([sys.executable, "-m", "cobosons.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, argv
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"cobosons: error: {message}"), proc.stderr
 
 
 def test_ground_state_uniform_at_compensation_point(tmp_path):
@@ -267,8 +288,8 @@ SWEEPS = [  # (command, model, targets, target builds)
 
 @pytest.mark.parametrize("command, model, targets, builds", SWEEPS)
 def test_sweep_builds_once_per_chunk(command, model, targets, builds, monkeypatch, tmp_path):
-    # a five-point grid in one chunk (--jobs 1): the Hamiltonian, the
-    # translation check, the orbit walk and every target are built once
+    # a five-point grid: the Hamiltonian, the translation check, the
+    # orbit walk and every target are built once per sweep
     import cobosons.cli as cli
     from cobosons import solve
 
@@ -289,7 +310,7 @@ def test_sweep_builds_once_per_chunk(command, model, targets, builds, monkeypatc
     count(solve, "_invariant_translation")
     count(solve, "translation_orbits")
     argv = [command, "--model", model, "--d", "6", "--n", "2", "--J", "1", "--U", "1000",
-            "--gamma-grid", "0:8:5", "--jobs", "1", "--out", str(tmp_path / "sweep.csv")]
+            "--gamma-grid", "0:8:5", "--out", str(tmp_path / "sweep.csv")]
     run_cli(*argv, *(["--targets", targets] if targets else []))
     assert len(data_rows(read(tmp_path / "sweep.csv"))[1]) == 5 * (3 if command == "g2-scan" else 1)
     want = Counter([f"build_{model}_hamiltonian", "_invariant_translation", "translation_orbits", *builds])
@@ -336,48 +357,6 @@ def test_chi_table_leaves_the_oracle_empty_beyond_its_capacity(tmp_path):
     assert [(r[0], r[1], r[4] == r[3], r[4] == "") for r in rows] == [
         ("24", "7", True, False), ("24", "8", True, False), ("24", "9", False, True),
         ("25", "7", False, True), ("25", "8", False, True), ("25", "9", False, True)]
-
-
-def _blas_threads():
-    """The OpenBLAS thread count of scipy.linalg's LAPACK and of numpy,
-    each None where its setter is not found."""
-    counts = []
-    for set_threads in (solve._blas_thread_setter(), solve._blas_thread_setter(_multiarray_umath.__file__)):
-        if set_threads is None:
-            counts.append(None)
-        else:
-            counts.append(set_threads(1))  # returns the count it replaces
-            set_threads(counts[-1])
-    return tuple(counts)
-
-
-def _blas_threads_chunk(_chunk):
-    return [_blas_threads()]
-
-
-def test_jobs_workers_run_on_one_blas_thread():
-    # in each pool worker, and in this process for one chunk, which then
-    # gets its own counts back
-    if solve._blas_thread_setter() is None:
-        pytest.skip("scipy.linalg does not run on OpenBLAS 0.3.27 or newer")
-    before = _blas_threads()
-    for jobs in (1, 2):
-        rows = run_grid(_blas_threads_chunk, SweepConfig(jobs=jobs))
-        assert rows == [tuple(None if c is None else 1 for c in before)] * jobs
-        assert _blas_threads() == before
-
-
-def test_jobs_do_not_change_output(tmp_path):
-    # the second case solves a 600-state block, at or above
-    # SERIAL_BLAS_BELOW: dense eigh on as many BLAS threads as the chunk
-    for case in (["--d", "8", "--n", "2", "--gamma-grid", "0:8:5", "--targets", "q:1,0"],
-                 ["--d", "17", "--n", "7", "--gamma-grid", "0:8:4", "--targets", "partition:7"]):
-        args = ["fidelity-scan", "--model", "effective", "--J", "1", "--U", "1000", *case]
-        out1 = tmp_path / "seq.csv"
-        out2 = tmp_path / "par.csv"
-        run_cli(*args, "--jobs", "1", "--out", str(out1))
-        run_cli(*args, "--jobs", "2", "--out", str(out2))
-        assert read(out1) == read(out2), case
 
 
 def test_verify_exits_zero(capsys):

@@ -182,6 +182,22 @@ def test_fidelity_between_states():
     assert fidelity(psi, psi) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_fidelity_with_a_ground_space_matches_the_column_loop(k):
+    # the einsum overlap sums in another order than a BLAS product: agree
+    # to 1e-14 on unit states with the sum of |<v|psi>|^2 over the columns
+    from cobosons.solve import GroundSpace
+
+    psi, _ = build_partition_state(10, [1, 1, 1])
+    rng = np.random.default_rng(k)
+    raw = rng.standard_normal((psi.basis.size, k)) + 1j * rng.standard_normal((psi.basis.size, k))
+    vecs, _ = np.linalg.qr(raw / np.sqrt(psi.basis.size) + psi.amplitudes[:, None])
+    gs = GroundSpace(0.0, vecs, psi.basis, np.zeros(k), "dense", 0.0, None, (psi.basis.size,))
+    want = sum(abs(np.vdot(vecs[:, c], psi.amplitudes)) ** 2 for c in range(k))
+    assert abs(fidelity(psi, gs) - want) < 1e-14
+    assert want > 0.1
+
+
 def test_single_pair_rdm_properties():
     psi, _ = build_partition_state(8, [2, 1])
     rho = single_pair_rdm(psi)

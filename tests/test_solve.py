@@ -157,18 +157,26 @@ def test_spectral_equivalence_degenerate_flag():
 
 
 def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
-    # no matrix of DENSE_LIMIT states or more reaches dense eigh
+    # at DENSE_LIMIT = 30 the full model's momentum blocks (36 to 39
+    # states) go to ARPACK and no block of 30 states or more is densified
     p = ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2)
     want = spectral_equivalence_check(p)
-    dense = solve._dense
+    dense, arpack = solve._dense, solve._arpack
+    arpack_dims = []
 
     def guarded(a, tol_deg):
-        assert a.shape[0] < 100, f"densified a dim-{a.shape[0]} block"
+        assert a.shape[0] < 30, f"densified a dim-{a.shape[0]} block"
         return dense(a, tol_deg)
 
-    monkeypatch.setattr(solve, "DENSE_LIMIT", 100)
+    def counted(mat, tol_deg):
+        arpack_dims.append(mat.shape[0])
+        return arpack(mat, tol_deg)
+
+    monkeypatch.setattr(solve, "DENSE_LIMIT", 30)
     monkeypatch.setattr(solve, "_dense", guarded)
-    got = spectral_equivalence_check(p)  # full model: dim 225 > DENSE_LIMIT
+    monkeypatch.setattr(solve, "_arpack", counted)
+    got = spectral_equivalence_check(p)
+    assert arpack_dims and min(arpack_dims) >= 30
     assert np.abs(got.effective_energies - want.effective_energies).max() < 1e-9
     assert np.abs(got.full_energies - want.full_energies).max() < 1e-9
     assert got.fidelity == pytest.approx(want.fidelity, abs=1e-9)
@@ -521,6 +529,10 @@ def test_ground_space_reports_real_dense_path_and_residual():
 
 @pytest.mark.parametrize("n", [solve.SERIAL_BLAS_BELOW - 1, solve.SERIAL_BLAS_BELOW])
 def test_small_dense_eigensolves_run_on_one_blas_thread(n, monkeypatch):
+    # scipy's OpenBLAS count inside eigh of an n-state dense solve (one
+    # thread below SERIAL_BLAS_BELOW, the library's count from it) and
+    # inside eigsh of an n-state ARPACK solve (one thread at any size),
+    # and restored after each
     set_threads = solve._blas_thread_setter()
     if set_threads is None:
         pytest.skip("scipy.linalg does not run on OpenBLAS 0.3.27 or newer")
@@ -532,13 +544,19 @@ def test_small_dense_eigensolves_run_on_one_blas_thread(n, monkeypatch):
 
     before = count()
     seen = []
-    eigh = solve.la.eigh
+    eigh, eigsh = solve.la.eigh, solve.spla.eigsh
     monkeypatch.setattr(solve.la, "eigh", lambda a, **kw: (seen.append(count()), eigh(a, **kw))[1])
+    monkeypatch.setattr(solve.spla, "eigsh", lambda a, **kw: (seen.append(count()), eigsh(a, **kw))[1])
     a = np.diag(np.arange(n, dtype=float)) - np.eye(n, k=1) - np.eye(n, k=-1)
-    evals, _ = solve._eigh(a, subset_by_index=[0, 2])
+    want = np.linalg.eigvalsh(a)[: solve.LEVELS]
+    evals, _ = solve._dense(a, 1e-9)
     assert seen == [1 if n < solve.SERIAL_BLAS_BELOW else before]
     assert count() == before
-    assert np.abs(evals - np.linalg.eigvalsh(a)[:3]).max() < 1e-12
+    assert np.abs(evals - want).max() < 1e-12
+    evals, _ = solve._arpack(sp.csr_matrix(a), 1e-9)
+    assert seen[1:] == [1]
+    assert count() == before
+    assert np.abs(evals - want).max() < 1e-10
 
 
 GRID_X =(0.0, 1.5, 4.0, 9.0, 20.0)  # gamma*U/J^2, through the isotropic point 4

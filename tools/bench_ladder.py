@@ -6,10 +6,12 @@
 DIR is a checkout of the parent commit.  For each checkout (the parent and
 this one) the script records:
 
-- the size ladder: one ``ground_space`` solve per (model, d, N), each in its
-  own process so that a solve above TIMEOUT_S seconds is cut and
-  recorded as not run, with the basis dimension, the solver path, the solve
-  and build times, the degeneracy and the peak RSS;
+- the size ladder: LADDER_REPEATS ``ground_space`` solves per (model, d,
+  N) and checkout, alternating which side runs first, each in its own
+  process so that a solve above TIMEOUT_S seconds is cut and recorded as
+  not run (and not repeated), with the basis dimension, the solver path,
+  the degeneracy, the solve and build times and the peak RSS of every run,
+  and the median of each;
 - the chain ladder: the median of CHAIN_REPEATS ``ground_space`` solves of
   each relative chain in CHAIN_LADDER, after one untimed solve, in its own
   process, with the chain's size, the solver path and the energy;
@@ -37,6 +39,7 @@ GAMMA_U_J2 = 10.5
 PAIRS = 10  # alternating parent/change runs per workload
 SECONDS = 20  # run length, the benchmark's run_seconds
 TIMEOUT_S = 300  # a ladder solve past this is recorded as not run
+LADDER_REPEATS = 5  # alternating parent/change solves per ladder size; one run below 0.2 s swings by +-50%
 # (model, d, N); effective at J = 1, U = 1000, full at J = 100, U = 1e5
 LADDER = (
     ("effective", 10, 4), ("effective", 16, 6), ("effective", 20, 8), ("effective", 24, 8),
@@ -100,6 +103,16 @@ def ladder_entry(checkout: Path, model: str, d: int, n: int) -> dict:
     return run_json([sys.executable, "-c", SOLVE, str(checkout / "src"), model, str(d), str(n), str(GAMMA_U_J2)])
 
 
+def ladder_side(runs: list) -> dict:
+    """The first run's fields, with the median of each measured quantity
+    and every run's values; the first run as it is if it did not solve."""
+    if "solve_s" not in runs[0]:
+        return runs[0]
+    timed = ("build_s", "solve_s", "peak_rss_mb")
+    return {**runs[0], **{key: statistics.median(r[key] for r in runs) for key in timed},
+            "runs": [{key: r[key] for key in timed} for r in runs]}
+
+
 def chain_entry(checkout: Path, kind: str, r: int, cutoff: int) -> dict:
     return run_json([sys.executable, "-c", CHAIN, str(checkout / "src"), kind, str(r), str(cutoff),
                      str(CHAIN_REPEATS)])
@@ -134,11 +147,15 @@ def main(argv=None) -> int:
 
     ladder = []
     for model, d, n in LADDER:
-        row = {"model": model, "d": d, "N": n, "gamma_u_j2": GAMMA_U_J2}
-        for side, checkout in sides.items():
-            row[side] = ladder_entry(checkout, model, d, n)
-            print(json.dumps({"ladder": [model, d, n], side: row[side]}), file=sys.stderr)
-        ladder.append(row)
+        runs = {side: [] for side in sides}
+        for repeat in range(LADDER_REPEATS):
+            for side in list(sides) if repeat % 2 == 0 else list(reversed(sides)):
+                if runs[side] and "solve_s" not in runs[side][0]:
+                    continue  # cut or failed: not run again
+                runs[side].append(ladder_entry(sides[side], model, d, n))
+                print(json.dumps({"ladder": [model, d, n], side: runs[side][-1]}), file=sys.stderr)
+        ladder.append({"model": model, "d": d, "N": n, "gamma_u_j2": GAMMA_U_J2,
+                       **{side: ladder_side(r) for side, r in runs.items()}})
 
     chains = []
     for kind, r, cutoff in CHAIN_LADDER:
@@ -162,7 +179,8 @@ def main(argv=None) -> int:
                                "rows_per_s_change_wins": f"{wins}/{PAIRS}"}
 
     text = json.dumps({"ladder": ladder, "chains": chains, "workloads": workloads, "pairs": PAIRS,
-                       "seconds": SECONDS, "timeout_s": TIMEOUT_S}, indent=1) + "\n"
+                       "seconds": SECONDS, "timeout_s": TIMEOUT_S, "ladder_repeats": LADDER_REPEATS},
+                      indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
