@@ -3,7 +3,10 @@
 Bit ``k`` of a mask set means site ``k`` is occupied.  A basis keeps its
 masks as read-only ascending int64 arrays, one per species, and ``rank``
 finds masks in them by binary search; a full basis is mask_a-major, so a
-configuration's index is ``i_a * len(masks_b) + i_b``.  The canonical
+configuration's index is ``i_a * len(masks_b) + i_b``.  ``pair_basis`` and
+``full_basis`` hand out one shared basis per sector (the last sector asked
+for of each kind), and a basis builds each of its sector tables (hop,
+bonds, symmetry tables, projectors) once, on first use.  The canonical
 operator ordering for the full sector is: all a-type creation operators in
 ascending mode order, then all b-type ones in ascending mode order.  All
 fermionic signs below follow from that convention.
@@ -11,6 +14,7 @@ fermionic signs below follow from that convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,14 +64,81 @@ def _rank(masks: np.ndarray, query) -> np.ndarray:
     return idx
 
 
+def _read_only(table):
+    """``table`` with its arrays made read-only when it is an array or a
+    sparse matrix; ``translation`` and ``translation_orbits`` make theirs
+    read-only where they are built."""
+    arrays = (table.data, table.indices, table.indptr) if sp.issparse(table) else (table,)
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return table
+
+
+def _table(build):
+    """A sector table, ``basis.name(*key)``: ``build(basis, *key)`` runs on
+    the first call with each key, and its read-only result is kept with
+    the basis."""
+
+    @functools.wraps(build)
+    def kept(basis, *key):
+        name = (build.__name__, *key)
+        if name not in basis._tables:
+            basis._tables[name] = _read_only(build(basis, *key))
+        return basis._tables[name]
+
+    return kept
+
+
+class _SectorTables:
+    """Tables that depend only on the sector (the kind of basis, d and the
+    particle counts): the unit nearest-neighbour hop, the bond counts, the
+    one-site translation with its orbits and momentum projectors, and the
+    site reflection.  Nothing here depends on an operator."""
+
+    @_table
+    def translation_table(self) -> tuple:
+        """(index, sign) of the one-site translation (``translation``)."""
+        return translation(self, 1)
+
+    @_table
+    def orbits(self) -> "Orbits":
+        return translation_orbits(*self.translation_table(), self.d)
+
+    @_table
+    def reflection_index(self) -> np.ndarray:
+        """The bare site reflection (``reflection``)."""
+        return reflection(self)
+
+    @_table
+    def projector(self, K: int) -> sp.csr_matrix:
+        """``Orbits.projector(K)`` of the one-site translation."""
+        return self.orbits().projector(K)
+
+    @_table
+    def even_projector(self) -> sp.csr_matrix:
+        """(dim, orbits) isometry onto the normalized orbit sums of the group
+        of T and the bare site reflection R: the representative of a state
+        is min(trep[i], trep[R[i]]), with trep its translation-orbit
+        representative.  Columns follow the representatives in ascending
+        order."""
+        orbits = self.orbits()
+        rep = orbits.reps[orbits.orbit]
+        rep = np.minimum(rep, rep[self.reflection_index()])
+        _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+        return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(rep.size), orbit)),
+                             shape=(rep.size, size.size))
+
+
 @dataclass(frozen=True)
-class PairBasis:
+class PairBasis(_SectorTables):
     """All C(d, n) bitmasks with n hard-core pairs on d sites, ascending.
     Bases compare and hash by (d, n) only."""
 
     d: int
     n: int
     states: np.ndarray = field(repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -76,9 +147,39 @@ class PairBasis:
     def rank(self, masks) -> np.ndarray:
         return _rank(self.states, masks)
 
+    @_table
+    def occupation(self) -> np.ndarray:
+        """(size, d) uint8 ``occupations`` of the states."""
+        return occupations(self.states, self.d).astype(np.uint8)
+
+    @_table
+    def bonds(self) -> np.ndarray:
+        """Adjacent pairs (periodic) of every state."""
+        occ = self.occupation()
+        return np.sum(occ & np.roll(occ, -1, axis=1), axis=1, dtype=np.int64)
+
+    @_table
+    def hop(self) -> sp.csr_matrix:
+        """sum_k (eta^dag_k eta_{k+1} + h.c.)."""
+        return _hop(self.states, self.d, 1)
+
+    @_table
+    def rdm_gather(self) -> np.ndarray:
+        """(C(d, n-1), d) gather table of the single-pair RDM: entry [m, k]
+        is the index of the (n-1)-pair rest m plus a pair at k, and
+        ``size`` where m holds k."""
+        d = self.d
+        _check_size("pair basis", d, MAX_PAIR_SITES, N=self.n - 1)
+        rest = _masks(d, self.n - 1)
+        table = np.full((rest.size, d), self.size, dtype=np.int64)
+        for k in range(d):
+            free = np.flatnonzero(((rest >> k) & 1) == 0)
+            table[free, k] = self.rank(rest[free] | (1 << k))
+        return table
+
 
 @dataclass(frozen=True)
-class FullBasis:
+class FullBasis(_SectorTables):
     """All C(d,n_a)*C(d,n_b) two-species configurations, mask_a major and
     mask_b minor.  Bases compare and hash by (d, n_a, n_b) only."""
 
@@ -87,6 +188,7 @@ class FullBasis:
     n_b: int
     masks_a: np.ndarray = field(repr=False, compare=False)
     masks_b: np.ndarray = field(repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -102,6 +204,28 @@ class FullBasis:
 
     def rank(self, masks_a, masks_b) -> np.ndarray:
         return _rank(self.masks_a, masks_a) * self.masks_b.size + _rank(self.masks_b, masks_b)
+
+    @_table
+    def onsite(self) -> np.ndarray:
+        """Doubly occupied sites of every configuration."""
+        return (occupations(self.masks_a, self.d) @ occupations(self.masks_b, self.d).T).ravel()
+
+    @_table
+    def bonds(self) -> np.ndarray:
+        """A at k with B at k+1 and B at k with A at k+1 (periodic), both
+        orientations, so that projecting onto the pair subspace gives two
+        per adjacent pair."""
+        occ_a, occ_b = occupations(self.masks_a, self.d), occupations(self.masks_b, self.d)
+        return (occ_a @ np.roll(occ_b, -1, axis=1).T + np.roll(occ_a, -1, axis=1) @ occ_b.T).ravel()
+
+    @_table
+    def hop(self) -> sp.csr_matrix:
+        """The Kronecker sum of the species hops, each with wrap sign
+        (-1)^(n-1): kronsum(B, A) = kron(I_a, B) + kron(A, I_b) has index
+        i_a * dim_b + i_b."""
+        hop_a = _hop(self.masks_a, self.d, (-1) ** (self.n_a - 1))
+        hop_b = _hop(self.masks_b, self.d, (-1) ** (self.n_b - 1))
+        return sp.kronsum(hop_b, hop_a).tocsr()
 
 
 def _masks(d: int, n: int) -> np.ndarray:
@@ -123,14 +247,35 @@ def _masks(d: int, n: int) -> np.ndarray:
     return out
 
 
+_shared = {}  # kind -> (key, basis) of the sector of that kind asked for last
+
+
+def _shared_basis(kind, key: tuple, make):
+    """The shared basis of ``kind`` for ``key``; ``make()`` builds it, and
+    drops the one kept, when the last basis of that kind asked for had
+    another key."""
+    kept = _shared.get(kind)
+    if kept is None or kept[0] != key:
+        kept = _shared[kind] = (key, make())
+    return kept[1]
+
+
+def clear_shared_bases() -> None:
+    """Drop every shared basis, and with it the tables built on it."""
+    _shared.clear()
+
+
 def pair_basis(d: int, n: int) -> PairBasis:
+    """The shared PairBasis(d, n); the size check runs on every call."""
     _check_size("pair basis", d, MAX_PAIR_SITES, N=n)
-    return PairBasis(d, n, _masks(d, n))
+    return _shared_basis(PairBasis, (d, n), lambda: PairBasis(d, n, _masks(d, n)))
 
 
 def full_basis(d: int, n_a: int, n_b: int) -> FullBasis:
+    """The shared FullBasis(d, n_a, n_b); the size check runs on every call."""
     _check_size("full basis", d, MAX_FULL_SITES, N_A=n_a, N_B=n_b)
-    return FullBasis(d, n_a, n_b, _masks(d, n_a), _masks(d, n_b))
+    return _shared_basis(FullBasis, (d, n_a, n_b),
+                         lambda: FullBasis(d, n_a, n_b, _masks(d, n_a), _masks(d, n_b)))
 
 
 # ------------------------------------------------------ vectorized bit moves
@@ -148,6 +293,32 @@ def move(masks: np.ndarray, src: int, dst: int) -> tuple:
     allowed = (((masks >> src) & 1) == 1) & (((masks >> dst) & 1) == 0)
     from_idx = np.flatnonzero(allowed)
     return from_idx, _rank(masks, masks[from_idx] ^ ((1 << src) | (1 << dst)))
+
+
+def _hop(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
+    """sum_k (c^dag_k c_{k+1} + h.c.) on one species' ascending masks: the
+    one hop kernel, for pairs and for each fermion species.
+
+    With the canonical ascending mode order a nearest-neighbour hop
+    passes no other particle, except across the periodic bond (d-1, 0),
+    where it passes all n - 1 others: wrap_sign = (-1)^(n-1) for
+    fermions, +1 for hard-core pairs.  The entries are int8, an eighth of
+    the bytes of float64 entries, since a shared basis keeps the hop; a
+    float coupling times the hop is float64 with the same values.
+    """
+    rows, cols, vals = [], [], []
+    for k in range(d):
+        kp = (k + 1) % d
+        sign = wrap_sign if kp == 0 else 1
+        for src, dst in ((kp, k), (k, kp)):
+            from_idx, to_idx = move(masks, src, dst)
+            rows.append(to_idx)
+            cols.append(from_idx)
+            vals.append(np.full(from_idx.size, sign, dtype=np.int8))
+    dim = masks.size
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
 
 
 def rotate(masks, shift, d: int):
@@ -218,16 +389,20 @@ def translation(basis, shift: int) -> tuple:
     On the full basis, creation operators whose mode wraps past d-1 are
     moved back to the front of their species string, giving a
     (-1)^(n-1)-per-wrapped-mode sign within each species; pair states
-    carry sign +1.
+    carry sign +1.  Both arrays are read-only.
     """
     d = basis.d
     shift %= d
     if isinstance(basis, PairBasis):
-        return basis.rank(rotate(basis.states, shift, d)), np.ones(basis.size)
-    ma, mb = basis.masks_a, basis.masks_b
-    index = basis.rank(rotate(ma, shift, d)[:, None], rotate(mb, shift, d)[None, :])
-    sign = np.multiply.outer(_wrap_signs(ma, basis.n_a, shift, d), _wrap_signs(mb, basis.n_b, shift, d))
-    return index.ravel(), sign.ravel()
+        index, sign = basis.rank(rotate(basis.states, shift, d)), np.ones(basis.size)
+    else:
+        ma, mb = basis.masks_a, basis.masks_b
+        index = basis.rank(rotate(ma, shift, d)[:, None], rotate(mb, shift, d)[None, :]).ravel()
+        sign = np.multiply.outer(_wrap_signs(ma, basis.n_a, shift, d),
+                                 _wrap_signs(mb, basis.n_b, shift, d)).ravel()
+    index.setflags(write=False)
+    sign.setflags(write=False)
+    return index, sign
 
 
 def _reverse(masks: np.ndarray, d: int) -> np.ndarray:
@@ -272,7 +447,7 @@ class Orbits:
     ``size`` the period p of each.  State i lies on orbit ``orbit[i]`` and
     reaches its representative after ``shift[i]`` shifts,
     T^shift |i> = to_rep[i] |r>; ``period_sign[o]`` is s_p in
-    T^p |r> = s_p |r>.  Memory stays O(dim)."""
+    T^p |r> = s_p |r>.  Memory stays O(dim); the arrays are read-only."""
 
     d: int
     reps: np.ndarray
@@ -327,7 +502,10 @@ def translation_orbits(index: np.ndarray, sign: np.ndarray, d: int) -> Orbits:
     reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
     # T^p |r> = sign[r] T^(p-1) |index[r]> = sign[r] to_rep[index[r]] |r>
     period_sign = sign[reps] * to_rep[index[reps]]
-    return Orbits(d, reps, size, orbit, shift, to_rep, period_sign)
+    tables = reps, size, orbit, shift, to_rep, period_sign
+    for a in tables:
+        a.setflags(write=False)
+    return Orbits(d, *tables)
 
 
 # ------------------------------------------------------- pair/full embedding

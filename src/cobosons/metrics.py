@@ -25,8 +25,6 @@ from .fock import (
     CapacityError,
     PairBasis,
     StateVector,
-    occupations,
-    pair_basis,
     popcount,
 )
 from .model import SparseOperator, build_effective_from_bars
@@ -281,16 +279,11 @@ def single_pair_rdm(psi: StateVector) -> np.ndarray:
     basis = psi.basis
     if not isinstance(basis, PairBasis):
         raise BasisMismatchError("single-pair RDM is defined on the pair basis")
-    d, n = basis.d, basis.n
     # eta_i^dag eta_j joins the (N-1)-pair rest m to a pair at j or at i:
     # rho_ij = sum_m conj(A[m, i]) A[m, j] / N with A[m, k] = psi(m | 1 << k),
-    # and 0 where m holds k
-    rest = pair_basis(d, n - 1).states
-    amp = np.zeros((rest.size, d), dtype=complex)
-    for k in range(d):
-        free = np.flatnonzero(((rest >> k) & 1) == 0)
-        amp[free, k] = psi.amplitudes[basis.rank(rest[free] | (1 << k))]
-    return amp.conj().T @ amp / n
+    # and 0 where m holds k (the basis's gather table points past the end)
+    amp = np.append(psi.amplitudes, 0)[basis.rdm_gather()]
+    return amp.conj().T @ amp / basis.n
 
 
 def single_pair_purity(psi: StateVector):
@@ -312,7 +305,7 @@ def g2(psi: StateVector, i: int, j: int) -> float:
     d, n = basis.d, basis.n
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError(f"sites ({i}, {j}) outside [0, d={d})")
-    occ = occupations(basis.states, d)
+    occ = basis.occupation()
     prob = np.abs(psi.amplitudes) ** 2
     occ_i = float(prob @ occ[:, i])
     occ_j = float(prob @ occ[:, j])

@@ -16,8 +16,6 @@ from .fock import (
     PairBasis,
     StateVector,
     full_basis,
-    move,
-    occupations,
     pair_basis,
 )
 
@@ -109,54 +107,20 @@ class SparseOperator:
         return complex(np.vdot(psi.amplitudes, self._csr @ psi.amplitudes))
 
 
-# ---------------------------------------------------------------- hopping
-
-def _hop(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
-    """sum_k (c^dag_k c_{k+1} + h.c.) on one species' ascending masks.
-
-    With the canonical ascending mode order a nearest-neighbour hop
-    passes no other particle, except across the periodic bond (d-1, 0),
-    where it passes all n - 1 others: wrap_sign = (-1)^(n-1) for
-    fermions, +1 for hard-core pairs.
-    """
-    rows, cols, vals = [], [], []
-    for k in range(d):
-        kp = (k + 1) % d
-        sign = wrap_sign if kp == 0 else 1
-        for src, dst in ((kp, k), (k, kp)):
-            from_idx, to_idx = move(masks, src, dst)
-            rows.append(to_idx)
-            cols.append(from_idx)
-            vals.append(np.full(from_idx.size, float(sign)))
-    dim = masks.size
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    )
-
-
 # ------------------------------------------------------------- full Hubbard
 
 def build_full_hamiltonian(params: ModelParams, basis: Optional[FullBasis] = None):
-    """H = J*H0 + U*Hp + gamma*Hnn on the two-species basis.
-
-    The basis is the mask_a-major product of the species bases, so the
-    hopping is the Kronecker sum of the two single-species hops.
-    """
+    """H = J*H0 + U*Hp + gamma*Hnn on the two-species basis, from the
+    basis's hop (the Kronecker sum of the two species hops), on-site pair
+    count and bond count."""
     if basis is None:
         if params.n_a is None or params.n_b is None:
             n = params.pair_count()
             basis = full_basis(params.d, n, n)
         else:
             basis = full_basis(params.d, params.n_a, params.n_b)
-    d = params.d
-    masks_a, masks_b = basis.masks_a, basis.masks_b
-    onsite = occupations(masks_a, d) @ occupations(masks_b, d).T
-    diag = -params.u * onsite.ravel() - params.gamma * bond_counts(basis)
-    hop_a = _hop(masks_a, d, (-1) ** (basis.n_a - 1))
-    hop_b = _hop(masks_b, d, (-1) ** (basis.n_b - 1))
-    # kronsum(B, A) = kron(I_a, B) + kron(A, I_b): index i_a * dim_b + i_b
-    hop = sp.kronsum(hop_b, hop_a)
-    return SparseOperator(basis, sp.diags(diag) - params.j * hop)
+    diag = -params.u * basis.onsite() - params.gamma * basis.bonds()
+    return SparseOperator(basis, sp.diags(diag) - params.j * basis.hop())
 
 
 # -------------------------------------------------------- effective pair model
@@ -176,29 +140,16 @@ def build_effective_from_bars(d, n, jbar, gammabar, basis: Optional[PairBasis] =
     """Pair model directly from the renormalized couplings Jbar, gammabar."""
     if basis is None:
         basis = pair_basis(d, n)
-    return SparseOperator(basis, sp.diags(-gammabar * bond_counts(basis)) - jbar * _hop(basis.states, d, 1))
+    return SparseOperator(basis, sp.diags(-gammabar * basis.bonds()) - jbar * basis.hop())
 
 
 # ------------------------------------------------------- the gamma direction
 
-def bond_counts(basis) -> np.ndarray:
-    """Occupied nearest-neighbour bonds (periodic) of every basis state.
-    On a pair basis: adjacent pairs.  On a full basis: A at k with B at
-    k+1 and B at k with A at k+1, both orientations, so that projecting
-    onto the pair subspace gives two per adjacent pair."""
-    d = basis.d
-    if isinstance(basis, PairBasis):
-        occ = occupations(basis.states, d)
-        return np.sum(occ & np.roll(occ, -1, axis=1), axis=1)
-    occ_a, occ_b = occupations(basis.masks_a, d), occupations(basis.masks_b, d)
-    return (occ_a @ np.roll(occ_b, -1, axis=1).T + np.roll(occ_a, -1, axis=1) @ occ_b.T).ravel()
-
-
 def gamma_coupling(basis) -> np.ndarray:
     """c with H(gamma) = H(0) + gamma * diag(c) for the Hamiltonian of
     ``basis``: -2 * bonds for the pair model (gammabar = 2(gamma - Jbar)),
-    -bonds for the full model."""
-    bonds = bond_counts(basis).astype(float)
+    -bonds for the full model (``basis.bonds()``)."""
+    bonds = basis.bonds().astype(float)
     return -2.0 * bonds if isinstance(basis, PairBasis) else -bonds
 
 

@@ -25,9 +25,6 @@ from .fock import (
     full_basis,
     pair_basis,
     project_to_pair_sector,
-    reflection,
-    translation,
-    translation_orbits,
 )
 from .model import (
     ModelParams,
@@ -237,11 +234,11 @@ def _invariant(h: sp.csr_matrix, coo: sp.coo_matrix, index: np.ndarray, sign=Non
 
 
 def _invariant_translation(h: sp.csr_matrix, coo: sp.coo_matrix, basis):
-    """(index, sign) of the one-site translation T of ``basis`` (see
-    ``fock.translation``) when T h T^-1 == h holds exactly, else None."""
+    """(index, sign) of the one-site translation T of ``basis`` (its
+    ``translation_table()``) when T h T^-1 == h holds exactly, else None."""
     if not isinstance(basis, (PairBasis, FullBasis)):
         return None
-    index, sign = translation(basis, 1)
+    index, sign = basis.translation_table()
     return (index, sign) if _invariant(h, coo, index, sign) else None
 
 
@@ -272,9 +269,10 @@ class GroundSolver:
       one block is kept: P holds the orbit sums of the group generated by
       T and the bare site reflection R (``fock.reflection``) when
       R op R^T == op and coupling[R] == coupling hold exactly (the
-      reflection-even K = 0 block), else the K = 0 orbit sums of T;
+      reflection-even K = 0 block, ``basis.even_projector()``), else the
+      K = 0 orbit sums of T;
     - "momenta", at any size, for any other operator that commutes with
-      T: P_K = ``Orbits.projector(K)`` for every K with a column, K =
+      T: P_K = ``basis.projector(K)`` for every K with a column, K =
       0..d/2 for a real operator, whose -K blocks are the conjugates of
       the +K ones;
     - "banded", at any size, for an operator on a basis without a lattice
@@ -284,11 +282,14 @@ class GroundSolver:
     On the last three the whole operator is the one block, with no P.
     ``_project`` reads every P^H op P from the representatives' rows; its
     gamma term is diag(coupling[reps]), exact because the coupling is
-    constant on each orbit.
+    constant on each orbit.  The translation, reflection, orbits and
+    projectors are tables of the basis, built once per sector; the
+    checks on the operator run in every ``__init__``.
 
     A call ``solver(gamma)`` runs one loop: add gamma * diag(coupling) to
     each block and solve it (``_banded`` on the banded path, else
-    ``_dense`` below DENSE_LIMIT and ``_arpack`` above), apply the
+    ``_dense`` below DENSE_LIMIT, on a dense copy of the block that takes
+    the gamma term, and ``_arpack`` above), apply the
     degeneracy window to the union of the levels, lift the vectors inside
     it with their P, and check each against its own eigenvalue and the
     whole operator at that gamma.  The window tol_deg and the residual
@@ -308,15 +309,15 @@ class GroundSolver:
         coo = h.tocoo()
         symmetry = _invariant_translation(h, coo, op.basis)
         if symmetry is not None and np.array_equal(self._coupling[symmetry[0]], self._coupling):
-            index, sign = symmetry
-            orbits = translation_orbits(index, sign, op.basis.d)
-            if _certified(h, coo, sign):
+            if _certified(h, coo, symmetry[1]):
                 self.path = "sector"
-                projectors = {0: self._zero_projector(orbits, coo)}
+                index = op.basis.reflection_index()
+                reflect = np.array_equal(self._coupling[index], self._coupling) and _invariant(h, coo, index)
+                projectors = {0: op.basis.even_projector() if reflect else op.basis.projector(0)}
             else:
                 self.path = "momenta"
                 ks = range(op.basis.d if np.iscomplexobj(h) else op.basis.d // 2 + 1)
-                projectors = {k: orbits.projector(k) for k in ks}
+                projectors = {k: op.basis.projector(k) for k in ks}
             self._blocks = {}
             for k, proj in projectors.items():
                 if proj.shape[1]:
@@ -331,20 +332,6 @@ class GroundSolver:
             self._blocks = {0: (None, h, self._coupling)}
         self.dims = tuple(block.shape[0] for _, block, _ in self._blocks.values())
 
-    def _zero_projector(self, orbits, coo: sp.coo_matrix) -> sp.csr_matrix:
-        """The normalized orbit sums of T, of T and R when the bare site
-        reflection R leaves h and the coupling exactly unchanged; the
-        representative of a state is then min(trep[i], trep[R[i]]), with
-        trep its translation-orbit representative.  Columns follow the
-        representatives in ascending order."""
-        rep = orbits.reps[orbits.orbit]
-        index = reflection(self.basis)
-        if np.array_equal(self._coupling[index], self._coupling) and _invariant(self._h, coo, index):
-            rep = np.minimum(rep, rep[index])
-        _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
-        return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(rep.size), orbit)),
-                             shape=(rep.size, size.size))
-
     def __call__(self, gamma: float = 0.0) -> GroundSpace:
         """Lowest eigenvalue and all eigenvectors within tol_deg of it, of
         op + gamma * diag(coupling)."""
@@ -352,14 +339,15 @@ class GroundSolver:
         mirror = not np.iscomplexobj(h)  # only momentum blocks have K > 0
         solved = {}  # K -> (P, levels, block vectors, conjugated)
         for k, (proj, block, coupling) in self._blocks.items():
-            if gamma:
-                block = block + sp.diags(gamma * coupling)
-            if self.path == "banded":
-                evals, evecs = _banded(block, tol_deg)
-            elif block.shape[0] < DENSE_LIMIT:
-                evals, evecs = _dense(block.toarray(), tol_deg)
+            if self.path != "banded" and block.shape[0] < DENSE_LIMIT:
+                block = block.toarray()
+                if gamma:
+                    block.flat[::block.shape[0] + 1] += gamma * coupling
+                evals, evecs = _dense(block, tol_deg)
             else:
-                evals, evecs = _arpack(block, tol_deg)
+                if gamma:
+                    block = block + sp.diags(gamma * coupling)
+                evals, evecs = (_banded if self.path == "banded" else _arpack)(block, tol_deg)
             solved[k] = (proj, evals, evecs, False)
             if mirror and 0 < k < self.basis.d - k:
                 solved[self.basis.d - k] = (proj, evals, evecs, True)

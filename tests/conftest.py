@@ -1,6 +1,18 @@
 import numpy as np
 import pytest
 
+from cobosons import fock
+
+
+@pytest.fixture(autouse=True)
+def fresh_shared_bases():
+    """Every test starts without shared bases, so that a test that patches
+    ``fock._masks`` or a capacity limit sees its patch, and a test that
+    counts table builds counts them from zero."""
+    fock.clear_shared_bases()
+    yield
+    fock.clear_shared_bases()
+
 
 @pytest.fixture
 def rng():

@@ -291,7 +291,7 @@ def test_sweep_builds_once_per_chunk(command, model, targets, builds, monkeypatc
     # a five-point grid: the Hamiltonian, the translation check, the
     # orbit walk and every target are built once per sweep
     import cobosons.cli as cli
-    from cobosons import solve
+    from cobosons import fock, solve
 
     calls = Counter()
 
@@ -308,13 +308,62 @@ def test_sweep_builds_once_per_chunk(command, model, targets, builds, monkeypatc
                  "build_c_sr", "build_partition_state", "build_block"):
         count(cli, name)
     count(solve, "_invariant_translation")
-    count(solve, "translation_orbits")
+    count(fock, "translation_orbits")
     argv = [command, "--model", model, "--d", "6", "--n", "2", "--J", "1", "--U", "1000",
             "--gamma-grid", "0:8:5", "--out", str(tmp_path / "sweep.csv")]
     run_cli(*argv, *(["--targets", targets] if targets else []))
     assert len(data_rows(read(tmp_path / "sweep.csv"))[1]) == 5 * (3 if command == "g2-scan" else 1)
     want = Counter([f"build_{model}_hamiltonian", "_invariant_translation", "translation_orbits", *builds])
     assert calls == want
+
+
+@pytest.mark.parametrize("model, n, path", [("effective", 3, "sector"), ("full", 3, "sector"),
+                                            ("full", 2, "momenta")])
+def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n, path, monkeypatch, tmp_path):
+    # the orbit walk and the hop belong to the shared basis and are built
+    # once while it is shared; the Hermiticity, translation, reflection
+    # and Perron checks belong to the operator and run in every sweep
+    import cobosons.cli as cli
+    from cobosons import fock, model as model_module, solve
+
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((solve, "_invariant_translation"), (solve, "_invariant"), (solve, "_certified"),
+                        (model_module.SparseOperator, "__init__"), (fock, "translation_orbits"),
+                        (fock, "_hop"), (fock, "_masks")):
+        count(owner, name)
+    solvers = []
+
+    def kept_solver(*args, **kwargs):
+        solvers.append(solve.GroundSolver(*args, **kwargs))
+        return solvers[-1]
+
+    monkeypatch.setattr(cli, "GroundSolver", kept_solver)
+    argv = ["fidelity-scan", "--model", model, "--d", "6", "--n", str(n), "--J", "1", "--U", "1000",
+            "--gamma-grid", "0:8:3", "--targets", "partition:" + "+".join(["1"] * n)]
+    outputs = []
+    for run in range(2):
+        calls.clear()
+        run_cli(*argv, "--out", str(tmp_path / f"run{run}.csv"))
+        outputs.append(read(tmp_path / f"run{run}.csv"))
+        assert solvers[-1].path == path
+        checks = {"__init__": 1, "_invariant_translation": 1, "_certified": 1,
+                  "_invariant": 2 if path == "sector" else 1}
+        assert {name: calls[name] for name in checks} == checks, run
+        if run:
+            assert calls["translation_orbits"] == calls["_hop"] == calls["_masks"] == 0
+        else:
+            assert calls["translation_orbits"] == 1 and calls["_hop"] == (1 if model == "effective" else 2)
+    assert outputs[0] == outputs[1]
 
 
 def test_g2_scan_checkpoint(tmp_path):

@@ -111,6 +111,52 @@ def test_capacity_by_dimension(monkeypatch):
         full_basis(16, 8, 8)  # 165,636,900 states
 
 
+def test_capacity_check_runs_before_the_shared_basis_is_found(monkeypatch):
+    shared = pair_basis(10, 4), full_basis(6, 2, 3)
+    assert pair_basis(10, 4) is shared[0] and full_basis(6, 2, 3) is shared[1]
+    monkeypatch.setattr(fock, "MAX_BASIS_STATES", min(b.size for b in shared) - 1)
+    with pytest.raises(CapacityError):
+        pair_basis(10, 4)
+    with pytest.raises(CapacityError):
+        full_basis(6, 2, 3)
+
+
+def test_each_kind_shares_the_sector_asked_for_last():
+    first = pair_basis(6, 2)
+    full = full_basis(4, 1, 1)
+    assert pair_basis(6, 2) is first
+    pair_basis(6, 3)  # another pair sector replaces the shared one
+    pair_basis(8, 2)
+    assert pair_basis(6, 2) is not first
+    assert pair_basis(6, 2) == first  # still equal by (d, n)
+    assert full_basis(4, 1, 1) is full  # the kinds are kept apart
+
+
+def _table_arrays(basis):
+    orbits = basis.orbits()
+    tables = [basis.bonds(), *basis.translation_table(), basis.reflection_index(),
+              *(getattr(orbits, name) for name in ("reps", "size", "orbit", "shift", "to_rep", "period_sign"))]
+    if isinstance(basis, fock.PairBasis):
+        tables += [basis.occupation(), basis.rdm_gather()]
+    else:
+        tables += [basis.onsite()]
+    csrs = [basis.hop(), basis.even_projector(), *(basis.projector(k) for k in range(basis.d))]
+    return tables + [a for m in csrs for a in (m.data, m.indices, m.indptr)]
+
+
+@pytest.mark.parametrize("make", [lambda: pair_basis(6, 3), lambda: full_basis(4, 2, 1)])
+def test_sector_tables_are_read_only_and_built_once(make):
+    basis = make()
+    arrays = _table_arrays(basis)
+    assert len(arrays) > 20
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    # a second look returns the same objects
+    assert all(x is y for x, y in zip(arrays, _table_arrays(make())))
+
+
 def test_particle_count_validation():
     with pytest.raises(ValueError):
         pair_basis(4, 5)
