@@ -6,7 +6,8 @@ finds masks in them by binary search; a full basis is mask_a-major, so a
 configuration's index is ``i_a * len(masks_b) + i_b``.  ``pair_basis`` and
 ``full_basis`` hand out one shared basis per sector (the last sector asked
 for of each kind), and a basis builds each of its sector tables (hop,
-bonds, symmetry tables, projectors) once, on first use.  The canonical
+bonds, symmetry tables, projectors, the facts and projected blocks of the
+hop) once, on first use.  The canonical
 operator ordering for the full sector is: all a-type creation operators in
 ascending mode order, then all b-type ones in ascending mode order.  All
 fermionic signs below follow from that convention.
@@ -17,11 +18,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-MAX_PAIR_SITES = 30
+MAX_PAIR_SITES = 62  # int64 masks; rotate, _reverse and move keep bit 63 clear
 MAX_FULL_SITES = 16
 MAX_BASIS_STATES = 1 << 24  # 128 MB of int64 masks, or 256 MB of complex amplitudes
 
@@ -65,9 +68,13 @@ def _rank(masks: np.ndarray, query) -> np.ndarray:
 
 
 def _read_only(table):
-    """``table`` with its arrays made read-only when it is an array or a
-    sparse matrix; ``translation`` and ``translation_orbits`` make theirs
-    read-only where they are built."""
+    """``table`` with its arrays made read-only when it is an array, a
+    sparse matrix or a tuple of them; ``translation`` and
+    ``translation_orbits`` make theirs read-only where they are built."""
+    if isinstance(table, tuple):
+        for part in table:
+            _read_only(part)
+        return table
     arrays = (table.data, table.indices, table.indptr) if sp.issparse(table) else (table,)
     for a in arrays:
         if isinstance(a, np.ndarray):
@@ -92,9 +99,21 @@ def _table(build):
 
 class _SectorTables:
     """Tables that depend only on the sector (the kind of basis, d and the
-    particle counts): the unit nearest-neighbour hop, the bond counts, the
-    one-site translation with its orbits and momentum projectors, and the
-    site reflection.  Nothing here depends on an operator."""
+    particle counts): the unit nearest-neighbour hop with its ``Facts`` and
+    its projected blocks, the bond counts, the one-site translation with
+    its orbits and momentum projectors, and the site reflection.  Nothing
+    here depends on an operator."""
+
+    @_table
+    def hop_facts(self) -> "Facts":
+        """``facts`` of the unit hop ``hop()``."""
+        return facts(self.hop(), self)
+
+    @_table
+    def hop_block(self, K: int, even: bool) -> tuple:
+        """``_project(hop(), P)``, P = ``even_projector()`` when ``even``
+        (K = 0), else ``projector(K)``: (block, representatives)."""
+        return _project(self.hop(), self.even_projector() if even else self.projector(K))
 
     @_table
     def translation_table(self) -> tuple:
@@ -506,6 +525,92 @@ def translation_orbits(index: np.ndarray, sign: np.ndarray, d: int) -> Orbits:
     for a in tables:
         a.setflags(write=False)
     return Orbits(d, *tables)
+
+
+# ------------------------------------------------- structure of an operator
+
+class Facts(NamedTuple):
+    """Exact structure of a CSR operator h on a basis, from ``facts``.
+    Off a lattice basis (no ``translation_table``) the three symmetry
+    facts are False.  A fact about the stored off-diagonal entries holds
+    when there are none."""
+
+    symmetric: bool  # h == h^H entry for entry
+    translation: bool  # T h T^-1 == h for the signed one-site translation T
+    reflection: bool  # R h R^T == h for the bare site reflection R
+    sign_free: bool  # every sign of T is +1
+    real: bool
+    positive: bool  # real, and every stored off-diagonal entry > 0
+    negative: bool  # real, and every stored off-diagonal entry < 0
+    connected: bool  # the graph of the stored entries has one component
+    banded: bool  # every stored entry on the main or first off-diagonals
+
+    @property
+    def perron(self) -> bool:
+        """Whether the ground state is unique, positive and at K = 0: by
+        Perron-Frobenius when h is real with every off-diagonal element
+        < 0 and a connected graph, and invariant under a sign-free T."""
+        return self.translation and self.sign_free and self.negative and self.connected
+
+
+def _same(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Whether two canonical CSR matrices are equal entry for entry."""
+    return all(np.array_equal(getattr(a, x), getattr(b, x)) for x in ("indptr", "indices", "data"))
+
+
+def _invariant(h: sp.csr_matrix, coo: sp.coo_matrix, index: np.ndarray, sign=None) -> bool:
+    """Whether the permutation |i> -> sign[i] |index[i]> leaves h exactly
+    unchanged.  Each entry h[r, c] moves to (index[r], index[c]) with the
+    factor sign[r] * sign[c] (``coo`` is h with its entries in the same
+    order); the moved rows are gathered, their columns sorted, and the
+    result compared array by array with h, whose CSR form is canonical.
+    O(nnz)."""
+    data = h.data if sign is None or np.all(sign == 1) else h.data * (sign[coo.row] * sign[coo.col])
+    inverse = np.empty_like(index)
+    inverse[index] = np.arange(index.size)
+    moved = sp.csr_matrix((data, index[h.indices], h.indptr), shape=h.shape)[inverse]
+    moved.sort_indices()
+    return _same(moved, h)
+
+
+def facts(h: sp.csr_matrix, basis) -> Facts:
+    """The ``Facts`` of the canonical CSR operator h on ``basis``, each
+    exact and O(nnz): the one place that reads them off a matrix, for the
+    unit hop of a sector (``hop_facts``) and for any other operator."""
+    coo = h.tocoo()
+    adjoint = h.conj().T.tocsr()
+    adjoint.sort_indices()
+    real = not np.iscomplexobj(h)
+    off = coo.data[coo.row != coo.col]
+    lattice = isinstance(basis, _SectorTables)
+    index, sign = basis.translation_table() if lattice else (None, None)
+    graph = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)  # every stored entry an edge
+    return Facts(
+        symmetric=_same(adjoint, h),
+        translation=lattice and _invariant(h, coo, index, sign),
+        reflection=lattice and _invariant(h, coo, basis.reflection_index()),
+        sign_free=lattice and bool(np.all(sign == 1)),
+        real=real,
+        positive=real and bool(np.all(off > 0)),
+        negative=real and bool(np.all(off < 0)),
+        connected=connected_components(graph, directed=False, return_labels=False) == 1,
+        banded=bool(np.all(np.abs(coo.row - coo.col) <= 1)),
+    )
+
+
+def _project(h: sp.csr_matrix, proj: sp.csr_matrix) -> tuple:
+    """(P^H h P, the representative of each column) for an isometry P
+    whose columns have disjoint supports and span a subspace that h maps
+    into itself.  Then h P = P (P^H h P), so with r_a the first row of
+    column a, (P^H h P)[a, b] = (h[r_a] P)[b] / P[r_a, a]: only the rows
+    of the representatives are read.  The mean with the conjugate
+    transpose makes the block exactly Hermitian."""
+    csc = proj.tocsc()  # its indices ascend within each column
+    first = csc.indptr[:-1]
+    reps = csc.indices[first]
+    block = h[reps] @ proj
+    block.data /= np.repeat(csc.data[first], np.diff(block.indptr))
+    return (block + block.conj().T) * 0.5, reps
 
 
 # ------------------------------------------------------- pair/full embedding

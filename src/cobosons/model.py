@@ -73,38 +73,80 @@ class ChainBasis:
 
 
 class SparseOperator:
-    """Hermitian operator on a basis, kept as a CSR matrix built from the
+    """Hermitian operator on a basis.
+
+    ``SparseOperator(basis, matrix)`` keeps the CSR matrix built from the
     assembled sparse ``matrix``; duplicates are summed and zeros dropped.
-    The matrix is float64 unless some entry has a nonzero imaginary part,
-    and complex128 then."""
+    ``SparseOperator.from_parts(basis, diagonal, hopping)`` is a builder
+    operator diag(diagonal) - hopping * basis.hop() and keeps its two
+    parts (``diagonal``, ``hopping``; both None on an assembled operator).
+    ``to_csr()`` assembles its CSR matrix when it is first asked for, the
+    same matrix ``SparseOperator(basis, ...)`` would keep.  The matrix is
+    float64 unless some entry has a nonzero imaginary part, and
+    complex128 then."""
+
+    diagonal = hopping = None
 
     def __init__(self, basis, matrix):
         n = basis.size
-        mat = sp.csr_matrix(matrix, copy=True)  # summed and pruned in place below
+        mat = _canonical(matrix)
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not match basis size {n}")
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-        if np.iscomplexobj(mat) and not mat.data.imag.any():
-            mat.data = mat.data.real.copy()  # astype(float) would warn about the imaginary part
-        mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
         dev = abs(mat - mat.getH())
         if dev.nnz and dev.max() >= HERMITICITY_TOL:
             raise ValueError(f"operator not Hermitian (max dev {dev.max():g})")
         self.basis = basis
         self._csr = mat
 
+    @classmethod
+    def from_parts(cls, basis, diagonal, hopping: float) -> "SparseOperator":
+        """diag(diagonal) - hopping * basis.hop(), Hermitian because both
+        parts are real and the unit hop is exactly symmetric (a fact of the
+        sector, ``basis.hop_facts()``)."""
+        diagonal = np.asarray(diagonal)
+        if diagonal.shape != (basis.size,):
+            raise ValueError(f"diagonal shape {diagonal.shape} does not match basis size {basis.size}")
+        if not (np.isrealobj(diagonal) and np.isrealobj(hopping)):
+            raise ValueError("operator not Hermitian (complex diagonal or hopping)")
+        if not basis.hop_facts().symmetric:
+            raise ValueError("operator not Hermitian (the hop of the basis is not symmetric)")
+        op = cls.__new__(cls)
+        op.basis, op.diagonal, op.hopping, op._csr = basis, diagonal.astype(float), float(hopping), None
+        op.diagonal.setflags(write=False)
+        return op
+
     @property
     def dim(self) -> int:
         return self.basis.size
 
     def to_csr(self) -> sp.csr_matrix:
+        if self._csr is None:
+            self._csr = _canonical(sp.diags(self.diagonal) - self.hopping * self.basis.hop())
         return self._csr
+
+    def apply(self, vecs: np.ndarray) -> np.ndarray:
+        """H @ vecs for a vector or a (dim, k) array; a builder operator
+        applies its parts, diagonal * vecs - hopping * (hop @ vecs)."""
+        if self.hopping is None:
+            return self._csr @ vecs
+        diagonal = self.diagonal if vecs.ndim == 1 else self.diagonal[:, None]
+        return diagonal * vecs - self.hopping * (self.basis.hop() @ vecs)
 
     def expectation(self, psi: StateVector) -> complex:
         if psi.basis is not self.basis and psi.basis != self.basis:
             raise BasisMismatchError("operator and state live in different bases")
-        return complex(np.vdot(psi.amplitudes, self._csr @ psi.amplitudes))
+        return complex(np.vdot(psi.amplitudes, self.apply(psi.amplitudes)))
+
+
+def _canonical(matrix) -> sp.csr_matrix:
+    """A CSR copy of ``matrix`` with duplicates summed and zeros dropped,
+    float64 unless some entry has a nonzero imaginary part."""
+    mat = sp.csr_matrix(matrix, copy=True)  # summed and pruned in place below
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    if np.iscomplexobj(mat) and not mat.data.imag.any():
+        mat.data = mat.data.real.copy()  # astype(float) would warn about the imaginary part
+    return mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
 
 
 # ------------------------------------------------------------- full Hubbard
@@ -120,7 +162,7 @@ def build_full_hamiltonian(params: ModelParams, basis: Optional[FullBasis] = Non
         else:
             basis = full_basis(params.d, params.n_a, params.n_b)
     diag = -params.u * basis.onsite() - params.gamma * basis.bonds()
-    return SparseOperator(basis, sp.diags(diag) - params.j * basis.hop())
+    return SparseOperator.from_parts(basis, diag, params.j)
 
 
 # -------------------------------------------------------- effective pair model
@@ -140,7 +182,7 @@ def build_effective_from_bars(d, n, jbar, gammabar, basis: Optional[PairBasis] =
     """Pair model directly from the renormalized couplings Jbar, gammabar."""
     if basis is None:
         basis = pair_basis(d, n)
-    return SparseOperator(basis, sp.diags(-gammabar * basis.bonds()) - jbar * basis.hop())
+    return SparseOperator.from_parts(basis, -gammabar * basis.bonds(), jbar)
 
 
 # ------------------------------------------------------- the gamma direction

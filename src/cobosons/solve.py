@@ -15,12 +15,14 @@ import scipy.linalg as la
 import scipy.linalg.cython_lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .fock import (
+    Facts,
     FullBasis,
     PairBasis,
     StateVector,
+    _project,
+    facts,
     fix_phase,
     full_basis,
     pair_basis,
@@ -203,74 +205,62 @@ def _arpack(mat, tol_deg: float) -> tuple:
     return evals[order], evecs[:, order]
 
 
-def _project(h: sp.csr_matrix, proj: sp.csr_matrix) -> tuple:
-    """(P^H h P, the representative of each column) for an isometry P
-    whose columns have disjoint supports and span a subspace that h maps
-    into itself.  Then h P = P (P^H h P), so with r_a the first row of
-    column a, (P^H h P)[a, b] = (h[r_a] P)[b] / P[r_a, a]: only the rows
-    of the representatives are read.  The mean with the conjugate
-    transpose makes the block exactly Hermitian."""
-    csc = proj.tocsc()  # its indices ascend within each column
-    first = csc.indptr[:-1]
-    reps = csc.indices[first]
-    block = h[reps] @ proj
-    block.data /= np.repeat(csc.data[first], np.diff(block.indptr))
-    return (block + block.conj().T) * 0.5, reps
+def _operator_facts(op: SparseOperator) -> Facts:
+    """The ``Facts`` of ``op``.  An assembled operator's are read off its
+    CSR matrix.  A builder operator diag(D) - t * hop takes the facts of
+    its unit hop, kept with the basis, and checks its own parts: D must
+    equal D[T] for the translation and D[R] for the reflection; t scales
+    the signs of the off-diagonal entries; and with t = 0 there are none,
+    so the graph is connected only when dim = 1."""
+    if op.hopping is None:
+        return facts(op.to_csr(), op.basis)
+    basis, diagonal, t = op.basis, op.diagonal, op.hopping
+    hop = basis.hop_facts()
+    moves = t != 0
+    return hop._replace(
+        symmetric=hop.symmetric or not moves,
+        translation=(hop.translation or not moves)
+        and np.array_equal(diagonal[basis.translation_table()[0]], diagonal),
+        reflection=(hop.reflection or not moves) and np.array_equal(diagonal[basis.reflection_index()], diagonal),
+        positive=not moves or (hop.negative if t > 0 else hop.positive),
+        negative=not moves or (hop.positive if t > 0 else hop.negative),
+        connected=hop.connected if moves else op.dim == 1,
+        banded=hop.banded or not moves,
+    )
 
 
-def _invariant(h: sp.csr_matrix, coo: sp.coo_matrix, index: np.ndarray, sign=None) -> bool:
-    """Whether the permutation |i> -> sign[i] |index[i]> leaves h exactly
-    unchanged.  Each entry h[r, c] moves to (index[r], index[c]) with the
-    factor sign[r] * sign[c] (``coo`` is h with its entries in the same
-    order); the moved rows are gathered, their columns sorted, and the
-    result compared array by array with h, whose CSR form is canonical.
-    O(nnz)."""
-    data = h.data if sign is None or np.all(sign == 1) else h.data * (sign[coo.row] * sign[coo.col])
-    inverse = np.empty_like(index)
-    inverse[index] = np.arange(index.size)
-    moved = sp.csr_matrix((data, index[h.indices], h.indptr), shape=h.shape)[inverse]
-    moved.sort_indices()
-    return all(np.array_equal(getattr(moved, a), getattr(h, a)) for a in ("indptr", "indices", "data"))
-
-
-def _invariant_translation(h: sp.csr_matrix, coo: sp.coo_matrix, basis):
-    """(index, sign) of the one-site translation T of ``basis`` (its
-    ``translation_table()``) when T h T^-1 == h holds exactly, else None."""
-    if not isinstance(basis, (PairBasis, FullBasis)):
-        return None
-    index, sign = basis.translation_table()
-    return (index, sign) if _invariant(h, coo, index, sign) else None
-
-
-def _certified(h: sp.csr_matrix, coo: sp.coo_matrix, sign: np.ndarray) -> bool:
-    """Whether a translation-invariant operator has its unique ground state
-    at K = 0: h is real, every off-diagonal element is < 0, its graph is
-    connected, and every sign of T is +1.  By Perron-Frobenius the ground
-    state is then unique and positive, hence invariant under T.  O(nnz)."""
-    if np.iscomplexobj(h) or np.any(sign != 1):
-        return False
-    if np.any(coo.data[coo.row != coo.col] >= 0):
-        return False
-    return connected_components(h, directed=False, return_labels=False) == 1
+def _sector_block(op: SparseOperator, K: int, even: bool) -> tuple:
+    """(P, off, diagonal, reps) of one block of a translation-invariant
+    ``op``: P^H op P = off + diag(diagonal), with P = ``even_projector()``
+    when ``even`` (K = 0), else ``projector(K)``.  A builder operator
+    takes off = -t * ``hop_block(K, even)``, kept with the basis, and
+    diagonal = D[reps]; any other operator projects its own CSR matrix."""
+    basis = op.basis
+    proj = basis.even_projector() if even else basis.projector(K)
+    if op.hopping is None:
+        off, reps = _project(op.to_csr(), proj)
+        return proj, off, np.zeros(reps.size), reps
+    hop_block, reps = basis.hop_block(K, even)
+    return proj, hop_block * -op.hopping, op.diagonal[reps], reps
 
 
 class GroundSolver:
     """Ground spaces of the operator family op + gamma * diag(coupling).
 
     ``__init__`` does everything that does not depend on gamma and keeps
-    the blocks to solve, K -> (P or None, block, coupling of each column).
-    The path follows the operator:
+    the blocks to solve, K -> (P or None, off, diagonal, coupling of each
+    column), each block being off + diag(diagonal + gamma * coupling).
+    The path follows the operator's ``Facts`` (``_operator_facts``):
     - "sector", at any size, when the operator commutes exactly with the
-      one-site translation T (``_invariant_translation`` on ``op``, and
-      coupling[index] == coupling) and ``_certified`` makes its ground
-      state the unique positive Perron vector (the check reads only the
-      off-diagonal part, so it holds for every gamma).  Every basis
-      permutation that commutes with the operator fixes that vector, so
-      one block is kept: P holds the orbit sums of the group generated by
-      T and the bare site reflection R (``fock.reflection``) when
-      R op R^T == op and coupling[R] == coupling hold exactly (the
-      reflection-even K = 0 block, ``basis.even_projector()``), else the
-      K = 0 orbit sums of T;
+      one-site translation T (and coupling[index] == coupling) and
+      ``Facts.perron`` makes its ground state the unique positive Perron
+      vector (its sign and graph conditions read only the off-diagonal
+      part, so it holds for every gamma).  Every basis permutation that commutes with the operator
+      fixes that vector, so one block is kept: P holds the orbit sums of
+      the group generated by T and the bare site reflection R
+      (``fock.reflection``) when R op R^T == op and coupling[R] ==
+      coupling hold exactly (the reflection-even K = 0 block,
+      ``basis.even_projector()``), else the K = 0 orbit sums of T;
     - "momenta", at any size, for any other operator that commutes with
       T: P_K = ``basis.projector(K)`` for every K with a column, K =
       0..d/2 for a real operator, whose -K blocks are the conjugates of
@@ -279,77 +269,69 @@ class GroundSolver:
       translation (not a PairBasis or FullBasis: the relative chains)
       whose entries all lie on the main and first off-diagonals;
     - "dense" for any other operator below DENSE_LIMIT, "arpack" above.
-    On the last three the whole operator is the one block, with no P.
-    ``_project`` reads every P^H op P from the representatives' rows; its
-    gamma term is diag(coupling[reps]), exact because the coupling is
-    constant on each orbit.  The translation, reflection, orbits and
-    projectors are tables of the basis, built once per sector; the
-    checks on the operator run in every ``__init__``.
+    On the last three the whole operator (``to_csr()``) is the one block,
+    with no P.  ``_sector_block`` gives every P^H op P; its gamma term is
+    diag(coupling[reps]), exact because the coupling is constant on each
+    orbit.  The translation, reflection, orbits, projectors and the facts
+    and projected blocks of the unit hop are tables of the basis, built
+    once per sector; the checks of the operator's own parts run in every
+    ``__init__``.
 
-    A call ``solver(gamma)`` runs one loop: add gamma * diag(coupling) to
-    each block and solve it (``_banded`` on the banded path, else
-    ``_dense`` below DENSE_LIMIT, on a dense copy of the block that takes
-    the gamma term, and ``_arpack`` above), apply the
-    degeneracy window to the union of the levels, lift the vectors inside
-    it with their P, and check each against its own eigenvalue and the
-    whole operator at that gamma.  The window tol_deg and the residual
-    bound RESIDUAL_TOL both scale with max(1, |E0|), so levels split by
-    less than the window stay in the ground space.
+    A call ``solver(gamma)`` runs one loop: add diag(diagonal + gamma *
+    coupling) to each block and solve it (``_banded`` on the banded path,
+    else ``_dense`` below DENSE_LIMIT, on a dense copy of the block, and
+    ``_arpack`` above), apply the degeneracy window to the union of the
+    levels, lift the vectors inside it with their P, and check each
+    against its own eigenvalue and the whole operator at that gamma
+    (``op.apply``).  The window tol_deg and the residual bound
+    RESIDUAL_TOL both scale with max(1, |E0|), so levels split by less
+    than the window stay in the ground space.
     """
 
     def __init__(self, op: SparseOperator, coupling=None, tol_deg: float = 1e-9):
         n = op.dim
         if n < 1:
             raise ValueError("empty basis")
-        self.basis, self.tol_deg = op.basis, tol_deg
-        self._h = h = op.to_csr()
+        self.basis, self.tol_deg, self._op = op.basis, tol_deg, op
         self._coupling = np.zeros(n) if coupling is None else np.asarray(coupling, dtype=float)
         if self._coupling.shape != (n,):
             raise ValueError(f"coupling shape {self._coupling.shape} does not match basis size {n}")
-        coo = h.tocoo()
-        symmetry = _invariant_translation(h, coo, op.basis)
-        if symmetry is not None and np.array_equal(self._coupling[symmetry[0]], self._coupling):
-            if _certified(h, coo, symmetry[1]):
+        fact = _operator_facts(op)
+        self._real = fact.real
+        if fact.translation and np.array_equal(self._coupling[op.basis.translation_table()[0]], self._coupling):
+            if fact.perron:
                 self.path = "sector"
-                index = op.basis.reflection_index()
-                reflect = np.array_equal(self._coupling[index], self._coupling) and _invariant(h, coo, index)
-                projectors = {0: op.basis.even_projector() if reflect else op.basis.projector(0)}
+                even = fact.reflection and np.array_equal(self._coupling[op.basis.reflection_index()], self._coupling)
+                blocks = {0: _sector_block(op, 0, even)}
             else:
                 self.path = "momenta"
-                ks = range(op.basis.d if np.iscomplexobj(h) else op.basis.d // 2 + 1)
-                projectors = {k: op.basis.projector(k) for k in ks}
-            self._blocks = {}
-            for k, proj in projectors.items():
-                if proj.shape[1]:
-                    block, reps = _project(h, proj)
-                    self._blocks[k] = (proj, block, self._coupling[reps])
+                ks = range(op.basis.d // 2 + 1 if fact.real else op.basis.d)
+                blocks = {k: _sector_block(op, k, False) for k in ks}
+            self._blocks = {k: (proj, off, diag, self._coupling[reps])
+                            for k, (proj, off, diag, reps) in blocks.items() if proj.shape[1]}
         else:
             lattice = isinstance(op.basis, (PairBasis, FullBasis))
-            if not lattice and np.all(np.abs(coo.row - coo.col) <= 1):
-                self.path = "banded"
-            else:
-                self.path = "dense" if n < DENSE_LIMIT else "arpack"
-            self._blocks = {0: (None, h, self._coupling)}
-        self.dims = tuple(block.shape[0] for _, block, _ in self._blocks.values())
+            self.path = "banded" if fact.banded and not lattice else "dense" if n < DENSE_LIMIT else "arpack"
+            self._blocks = {0: (None, op.to_csr(), np.zeros(n), self._coupling)}
+        self.dims = tuple(off.shape[0] for _, off, _, _ in self._blocks.values())
 
     def __call__(self, gamma: float = 0.0) -> GroundSpace:
         """Lowest eigenvalue and all eigenvectors within tol_deg of it, of
         op + gamma * diag(coupling)."""
-        tol_deg, h = self.tol_deg, self._h
-        mirror = not np.iscomplexobj(h)  # only momentum blocks have K > 0
+        tol_deg = self.tol_deg
         solved = {}  # K -> (P, levels, block vectors, conjugated)
-        for k, (proj, block, coupling) in self._blocks.items():
+        for k, (proj, block, diag, coupling) in self._blocks.items():
+            shift = diag + gamma * coupling
             if self.path != "banded" and block.shape[0] < DENSE_LIMIT:
                 block = block.toarray()
-                if gamma:
-                    block.flat[::block.shape[0] + 1] += gamma * coupling
+                block.flat[::block.shape[0] + 1] += shift
                 evals, evecs = _dense(block, tol_deg)
             else:
-                if gamma:
-                    block = block + sp.diags(gamma * coupling)
+                if shift.any():
+                    block = block + sp.diags(shift)
                 evals, evecs = (_banded if self.path == "banded" else _arpack)(block, tol_deg)
             solved[k] = (proj, evals, evecs, False)
-            if mirror and 0 < k < self.basis.d - k:
+            if self._real and 0 < k < self.basis.d - k:  # only momentum blocks have K > 0
                 solved[self.basis.d - k] = (proj, evals, evecs, True)
         # the union of the levels, sorted stably by level and then by K
         ks = np.concatenate([np.full(s[1].size, k) for k, s in solved.items()])
@@ -366,7 +348,7 @@ class GroundSolver:
         # re-orthonormalize (eigh already orthonormal; cheap safeguard)
         vecs, _ = np.linalg.qr(np.asarray(np.column_stack(cols), dtype=complex))
         scale = max(1.0, abs(evals[0]))
-        hv = h @ vecs
+        hv = self._op.apply(vecs)
         if gamma:
             hv = hv + (gamma * self._coupling)[:, None] * vecs
         res = float(np.linalg.norm(hv - vecs * evals[sel], axis=0).max())

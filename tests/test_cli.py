@@ -287,9 +287,9 @@ SWEEPS = [  # (command, model, targets, target builds)
 
 
 @pytest.mark.parametrize("command, model, targets, builds", SWEEPS)
-def test_sweep_builds_once_per_chunk(command, model, targets, builds, monkeypatch, tmp_path):
-    # a five-point grid: the Hamiltonian, the translation check, the
-    # orbit walk and every target are built once per sweep
+def test_sweep_builds_once_per_sweep(command, model, targets, builds, monkeypatch, tmp_path):
+    # a five-point grid: the Hamiltonian, the operator's facts, the orbit
+    # walk and every target are built once per sweep
     import cobosons.cli as cli
     from cobosons import fock, solve
 
@@ -307,25 +307,27 @@ def test_sweep_builds_once_per_chunk(command, model, targets, builds, monkeypatc
     for name in ("build_effective_hamiltonian", "build_full_hamiltonian", "build_q_sr",
                  "build_c_sr", "build_partition_state", "build_block"):
         count(cli, name)
-    count(solve, "_invariant_translation")
+    count(solve, "_operator_facts")
     count(fock, "translation_orbits")
     argv = [command, "--model", model, "--d", "6", "--n", "2", "--J", "1", "--U", "1000",
             "--gamma-grid", "0:8:5", "--out", str(tmp_path / "sweep.csv")]
     run_cli(*argv, *(["--targets", targets] if targets else []))
     assert len(data_rows(read(tmp_path / "sweep.csv"))[1]) == 5 * (3 if command == "g2-scan" else 1)
-    want = Counter([f"build_{model}_hamiltonian", "_invariant_translation", "translation_orbits", *builds])
+    want = Counter([f"build_{model}_hamiltonian", "_operator_facts", "translation_orbits", *builds])
     assert calls == want
 
 
 @pytest.mark.parametrize("model, n, path", [("effective", 3, "sector"), ("full", 3, "sector"),
                                             ("full", 2, "momenta")])
 def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n, path, monkeypatch, tmp_path):
-    # the orbit walk and the hop belong to the shared basis and are built
-    # once while it is shared; the Hermiticity, translation, reflection
-    # and Perron checks belong to the operator and run in every sweep
+    # the orbit walk, the hop, its facts and its projected blocks belong to
+    # the shared basis and are built once while it is shared; the checks
+    # of the operator's own parts (D and t) run in every sweep and the
+    # residual at every point, and neither sweep assembles the whole H
     import cobosons.cli as cli
     from cobosons import fock, model as model_module, solve
 
+    blocks = 1 if path == "sector" else 4  # the momenta K = 0..d/2
     calls = Counter()
 
     def count(owner, name):
@@ -337,9 +339,9 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((solve, "_invariant_translation"), (solve, "_invariant"), (solve, "_certified"),
-                        (model_module.SparseOperator, "__init__"), (fock, "translation_orbits"),
-                        (fock, "_hop"), (fock, "_masks")):
+    for owner, name in ((solve, "_operator_facts"), (model_module.SparseOperator, "apply"),
+                        (model_module, "_canonical"), (fock, "facts"), (fock, "_project"),
+                        (fock, "translation_orbits"), (fock, "_hop"), (fock, "_masks")):
         count(owner, name)
     solvers = []
 
@@ -355,14 +357,15 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
         calls.clear()
         run_cli(*argv, "--out", str(tmp_path / f"run{run}.csv"))
         outputs.append(read(tmp_path / f"run{run}.csv"))
-        assert solvers[-1].path == path
-        checks = {"__init__": 1, "_invariant_translation": 1, "_certified": 1,
-                  "_invariant": 2 if path == "sector" else 1}
-        assert {name: calls[name] for name in checks} == checks, run
+        assert solvers[-1].path == path and len(solvers[-1].dims) == blocks
+        assert (calls["_operator_facts"], calls["apply"], calls["_canonical"]) == (1, 3, 0), run
+        built = {name: calls[name] for name in ("facts", "_project", "translation_orbits", "_hop", "_masks")}
         if run:
-            assert calls["translation_orbits"] == calls["_hop"] == calls["_masks"] == 0
+            assert built == dict.fromkeys(built, 0)
         else:
-            assert calls["translation_orbits"] == 1 and calls["_hop"] == (1 if model == "effective" else 2)
+            # a full sweep also enumerates the pair basis of its target
+            assert built == {"facts": 1, "_project": blocks, "translation_orbits": 1,
+                             "_hop": 1 if model == "effective" else 2, "_masks": 1 if model == "effective" else 3}
     assert outputs[0] == outputs[1]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -91,9 +92,35 @@ def test_rank_rejects_masks_outside_basis():
 
 def test_capacity_limits():
     with pytest.raises(CapacityError):
-        pair_basis(31, 2)
+        pair_basis(63, 2)
     with pytest.raises(CapacityError):
         full_basis(17, 1, 1)
+
+
+@pytest.mark.parametrize("d", [61, 62])
+def test_bit_operations_hold_up_to_the_largest_pair_lattice(d):
+    # int64 masks with the highest site at bit 61: _masks, rotate, _reverse
+    # and move against Python-int oracles, exhaustively over the masks with
+    # 1, 2, d - 2 and d - 1 pairs (every shift) and over every (src, dst)
+    # with 1 and d - 1 pairs
+    assert fock.MAX_PAIR_SITES == 62
+    full = (1 << d) - 1
+    for n in (1, 2, d - 2, d - 1):
+        masks = fock._masks(d, n)
+        want = sorted(sum(1 << k for k in sites) for sites in itertools.combinations(range(d), n))
+        assert masks.dtype == np.int64 and masks.tolist() == want, n
+        for shift in range(d):
+            assert fock.rotate(masks, shift, d).tolist() == [(m << shift | m >> (d - shift)) & full for m in want]
+        assert fock._reverse(masks, d).tolist() == [int(f"{m:0{d}b}"[::-1], 2) for m in want]
+        pos = {m: i for i, m in enumerate(want)}
+        pairs = itertools.permutations(range(d), 2) if n in (1, d - 1) else [
+            (k, (k + step) % d) for k in range(d) for step in (1, -1)]
+        for src, dst in pairs:
+            from_idx, to_idx = fock.move(masks, src, dst)
+            moved = [i for i, m in enumerate(want) if m >> src & 1 and not m >> dst & 1]
+            assert from_idx.tolist() == moved, (n, src, dst)
+            assert to_idx.tolist() == [pos[want[i] ^ (1 << src | 1 << dst)] for i in moved], (n, src, dst)
+    assert pair_basis(d, 2).size == math.comb(d, 2)
 
 
 def test_capacity_by_dimension(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -18,8 +19,8 @@ from cobosons import (
     ground_space,
     pair_basis,
 )
-from cobosons import ChainBasis, solve
-from cobosons.fock import occupations, reflection, rotate, translation, translation_orbits
+from cobosons import ChainBasis, fock, solve
+from cobosons.fock import _project, occupations, reflection, rotate, translation, translation_orbits
 from cobosons.model import SparseOperator, gamma_coupling
 from cobosons.solve import (
     GroundSolver,
@@ -507,12 +508,66 @@ def test_every_block_equals_the_projected_operator():
         paths.add(solver.path)
         h = op.to_csr()
         c = np.zeros(op.dim) if coupling is None else coupling
-        for k, (proj, block, block_coupling) in solver._blocks.items():
+        for k, (proj, off, diagonal, block_coupling) in solver._blocks.items():
             want = (proj.conj().T @ h @ proj).toarray()
-            assert np.abs(block.toarray() - want).max() <= 1e-12 * max(1.0, abs(h).max()), (op.basis, k)
+            assert np.abs(off.toarray() + np.diag(diagonal) - want).max() <= 1e-12 * max(1.0, abs(h).max()), (op.basis, k)
             want = (proj.conj().T @ sp.diags(c) @ proj).toarray()
             assert np.abs(np.diag(block_coupling) - want).max() <= 1e-12 * max(1.0, np.abs(c).max()), (op.basis, k)
     assert paths == {"sector", "momenta"}
+
+
+def _builder_cases():
+    """Builder operators diag(D) - t * hop: effective d <= 10 at every N and
+    full d <= 6 with odd and even N, each with J > 0 and J = 0 at gamma = 0
+    and gamma > 0, one with t < 0, then one whose D breaks R and one whose
+    D breaks T."""
+    for j in (1.0, 0.0):
+        for x in (0.0, 6.0):
+            yield from (build_effective_hamiltonian(ModelParams(j=j, u=1e3, gamma=x * 1e-3, d=d, n=n))
+                        for d in range(2, 11) for n in range(0, d + 1))
+            yield from (build_full_hamiltonian(ModelParams(j=j, u=10.0, gamma=x * 0.1, d=d, n=n))
+                        for d in range(2, 7) for n in (1, 2, 3) if n <= d)
+    yield UNCERTIFIED["positive hopping"]()
+    base = _sector_case("effective", 8, 3, 6.0)
+    yield SparseOperator.from_parts(base.basis, base.diagonal + 0.5e-3 * _chiral_count(base.basis), base.hopping)
+    site = (base.basis.states & 1).astype(float)
+    yield SparseOperator.from_parts(base.basis, base.diagonal + 0.3e-3 * site, base.hopping)
+
+
+def test_builder_parts_solve_like_their_assembled_matrix():
+    # the facts a builder operator takes from its kept hop and its own D
+    # and t equal those read off its assembled CSR matrix, so the solver
+    # takes the same path and blocks as for SparseOperator(basis, to_csr())
+    paths, solvers = Counter(), []
+    for op in _builder_cases():
+        h = op.to_csr()
+        case = (op.basis, op.hopping)
+        assert solve._operator_facts(op) == fock.facts(h, op.basis), case
+        coupling = gamma_coupling(op.basis)
+        parts, whole = GroundSolver(op, coupling), GroundSolver(SparseOperator(op.basis, h), coupling)
+        assert (parts.path, parts.dims) == (whole.path, whole.dims), case
+        paths[parts.path] += 1
+        solvers.append(parts)
+        scale = max(1.0, abs(h).max())
+        for k, (proj, off, diagonal, block_coupling) in parts._blocks.items():
+            want_proj, want_off, want_diagonal, want_coupling = whole._blocks[k]
+            assert proj is want_proj and np.array_equal(block_coupling, want_coupling), case
+            block = off.toarray() + np.diag(diagonal)
+            if proj is not None:
+                assert np.abs(want_off.toarray() - _project(h, proj)[0].toarray()).max() == 0.0
+            assert np.abs(block - want_off.toarray() - np.diag(want_diagonal)).max() <= 1e-14 * scale, (case, k)
+        for gamma in (0.0, 3e-3):
+            got, want = parts(gamma), whole(gamma)
+            # exactly degenerate levels (J = 0) may come in another order of K
+            assert sorted(got.momenta or ()) == sorted(want.momenta or ()), (case, gamma)
+            assert abs(got.energy - want.energy) <= 1e-13 * max(1.0, abs(want.energy)), (case, gamma)
+            assert np.abs(_ground_projector(got) - _ground_projector(want)).max() < 1e-10, (case, gamma)
+    # the last two cases: D that breaks R keeps the whole K = 0 block, D
+    # that breaks T leaves the sector path
+    breaks_r, breaks_t = solvers[-2:]
+    assert (breaks_r.path, breaks_r.dims) == ("sector", (breaks_r.basis.orbits().reps.size,))
+    assert breaks_t.path == "dense" and paths["dense"] == 1
+    assert paths["sector"] > 100 and paths["momenta"] > 100
 
 
 def test_ground_space_reports_real_dense_path_and_residual():
