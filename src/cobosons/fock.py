@@ -576,7 +576,7 @@ def _invariant(h: sp.csr_matrix, coo: sp.coo_matrix, index: np.ndarray, sign=Non
 def facts(h: sp.csr_matrix, basis) -> Facts:
     """The ``Facts`` of the canonical CSR operator h on ``basis``, each
     exact and O(nnz): the one place that reads them off a matrix, for the
-    unit hop of a sector (``hop_facts``) and for any other operator."""
+    unit hop of a sector (``hop_facts``) and for the relative chains."""
     coo = h.tocoo()
     adjoint = h.conj().T.tocsr()
     adjoint.sort_indices()

@@ -17,11 +17,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fock import (
+    MAX_BASIS_STATES,
+    CapacityError,
     Facts,
     FullBasis,
     PairBasis,
     StateVector,
-    _project,
     facts,
     fix_phase,
     full_basis,
@@ -52,18 +53,17 @@ class GroundSpace:
     """Lowest eigenvalue with an orthonormal basis of its eigenspace, every
     eigenvalue the solver computed, and how they were computed.
 
-    ``GroundSolver`` solves blocks of the operator: the whole operator on
-    "dense", "banded" and "arpack", one block on "sector" (the
-    reflection-even K = 0 block when the operator commutes with the site
-    reflection, else the K = 0 block) and every momentum block on
-    "momenta".  ``path`` names the path; ``levels`` are the union of the
-    levels computed in those blocks, ascending, cut to the lowest LEVELS
-    on "momenta"; ``residual`` is the largest |H v - e v| over the ground
-    vectors, each against its own eigenvalue e and the whole operator.
-    ``momenta`` is the momentum K (in units of 2 pi / d) of the block of
-    each ground vector, all 0 on "sector", None on the whole-operator
-    paths.  ``dims`` is the dimension of every block solved, in order of
-    K.
+    ``GroundSolver`` solves blocks of the operator: one block on "sector"
+    (the reflection-even K = 0 block when the operator commutes with the
+    site reflection, else the K = 0 block), every momentum block on
+    "momenta" and the whole chain on "banded".  ``path`` names the path;
+    ``levels`` are the union of the levels computed in those blocks,
+    ascending, cut to the lowest LEVELS on "momenta"; ``residual`` is the
+    largest |H v - e v| over the ground vectors, each against its own
+    eigenvalue e and the whole operator.  ``momenta`` is the momentum K
+    (in units of 2 pi / d) of the block of each ground vector, all 0 on
+    "sector", None on "banded".  ``dims`` is the dimension of every block
+    solved, in order of K.
     """
 
     energy: float
@@ -206,14 +206,11 @@ def _arpack(mat, tol_deg: float) -> tuple:
 
 
 def _operator_facts(op: SparseOperator) -> Facts:
-    """The ``Facts`` of ``op``.  An assembled operator's are read off its
-    CSR matrix.  A builder operator diag(D) - t * hop takes the facts of
-    its unit hop, kept with the basis, and checks its own parts: D must
+    """The ``Facts`` of a builder operator diag(D) - t * hop: the facts of
+    its unit hop, kept with the basis, with its own parts checked.  D must
     equal D[T] for the translation and D[R] for the reflection; t scales
     the signs of the off-diagonal entries; and with t = 0 there are none,
     so the graph is connected only when dim = 1."""
-    if op.hopping is None:
-        return facts(op.to_csr(), op.basis)
     basis, diagonal, t = op.basis, op.diagonal, op.hopping
     hop = basis.hop_facts()
     moves = t != 0
@@ -231,15 +228,12 @@ def _operator_facts(op: SparseOperator) -> Facts:
 
 def _sector_block(op: SparseOperator, K: int, even: bool) -> tuple:
     """(P, off, diagonal, reps) of one block of a translation-invariant
-    ``op``: P^H op P = off + diag(diagonal), with P = ``even_projector()``
-    when ``even`` (K = 0), else ``projector(K)``.  A builder operator
-    takes off = -t * ``hop_block(K, even)``, kept with the basis, and
-    diagonal = D[reps]; any other operator projects its own CSR matrix."""
+    builder operator: P^H op P = off + diag(diagonal), with P =
+    ``even_projector()`` when ``even`` (K = 0), else ``projector(K)``,
+    off = -t * ``hop_block(K, even)``, kept with the basis, and diagonal =
+    D[reps]."""
     basis = op.basis
     proj = basis.even_projector() if even else basis.projector(K)
-    if op.hopping is None:
-        off, reps = _project(op.to_csr(), proj)
-        return proj, off, np.zeros(reps.size), reps
     hop_block, reps = basis.hop_block(K, even)
     return proj, hop_block * -op.hopping, op.diagonal[reps], reps
 
@@ -250,31 +244,30 @@ class GroundSolver:
     ``__init__`` does everything that does not depend on gamma and keeps
     the blocks to solve, K -> (P or None, off, diagonal, coupling of each
     column), each block being off + diag(diagonal + gamma * coupling).
-    The path follows the operator's ``Facts`` (``_operator_facts``):
-    - "sector", at any size, when the operator commutes exactly with the
-      one-site translation T (and coupling[index] == coupling) and
-      ``Facts.perron`` makes its ground state the unique positive Perron
-      vector (its sign and graph conditions read only the off-diagonal
-      part, so it holds for every gamma).  Every basis permutation that commutes with the operator
-      fixes that vector, so one block is kept: P holds the orbit sums of
-      the group generated by T and the bare site reflection R
-      (``fock.reflection``) when R op R^T == op and coupling[R] ==
-      coupling hold exactly (the reflection-even K = 0 block,
-      ``basis.even_projector()``), else the K = 0 orbit sums of T;
-    - "momenta", at any size, for any other operator that commutes with
-      T: P_K = ``basis.projector(K)`` for every K with a column, K =
-      0..d/2 for a real operator, whose -K blocks are the conjugates of
-      the +K ones;
-    - "banded", at any size, for an operator on a basis without a lattice
-      translation (not a PairBasis or FullBasis: the relative chains)
-      whose entries all lie on the main and first off-diagonals;
-    - "dense" for any other operator below DENSE_LIMIT, "arpack" above.
-    On the last three the whole operator (``to_csr()``) is the one block,
-    with no P.  ``_sector_block`` gives every P^H op P; its gamma term is
+    There are three paths:
+    - "sector", at any size, for a builder operator
+      (``SparseOperator.from_parts``) on a PairBasis or FullBasis that,
+      with its coupling, commutes exactly with the one-site translation T,
+      when ``Facts.perron`` (``_operator_facts``) makes its ground state
+      the unique positive Perron vector at every gamma.  That vector is
+      fixed by every basis permutation that commutes with the operator, so
+      one block is kept: the reflection-even K = 0 block
+      (``basis.even_projector()``) when the operator and the coupling are
+      exactly invariant under the bare site reflection R too
+      (``fock.reflection``), else the K = 0 block;
+    - "momenta", at any size, for any other such builder operator: P_K =
+      ``basis.projector(K)`` for every K = 0..d/2 with a column; a builder
+      operator is real, so its -K blocks are the conjugates of the +K ones;
+    - "banded", for an assembled operator on a basis without a lattice
+      translation (the relative chains) whose entries all lie on the main
+      and first off-diagonals: the whole operator is the one block, with
+      no P.  ``_banded`` allocates n x n, so n^2 is held to
+      MAX_BASIS_STATES (``CapacityError``).
+    Any other operator raises ``ValueError`` before any block exists.
+    ``_sector_block`` gives every P^H op P; its gamma term is
     diag(coupling[reps]), exact because the coupling is constant on each
-    orbit.  The translation, reflection, orbits, projectors and the facts
-    and projected blocks of the unit hop are tables of the basis, built
-    once per sector; the checks of the operator's own parts run in every
+    orbit.  The tables of the unit hop and its symmetries are built once
+    per sector; the checks of the operator's own parts run in every
     ``__init__``.
 
     A call ``solver(gamma)`` runs one loop: add diag(diagonal + gamma *
@@ -296,23 +289,28 @@ class GroundSolver:
         self._coupling = np.zeros(n) if coupling is None else np.asarray(coupling, dtype=float)
         if self._coupling.shape != (n,):
             raise ValueError(f"coupling shape {self._coupling.shape} does not match basis size {n}")
-        fact = _operator_facts(op)
-        self._real = fact.real
-        if fact.translation and np.array_equal(self._coupling[op.basis.translation_table()[0]], self._coupling):
+        if not isinstance(op.basis, (PairBasis, FullBasis)):
+            if n * n > MAX_BASIS_STATES:
+                raise CapacityError(f"a chain of {n} sites needs {n}^2 > {MAX_BASIS_STATES} eigenvector entries")
+            if not facts(op.to_csr(), op.basis).banded:
+                raise ValueError("no solver path: the chain has entries off the main and first off-diagonals")
+            self.path = "banded"
+            self._blocks = {0: (None, op.to_csr(), np.zeros(n), self._coupling)}
+        else:
+            if op.hopping is None:
+                raise ValueError("no solver path: an assembled operator on a lattice basis (build it from_parts)")
+            fact = _operator_facts(op)
+            if not (fact.translation and np.array_equal(self._coupling[op.basis.translation_table()[0]], self._coupling)):
+                raise ValueError("no solver path: the operator or the coupling breaks the lattice translation")
             if fact.perron:
                 self.path = "sector"
                 even = fact.reflection and np.array_equal(self._coupling[op.basis.reflection_index()], self._coupling)
                 blocks = {0: _sector_block(op, 0, even)}
             else:
                 self.path = "momenta"
-                ks = range(op.basis.d // 2 + 1 if fact.real else op.basis.d)
-                blocks = {k: _sector_block(op, k, False) for k in ks}
+                blocks = {k: _sector_block(op, k, False) for k in range(op.basis.d // 2 + 1)}
             self._blocks = {k: (proj, off, diag, self._coupling[reps])
                             for k, (proj, off, diag, reps) in blocks.items() if proj.shape[1]}
-        else:
-            lattice = isinstance(op.basis, (PairBasis, FullBasis))
-            self.path = "banded" if fact.banded and not lattice else "dense" if n < DENSE_LIMIT else "arpack"
-            self._blocks = {0: (None, op.to_csr(), np.zeros(n), self._coupling)}
         self.dims = tuple(off.shape[0] for _, off, _, _ in self._blocks.values())
 
     def __call__(self, gamma: float = 0.0) -> GroundSpace:
@@ -331,7 +329,7 @@ class GroundSolver:
                     block = block + sp.diags(shift)
                 evals, evecs = (_banded if self.path == "banded" else _arpack)(block, tol_deg)
             solved[k] = (proj, evals, evecs, False)
-            if self._real and 0 < k < self.basis.d - k:  # only momentum blocks have K > 0
+            if 0 < k < self.basis.d - k:  # only momentum blocks have K > 0
                 solved[self.basis.d - k] = (proj, evals, evecs, True)
         # the union of the levels, sorted stably by level and then by K
         ks = np.concatenate([np.full(s[1].size, k) for k, s in solved.items()])
@@ -354,7 +352,7 @@ class GroundSolver:
         res = float(np.linalg.norm(hv - vecs * evals[sel], axis=0).max())
         if not res < RESIDUAL_TOL * scale:  # a NaN residual fails too
             raise ConvergenceError(f"residual {res:g} above tolerance")
-        momenta = tuple(int(k) for k in ks[sel]) if self.path in ("sector", "momenta") else None
+        momenta = None if self.path == "banded" else tuple(int(k) for k in ks[sel])
         levels = evals[:LEVELS] if self.path == "momenta" else evals
         return GroundSpace(float(evals[0]), vecs, self.basis, levels, self.path, res, momenta, self.dims)
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from cobosons import (
     BasisMismatchError,
     CapacityError,
+    ModelParams,
     StateVector,
+    build_full_hamiltonian,
     full_basis,
     inner_product,
     pair_basis,
@@ -25,6 +27,7 @@ from cobosons.fock import (
     translation,
     translation_orbits,
 )
+from cobosons.model import SparseOperator
 from oracles import (
     _lower_sign,
     create_string,
@@ -371,3 +374,15 @@ def test_reflection_reverses_the_sites_of_every_state():
                     for a, b in basis.states]
         assert np.array_equal(index, want), basis
         assert np.array_equal(index[index], np.arange(basis.size)), basis
+
+
+def test_facts_of_the_stoquastic_part_of_an_even_n_full_model():
+    # the d = 4, N = 2 full model with every off-diagonal entry made
+    # negative: stoquastic and connected, but |.| drops the signs -1 of the
+    # signed translation, so Perron-Frobenius does not certify it
+    basis = full_basis(4, 2, 2)
+    h = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2), basis).to_csr()
+    diag = sp.diags(h.diagonal())
+    got = fock.facts(SparseOperator(basis, diag - abs(h - diag)).to_csr(), basis)
+    assert (got.negative, got.connected, got.sign_free, got.perron) == (True, True, False, False)
+    assert not got.translation

@@ -30,12 +30,13 @@ from cobosons.solve import (
 from oracles import geometric_tail, is_bound
 
 
-def test_ground_space_simple_matrix():
-    from cobosons.model import SparseOperator
-    from cobosons import pair_basis
+def _chain(diagonal):
+    """A diagonal matrix, an assembled operator on a chain of its size."""
+    return SparseOperator(ChainBasis("test", tuple(range(len(diagonal)))), sp.diags(diagonal))
 
-    basis = pair_basis(4, 1)
-    op = SparseOperator(basis, sp.diags([3.0, -1.0, 2.0, -1.0]))
+
+def test_ground_space_simple_matrix():
+    op = _chain([3.0, -1.0, 2.0, -1.0])
     gs = ground_space(op)
     assert gs.energy == pytest.approx(-1.0)
     assert gs.degeneracy == 2
@@ -45,12 +46,9 @@ def test_ground_space_simple_matrix():
 
 
 def test_ground_space_checks_each_vector_against_its_own_level():
-    from cobosons.model import SparseOperator
-    from cobosons import pair_basis
-
     # the second level lies inside the degeneracy window but 5e-10 above
     # E0, above the residual bound: it belongs to the ground space
-    op = SparseOperator(pair_basis(3, 1), sp.diags([0.0, 5e-10, 1.0]))
+    op = _chain([0.0, 5e-10, 1.0])
     gs = ground_space(op)
     assert gs.energy == 0.0
     assert gs.degeneracy == 2
@@ -187,7 +185,7 @@ def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
 @pytest.mark.parametrize("d, n, levels", [(8, 3, 4), (6, 3, 3), (6, 2, 1)])
 def test_spectral_equivalence_compares_levels_of_the_same_sectors(d, n, levels):
     # effective model on the sector path; the full model with odd N too,
-    # with even N on the whole operator, where only E0 is comparable
+    # with even N on "momenta", where only E0 is comparable
     rep = spectral_equivalence_check(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
     assert len(rep.effective_energies) == len(rep.full_energies) == levels
     assert np.abs(rep.full_energies - rep.effective_energies).max() < 1e-6
@@ -227,9 +225,12 @@ def _sector_case(model, d, n, x):
     return build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=x * 0.1, d=d, n_a=n[0], n_b=n[1]))
 
 
-def _whole_operator_dense(op, tol_deg=1e-9):
-    """E0 and the window's ground vectors of the whole operator."""
-    evals, evecs = np.linalg.eigh(op.to_csr().toarray())
+def _whole_operator_dense(op, shift=0.0, tol_deg=1e-9):
+    """E0 and the window's ground vectors of the whole operator plus
+    diag(shift)."""
+    a = op.to_csr().toarray()
+    a[np.diag_indices(op.dim)] += shift
+    evals, evecs = np.linalg.eigh(a)
     sel = evals <= evals[0] + tol_deg * max(1.0, abs(evals[0]))
     return evals[0], evecs[:, sel]
 
@@ -292,7 +293,7 @@ def _chiral_case(breaks):
     base = _sector_case("effective", 8, 3, 6.0)
     chiral = _chiral_count(base.basis)
     if breaks == "operator":
-        return SparseOperator(base.basis, base.to_csr() + sp.diags(0.5e-3 * chiral)), np.zeros(base.dim)
+        return SparseOperator.from_parts(base.basis, base.diagonal + 0.5e-3 * chiral, base.hopping), np.zeros(base.dim)
     return base, chiral
 
 
@@ -305,7 +306,7 @@ def test_operators_that_break_the_reflection_solve_the_whole_zero_momentum_block
     assert ground_space(_sector_case("effective", 8, 3, 6.0)).dims[0] < orbits
     index = reflection(op.basis)
     for gamma in (0.0, 0.7e-3):
-        energy, vectors = _whole_operator_dense(SparseOperator(op.basis, op.to_csr() + sp.diags(gamma * coupling)))
+        energy, vectors = _whole_operator_dense(op, gamma * coupling)
         if breaks == "operator" or gamma:
             assert np.abs(vectors[index] - vectors).max() > 1e-3
         for limit in (solve.DENSE_LIMIT, 14):
@@ -339,10 +340,10 @@ def _sector_sizes(basis):
     return np.rint((phases @ np.array(traces)).real / d).astype(int)
 
 
-def test_ground_space_reports_the_dimension_of_each_block_solved(monkeypatch):
+def test_ground_space_reports_the_dimension_of_each_block_solved():
     # sector: one column per bracelet (280 at d = 16, N = 6, from 504
-    # necklaces); momenta: every real sector K = 0..d/2; dense and arpack:
-    # the whole operator
+    # necklaces); momenta: every real sector K = 0..d/2; banded: the whole
+    # chain
     for d, n in ((8, 3), (10, 4), (16, 6)):
         op = _sector_case("effective", d, n, 15.5)
         assert ground_space(op).dims == (_bracelets(op.basis),), (d, n)
@@ -353,15 +354,14 @@ def test_ground_space_reports_the_dimension_of_each_block_solved(monkeypatch):
     assert gs.path == "momenta"
     assert gs.dims == tuple(_sector_sizes(op.basis)[: op.basis.d // 2 + 1])
 
-    op = _with_site_potential(op)
-    assert (ground_space(op).path, ground_space(op).dims) == ("dense", (225,))
-    monkeypatch.setattr(solve, "DENSE_LIMIT", 14)
-    assert (ground_space(op).path, ground_space(op).dims) == ("arpack", (225,))
+    chain = build_relative_chain("two_pair", ModelParams(j=1.0, u=3.0, gamma=3.0, d=10, n=2), cutoff=400)
+    assert (ground_space(chain).path, ground_space(chain).dims) == ("banded", (400,))
 
 
 def _with_site_potential(op):
+    """The builder operator ``op`` plus a potential on site 0, which breaks T."""
     occ = (op.basis.states & 1).reshape(op.dim, -1).sum(axis=1)  # site 0, both species
-    return SparseOperator(op.basis, op.to_csr() + sp.diags(0.3e-3 * occ))
+    return SparseOperator.from_parts(op.basis, op.diagonal + 0.3e-3 * occ, op.hopping)
 
 
 def _stoquastic_part(op):
@@ -400,18 +400,22 @@ UNCERTIFIED = {
         build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2))),
     # hopping +Jbar: connected, T-invariant with signs +1, but not stoquastic
     "positive hopping": lambda: build_effective_from_bars(6, 2, -2e-3, 4e-3),
-    "diagonal, not invariant": lambda: SparseOperator(pair_basis(6, 3), sp.diags(np.arange(20.0))),
+    "diagonal, not invariant": lambda: SparseOperator.from_parts(pair_basis(6, 3), np.arange(20.0), 0.0),
     # stoquastic and connected, but [H, T] != 0
     "site potential": lambda: _with_site_potential(
         build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=3))),
-    # complex and T-invariant: every sector is solved; the ground state
-    # lies at K = 0 for the smaller flux and at K = 4 (-2) for the larger
+    # complex and T-invariant, but not a builder operator
     "flux": lambda: _with_flux(
         build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2))),
     "flux, K != 0": lambda: _with_flux(
         build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2)), phi=0.8),
 }
-INVARIANT = {"J = 0", "even N", "positive hopping", "flux", "flux, K != 0"}
+INVARIANT = {"J = 0", "even N", "positive hopping"}
+# the reason each other operator has no solver path: an assembled matrix on
+# a lattice basis, or a builder operator whose D breaks T
+ASSEMBLED, BREAKS_T = "assembled operator on a lattice basis", "breaks the lattice translation"
+REFUSED = {"complex hopping": ASSEMBLED, "even N, |off-diagonal|": ASSEMBLED, "flux": ASSEMBLED,
+           "flux, K != 0": ASSEMBLED, "diagonal, not invariant": BREAKS_T, "site potential": BREAKS_T}
 
 
 def _assert_momenta_path_matches_whole_operator(op, case):
@@ -441,19 +445,15 @@ def _assert_momenta_path_matches_whole_operator(op, case):
 
 @pytest.mark.parametrize("name", sorted(UNCERTIFIED))
 def test_uncertified_operators_solve_the_whole_operator(name):
-    # translation-invariant operators in every momentum sector, the others
-    # on the whole matrix
+    # translation-invariant builder operators in every momentum sector; the
+    # others raise before any block is built
     op = UNCERTIFIED[name]()
     if name in INVARIANT:
         _assert_momenta_path_matches_whole_operator(op, name)
         return
-    want = ground_space(op)
-    assert want.path == "dense" and want.momenta is None
-    with mock.patch.object(solve, "DENSE_LIMIT", 14):
-        got = ground_space(op)
-    assert got.path == "arpack" and got.momenta is None
-    assert got.degeneracy == want.degeneracy
-    assert abs(got.energy - want.energy) < 1e-12 * max(1.0, abs(want.energy))
+    with mock.patch.object(solve, "_sector_block", side_effect=AssertionError("block built")):
+        with pytest.raises(ValueError, match="no solver path: .*" + REFUSED[name]):
+            ground_space(op)
 
 
 EVEN_N_CASES = [
@@ -493,14 +493,13 @@ def test_momentum_blocks_hold_the_whole_spectrum():
 
 def test_every_block_equals_the_projected_operator():
     # effective d <= 10 and full d <= 6 at every filling, with the gamma
-    # coupling, the two flux operators and both reflection-breaking cases:
+    # coupling, and both reflection-breaking cases:
     # each block the solver keeps is P^H h P, and its coupling P^H diag(c) P
     cases = [(op, gamma_coupling(op.basis)) for op in
              [build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
               for d in range(2, 11) for n in range(0, d + 1)]
              + [build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.4, d=d, n_a=n_a, n_b=n_b))
                 for d in range(2, 7) for n_a in range(0, d + 1) for n_b in range(0, d + 1)]]
-    cases += [(UNCERTIFIED[name](), None) for name in ("flux", "flux, K != 0")]
     cases += [_chiral_case(breaks) for breaks in ("operator", "coupling")]
     paths = set()
     for op, coupling in cases:
@@ -536,45 +535,46 @@ def _builder_cases():
 
 def test_builder_parts_solve_like_their_assembled_matrix():
     # the facts a builder operator takes from its kept hop and its own D
-    # and t equal those read off its assembled CSR matrix, so the solver
-    # takes the same path and blocks as for SparseOperator(basis, to_csr())
+    # and t equal those read off its assembled CSR matrix, its blocks are
+    # that matrix projected, and its ground space is the whole matrix's
     paths, solvers = Counter(), []
     for op in _builder_cases():
         h = op.to_csr()
         case = (op.basis, op.hopping)
-        assert solve._operator_facts(op) == fock.facts(h, op.basis), case
+        fact = fock.facts(h, op.basis)
+        assert solve._operator_facts(op) == fact, case
         coupling = gamma_coupling(op.basis)
-        parts, whole = GroundSolver(op, coupling), GroundSolver(SparseOperator(op.basis, h), coupling)
-        assert (parts.path, parts.dims) == (whole.path, whole.dims), case
+        if not fact.translation:
+            with pytest.raises(ValueError, match="breaks the lattice translation"):
+                GroundSolver(op, coupling)
+            paths["refused"] += 1
+            continue
+        parts = GroundSolver(op, coupling)
         paths[parts.path] += 1
         solvers.append(parts)
         scale = max(1.0, abs(h).max())
         for k, (proj, off, diagonal, block_coupling) in parts._blocks.items():
-            want_proj, want_off, want_diagonal, want_coupling = whole._blocks[k]
-            assert proj is want_proj and np.array_equal(block_coupling, want_coupling), case
-            block = off.toarray() + np.diag(diagonal)
-            if proj is not None:
-                assert np.abs(want_off.toarray() - _project(h, proj)[0].toarray()).max() == 0.0
-            assert np.abs(block - want_off.toarray() - np.diag(want_diagonal)).max() <= 1e-14 * scale, (case, k)
+            want, reps = _project(h, proj)
+            assert np.array_equal(block_coupling, coupling[reps]), (case, k)
+            assert np.abs(off.toarray() + np.diag(diagonal) - want.toarray()).max() <= 1e-14 * scale, (case, k)
         for gamma in (0.0, 3e-3):
-            got, want = parts(gamma), whole(gamma)
-            # exactly degenerate levels (J = 0) may come in another order of K
-            assert sorted(got.momenta or ()) == sorted(want.momenta or ()), (case, gamma)
-            assert abs(got.energy - want.energy) <= 1e-13 * max(1.0, abs(want.energy)), (case, gamma)
-            assert np.abs(_ground_projector(got) - _ground_projector(want)).max() < 1e-10, (case, gamma)
+            got = parts(gamma)
+            energy, vectors = _whole_operator_dense(op, gamma * coupling)
+            assert abs(got.energy - energy) <= 1e-12 * max(1.0, abs(energy)), (case, gamma)
+            assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-10, (case, gamma)
     # the last two cases: D that breaks R keeps the whole K = 0 block, D
-    # that breaks T leaves the sector path
-    breaks_r, breaks_t = solvers[-2:]
+    # that breaks T is refused
+    breaks_r = solvers[-1]
     assert (breaks_r.path, breaks_r.dims) == ("sector", (breaks_r.basis.orbits().reps.size,))
-    assert breaks_t.path == "dense" and paths["dense"] == 1
-    assert paths["sector"] > 100 and paths["momenta"] > 100
+    assert paths["refused"] == 1 and paths["sector"] > 100 and paths["momenta"] > 100
 
 
-def test_ground_space_reports_real_dense_path_and_residual():
-    # even N with a site potential: real, not translation invariant, dim 225
-    op = _with_site_potential(build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=6, n=2)))
+def test_ground_space_reports_real_banded_levels_and_residual():
+    # a real chain of 50 sites: the LEVELS lowest levels, and the residual
+    # computed exactly as h @ v - E0 v
+    op = build_relative_chain("two_pair", ModelParams(j=1.0, u=2.0, gamma=3.0, d=10, n=2), cutoff=50)
     gs = ground_space(op)
-    assert gs.path == "dense"
+    assert gs.path == "banded" and not np.iscomplexobj(op.to_csr())
     assert len(gs.levels) == solve.LEVELS
     want = np.linalg.eigvalsh(op.to_csr().toarray())[: solve.LEVELS]
     assert np.abs(gs.levels - want).max() < 1e-12
@@ -648,18 +648,15 @@ def test_ground_solver_rejects_a_coupling_of_another_size():
         GroundSolver(op, np.zeros(op.dim + 1))
 
 
-def test_ground_solver_drops_translations_the_coupling_breaks():
-    # H(0) commutes with T, the coupling (a site potential) does not: the
-    # whole operator is solved, at every gamma against a fresh build
+def test_ground_solver_refuses_a_coupling_that_breaks_the_translation():
+    # H(0) commutes with T, the coupling (a site potential) does not: no
+    # path solves the family, and no block is built
     op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=3))
     site = (op.basis.states & 1).astype(float)
-    solver = GroundSolver(op, site)
-    for gamma in (0.0, 3e-4):
-        want = ground_space(SparseOperator(op.basis, op.to_csr() + sp.diags(gamma * site)))
-        got = solver(gamma)
-        assert got.path == "dense"
-        assert abs(got.energy - want.energy) < 1e-12
-        assert np.abs(_ground_projector(got) - _ground_projector(want)).max() < 1e-12
+    with mock.patch.object(solve, "_sector_block", side_effect=AssertionError("block built")):
+        with pytest.raises(ValueError, match="the operator or the coupling breaks the lattice translation"):
+            GroundSolver(op, site)
+    assert GroundSolver(op, gamma_coupling(op.basis)).path == "sector"
 
 
 @settings(max_examples=40, deadline=None)
@@ -727,6 +724,25 @@ def test_banded_path_past_the_dense_limit_and_on_tiny_chains():
         assert (gs.path, gs.degeneracy) == ("banded", degeneracy)
         assert abs(gs.energy - energy) < 1e-14
         assert np.array_equal(gs.levels, np.linalg.eigvalsh(matrix))
+
+
+def test_banded_path_refuses_chains_past_its_capacity(monkeypatch):
+    # stemr allocates an n x n float64 Z: n^2 is held to MAX_BASIS_STATES
+    # (n <= 4096, 128 MB), and a 50000-site chain (18.6 GiB) is refused
+    # before anything is solved; the 2401-site chain above still solves
+    monkeypatch.setattr(solve.la, "eigh_tridiagonal", mock.Mock(side_effect=AssertionError("solved")))
+    p = ModelParams(j=1.0, u=3.0, gamma=3.0, d=10, n=2)
+    assert GroundSolver(build_relative_chain("two_pair", p, cutoff=4096)).dims == (4096,)
+    for cutoff in (4097, 50000):
+        with pytest.raises(fock.CapacityError, match=f"chain of {cutoff} sites"):
+            GroundSolver(build_relative_chain("two_pair", p, cutoff=cutoff))
+
+
+def test_a_chain_off_the_band_is_refused():
+    # entries beyond the first off-diagonals: no path solves it
+    op = SparseOperator(ChainBasis("test", (0, 1, 2)), sp.csr_matrix(np.ones((3, 3)) - np.eye(3)))
+    with pytest.raises(ValueError, match="no solver path: the chain has entries off the main"):
+        GroundSolver(op)
 
 
 def test_a_nan_ground_vector_fails_the_residual_check(monkeypatch):

@@ -19,9 +19,6 @@ this one) the script records:
   checkout's ``benchmarks/run.py`` per workload, alternating which side
   runs first, seeds 1..PAIRS, with the medians and quartiles of every
   end-to-end metric and the pairs the change wins on ``rows_per_s``.
-
-Checkouts older than ``GroundSpace.path`` had two paths, chosen by
-dimension alone; their path is reported from that rule.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ CHAIN_REPEATS = 5
 SOLVE = r"""
 import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from cobosons import ModelParams, build_effective_hamiltonian, build_full_hamiltonian, ground_space, solve
+from cobosons import ModelParams, build_effective_hamiltonian, build_full_hamiltonian, ground_space
 model, d, n, x = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), float(sys.argv[5])
 j, u = (1.0, 1e3) if model == "effective" else (100.0, 1e5)
 params = ModelParams(j=j, u=u, gamma=x * j * j / u, d=d, n=n)
@@ -64,8 +61,7 @@ op = build(params)
 t1 = time.perf_counter()
 gs = ground_space(op)
 t2 = time.perf_counter()
-path = getattr(gs, "path", "dense" if op.dim < solve.DENSE_LIMIT else "arpack")
-print(json.dumps({"dim": op.dim, "path": path, "build_s": t1 - t0, "solve_s": t2 - t1,
+print(json.dumps({"dim": op.dim, "path": gs.path, "build_s": t1 - t0, "solve_s": t2 - t1,
                   "degeneracy": gs.degeneracy, "energy": gs.energy,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
@@ -74,7 +70,7 @@ print(json.dumps({"dim": op.dim, "path": path, "build_s": t1 - t0, "solve_s": t2
 CHAIN = r"""
 import json, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
-from cobosons import ModelParams, build_relative_chain, ground_space, solve
+from cobosons import ModelParams, build_relative_chain, ground_space
 kind, r, cutoff, repeats = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), int(sys.argv[5])
 chain = build_relative_chain(kind, ModelParams(j=1.0, u=3.0, gamma=3.0, d=10, n=2), r=r, cutoff=cutoff)
 gs = ground_space(chain)
@@ -83,8 +79,7 @@ for _ in range(repeats):
     t0 = time.perf_counter()
     ground_space(chain)
     times.append(time.perf_counter() - t0)
-path = getattr(gs, "path", "dense" if chain.dim < solve.DENSE_LIMIT else "arpack")
-print(json.dumps({"dim": chain.dim, "path": path, "solve_s": statistics.median(times), "energy": gs.energy}))
+print(json.dumps({"dim": chain.dim, "path": gs.path, "solve_s": statistics.median(times), "energy": gs.energy}))
 """
 
 
