@@ -503,12 +503,10 @@ def sweep_config_from(values: dict) -> SweepConfig:
     if "U" in values:
         kw["u"] = float(values["U"])
     if "gamma-grid" in values:
-        grid = values["gamma-grid"]
-        lo, hi, pts = parse_grid(grid) if isinstance(grid, str) else grid
+        lo, hi, pts = parse_grid(values["gamma-grid"])
         kw.update(grid_min=lo, grid_max=hi, grid_points=pts)
     if "targets" in values:
-        t = values["targets"]
-        kw["targets"] = parse_targets_grouped(t) if isinstance(t, str) else t
+        kw["targets"] = parse_targets_grouped(values["targets"])
     if "out" in values:
         kw["out"] = values["out"]
     if "tol" in values:

@@ -6,11 +6,13 @@ finds masks in them by binary search; a full basis is mask_a-major, so a
 configuration's index is ``i_a * len(masks_b) + i_b``.  ``pair_basis`` and
 ``full_basis`` hand out one shared basis per sector (the last sector asked
 for of each kind), and a basis builds each of its sector tables (hop,
-bonds, symmetry tables, projectors, the facts and projected blocks of the
-hop) once, on first use.  The canonical
-operator ordering for the full sector is: all a-type creation operators in
-ascending mode order, then all b-type ones in ascending mode order.  All
-fermionic signs below follow from that convention.
+bonds, symmetry tables, projectors, the projected blocks of the hop) once,
+on first use.  The canonical operator ordering for the full sector is: all
+a-type creation operators in ascending mode order, then all b-type ones in
+ascending mode order.  All fermionic signs below follow from that
+convention.  The unit hop built from it is, by construction, exactly
+symmetric, invariant under the signed translation and the bare site
+reflection, and connected (``_hop``; ``docs/decisions.md`` §5).
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 MAX_PAIR_SITES = 62  # int64 masks; rotate, _reverse and move keep bit 63 clear
 MAX_FULL_SITES = 16
@@ -99,15 +99,10 @@ def _table(build):
 
 class _SectorTables:
     """Tables that depend only on the sector (the kind of basis, d and the
-    particle counts): the unit nearest-neighbour hop with its ``Facts`` and
-    its projected blocks, the bond counts, the one-site translation with
-    its orbits and momentum projectors, and the site reflection.  Nothing
-    here depends on an operator."""
-
-    @_table
-    def hop_facts(self) -> "Facts":
-        """``facts`` of the unit hop ``hop()``."""
-        return facts(self.hop(), self)
+    particle counts): the unit nearest-neighbour hop with its projected
+    blocks, the bond counts, the one-site translation with its orbits and
+    momentum projectors, and the site reflection.  Nothing here depends on
+    an operator."""
 
     @_table
     def hop_block(self, K: int, even: bool) -> tuple:
@@ -168,8 +163,12 @@ class PairBasis(_SectorTables):
 
     @_table
     def occupation(self) -> np.ndarray:
-        """(size, d) uint8 ``occupations`` of the states."""
-        return occupations(self.states, self.d).astype(np.uint8)
+        """(size, d) uint8 ``occupations`` of the states, filled one site
+        at a time, without the int64 (size, d) array."""
+        occ = np.empty((self.size, self.d), dtype=np.uint8)
+        for k in range(self.d):
+            occ[:, k] = (self.states >> k) & 1
+        return occ
 
     @_table
     def bonds(self) -> np.ndarray:
@@ -321,9 +320,15 @@ def _hop(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
     With the canonical ascending mode order a nearest-neighbour hop
     passes no other particle, except across the periodic bond (d-1, 0),
     where it passes all n - 1 others: wrap_sign = (-1)^(n-1) for
-    fermions, +1 for hard-core pairs.  The entries are int8, an eighth of
-    the bytes of float64 entries, since a shared basis keeps the hop; a
-    float coupling times the hop is float64 with the same values.
+    fermions, +1 for hard-core pairs.  Each bond is entered in both
+    directions with one sign, so the hop is exactly symmetric; the
+    translation and the reflection map bonds onto bonds, and the wrap sign
+    is the sign the translation carries, so the hop commutes with both;
+    and ring moves connect every mask with n bits.  The entries are int8,
+    an eighth of the bytes of float64 entries, since a shared basis keeps
+    the hop; a float coupling times the hop is float64 with the same
+    values.  The indices are int32 (dim <= MAX_BASIS_STATES < 2^31), which
+    halves the transient lists the CSR is built from.
     """
     rows, cols, vals = [], [], []
     for k in range(d):
@@ -331,8 +336,8 @@ def _hop(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
         sign = wrap_sign if kp == 0 else 1
         for src, dst in ((kp, k), (k, kp)):
             from_idx, to_idx = move(masks, src, dst)
-            rows.append(to_idx)
-            cols.append(from_idx)
+            rows.append(to_idx.astype(np.int32))
+            cols.append(from_idx.astype(np.int32))
             vals.append(np.full(from_idx.size, sign, dtype=np.int8))
     dim = masks.size
     return sp.csr_matrix(
@@ -525,77 +530,6 @@ def translation_orbits(index: np.ndarray, sign: np.ndarray, d: int) -> Orbits:
     for a in tables:
         a.setflags(write=False)
     return Orbits(d, *tables)
-
-
-# ------------------------------------------------- structure of an operator
-
-class Facts(NamedTuple):
-    """Exact structure of a CSR operator h on a basis, from ``facts``.
-    Off a lattice basis (no ``translation_table``) the three symmetry
-    facts are False.  A fact about the stored off-diagonal entries holds
-    when there are none."""
-
-    symmetric: bool  # h == h^H entry for entry
-    translation: bool  # T h T^-1 == h for the signed one-site translation T
-    reflection: bool  # R h R^T == h for the bare site reflection R
-    sign_free: bool  # every sign of T is +1
-    real: bool
-    positive: bool  # real, and every stored off-diagonal entry > 0
-    negative: bool  # real, and every stored off-diagonal entry < 0
-    connected: bool  # the graph of the stored entries has one component
-    banded: bool  # every stored entry on the main or first off-diagonals
-
-    @property
-    def perron(self) -> bool:
-        """Whether the ground state is unique, positive and at K = 0: by
-        Perron-Frobenius when h is real with every off-diagonal element
-        < 0 and a connected graph, and invariant under a sign-free T."""
-        return self.translation and self.sign_free and self.negative and self.connected
-
-
-def _same(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
-    """Whether two canonical CSR matrices are equal entry for entry."""
-    return all(np.array_equal(getattr(a, x), getattr(b, x)) for x in ("indptr", "indices", "data"))
-
-
-def _invariant(h: sp.csr_matrix, coo: sp.coo_matrix, index: np.ndarray, sign=None) -> bool:
-    """Whether the permutation |i> -> sign[i] |index[i]> leaves h exactly
-    unchanged.  Each entry h[r, c] moves to (index[r], index[c]) with the
-    factor sign[r] * sign[c] (``coo`` is h with its entries in the same
-    order); the moved rows are gathered, their columns sorted, and the
-    result compared array by array with h, whose CSR form is canonical.
-    O(nnz)."""
-    data = h.data if sign is None or np.all(sign == 1) else h.data * (sign[coo.row] * sign[coo.col])
-    inverse = np.empty_like(index)
-    inverse[index] = np.arange(index.size)
-    moved = sp.csr_matrix((data, index[h.indices], h.indptr), shape=h.shape)[inverse]
-    moved.sort_indices()
-    return _same(moved, h)
-
-
-def facts(h: sp.csr_matrix, basis) -> Facts:
-    """The ``Facts`` of the canonical CSR operator h on ``basis``, each
-    exact and O(nnz): the one place that reads them off a matrix, for the
-    unit hop of a sector (``hop_facts``) and for the relative chains."""
-    coo = h.tocoo()
-    adjoint = h.conj().T.tocsr()
-    adjoint.sort_indices()
-    real = not np.iscomplexobj(h)
-    off = coo.data[coo.row != coo.col]
-    lattice = isinstance(basis, _SectorTables)
-    index, sign = basis.translation_table() if lattice else (None, None)
-    graph = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)  # every stored entry an edge
-    return Facts(
-        symmetric=_same(adjoint, h),
-        translation=lattice and _invariant(h, coo, index, sign),
-        reflection=lattice and _invariant(h, coo, basis.reflection_index()),
-        sign_free=lattice and bool(np.all(sign == 1)),
-        real=real,
-        positive=real and bool(np.all(off > 0)),
-        negative=real and bool(np.all(off < 0)),
-        connected=connected_components(graph, directed=False, return_labels=False) == 1,
-        banded=bool(np.all(np.abs(coo.row - coo.col) <= 1)),
-    )
 
 
 def _project(h: sp.csr_matrix, proj: sp.csr_matrix) -> tuple:

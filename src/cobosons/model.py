@@ -101,15 +101,13 @@ class SparseOperator:
     @classmethod
     def from_parts(cls, basis, diagonal, hopping: float) -> "SparseOperator":
         """diag(diagonal) - hopping * basis.hop(), Hermitian because both
-        parts are real and the unit hop is exactly symmetric (a fact of the
-        sector, ``basis.hop_facts()``)."""
+        parts are real and the unit hop is exactly symmetric by
+        construction (``fock._hop``)."""
         diagonal = np.asarray(diagonal)
         if diagonal.shape != (basis.size,):
             raise ValueError(f"diagonal shape {diagonal.shape} does not match basis size {basis.size}")
         if not (np.isrealobj(diagonal) and np.isrealobj(hopping)):
             raise ValueError("operator not Hermitian (complex diagonal or hopping)")
-        if not basis.hop_facts().symmetric:
-            raise ValueError("operator not Hermitian (the hop of the basis is not symmetric)")
         op = cls.__new__(cls)
         op.basis, op.diagonal, op.hopping, op._csr = basis, diagonal.astype(float), float(hopping), None
         op.diagonal.setflags(write=False)

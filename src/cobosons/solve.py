@@ -19,11 +19,9 @@ import scipy.sparse.linalg as spla
 from .fock import (
     MAX_BASIS_STATES,
     CapacityError,
-    Facts,
     FullBasis,
     PairBasis,
     StateVector,
-    facts,
     fix_phase,
     full_basis,
     pair_basis,
@@ -205,25 +203,26 @@ def _arpack(mat, tol_deg: float) -> tuple:
     return evals[order], evecs[:, order]
 
 
-def _operator_facts(op: SparseOperator) -> Facts:
-    """The ``Facts`` of a builder operator diag(D) - t * hop: the facts of
-    its unit hop, kept with the basis, with its own parts checked.  D must
-    equal D[T] for the translation and D[R] for the reflection; t scales
-    the signs of the off-diagonal entries; and with t = 0 there are none,
-    so the graph is connected only when dim = 1."""
-    basis, diagonal, t = op.basis, op.diagonal, op.hopping
-    hop = basis.hop_facts()
-    moves = t != 0
-    return hop._replace(
-        symmetric=hop.symmetric or not moves,
-        translation=(hop.translation or not moves)
-        and np.array_equal(diagonal[basis.translation_table()[0]], diagonal),
-        reflection=(hop.reflection or not moves) and np.array_equal(diagonal[basis.reflection_index()], diagonal),
-        positive=not moves or (hop.negative if t > 0 else hop.positive),
-        negative=not moves or (hop.positive if t > 0 else hop.negative),
-        connected=hop.connected if moves else op.dim == 1,
-        banded=hop.banded or not moves,
-    )
+def _certify(op: SparseOperator, coupling: np.ndarray) -> tuple:
+    """(path, even) of a builder operator diag(D) - t * hop with the
+    coupling c on a PairBasis or FullBasis, from D, t, c and the signs of
+    the one-site translation T.  The hop is symmetric, invariant under T
+    and the bare site reflection R, and connected by construction
+    (``fock._hop``), so D and c decide the symmetries: ValueError when T
+    moves either.  "sector" when every sign of T is +1, which makes every
+    hop entry > 0, and t > 0 or dim = 1: then every off-diagonal of
+    -t * hop is < 0 on a connected graph.  ``even`` when the path is
+    "sector" and R fixes D and c too."""
+    index, sign = op.basis.translation_table()
+
+    def fixed(perm) -> bool:
+        return np.array_equal(op.diagonal[perm], op.diagonal) and np.array_equal(coupling[perm], coupling)
+
+    if not fixed(index):
+        raise ValueError("no solver path: the operator or the coupling breaks the lattice translation")
+    if not (np.all(sign == 1) and (op.dim == 1 or op.hopping > 0)):
+        return "momenta", False
+    return "sector", fixed(op.basis.reflection_index())
 
 
 def _sector_block(op: SparseOperator, K: int, even: bool) -> tuple:
@@ -248,8 +247,8 @@ class GroundSolver:
     - "sector", at any size, for a builder operator
       (``SparseOperator.from_parts``) on a PairBasis or FullBasis that,
       with its coupling, commutes exactly with the one-site translation T,
-      when ``Facts.perron`` (``_operator_facts``) makes its ground state
-      the unique positive Perron vector at every gamma.  That vector is
+      when Perron-Frobenius makes its ground state the unique positive
+      vector at every gamma (``_certify``).  That vector is
       fixed by every basis permutation that commutes with the operator, so
       one block is kept: the reflection-even K = 0 block
       (``basis.even_projector()``) when the operator and the coupling are
@@ -267,8 +266,8 @@ class GroundSolver:
     ``_sector_block`` gives every P^H op P; its gamma term is
     diag(coupling[reps]), exact because the coupling is constant on each
     orbit.  The tables of the unit hop and its symmetries are built once
-    per sector; the checks of the operator's own parts run in every
-    ``__init__``.
+    per sector; the checks of the operator's own parts (``_certify``, or
+    the band of a chain's own matrix) run in every ``__init__``.
 
     A call ``solver(gamma)`` runs one loop: add diag(diagonal + gamma *
     coupling) to each block and solve it (``_banded`` on the banded path,
@@ -292,23 +291,17 @@ class GroundSolver:
         if not isinstance(op.basis, (PairBasis, FullBasis)):
             if n * n > MAX_BASIS_STATES:
                 raise CapacityError(f"a chain of {n} sites needs {n}^2 > {MAX_BASIS_STATES} eigenvector entries")
-            if not facts(op.to_csr(), op.basis).banded:
+            chain = op.to_csr().tocoo()
+            if np.any(np.abs(chain.row - chain.col) > 1):
                 raise ValueError("no solver path: the chain has entries off the main and first off-diagonals")
             self.path = "banded"
             self._blocks = {0: (None, op.to_csr(), np.zeros(n), self._coupling)}
         else:
             if op.hopping is None:
                 raise ValueError("no solver path: an assembled operator on a lattice basis (build it from_parts)")
-            fact = _operator_facts(op)
-            if not (fact.translation and np.array_equal(self._coupling[op.basis.translation_table()[0]], self._coupling)):
-                raise ValueError("no solver path: the operator or the coupling breaks the lattice translation")
-            if fact.perron:
-                self.path = "sector"
-                even = fact.reflection and np.array_equal(self._coupling[op.basis.reflection_index()], self._coupling)
-                blocks = {0: _sector_block(op, 0, even)}
-            else:
-                self.path = "momenta"
-                blocks = {k: _sector_block(op, k, False) for k in range(op.basis.d // 2 + 1)}
+            self.path, even = _certify(op, self._coupling)
+            ks = (0,) if self.path == "sector" else range(op.basis.d // 2 + 1)
+            blocks = {k: _sector_block(op, k, even) for k in ks}
             self._blocks = {k: (proj, off, diag, self._coupling[reps])
                             for k, (proj, off, diag, reps) in blocks.items() if proj.shape[1]}
         self.dims = tuple(off.shape[0] for _, off, _, _ in self._blocks.values())

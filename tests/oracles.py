@@ -14,11 +14,13 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from cobosons.fock import FullBasis, PairBasis, StateVector, fix_phase, full_basis, popcount
+from cobosons.fock import FullBasis, PairBasis, StateVector, _SectorTables, fix_phase, full_basis, popcount
 from cobosons.model import SparseOperator
 
 
@@ -380,3 +382,94 @@ def build_c_sr_loop(d: int, s: int, r: int, power: int = 1) -> StateVector:
     amp = np.zeros(basis.size, dtype=complex)
     amp[basis.rank(cfgs[:, 0], cfgs[:, 1])] = list(coeffs.values())
     return StateVector(basis, fix_phase(amp / np.linalg.norm(amp)))
+
+
+# ------------------------------------------------- structure of an operator
+
+class Facts(NamedTuple):
+    """Exact structure of a CSR operator h on a basis, from ``facts``.
+    Off a lattice basis (no ``translation_table``) the three symmetry
+    facts are False.  A fact about the stored off-diagonal entries holds
+    when there are none."""
+
+    symmetric: bool  # h == h^H entry for entry
+    translation: bool  # T h T^-1 == h for the signed one-site translation T
+    reflection: bool  # R h R^T == h for the bare site reflection R
+    sign_free: bool  # every sign of T is +1
+    real: bool
+    positive: bool  # real, and every stored off-diagonal entry > 0
+    negative: bool  # real, and every stored off-diagonal entry < 0
+    connected: bool  # the graph of the stored entries has one component
+    banded: bool  # every stored entry on the main or first off-diagonals
+
+    @property
+    def perron(self) -> bool:
+        """Whether the ground state is unique, positive and at K = 0: by
+        Perron-Frobenius when h is real with every off-diagonal element
+        < 0 and a connected graph, and invariant under a sign-free T."""
+        return self.translation and self.sign_free and self.negative and self.connected
+
+
+def _same(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Whether two canonical CSR matrices are equal entry for entry."""
+    return all(np.array_equal(getattr(a, x), getattr(b, x)) for x in ("indptr", "indices", "data"))
+
+
+def _invariant(h: sp.csr_matrix, coo: sp.coo_matrix, index: np.ndarray, sign=None) -> bool:
+    """Whether the permutation |i> -> sign[i] |index[i]> leaves h exactly
+    unchanged.  Each entry h[r, c] moves to (index[r], index[c]) with the
+    factor sign[r] * sign[c] (``coo`` is h with its entries in the same
+    order); the moved rows are gathered, their columns sorted, and the
+    result compared array by array with h, whose CSR form is canonical.
+    O(nnz)."""
+    data = h.data if sign is None or np.all(sign == 1) else h.data * (sign[coo.row] * sign[coo.col])
+    inverse = np.empty_like(index)
+    inverse[index] = np.arange(index.size)
+    moved = sp.csr_matrix((data, index[h.indices], h.indptr), shape=h.shape)[inverse]
+    moved.sort_indices()
+    return _same(moved, h)
+
+
+def facts(h: sp.csr_matrix, basis) -> Facts:
+    """The ``Facts`` of the canonical CSR operator h on ``basis``, each
+    exact and O(nnz), read off the matrix alone: the oracle for what the
+    solver takes from the construction of the hop and from an operator's
+    own parts."""
+    coo = h.tocoo()
+    adjoint = h.conj().T.tocsr()
+    adjoint.sort_indices()
+    real = not np.iscomplexobj(h)
+    off = coo.data[coo.row != coo.col]
+    lattice = isinstance(basis, _SectorTables)
+    index, sign = basis.translation_table() if lattice else (None, None)
+    graph = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)  # every stored entry an edge
+    return Facts(
+        symmetric=_same(adjoint, h),
+        translation=lattice and _invariant(h, coo, index, sign),
+        reflection=lattice and _invariant(h, coo, basis.reflection_index()),
+        sign_free=lattice and bool(np.all(sign == 1)),
+        real=real,
+        positive=real and bool(np.all(off > 0)),
+        negative=real and bool(np.all(off < 0)),
+        connected=connected_components(graph, directed=False, return_labels=False) == 1,
+        banded=bool(np.all(np.abs(coo.row - coo.col) <= 1)),
+    )
+
+
+# ------------------------------------------------------------- N-string energy
+
+def string_energy(jbar: float, gammabar: float, n: int) -> float:
+    """K = 0 energy of the bound string of n hard-core pairs on the
+    infinite chain with hopping -Jbar and nearest-neighbour attraction
+    -gammabar > 2 Jbar: the ferromagnetic XXZ chain with exchange 2 Jbar
+    and anisotropy cosh(eta) = gammabar / (2 Jbar) (H. Bethe, Z. Phys.
+    71, 205 (1931)),
+
+        E_n = 2 Jbar sinh(eta) (cosh(n eta) - 1) / sinh(n eta) - n gammabar.
+
+    On a ring of d sites the lowest level approaches it as the string's
+    tail around the ring vanishes."""
+    if not gammabar > 2.0 * jbar > 0.0:
+        raise ValueError("need gammabar > 2 Jbar > 0")
+    eta = math.acosh(gammabar / (2.0 * jbar))
+    return 2.0 * jbar * math.sinh(eta) * (math.cosh(n * eta) - 1.0) / math.sinh(n * eta) - n * gammabar

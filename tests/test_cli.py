@@ -288,8 +288,8 @@ SWEEPS = [  # (command, model, targets, target builds)
 
 @pytest.mark.parametrize("command, model, targets, builds", SWEEPS)
 def test_sweep_builds_once_per_sweep(command, model, targets, builds, monkeypatch, tmp_path):
-    # a five-point grid: the Hamiltonian, the operator's facts, the orbit
-    # walk and every target are built once per sweep
+    # a five-point grid: the Hamiltonian, the operator's certificate, the
+    # orbit walk and every target are built once per sweep
     import cobosons.cli as cli
     from cobosons import fock, solve
 
@@ -307,22 +307,22 @@ def test_sweep_builds_once_per_sweep(command, model, targets, builds, monkeypatc
     for name in ("build_effective_hamiltonian", "build_full_hamiltonian", "build_q_sr",
                  "build_c_sr", "build_partition_state", "build_block"):
         count(cli, name)
-    count(solve, "_operator_facts")
+    count(solve, "_certify")
     count(fock, "translation_orbits")
     argv = [command, "--model", model, "--d", "6", "--n", "2", "--J", "1", "--U", "1000",
             "--gamma-grid", "0:8:5", "--out", str(tmp_path / "sweep.csv")]
     run_cli(*argv, *(["--targets", targets] if targets else []))
     assert len(data_rows(read(tmp_path / "sweep.csv"))[1]) == 5 * (3 if command == "g2-scan" else 1)
-    want = Counter([f"build_{model}_hamiltonian", "_operator_facts", "translation_orbits", *builds])
+    want = Counter([f"build_{model}_hamiltonian", "_certify", "translation_orbits", *builds])
     assert calls == want
 
 
 @pytest.mark.parametrize("model, n, path", [("effective", 3, "sector"), ("full", 3, "sector"),
                                             ("full", 2, "momenta")])
 def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n, path, monkeypatch, tmp_path):
-    # the orbit walk, the hop, its facts and its projected blocks belong to
-    # the shared basis and are built once while it is shared; the checks
-    # of the operator's own parts (D and t) run in every sweep and the
+    # the orbit walk, the hop and its projected blocks belong to the
+    # shared basis and are built once while it is shared; the checks of
+    # the operator's own parts (D and t) run in every sweep and the
     # residual at every point, and neither sweep assembles the whole H
     import cobosons.cli as cli
     from cobosons import fock, model as model_module, solve
@@ -339,8 +339,8 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((solve, "_operator_facts"), (model_module.SparseOperator, "apply"),
-                        (model_module, "_canonical"), (fock, "facts"), (fock, "_project"),
+    for owner, name in ((solve, "_certify"), (model_module.SparseOperator, "apply"),
+                        (model_module, "_canonical"), (fock, "_project"),
                         (fock, "translation_orbits"), (fock, "_hop"), (fock, "_masks")):
         count(owner, name)
     solvers = []
@@ -358,13 +358,13 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
         run_cli(*argv, "--out", str(tmp_path / f"run{run}.csv"))
         outputs.append(read(tmp_path / f"run{run}.csv"))
         assert solvers[-1].path == path and len(solvers[-1].dims) == blocks
-        assert (calls["_operator_facts"], calls["apply"], calls["_canonical"]) == (1, 3, 0), run
-        built = {name: calls[name] for name in ("facts", "_project", "translation_orbits", "_hop", "_masks")}
+        assert (calls["_certify"], calls["apply"], calls["_canonical"]) == (1, 3, 0), run
+        built = {name: calls[name] for name in ("_project", "translation_orbits", "_hop", "_masks")}
         if run:
             assert built == dict.fromkeys(built, 0)
         else:
             # a full sweep also enumerates the pair basis of its target
-            assert built == {"facts": 1, "_project": blocks, "translation_orbits": 1,
+            assert built == {"_project": blocks, "translation_orbits": 1,
                              "_hop": 1 if model == "effective" else 2, "_masks": 1 if model == "effective" else 3}
     assert outputs[0] == outputs[1]
 

@@ -27,7 +27,7 @@ from cobosons.solve import (
     ground_state_vector,
     spectral_equivalence_check,
 )
-from oracles import geometric_tail, is_bound
+from oracles import facts, geometric_tail, is_bound, string_energy
 
 
 def _chain(diagonal):
@@ -100,6 +100,27 @@ def test_analytic_two_pair_unbound_branch():
     sol = analytic_two_pair(1.0, 1.9)
     assert not sol.bound
     assert math.isnan(sol.energy)
+
+
+def test_string_energy_is_one_free_pair_and_the_two_pair_bound_state():
+    # N = 1 is one free pair at the band bottom; N = 2 is the relative-chain
+    # bound state, whose gamma is gammabar / 2 + Jbar
+    for jbar, gammabar in ((1.0, 2.5), (2e-3, 1.7e-2), (0.3, 40.0)):
+        assert string_energy(jbar, gammabar, 1) == pytest.approx(-2.0 * jbar, rel=1e-14)
+        pair = analytic_two_pair(jbar, gammabar / 2.0 + jbar)
+        assert string_energy(jbar, gammabar, 2) == pytest.approx(pair.energy, rel=1e-14)
+        assert string_energy(jbar, gammabar, 2) == pytest.approx(-gammabar - 4.0 * jbar**2 / gammabar, rel=1e-14)
+
+
+@pytest.mark.parametrize("d, n, x", [(24, 4, 10.5), (24, 4, 18.125), (16, 6, 18.125), (16, 3, 18.125)])
+def test_sector_path_matches_the_string_energy_on_large_rings(d, n, x):
+    # rings many string lengths long: the certified sector path's E0 is
+    # the infinite-chain N-string energy to 1e-12
+    params = ModelParams(j=1.0, u=1e3, gamma=x * 1e-3, d=d, n=n)
+    got = ground_space(build_effective_hamiltonian(params))
+    want = string_energy(params.jbar, params.gammabar, n)
+    assert got.path == "sector"
+    assert abs(got.energy - want) <= 1e-12 * abs(want)
 
 
 def test_bound_state_amplitude_rule():
@@ -494,7 +515,10 @@ def test_momentum_blocks_hold_the_whole_spectrum():
 def test_every_block_equals_the_projected_operator():
     # effective d <= 10 and full d <= 6 at every filling, with the gamma
     # coupling, and both reflection-breaking cases:
-    # each block the solver keeps is P^H h P, and its coupling P^H diag(c) P
+    # each block the solver keeps is P^H h P, and its coupling P^H diag(c) P;
+    # and the oracle reads off every sector's unit hop what the solver
+    # takes from its construction: real, exactly symmetric, invariant
+    # under T and R, connected, and every entry > 0 when T is sign-free
     cases = [(op, gamma_coupling(op.basis)) for op in
              [build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
               for d in range(2, 11) for n in range(0, d + 1)]
@@ -503,6 +527,9 @@ def test_every_block_equals_the_projected_operator():
     cases += [_chiral_case(breaks) for breaks in ("operator", "coupling")]
     paths = set()
     for op, coupling in cases:
+        hop = facts(op.basis.hop(), op.basis)
+        assert hop.real and hop.symmetric and hop.translation and hop.reflection and hop.connected, op.basis
+        assert hop.positive or not hop.sign_free, op.basis
         solver = GroundSolver(op, coupling)
         paths.add(solver.path)
         h = op.to_csr()
@@ -534,15 +561,17 @@ def _builder_cases():
 
 
 def test_builder_parts_solve_like_their_assembled_matrix():
-    # the facts a builder operator takes from its kept hop and its own D
-    # and t equal those read off its assembled CSR matrix, its blocks are
-    # that matrix projected, and its ground space is the whole matrix's
+    # the solver certifies a builder operator from its own D and t and the
+    # signs of T; the oracle reads the facts off its assembled CSR matrix.
+    # The solver refuses it iff that matrix breaks T, takes "sector" iff
+    # Perron-Frobenius certifies the matrix, and the reflection-even block
+    # iff R fixes the matrix and the coupling; its blocks are that matrix
+    # projected, and its ground space is the whole matrix's
     paths, solvers = Counter(), []
     for op in _builder_cases():
         h = op.to_csr()
         case = (op.basis, op.hopping)
-        fact = fock.facts(h, op.basis)
-        assert solve._operator_facts(op) == fact, case
+        fact = facts(h, op.basis)
         coupling = gamma_coupling(op.basis)
         if not fact.translation:
             with pytest.raises(ValueError, match="breaks the lattice translation"):
@@ -551,6 +580,9 @@ def test_builder_parts_solve_like_their_assembled_matrix():
             continue
         parts = GroundSolver(op, coupling)
         paths[parts.path] += 1
+        assert (parts.path == "sector") == fact.perron, case
+        even = fact.perron and fact.reflection and np.array_equal(coupling[reflection(op.basis)], coupling)
+        assert any(proj is op.basis.even_projector() for proj, _, _, _ in parts._blocks.values()) == even, case
         solvers.append(parts)
         scale = max(1.0, abs(h).max())
         for k, (proj, off, diagonal, block_coupling) in parts._blocks.items():
