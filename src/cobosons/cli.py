@@ -78,8 +78,10 @@ class SweepConfig:
             raise ValueError(f"grid needs >= 2 points, got {self.grid_points}")
         if not (math.isfinite(self.grid_min) and math.isfinite(self.grid_max) and self.grid_min >= 0):
             raise ValueError(f"gamma grid must be finite and >= 0, got {self.grid_min:g}:{self.grid_max:g}")
-        if self.tol <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tol}")
+        if not (math.isfinite(self.j) and self.j >= 0 and math.isfinite(self.u) and self.u > 0):
+            raise ValueError(f"need finite J >= 0 and U > 0, got J = {self.j:g}, U = {self.u:g}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tol:g}")
 
     @property
     def grid(self) -> np.ndarray:

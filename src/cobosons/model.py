@@ -4,22 +4,23 @@ relative-coordinate chains, all as Hermitian sparse operators."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fock import (
+    MAX_BASIS_STATES,
     BasisMismatchError,
+    CapacityError,
     FullBasis,
     PairBasis,
     StateVector,
+    _table,
     full_basis,
     pair_basis,
 )
-
-HERMITICITY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -62,56 +63,42 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ChainBasis:
-    """Relative-coordinate chain sites, in order."""
+    """Relative-coordinate chain sites, in order, and the phase of its hop."""
 
     kind: str
     sites: tuple
+    phase: complex
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.sites)
 
+    @_table
+    def hop(self) -> sp.csr_matrix:
+        """The unit hop: ``phase`` on the subdiagonal (site i to i + 1), its
+        conjugate above; float64 when the phase is real."""
+        off = np.full(self.size - 1, complex(self.phase))
+        off = off if self.phase.imag else off.real
+        return sp.diags([off, off.conj()], [-1, 1], shape=(self.size,) * 2, format="csr")
+
 
 class SparseOperator:
-    """Hermitian operator on a basis.
+    """diag(diagonal) - hopping * basis.hop() on a PairBasis, FullBasis or
+    ChainBasis, kept as its two real parts (``diagonal`` read-only float64,
+    ``hopping`` a float); Hermitian because the unit hop is by construction
+    (``fock._hop``, ``ChainBasis.hop``).  ``to_csr()`` assembles the CSR
+    matrix, zeros dropped, when it is first asked for: float64 unless the
+    hop is complex, and complex128 then."""
 
-    ``SparseOperator(basis, matrix)`` keeps the CSR matrix built from the
-    assembled sparse ``matrix``; duplicates are summed and zeros dropped.
-    ``SparseOperator.from_parts(basis, diagonal, hopping)`` is a builder
-    operator diag(diagonal) - hopping * basis.hop() and keeps its two
-    parts (``diagonal``, ``hopping``; both None on an assembled operator).
-    ``to_csr()`` assembles its CSR matrix when it is first asked for, the
-    same matrix ``SparseOperator(basis, ...)`` would keep.  The matrix is
-    float64 unless some entry has a nonzero imaginary part, and
-    complex128 then."""
-
-    diagonal = hopping = None
-
-    def __init__(self, basis, matrix):
-        n = basis.size
-        mat = _canonical(matrix)
-        if mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis size {n}")
-        dev = abs(mat - mat.getH())
-        if dev.nnz and dev.max() >= HERMITICITY_TOL:
-            raise ValueError(f"operator not Hermitian (max dev {dev.max():g})")
-        self.basis = basis
-        self._csr = mat
-
-    @classmethod
-    def from_parts(cls, basis, diagonal, hopping: float) -> "SparseOperator":
-        """diag(diagonal) - hopping * basis.hop(), Hermitian because both
-        parts are real and the unit hop is exactly symmetric by
-        construction (``fock._hop``)."""
+    def __init__(self, basis, diagonal, hopping: float):
         diagonal = np.asarray(diagonal)
         if diagonal.shape != (basis.size,):
             raise ValueError(f"diagonal shape {diagonal.shape} does not match basis size {basis.size}")
         if not (np.isrealobj(diagonal) and np.isrealobj(hopping)):
             raise ValueError("operator not Hermitian (complex diagonal or hopping)")
-        op = cls.__new__(cls)
-        op.basis, op.diagonal, op.hopping, op._csr = basis, diagonal.astype(float), float(hopping), None
-        op.diagonal.setflags(write=False)
-        return op
+        self.basis, self.diagonal, self.hopping, self._csr = basis, diagonal.astype(float), float(hopping), None
+        self.diagonal.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -119,14 +106,13 @@ class SparseOperator:
 
     def to_csr(self) -> sp.csr_matrix:
         if self._csr is None:
-            self._csr = _canonical(sp.diags(self.diagonal) - self.hopping * self.basis.hop())
+            self._csr = sp.diags(self.diagonal) - self.hopping * self.basis.hop()
+            self._csr.eliminate_zeros()
         return self._csr
 
     def apply(self, vecs: np.ndarray) -> np.ndarray:
-        """H @ vecs for a vector or a (dim, k) array; a builder operator
-        applies its parts, diagonal * vecs - hopping * (hop @ vecs)."""
-        if self.hopping is None:
-            return self._csr @ vecs
+        """H @ vecs for a vector or a (dim, k) array, from the parts:
+        diagonal * vecs - hopping * (hop @ vecs)."""
         diagonal = self.diagonal if vecs.ndim == 1 else self.diagonal[:, None]
         return diagonal * vecs - self.hopping * (self.basis.hop() @ vecs)
 
@@ -134,17 +120,6 @@ class SparseOperator:
         if psi.basis is not self.basis and psi.basis != self.basis:
             raise BasisMismatchError("operator and state live in different bases")
         return complex(np.vdot(psi.amplitudes, self.apply(psi.amplitudes)))
-
-
-def _canonical(matrix) -> sp.csr_matrix:
-    """A CSR copy of ``matrix`` with duplicates summed and zeros dropped,
-    float64 unless some entry has a nonzero imaginary part."""
-    mat = sp.csr_matrix(matrix, copy=True)  # summed and pruned in place below
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    if np.iscomplexobj(mat) and not mat.data.imag.any():
-        mat.data = mat.data.real.copy()  # astype(float) would warn about the imaginary part
-    return mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
 
 
 # ------------------------------------------------------------- full Hubbard
@@ -160,7 +135,7 @@ def build_full_hamiltonian(params: ModelParams, basis: Optional[FullBasis] = Non
         else:
             basis = full_basis(params.d, params.n_a, params.n_b)
     diag = -params.u * basis.onsite() - params.gamma * basis.bonds()
-    return SparseOperator.from_parts(basis, diag, params.j)
+    return SparseOperator(basis, diag, params.j)
 
 
 # -------------------------------------------------------- effective pair model
@@ -180,7 +155,7 @@ def build_effective_from_bars(d, n, jbar, gammabar, basis: Optional[PairBasis] =
     """Pair model directly from the renormalized couplings Jbar, gammabar."""
     if basis is None:
         basis = pair_basis(d, n)
-    return SparseOperator.from_parts(basis, -gammabar * basis.bonds(), jbar)
+    return SparseOperator(basis, -gammabar * basis.bonds(), jbar)
 
 
 # ------------------------------------------------------- the gamma direction
@@ -201,24 +176,22 @@ def build_relative_chain(kind: str, params: ModelParams, r: int = 0, cutoff: int
     two_fermion: sites s in [-S, S], hopping -J(1 + e^{+-i 2 pi r / d}),
     on-site -U at s = 0.  two_pair: sites s in [1, S], hopping with
     Jbar = 2J^2/U in place of J, on-site -gammabar at s = 1.  Open ends
-    emulate the infinite line; convergence is checked in the cutoff.
+    emulate the infinite line; convergence is checked in the cutoff.  The
+    hopping h is kept as t = |h| and phase = -h / t (1 when t = 0).
     """
     if cutoff < 3:
         raise ValueError(f"cutoff must be >= 3, got {cutoff}")
-    phase = cmath.exp(2j * cmath.pi * r / params.d)
     if kind == "two_fermion":
-        sites = tuple(range(-cutoff, cutoff + 1))
-        hop = -params.j * (1 + phase)
-        site, onsite = 0, -params.u
+        first, last, site, onsite, scale = -cutoff, cutoff, 0, -params.u, params.j
     elif kind == "two_pair":
-        sites = tuple(range(1, cutoff + 1))
-        hop = -params.jbar * (1 + phase)
-        site, onsite = 1, -params.gammabar
+        first, last, site, onsite, scale = 1, cutoff, 1, -params.gammabar, params.jbar
     else:
         raise ValueError(f"unknown chain kind {kind!r}")
+    if last - first + 1 > MAX_BASIS_STATES:
+        raise CapacityError(f"a {kind} chain of cutoff {cutoff} has {last - first + 1} sites, above {MAX_BASIS_STATES}")
+    sites = tuple(range(first, last + 1))
+    hop = -scale * (1 + cmath.exp(2j * cmath.pi * r / params.d))
+    t = abs(hop)
     diag = np.zeros(len(sites))
-    diag[sites.index(site)] = onsite
-    off = np.full(len(sites) - 1, hop)
-    # H[s+1, s] = hop below the diagonal, its conjugate above
-    mat = sp.diags([off, diag, off.conj()], [-1, 0, 1], dtype=complex)
-    return SparseOperator(ChainBasis(kind, sites), mat)
+    diag[site - first] = onsite
+    return SparseOperator(ChainBasis(kind, sites, -hop / t if t else 1.0), diag, t)

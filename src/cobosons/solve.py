@@ -238,36 +238,35 @@ def _sector_block(op: SparseOperator, K: int, even: bool) -> tuple:
 
 
 class GroundSolver:
-    """Ground spaces of the operator family op + gamma * diag(coupling).
+    """Ground spaces of op + gamma * diag(coupling), op = diag(D) - t * hop.
 
     ``__init__`` does everything that does not depend on gamma and keeps
     the blocks to solve, K -> (P or None, off, diagonal, coupling of each
     column), each block being off + diag(diagonal + gamma * coupling).
-    There are three paths:
-    - "sector", at any size, for a builder operator
-      (``SparseOperator.from_parts``) on a PairBasis or FullBasis that,
-      with its coupling, commutes exactly with the one-site translation T,
-      when Perron-Frobenius makes its ground state the unique positive
-      vector at every gamma (``_certify``).  That vector is
+    tol_deg must be finite and > 0.  There are three paths:
+    - "sector", at any size, for an operator on a PairBasis or FullBasis
+      that, with its coupling, commutes exactly with the one-site
+      translation T, when Perron-Frobenius makes its ground state the
+      unique positive vector at every gamma (``_certify``).  That vector is
       fixed by every basis permutation that commutes with the operator, so
       one block is kept: the reflection-even K = 0 block
       (``basis.even_projector()``) when the operator and the coupling are
       exactly invariant under the bare site reflection R too
       (``fock.reflection``), else the K = 0 block;
-    - "momenta", at any size, for any other such builder operator: P_K =
-      ``basis.projector(K)`` for every K = 0..d/2 with a column; a builder
+    - "momenta", at any size, for any other such operator: P_K =
+      ``basis.projector(K)`` for every K = 0..d/2 with a column; a lattice
       operator is real, so its -K blocks are the conjugates of the +K ones;
-    - "banded", for an assembled operator on a basis without a lattice
-      translation (the relative chains) whose entries all lie on the main
-      and first off-diagonals: the whole operator is the one block, with
-      no P.  ``_banded`` allocates n x n, so n^2 is held to
-      MAX_BASIS_STATES (``CapacityError``).
-    Any other operator raises ``ValueError`` before any block exists.
-    ``_sector_block`` gives every P^H op P; its gamma term is
-    diag(coupling[reps]), exact because the coupling is constant on each
-    orbit.  The tables of the unit hop and its symmetries are built once
-    per sector; the checks of the operator's own parts (``_certify``, or
-    the band of a chain's own matrix) run in every ``__init__``.
+    - "banded", on a ChainBasis (the relative chains), which has no
+      lattice translation: the whole operator is the one block, -t *
+      ``hop()`` with diagonal D and no P, tridiagonal by construction.
+      ``_banded`` allocates n x n, so n^2 is held to MAX_BASIS_STATES
+      (``CapacityError``).
+    An operator or a coupling that breaks T raises ``ValueError`` before
+    any block exists.  ``_sector_block`` gives every P^H op P; its gamma
+    term is diag(coupling[reps]), exact because the coupling is constant
+    on each orbit.  The tables of the unit hop and its symmetries are
+    built once per sector; the checks of the operator's own parts
+    (``_certify``) run in every ``__init__``.
 
     A call ``solver(gamma)`` runs one loop: add diag(diagonal + gamma *
     coupling) to each block and solve it (``_banded`` on the banded path,
@@ -284,6 +283,8 @@ class GroundSolver:
         n = op.dim
         if n < 1:
             raise ValueError("empty basis")
+        if not (math.isfinite(tol_deg) and tol_deg > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {tol_deg}")
         self.basis, self.tol_deg, self._op = op.basis, tol_deg, op
         self._coupling = np.zeros(n) if coupling is None else np.asarray(coupling, dtype=float)
         if self._coupling.shape != (n,):
@@ -291,14 +292,9 @@ class GroundSolver:
         if not isinstance(op.basis, (PairBasis, FullBasis)):
             if n * n > MAX_BASIS_STATES:
                 raise CapacityError(f"a chain of {n} sites needs {n}^2 > {MAX_BASIS_STATES} eigenvector entries")
-            chain = op.to_csr().tocoo()
-            if np.any(np.abs(chain.row - chain.col) > 1):
-                raise ValueError("no solver path: the chain has entries off the main and first off-diagonals")
             self.path = "banded"
-            self._blocks = {0: (None, op.to_csr(), np.zeros(n), self._coupling)}
+            self._blocks = {0: (None, -op.hopping * op.basis.hop(), op.diagonal, self._coupling)}
         else:
-            if op.hopping is None:
-                raise ValueError("no solver path: an assembled operator on a lattice basis (build it from_parts)")
             self.path, even = _certify(op, self._coupling)
             ks = (0,) if self.path == "sector" else range(op.basis.d // 2 + 1)
             blocks = {k: _sector_block(op, k, even) for k in ks}

@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from cobosons.fock import FullBasis, PairBasis, StateVector, _SectorTables, fix_phase, full_basis, popcount
-from cobosons.model import SparseOperator
 
 
 # ------------------------------------------------------- scalar fermion operators
@@ -112,8 +111,20 @@ def _bonds(m1: int, m2: int, d: int) -> int:
     return popcount(m1 & m2_shift)
 
 
-def full_hamiltonian_oracle(params, basis) -> SparseOperator:
-    """Full model, every hopping element and its sign from create_string."""
+def canonical_csr(matrix) -> sp.csr_matrix:
+    """A CSR copy of ``matrix`` with duplicates summed and zeros dropped,
+    float64 unless some entry has a nonzero imaginary part."""
+    mat = sp.csr_matrix(matrix, copy=True)  # summed and pruned in place below
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    if np.iscomplexobj(mat) and not mat.data.imag.any():
+        mat.data = mat.data.real.copy()  # astype(float) would warn about the imaginary part
+    return mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
+
+
+def full_hamiltonian_oracle(params, basis) -> sp.csr_matrix:
+    """Full model, every hopping element and its sign from create_string,
+    as a canonical CSR matrix (``canonical_csr``)."""
     d = params.d
     index = index_of(basis)
     rows, cols, vals = [], [], []
@@ -136,7 +147,23 @@ def full_hamiltonian_oracle(params, basis) -> SparseOperator:
                     rows.append(index[new])
                     cols.append(col)
                     vals.append(-params.j * sign)
-    return SparseOperator(basis, sp.coo_matrix((vals, (rows, cols)), shape=(basis.size,) * 2))
+    return canonical_csr(sp.coo_matrix((vals, (rows, cols)), shape=(basis.size,) * 2))
+
+
+def relative_chain_oracle(kind: str, params, r: int, cutoff: int) -> sp.csr_matrix:
+    """The relative chain of ``build_relative_chain`` assembled from its
+    three diagonals, hop h = -J(1 + e^{i 2 pi r / d}) (Jbar on two_pair)
+    below the main one and its conjugate above, as a canonical CSR
+    matrix (``canonical_csr``)."""
+    phase = cmath.exp(2j * cmath.pi * r / params.d)
+    if kind == "two_fermion":
+        sites, hop, site, onsite = list(range(-cutoff, cutoff + 1)), -params.j * (1 + phase), 0, -params.u
+    else:
+        sites, hop, site, onsite = list(range(1, cutoff + 1)), -params.jbar * (1 + phase), 1, -params.gammabar
+    diag = np.zeros(len(sites))
+    diag[sites.index(site)] = onsite
+    off = np.full(len(sites) - 1, hop)
+    return canonical_csr(sp.diags([off, diag, off.conj()], [-1, 0, 1], dtype=complex))
 
 
 def matvec_effective_free(params, psi: StateVector) -> StateVector:
@@ -165,14 +192,14 @@ def matvec_effective_free(params, psi: StateVector) -> StateVector:
     return StateVector(basis, out)
 
 
-def effective_hamiltonian_oracle(params, basis) -> SparseOperator:
-    """Effective model assembled column by column from matvec_effective_free."""
+def effective_hamiltonian_oracle(params, basis) -> sp.csr_matrix:
+    """Effective model assembled column by column from matvec_effective_free,
+    as a canonical CSR matrix (``canonical_csr``)."""
     unit = np.eye(basis.size)
     dense = np.column_stack(
         [matvec_effective_free(params, StateVector(basis, e)).amplitudes for e in unit]
     )
-    rows, cols = np.nonzero(dense)
-    return SparseOperator(basis, sp.coo_matrix(dense))
+    return canonical_csr(dense)
 
 
 def single_pair_rdm_loop(psi: StateVector) -> np.ndarray:

@@ -73,11 +73,17 @@ def test_sweep_config_validation():
 
 
 def test_sweep_config_rejects_negative_or_nonfinite_gamma_before_any_basis(tmp_path, monkeypatch):
-    # sweeps build only H(0), so ModelParams never sees the grid's gamma
-    from cobosons import fock
+    # sweeps build only H(0), so ModelParams never sees the grid's gamma;
+    # a non-finite J or U, U <= 0 (gamma = x J^2 / U) and a non-finite
+    # tolerance are refused before any basis too, and the solver refuses
+    # the tolerance itself
+    from cobosons import ModelParams, build_relative_chain, fock
+    from cobosons.solve import GroundSolver
+
+    chain = build_relative_chain("two_pair", ModelParams(j=1.0, u=2.0, gamma=3.0, d=10, n=2), cutoff=5)
 
     def never(d, n):
-        raise AssertionError(f"enumerated a basis ({d}, {n}) despite the bad grid")
+        raise AssertionError(f"enumerated a basis ({d}, {n}) despite the bad input")
 
     monkeypatch.setattr(fock, "_masks", never)
     for lo, hi in ((-8.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
@@ -89,6 +95,23 @@ def test_sweep_config_rejects_negative_or_nonfinite_gamma_before_any_basis(tmp_p
                  ["purity-scan", "--config", str(cfgfile)]):
         with pytest.raises(ValueError, match="gamma grid must be finite and >= 0"):
             run_cli(*argv, "--d", "6", "--n", "2", "--out", str(tmp_path / "x.csv"))
+    for j, u in ((math.inf, 1e3), (math.nan, 1e3), (-1.0, 1e3), (1.0, 0.0), (1.0, -5.0), (1.0, math.inf),
+                 (1.0, math.nan)):
+        with pytest.raises(ValueError, match="need finite J >= 0 and U > 0"):
+            SweepConfig(j=j, u=u)
+    assert SweepConfig(j=0.0).j == 0.0
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            SweepConfig(tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            GroundSolver(chain, tol_deg=tol)
+    for argv in (["ground-state", "--model", "full", "--d", "4", "--n", "1", "--U", "0"],
+                 ["fidelity-scan", "--model", "full", "--d", "4", "--n", "1", "--U", "0", "--targets", "block:1"],
+                 ["ground-state", "--model", "effective", "--d", "16", "--n", "6", "--tol", "inf"],
+                 ["fidelity-scan", "--d", "20", "--n", "8", "--targets", "block:8", "--tol", "inf"],
+                 ["fidelity-scan", "--d", "6", "--n", "2", "--targets", "block:2", "--tol", "nan"]):
+        with pytest.raises(ValueError, match="need finite J|tolerance must be finite"):
+            run_cli(*argv, "--out", str(tmp_path / "x.csv"))
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -148,6 +171,7 @@ def test_console_entry_reports_input_errors_in_one_line(tmp_path):
         ([*scan, "1:2"], "grid must be min:max:points"),
         ([*scan, "0:1:1"], "bad grid '0:1:1'"),
         (["chi", "--d", "5:2"], "bad range '5:2'"),
+        (["ground-state", "--model", "full", "--d", "4", "--n", "1", "--U", "0"], "need finite J >= 0 and U > 0"),
     ]
     for argv, message in cases:
         proc = subprocess.run([sys.executable, "-m", "cobosons.cli", *argv],
@@ -340,7 +364,7 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in ((solve, "_certify"), (model_module.SparseOperator, "apply"),
-                        (model_module, "_canonical"), (fock, "_project"),
+                        (model_module.SparseOperator, "to_csr"), (fock, "_project"),
                         (fock, "translation_orbits"), (fock, "_hop"), (fock, "_masks")):
         count(owner, name)
     solvers = []
@@ -358,7 +382,7 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
         run_cli(*argv, "--out", str(tmp_path / f"run{run}.csv"))
         outputs.append(read(tmp_path / f"run{run}.csv"))
         assert solvers[-1].path == path and len(solvers[-1].dims) == blocks
-        assert (calls["_certify"], calls["apply"], calls["_canonical"]) == (1, 3, 0), run
+        assert (calls["_certify"], calls["apply"], calls["to_csr"]) == (1, 3, 0), run
         built = {name: calls[name] for name in ("_project", "translation_orbits", "_hop", "_masks")}
         if run:
             assert built == dict.fromkeys(built, 0)

@@ -27,7 +27,6 @@ from cobosons.fock import (
     translation,
     translation_orbits,
 )
-from cobosons.model import SparseOperator
 from oracles import (
     _lower_sign,
     create_string,
@@ -384,6 +383,6 @@ def test_facts_of_the_stoquastic_part_of_an_even_n_full_model():
     basis = full_basis(4, 2, 2)
     h = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2), basis).to_csr()
     diag = sp.diags(h.diagonal())
-    got = facts(SparseOperator(basis, diag - abs(h - diag)).to_csr(), basis)
+    got = facts(diag - abs(h - diag), basis)
     assert (got.negative, got.connected, got.sign_free, got.perron) == (True, True, False, False)
     assert not got.translation

@@ -1,8 +1,8 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +17,14 @@ from cobosons import (
     pair_basis,
     translate,
 )
-from cobosons.fock import popcount
-from oracles import effective_hamiltonian_oracle, full_hamiltonian_oracle, matvec_effective_free
+from cobosons.fock import MAX_BASIS_STATES, CapacityError, popcount
+from cobosons.model import ChainBasis, SparseOperator
+from oracles import (
+    effective_hamiltonian_oracle,
+    full_hamiltonian_oracle,
+    matvec_effective_free,
+    relative_chain_oracle,
+)
 
 
 def test_model_params_validation():
@@ -114,7 +120,8 @@ def test_matvec_free_agrees_with_stored_operator(rng):
 
 
 def _assert_same_csr(op, ref):
-    a, b = op.to_csr(), ref.to_csr()
+    a, b = op.to_csr(), ref
+    assert a.dtype == b.dtype
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert a.data.tobytes() == b.data.tobytes()
@@ -171,6 +178,21 @@ def test_builders_match_oracles_and_commute_with_translation(sizes, j, u, gamma,
         assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + j + u + gamma)
 
 
+def _assert_within_one_ulp(op, ref):
+    a = op.to_csr()
+    assert a.dtype == ref.dtype
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(a.data) - part(ref.data)) <= np.spacing(np.abs(part(ref.data))))
+
+
+# couplings of the chain comparisons below: the two the structure tests
+# read, a J = 0 chain (no hop) and a weaker coupling on another ring
+CHAIN_PARAMS = [ModelParams(j=1.5, u=4.0, gamma=0.0, d=8, n=1), ModelParams(j=1.0, u=2.0, gamma=3.0, d=8, n=2),
+                ModelParams(j=0.0, u=3.0, gamma=2.0, d=5, n=2), ModelParams(j=0.3, u=7.0, gamma=1.1, d=10, n=2)]
+
+
 def test_two_fermion_chain_structure():
     p = ModelParams(j=1.5, u=4.0, gamma=0.0, d=8, n=1)
     chain = build_relative_chain("two_fermion", p, r=0, cutoff=5)
@@ -180,6 +202,11 @@ def test_two_fermion_chain_structure():
     assert dense[center, center] == pytest.approx(-4.0)
     assert dense[center, center + 1] == pytest.approx(-2 * 1.5)
     assert np.allclose(dense, dense.conj().T)
+    # built from parts, the matrix of its three assembled diagonals, bit for bit
+    for params in CHAIN_PARAMS:
+        for cutoff in (3, 5, 200):
+            _assert_same_csr(build_relative_chain("two_fermion", params, r=0, cutoff=cutoff),
+                             relative_chain_oracle("two_fermion", params, 0, cutoff))
 
 
 def test_two_pair_chain_structure():
@@ -189,6 +216,10 @@ def test_two_pair_chain_structure():
     assert chain.basis.sites == tuple(range(1, 7))
     assert dense[0, 0] == pytest.approx(-4.0)
     assert dense[0, 1] == pytest.approx(-2.0)
+    for params in CHAIN_PARAMS:
+        for cutoff in (3, 6, 200):
+            _assert_same_csr(build_relative_chain("two_pair", params, r=0, cutoff=cutoff),
+                             relative_chain_oracle("two_pair", params, 0, cutoff))
 
 
 def test_chain_nonzero_momentum_phase():
@@ -198,6 +229,13 @@ def test_chain_nonzero_momentum_phase():
     hop = -(1 + np.exp(2j * np.pi * 2 / 8))
     assert dense[1, 0] == pytest.approx(hop)
     assert dense[0, 1] == pytest.approx(np.conj(hop))
+    # t * phase is the assembled hop to 1 ulp in each part, at every r,
+    # r = d/2 (|hop| ~ 1e-16) included
+    for kind in ("two_fermion", "two_pair"):
+        for params in CHAIN_PARAMS:
+            for r in range(1, params.d):
+                _assert_within_one_ulp(build_relative_chain(kind, params, r=r, cutoff=5),
+                                       relative_chain_oracle(kind, params, r, 5))
 
 
 def test_chain_rejects_bad_input():
@@ -206,19 +244,27 @@ def test_chain_rejects_bad_input():
         build_relative_chain("bogus", p)
     with pytest.raises(ValueError):
         build_relative_chain("two_fermion", p, cutoff=2)
+    # 2 * MAX_BASIS_STATES + 1 sites: refused before the site tuple (about
+    # 1 GB) or the diagonal exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"has {2 * MAX_BASIS_STATES + 1} sites, above {MAX_BASIS_STATES}"):
+            build_relative_chain("two_fermion", p, cutoff=MAX_BASIS_STATES)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_sparse_operator_rejects_non_hermitian():
-    from cobosons.model import SparseOperator
-
+    # a complex diagonal or a complex hopping: the operator would not be
+    # Hermitian
     basis = pair_basis(4, 1)
-    with pytest.raises(ValueError):
-        SparseOperator(basis, sp.coo_matrix(([1.0, 2.0], ([0, 1], [1, 0])), shape=(4, 4)))
+    for diagonal, hopping in ((np.array([1.0, 2.0, 1j, 0.0]), 1.0), (np.zeros(4), 1.0 + 1j), (np.zeros(4), 1j)):
+        with pytest.raises(ValueError, match="complex diagonal or hopping"):
+            SparseOperator(basis, diagonal, hopping)
 
 
 def test_sparse_operator_dtype_follows_the_matrix():
-    from cobosons.model import SparseOperator
-
     for d in range(2, 7):
         for n in range(d + 1):
             p = ModelParams(j=1.3, u=2.7, gamma=0.45, d=d, n=n)
@@ -227,8 +273,9 @@ def test_sparse_operator_dtype_follows_the_matrix():
     p = ModelParams(j=1.0, u=4.0, gamma=0.0, d=8, n=1)
     assert build_relative_chain("two_fermion", p, r=0, cutoff=5).to_csr().dtype == np.float64
     assert build_relative_chain("two_fermion", p, r=2, cutoff=5).to_csr().dtype == np.complex128
-    real = build_effective_hamiltonian(ModelParams(j=1.0, u=9.0, gamma=0.5, d=6, n=3)).to_csr()
-    as_complex = SparseOperator(pair_basis(6, 3), real.astype(complex)).to_csr()
+    # a chain's phase given as a complex number with a zero imaginary part
+    real = SparseOperator(ChainBasis("test", (0, 1, 2), 1.0), [0.5, -1.0, 2.0], 0.75).to_csr()
+    as_complex = SparseOperator(ChainBasis("test", (0, 1, 2), 1.0 + 0j), [0.5, -1.0, 2.0], 0.75).to_csr()
     assert as_complex.dtype == np.float64
     assert as_complex.data.tobytes() == real.data.tobytes()
     assert np.array_equal(as_complex.indices, real.indices)
@@ -236,7 +283,5 @@ def test_sparse_operator_dtype_follows_the_matrix():
 
 
 def test_sparse_operator_rejects_matrix_of_another_size():
-    from cobosons.model import SparseOperator
-
     with pytest.raises(ValueError, match="does not match basis size"):
-        SparseOperator(pair_basis(4, 1), sp.eye(3))
+        SparseOperator(pair_basis(4, 1), np.zeros(3), 1.0)
