@@ -41,6 +41,7 @@ from .model import (
     gamma_coupling,
 )
 from .solve import (
+    ConvergenceError,
     GroundSolver,
     analytic_two_fermion,
     analytic_two_pair,
@@ -556,12 +557,13 @@ def run(argv=None) -> int:
     """Console entry: ``main``, with a ValueError (a bad config key or
     target, a ``CapacityError``, a ``BasisMismatchError``, ...) reported
     as one line on stderr and exit status 2, as argparse reports a bad
-    flag."""
+    flag, and a ``ConvergenceError`` (a solve that failed on valid input)
+    as one line and exit status 1."""
     try:
         return main(argv)
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         sys.stderr.write(f"cobosons: error: {exc}\n")
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -85,11 +85,11 @@ class ChainBasis:
 
 class SparseOperator:
     """diag(diagonal) - hopping * basis.hop() on a PairBasis, FullBasis or
-    ChainBasis, kept as its two real parts (``diagonal`` read-only float64,
-    ``hopping`` a float); Hermitian because the unit hop is by construction
-    (``fock._hop``, ``ChainBasis.hop``).  ``to_csr()`` assembles the CSR
-    matrix, zeros dropped, when it is first asked for: float64 unless the
-    hop is complex, and complex128 then."""
+    ChainBasis, kept as its two real, finite parts (``diagonal`` read-only
+    float64, ``hopping`` a float); Hermitian because the unit hop is by
+    construction (``fock._hop``, ``ChainBasis.hop``).  ``to_csr()``
+    assembles the CSR matrix, zeros dropped: float64 unless the hop is
+    complex, and complex128 then."""
 
     def __init__(self, basis, diagonal, hopping: float):
         diagonal = np.asarray(diagonal)
@@ -97,7 +97,9 @@ class SparseOperator:
             raise ValueError(f"diagonal shape {diagonal.shape} does not match basis size {basis.size}")
         if not (np.isrealobj(diagonal) and np.isrealobj(hopping)):
             raise ValueError("operator not Hermitian (complex diagonal or hopping)")
-        self.basis, self.diagonal, self.hopping, self._csr = basis, diagonal.astype(float), float(hopping), None
+        if not (np.isfinite(diagonal).all() and np.isfinite(hopping)):
+            raise ValueError("operator parts must be finite (inf or NaN in the diagonal or hopping)")
+        self.basis, self.diagonal, self.hopping = basis, diagonal.astype(float), float(hopping)
         self.diagonal.setflags(write=False)
 
     @property
@@ -105,10 +107,9 @@ class SparseOperator:
         return self.basis.size
 
     def to_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = sp.diags(self.diagonal) - self.hopping * self.basis.hop()
-            self._csr.eliminate_zeros()
-        return self._csr
+        csr = sp.diags(self.diagonal) - self.hopping * self.basis.hop()
+        csr.eliminate_zeros()
+        return csr
 
     def apply(self, vecs: np.ndarray) -> np.ndarray:
         """H @ vecs for a vector or a (dim, k) array, from the parts:

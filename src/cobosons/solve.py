@@ -37,7 +37,7 @@ from .model import (
 DENSE_LIMIT = 2000
 RESIDUAL_TOL = 1e-10
 EQUIVALENCE_LEVELS = 4
-LEVELS = 12  # eigenpairs per solve; the dense path computes all when the window holds them all
+LEVELS = 12  # eigenpairs per block solve; all of them when the window holds every one
 # Dense eigensolves below this size run on one BLAS thread (see _serial_blas).
 SERIAL_BLAS_BELOW = 512
 
@@ -139,67 +139,61 @@ def _serial_blas(serial: bool = True):
         set_threads(previous)
 
 
-def _dense(a: np.ndarray, tol_deg: float) -> tuple:
-    """Lowest LEVELS eigenpairs of a dense Hermitian matrix, solved as real
-    when its imaginary part is exactly zero (a momentum block takes its
-    dtype from P_K, not from the operator); the whole spectrum when all of
-    them fall inside the degeneracy window.  One BLAS thread below
-    SERIAL_BLAS_BELOW (``_serial_blas``)."""
+def _dense(block: sp.csr_matrix, diagonal: np.ndarray, count: int) -> tuple:
+    """The count lowest eigenpairs of block + diag(diagonal), on a dense
+    copy solved as real when its imaginary part is exactly zero (a momentum
+    block takes its dtype from P_K, not from the operator).  One BLAS
+    thread below SERIAL_BLAS_BELOW (``_serial_blas``)."""
+    a = block.toarray()
+    a.flat[::a.shape[0] + 1] += diagonal
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
     with _serial_blas(a.shape[0] < SERIAL_BLAS_BELOW):
-        if a.shape[0] > LEVELS:
-            evals, evecs = la.eigh(a, subset_by_index=[0, LEVELS - 1])
-            if not _window(evals, tol_deg).all():
-                return evals, evecs
-        return la.eigh(a)
+        return la.eigh(a, subset_by_index=None if count == a.shape[0] else [0, count - 1])
 
 
-def _banded(h: sp.csr_matrix, tol_deg: float) -> tuple:
-    """Lowest LEVELS eigenpairs of a Hermitian h whose entries all lie on
-    the main and first off-diagonals; the whole spectrum when all of them
-    fall inside the degeneracy window.
+def _band(op: SparseOperator) -> tuple:
+    """(|e|, gauge) of a chain -t * hop with subdiagonal e = -t * phase
+    (``ChainBasis.hop``): the diagonal gauge G = diag(prod_{j<i} e_j / |e_j|)
+    makes G^H (-t * hop) G real symmetric with subdiagonal |e|, so one real
+    tridiagonal solve serves real and complex chains."""
+    e = -op.hopping * op.basis.phase
+    sub = np.full(op.dim - 1, e if e.imag else e.real)
+    size = np.abs(sub)
+    unit = sub / size if e else np.ones_like(sub)
+    return size, np.concatenate([[1], np.cumprod(unit)])
 
-    The diagonal gauge D = diag(prod_{j<i} e_j / |e_j|), with e_j the
-    subdiagonal, makes D^H h D real symmetric with subdiagonal |e_j|, so
-    one real tridiagonal solve serves real and complex chains; its vectors
-    u give h's as D u.  LAPACK's MRRR driver (``stemr``) computes them:
+
+def _banded(band: tuple, diagonal: np.ndarray, count: int) -> tuple:
+    """The count lowest eigenpairs of a chain, from its band (``_band``)
+    and its diagonal; the vectors u of the real tridiagonal matrix give
+    the chain's as G u.  LAPACK's MRRR driver (``stemr``) computes them:
     the inverse iteration behind the band solver's index selection
     (``stein``) returns a NaN ground vector once a bound-state tail
     underflows, as at 2401 sites with r0 = 1/2."""
-    sub = h.diagonal(-1)
-    size = np.abs(sub)
-    phase = np.ones_like(sub)
-    phase[size > 0] = sub[size > 0] / size[size > 0]
-    gauge = np.concatenate([[1], np.cumprod(phase)])
-    diag = h.diagonal().real
-
-    def solve(**select):
-        evals, vecs = la.eigh_tridiagonal(diag, size, lapack_driver="stemr", **select)
-        return evals, gauge[:, None] * vecs
-
-    if h.shape[0] > LEVELS:
-        evals, evecs = solve(select="i", select_range=(0, LEVELS - 1))
-        if not _window(evals, tol_deg).all():
-            return evals, evecs
-    return solve()
+    size, gauge = band
+    select = {} if count == diagonal.size else {"select": "i", "select_range": (0, count - 1)}
+    evals, vecs = la.eigh_tridiagonal(diagonal, size, lapack_driver="stemr", **select)
+    return evals, gauge[:, None] * vecs
 
 
-def _arpack(mat, tol_deg: float) -> tuple:
-    """Lowest LEVELS Ritz pairs by complex Lanczos (ARPACK) from the
-    deterministic uniform start vector, ascending, under ``_serial_blas``.
-    Complex ``eigsh`` runs ``eigs``, which needs k < n - 1."""
-    n = mat.shape[0]
+def _arpack(block: sp.csr_matrix, diagonal: np.ndarray, count: int) -> tuple:
+    """The count lowest Ritz pairs of block + diag(diagonal) by complex
+    Lanczos (ARPACK) from the deterministic uniform start vector,
+    ascending, under ``_serial_blas``.  Complex ``eigsh`` runs ``eigs``,
+    which needs count < n - 1: a larger count is a degenerate window that
+    ARPACK cannot hold.  Every ARPACK failure is a ``ConvergenceError``."""
+    n = block.shape[0]
+    if count >= n - 1:
+        raise ConvergenceError("degenerate window exceeds the computed spectrum")
+    mat = block + sp.diags(diagonal) if diagonal.any() else block
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         with _serial_blas():
-            evals, evecs = spla.eigsh(mat.astype(complex, copy=False), k=min(LEVELS, n - 2), which="SA", v0=v0, tol=0)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
+            evals, evecs = spla.eigsh(mat.astype(complex, copy=False), k=count, which="SA", v0=v0, tol=0)
+    except spla.ArpackError as exc:
+        raise ConvergenceError(f"ARPACK failed: {exc}") from exc
     order = np.argsort(evals)
-    if _window(evals[order], tol_deg).all():
-        # every Ritz value degenerate with the minimum: space not resolved
-        raise ConvergenceError("degenerate window exceeds the computed spectrum")
     return evals[order], evecs[:, order]
 
 
@@ -225,24 +219,23 @@ def _certify(op: SparseOperator, coupling: np.ndarray) -> tuple:
     return "sector", fixed(op.basis.reflection_index())
 
 
-def _sector_block(op: SparseOperator, K: int, even: bool) -> tuple:
-    """(P, off, diagonal, reps) of one block of a translation-invariant
-    builder operator: P^H op P = off + diag(diagonal), with P =
-    ``even_projector()`` when ``even`` (K = 0), else ``projector(K)``,
-    off = -t * ``hop_block(K, even)``, kept with the basis, and diagonal =
-    D[reps]."""
-    basis = op.basis
+def _sector_block(basis, K: int, even: bool) -> tuple:
+    """(P, hop block, reps) of one block of a translation-invariant builder
+    operator on ``basis``: P = ``even_projector()`` when ``even`` (K = 0),
+    else ``projector(K)``, and P^H hop P = ``hop_block(K, even)``, kept
+    with the basis; the block of diag(D) is diag(D[reps])."""
     proj = basis.even_projector() if even else basis.projector(K)
-    hop_block, reps = basis.hop_block(K, even)
-    return proj, hop_block * -op.hopping, op.diagonal[reps], reps
+    return (proj, *basis.hop_block(K, even))
 
 
 class GroundSolver:
     """Ground spaces of op + gamma * diag(coupling), op = diag(D) - t * hop.
 
     ``__init__`` does everything that does not depend on gamma and keeps
-    the blocks to solve, K -> (P or None, off, diagonal, coupling of each
-    column), each block being off + diag(diagonal + gamma * coupling).
+    the blocks to solve, K -> (P or None, block, reps, eigensolver): the
+    block at gamma is block + diag((D + gamma * coupling)[reps]), and the
+    eigensolver, fixed here by the block's structure and size, takes
+    (block, diagonal, count) and returns the count lowest eigenpairs.
     tol_deg must be finite and > 0.  There are three paths:
     - "sector", at any size, for an operator on a PairBasis or FullBasis
       that, with its coupling, commutes exactly with the one-site
@@ -257,26 +250,26 @@ class GroundSolver:
       ``basis.projector(K)`` for every K = 0..d/2 with a column; a lattice
       operator is real, so its -K blocks are the conjugates of the +K ones;
     - "banded", on a ChainBasis (the relative chains), which has no
-      lattice translation: the whole operator is the one block, -t *
-      ``hop()`` with diagonal D and no P, tridiagonal by construction.
-      ``_banded`` allocates n x n, so n^2 is held to MAX_BASIS_STATES
-      (``CapacityError``).
-    An operator or a coupling that breaks T raises ``ValueError`` before
-    any block exists.  ``_sector_block`` gives every P^H op P; its gamma
-    term is diag(coupling[reps]), exact because the coupling is constant
-    on each orbit.  The tables of the unit hop and its symmetries are
-    built once per sector; the checks of the operator's own parts
-    (``_certify``) run in every ``__init__``.
+      lattice translation: the whole operator is the one block, its band
+      (``_band``, from t and the chain's phase) with no P and every site
+      as reps.  ``_banded`` allocates n x n, so n^2 is held to
+      MAX_BASIS_STATES (``CapacityError``).
+    A lattice block -t * P^H hop P (``_sector_block``) is solved by
+    ``_dense`` below DENSE_LIMIT states and by ``_arpack`` from it; its
+    gamma term is diag(coupling[reps]), exact because the coupling is
+    constant on each orbit.  An operator or a coupling that breaks T
+    raises ``ValueError`` before any block exists.  The tables of the unit
+    hop and its symmetries are built once per sector; the checks of the
+    operator's own parts (``_certify``) run in every ``__init__``.
 
-    A call ``solver(gamma)`` runs one loop: add diag(diagonal + gamma *
-    coupling) to each block and solve it (``_banded`` on the banded path,
-    else ``_dense`` below DENSE_LIMIT, on a dense copy of the block, and
-    ``_arpack`` above), apply the degeneracy window to the union of the
-    levels, lift the vectors inside it with their P, and check each
-    against its own eigenvalue and the whole operator at that gamma
-    (``op.apply``).  The window tol_deg and the residual bound
-    RESIDUAL_TOL both scale with max(1, |E0|), so levels split by less
-    than the window stay in the ground space.
+    A call ``solver(gamma)`` forms D + gamma * coupling once and runs one
+    loop: solve each block for its LEVELS lowest levels, or for all of
+    them when the degeneracy window holds every level returned; apply the
+    window to the union of the levels, lift the vectors inside it with
+    their P, and check each against its own eigenvalue and the whole
+    operator at that gamma (``op.apply``).  The window tol_deg and the
+    residual bound RESIDUAL_TOL both scale with max(1, |E0|), so levels
+    split by less than the window stay in the ground space.
     """
 
     def __init__(self, op: SparseOperator, coupling=None, tol_deg: float = 1e-9):
@@ -293,30 +286,26 @@ class GroundSolver:
             if n * n > MAX_BASIS_STATES:
                 raise CapacityError(f"a chain of {n} sites needs {n}^2 > {MAX_BASIS_STATES} eigenvector entries")
             self.path = "banded"
-            self._blocks = {0: (None, -op.hopping * op.basis.hop(), op.diagonal, self._coupling)}
+            self._blocks = {0: (None, _band(op), slice(None), _banded)}
         else:
             self.path, even = _certify(op, self._coupling)
             ks = (0,) if self.path == "sector" else range(op.basis.d // 2 + 1)
-            blocks = {k: _sector_block(op, k, even) for k in ks}
-            self._blocks = {k: (proj, off, diag, self._coupling[reps])
-                            for k, (proj, off, diag, reps) in blocks.items() if proj.shape[1]}
-        self.dims = tuple(off.shape[0] for _, off, _, _ in self._blocks.values())
+            blocks = {k: _sector_block(op.basis, k, even) for k in ks}
+            self._blocks = {k: (proj, hop * -op.hopping, reps, _dense if reps.size < DENSE_LIMIT else _arpack)
+                            for k, (proj, hop, reps) in blocks.items() if reps.size}
+        self.dims = tuple(self._coupling[reps].size for _, _, reps, _ in self._blocks.values())
 
     def __call__(self, gamma: float = 0.0) -> GroundSpace:
         """Lowest eigenvalue and all eigenvectors within tol_deg of it, of
         op + gamma * diag(coupling)."""
         tol_deg = self.tol_deg
+        diagonal = self._op.diagonal + gamma * self._coupling
         solved = {}  # K -> (P, levels, block vectors, conjugated)
-        for k, (proj, block, diag, coupling) in self._blocks.items():
-            shift = diag + gamma * coupling
-            if self.path != "banded" and block.shape[0] < DENSE_LIMIT:
-                block = block.toarray()
-                block.flat[::block.shape[0] + 1] += shift
-                evals, evecs = _dense(block, tol_deg)
-            else:
-                if shift.any():
-                    block = block + sp.diags(shift)
-                evals, evecs = (_banded if self.path == "banded" else _arpack)(block, tol_deg)
+        for k, (proj, block, reps, eigensolver) in self._blocks.items():
+            shift = diagonal[reps]
+            evals, evecs = eigensolver(block, shift, min(LEVELS, shift.size))
+            if evals.size < shift.size and _window(evals, tol_deg).all():
+                evals, evecs = eigensolver(block, shift, shift.size)
             solved[k] = (proj, evals, evecs, False)
             if 0 < k < self.basis.d - k:  # only momentum blocks have K > 0
                 solved[self.basis.d - k] = (proj, evals, evecs, True)
@@ -395,11 +384,16 @@ def chain_bound_amplitudes(chain: SparseOperator, energy: float) -> np.ndarray:
     *relative* accuracy at every site; the halves are matched at the
     potential site and the result normalized.
     """
-    csr = chain.to_csr()
     n = chain.dim
-    diag, lower, upper = csr.diagonal(), csr.diagonal(-1), csr.diagonal(1)
     kind = getattr(chain.basis, "kind", "")
     anchor = chain.basis.sites.index(0) if kind == "two_fermion" else 0
+    if not chain.hopping:  # the sites decouple: the potential site alone
+        vec = np.zeros(n, dtype=complex)
+        vec[anchor] = 1.0
+        return vec
+    diag, lower = chain.diagonal, -chain.hopping * chain.basis.phase
+    lower = lower if lower.imag else lower.real
+    upper = lower.conjugate()
 
     def toward(diag, lower, upper, stop):
         # x[n-1] = 1 and rows n-1 .. stop+1 of (h - E) x = 0, recurring
@@ -408,9 +402,9 @@ def chain_bound_amplitudes(chain: SparseOperator, energy: float) -> np.ndarray:
         x[n - 1] = 1.0
         if stop == n - 1:
             return x
-        x[n - 2] = (energy - diag[n - 1]) / lower[n - 2] * x[n - 1]
+        x[n - 2] = (energy - diag[n - 1]) / lower * x[n - 1]
         for i in range(n - 2, stop, -1):
-            x[i - 1] = ((energy - diag[i]) * x[i] - upper[i] * x[i + 1]) / lower[i - 1]
+            x[i - 1] = ((energy - diag[i]) * x[i] - upper * x[i + 1]) / lower
             if abs(x[i - 1]) > 1e250:
                 x[stop:] /= abs(x[i - 1])
         return x
@@ -421,7 +415,7 @@ def chain_bound_amplitudes(chain: SparseOperator, energy: float) -> np.ndarray:
         vec = right
     else:
         # the same recurrence on the mirrored chain, from site 0 up
-        left = toward(diag[::-1], upper[::-1], lower[::-1], n - 1 - anchor)[::-1]
+        left = toward(diag[::-1], upper, lower, n - 1 - anchor)[::-1]
         vec = left / left[anchor]
         vec[anchor:] = right[anchor:]
     return vec / np.linalg.norm(vec)

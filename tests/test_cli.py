@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cobosons import solve
 from cobosons.cli import (
     SweepConfig,
     load_config_file,
@@ -16,6 +17,7 @@ from cobosons.cli import (
     parse_range,
     parse_target,
     parse_targets_grouped,
+    run,
     sweep_config_from,
 )
 
@@ -180,6 +182,21 @@ def test_console_entry_reports_input_errors_in_one_line(tmp_path):
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith(f"cobosons: error: {message}"), proc.stderr
+
+
+def test_console_entry_reports_a_failed_solve_in_one_line(tmp_path, capsys, monkeypatch):
+    # valid input whose solve fails: the effective d = 10, N = 4 model at
+    # J = 0 is zero in every momentum block, which ARPACK (DENSE_LIMIT = 14
+    # here, as at d = 20, N = 8 by default) cannot start from; exit status 1
+    monkeypatch.setattr(solve, "DENSE_LIMIT", 14)
+    out = tmp_path / "gs.csv"
+    argv = ["ground-state", "--model", "effective", "--d", "10", "--n", "4", "--J", "0", "--U", "1000", "--out", str(out)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("cobosons: error: ARPACK failed: "), captured.err
+    assert not out.exists()
 
 
 def test_ground_state_uniform_at_compensation_point(tmp_path):
@@ -436,10 +453,21 @@ def test_chi_table_leaves_the_oracle_empty_beyond_its_capacity(tmp_path):
 
 
 def test_verify_exits_zero(capsys):
+    # the checkpoints verify prints are part of the output contract
     assert run_cli("verify") == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert all(l.startswith(("ok", "#")) for l in lines)
-    assert lines[-1] == "# 0 failure(s)"
+    assert capsys.readouterr().out.splitlines() == [
+        "ok    chi closed == oracle (d <= 10, M <= 3)",
+        "ok    two-fermion chain energy",
+        "ok    two-pair chain energy",
+        "ok    ladder alpha_N^2 = (d-N+1)/d",
+        "ok    separation expansion of c^dag^2 |0>",
+        "ok    uniform-state purity checkpoints",
+        "ok    block-state purity piecewise values",
+        "ok    uniform-state g2 checkpoint",
+        "ok    ledger threshold N = 3",
+        "ok    effective-model fidelity at gamma*U/J^2 = 4",
+        "# 0 failure(s)",
+    ]
 
 
 def test_chi_m_flag_overrides_config(tmp_path):

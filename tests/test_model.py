@@ -264,6 +264,19 @@ def test_sparse_operator_rejects_non_hermitian():
             SparseOperator(basis, diagonal, hopping)
 
 
+def test_sparse_operator_rejects_non_finite_parts():
+    # an inf or NaN part, given or made by the builder (-inf * 0 is NaN in
+    # the bond term), is refused when the operator is made, not in a solve
+    basis = pair_basis(4, 1)
+    for diagonal, hopping in ((np.array([1.0, np.nan, 0.0, 0.0]), 1.0), (np.full(4, -np.inf), 1.0),
+                              (np.zeros(4), np.inf), (np.zeros(4), np.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SparseOperator(basis, diagonal, hopping)
+    for jbar, gammabar in ((1.0, math.inf), (1.0, -math.inf), (1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"), np.errstate(invalid="ignore"):
+            build_effective_from_bars(6, 2, jbar, gammabar)
+
+
 def test_sparse_operator_dtype_follows_the_matrix():
     for d in range(2, 7):
         for n in range(d + 1):

@@ -157,6 +157,26 @@ def test_chain_bound_amplitudes_tail_stable():
     assert np.allclose(amp[center - 60:center], amp[center + 60:center:-1])
 
 
+@pytest.mark.parametrize("kind, p, energy", [
+    ("two_fermion", ModelParams(j=0.0, u=3.0, gamma=0.0, d=10, n=1), -3.0),
+    ("two_pair", ModelParams(j=0.0, u=3.0, gamma=1.0, d=10, n=2), -2.0),
+])
+def test_chain_bound_amplitudes_at_zero_hopping(kind, p, energy):
+    # J = 0 makes t = 0: the sites decouple and the ground state is the
+    # potential site alone, the r0 = 0 limit of the closed form; the
+    # recurrence, which divides by the off-diagonal, is not run
+    from cobosons.solve import chain_bound_amplitudes
+
+    chain = build_relative_chain(kind, p, cutoff=5)
+    gs = ground_space(chain)
+    assert (chain.hopping, gs.degeneracy, gs.energy) == (0.0, 1, energy)
+    amp = chain_bound_amplitudes(chain, gs.energy)
+    assert np.array_equal(amp, gs.state.amplitudes)
+    site = 0 if kind == "two_fermion" else 1
+    want = analytic_two_fermion(0.0, p.u).amplitude(np.array(chain.basis.sites) - site)
+    assert np.array_equal(amp, want)
+
+
 def test_chain_matches_analytic_two_fermion():
     p = ModelParams(j=1.0, u=3.0, gamma=0.0, d=10, n=1)
     chain = build_relative_chain("two_fermion", p, r=0, cutoff=300)
@@ -184,13 +204,13 @@ def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
     dense, arpack = solve._dense, solve._arpack
     arpack_dims = []
 
-    def guarded(a, tol_deg):
-        assert a.shape[0] < 30, f"densified a dim-{a.shape[0]} block"
-        return dense(a, tol_deg)
+    def guarded(block, diagonal, count):
+        assert block.shape[0] < 30, f"densified a dim-{block.shape[0]} block"
+        return dense(block, diagonal, count)
 
-    def counted(mat, tol_deg):
-        arpack_dims.append(mat.shape[0])
-        return arpack(mat, tol_deg)
+    def counted(block, diagonal, count):
+        arpack_dims.append(block.shape[0])
+        return arpack(block, diagonal, count)
 
     monkeypatch.setattr(solve, "DENSE_LIMIT", 30)
     monkeypatch.setattr(solve, "_dense", guarded)
@@ -476,7 +496,8 @@ def test_momentum_blocks_hold_the_whole_spectrum():
 def test_every_block_equals_the_projected_operator():
     # effective d <= 10 and full d <= 6 at every filling, with the gamma
     # coupling, and both reflection-breaking cases:
-    # each block the solver keeps is P^H h P, and its coupling P^H diag(c) P;
+    # each block the solver keeps, plus diag(D[reps]), is P^H h P, and
+    # diag(c[reps]) is P^H diag(c) P;
     # and the oracle reads off every sector's unit hop what the solver
     # takes from its construction: real, exactly symmetric, invariant
     # under T and R, connected, and every entry > 0 when T is sign-free
@@ -495,11 +516,12 @@ def test_every_block_equals_the_projected_operator():
         paths.add(solver.path)
         h = op.to_csr()
         c = np.zeros(op.dim) if coupling is None else coupling
-        for k, (proj, off, diagonal, block_coupling) in solver._blocks.items():
+        for k, (proj, block, reps, _) in solver._blocks.items():
             want = (proj.conj().T @ h @ proj).toarray()
-            assert np.abs(off.toarray() + np.diag(diagonal) - want).max() <= 1e-12 * max(1.0, abs(h).max()), (op.basis, k)
+            got = block.toarray() + np.diag(op.diagonal[reps])
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, abs(h).max()), (op.basis, k)
             want = (proj.conj().T @ sp.diags(c) @ proj).toarray()
-            assert np.abs(np.diag(block_coupling) - want).max() <= 1e-12 * max(1.0, np.abs(c).max()), (op.basis, k)
+            assert np.abs(np.diag(c[reps]) - want).max() <= 1e-12 * max(1.0, np.abs(c).max()), (op.basis, k)
     assert paths == {"sector", "momenta"}
 
 
@@ -546,10 +568,12 @@ def test_builder_parts_solve_like_their_assembled_matrix():
         assert any(proj is op.basis.even_projector() for proj, _, _, _ in parts._blocks.values()) == even, case
         solvers.append(parts)
         scale = max(1.0, abs(h).max())
-        for k, (proj, off, diagonal, block_coupling) in parts._blocks.items():
-            want, reps = _project(h, proj)
-            assert np.array_equal(block_coupling, coupling[reps]), (case, k)
-            assert np.abs(off.toarray() + np.diag(diagonal) - want.toarray()).max() <= 1e-14 * scale, (case, k)
+        for k, (proj, block, reps, eigensolver) in parts._blocks.items():
+            want, want_reps = _project(h, proj)
+            assert np.array_equal(reps, want_reps), (case, k)
+            assert eigensolver is (solve._dense if reps.size < solve.DENSE_LIMIT else solve._arpack), (case, k)
+            got = block.toarray() + np.diag(op.diagonal[reps])
+            assert np.abs(got - want.toarray()).max() <= 1e-14 * scale, (case, k)
         for gamma in (0.0, 3e-3):
             got = parts(gamma)
             energy, vectors = _whole_operator_dense(op, gamma * coupling)
@@ -595,16 +619,63 @@ def test_small_dense_eigensolves_run_on_one_blas_thread(n, monkeypatch):
     eigh, eigsh = solve.la.eigh, solve.spla.eigsh
     monkeypatch.setattr(solve.la, "eigh", lambda a, **kw: (seen.append(count()), eigh(a, **kw))[1])
     monkeypatch.setattr(solve.spla, "eigsh", lambda a, **kw: (seen.append(count()), eigsh(a, **kw))[1])
-    a = np.diag(np.arange(n, dtype=float)) - np.eye(n, k=1) - np.eye(n, k=-1)
-    want = np.linalg.eigvalsh(a)[: solve.LEVELS]
-    evals, _ = solve._dense(a, 1e-9)
+    block, diagonal = sp.csr_matrix(-np.eye(n, k=1) - np.eye(n, k=-1)), np.arange(n, dtype=float)
+    want = np.linalg.eigvalsh(block.toarray() + np.diag(diagonal))[: solve.LEVELS]
+    evals, _ = solve._dense(block, diagonal, solve.LEVELS)
     assert seen == [1 if n < solve.SERIAL_BLAS_BELOW else before]
     assert count() == before
     assert np.abs(evals - want).max() < 1e-12
-    evals, _ = solve._arpack(sp.csr_matrix(a), 1e-9)
+    evals, _ = solve._arpack(block, diagonal, solve.LEVELS)
     assert seen[1:] == [1]
     assert count() == before
     assert np.abs(evals - want).max() < 1e-10
+
+
+def test_each_eigensolver_widens_to_every_level_when_the_window_holds_them():
+    # the LEVELS lowest levels of a block, or all of them when the
+    # degeneracy window holds every level returned, on each eigensolver:
+    # a 20-site chain of zeros ("banded"), and the effective d = 10, N = 4
+    # model at J = 0 (every momentum block zero) on "dense"
+    gs = ground_space(_chain(np.zeros(20)))
+    assert (gs.path, gs.degeneracy, gs.levels.size) == ("banded", 20, 20)
+    op = build_effective_hamiltonian(ModelParams(j=0.0, u=1e3, gamma=0.0, d=10, n=4))
+    counts = []
+    dense = solve._dense
+    with mock.patch.object(solve, "_dense", lambda b, d, count: (counts.append((b.shape[0], count)), dense(b, d, count))[1]):
+        gs = ground_space(op)
+    assert (gs.path, gs.degeneracy, gs.levels.size) == ("momenta", 210, solve.LEVELS)
+    assert counts == [c for n in gs.dims for c in ((n, min(solve.LEVELS, n)), (n, n))]
+
+
+def test_arpack_cannot_widen_to_every_level():
+    # ARPACK (complex eigs) computes fewer than n - 1 pairs, so a block
+    # whose window holds every Ritz value fails: the effective d = 10,
+    # N = 4 model at J = 0 (a zero block, on which ARPACK's own start
+    # fails), and t = 0 with a constant D (ARPACK converges, and the window
+    # holds all of its levels).  Every block there has more than 14 states
+    op = build_effective_hamiltonian(ModelParams(j=0.0, u=1e3, gamma=0.0, d=10, n=4))
+    constant = SparseOperator(op.basis, np.full(op.dim, -1.0), 0.0)
+    with mock.patch.object(solve, "DENSE_LIMIT", 14):
+        assert min(GroundSolver(op).dims) > 14
+        with pytest.raises(solve.ConvergenceError, match="ARPACK failed"):
+            ground_space(op)
+        with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
+            ground_space(constant)
+    with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
+        solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 19)
+
+
+def test_each_block_keeps_the_eigensolver_chosen_at_construction():
+    # DENSE_LIMIT is read once, when the solver is built: a solver built at
+    # DENSE_LIMIT = 14 solves its blocks by ARPACK after the limit moves back
+    op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=10, n=4))
+    with mock.patch.object(solve, "DENSE_LIMIT", 14):
+        solver = GroundSolver(op)
+    assert [e for *_, e in solver._blocks.values()] == [solve._arpack]
+    assert [e for *_, e in GroundSolver(op)._blocks.values()] == [solve._dense]
+    with mock.patch.object(solve.spla, "eigsh", side_effect=AssertionError("ARPACK")):
+        with pytest.raises(AssertionError, match="ARPACK"):
+            solver()
 
 
 GRID_X =(0.0, 1.5, 4.0, 9.0, 20.0)  # gamma*U/J^2, through the isotropic point 4
@@ -670,13 +741,16 @@ def test_effective_ground_state_is_positive(data):
 
 @pytest.mark.parametrize("kind, r", [("two_fermion", 0), ("two_fermion", 1), ("two_pair", 0)])
 def test_chain_diagonals_equal_elementwise_reads(kind, r):
-    # chain_bound_amplitudes reads the chain with csr.diagonal(+-1); the
-    # same values, bit for bit, as reading it one element at a time
+    # chain_bound_amplitudes reads the chain from its parts: D, and the
+    # off-diagonals -t * phase below and its conjugate above; the same
+    # values, bit for bit, as the assembled matrix's elements
     p = ModelParams(j=1.0, u=3.0, gamma=3.0, d=10, n=2)
-    csr = build_relative_chain(kind, p, r=r, cutoff=400).to_csr()  # 801 or 400 sites
-    n = csr.shape[0]
-    assert np.array_equal(csr.diagonal(-1), [csr[i + 1, i] for i in range(n - 1)])
-    assert np.array_equal(csr.diagonal(1), [csr[i, i + 1] for i in range(n - 1)])
+    chain = build_relative_chain(kind, p, r=r, cutoff=400)  # 801 or 400 sites
+    csr, n = chain.to_csr(), chain.dim
+    lower = -chain.hopping * chain.basis.phase
+    assert np.array_equal(chain.diagonal, csr.diagonal())
+    assert np.array_equal(np.full(n - 1, lower), [csr[i + 1, i] for i in range(n - 1)])
+    assert np.array_equal(np.full(n - 1, lower.conjugate()), [csr[i, i + 1] for i in range(n - 1)])
 
 
 CHAIN_CASES = [(kind, r, cutoff) for kind in ("two_fermion", "two_pair") for r in (0, 3) for cutoff in (3, 5, 400)]
