@@ -34,10 +34,11 @@ from .model import (
     build_full_hamiltonian,
 )
 
-DENSE_LIMIT = 2000
+DENSE_LIMIT = 2000  # "momenta" blocks from this size go to complex ARPACK
+SECTOR_DENSE_LIMIT = 350  # "sector" blocks from this size go to real Lanczos (see GroundSolver)
 RESIDUAL_TOL = 1e-10
-EQUIVALENCE_LEVELS = 4
-LEVELS = 12  # eigenpairs per block solve; all of them when the window holds every one
+LEVELS = 4  # eigenpairs per block solve; all of them when the window holds every one
+ARPACK_LEVELS = 12  # Ritz values per complex ARPACK block (see _arpack)
 # Dense eigensolves below this size run on one BLAS thread (see _serial_blas).
 SERIAL_BLAS_BELOW = 512
 
@@ -54,12 +55,15 @@ class GroundSpace:
     ``GroundSolver`` solves blocks of the operator: one block on "sector"
     (the reflection-even K = 0 block when the operator commutes with the
     site reflection, else the K = 0 block), every momentum block on
-    "momenta" and the whole chain on "banded".  ``path`` names the path;
-    ``levels`` are the union of the levels computed in those blocks,
-    ascending, cut to the lowest LEVELS on "momenta"; ``residual`` is the
-    largest |H v - e v| over the ground vectors, each against its own
-    eigenvalue e and the whole operator.  ``momenta`` is the momentum K
-    (in units of 2 pi / d) of the block of each ground vector, all 0 on
+    "momenta" and the whole chain on "banded".  ``path`` names the path.
+    Each block is solved for its LEVELS (4) lowest levels, ARPACK_LEVELS
+    (12) on a complex ARPACK block, or for all of them when the degeneracy
+    window holds every one.  ``levels`` are the union of those levels,
+    ascending, cut to the lowest LEVELS on "momenta"; on "sector" that is
+    at most LEVELS levels unless the window held them all.  ``residual``
+    is the largest |H v - e v| over the ground vectors, each against its
+    own eigenvalue e and the whole operator.  ``momenta`` is the momentum
+    K (in units of 2 pi / d) of the block of each ground vector, all 0 on
     "sector", None on "banded".  ``dims`` is the dimension of every block
     solved, in order of K.
     """
@@ -67,7 +71,7 @@ class GroundSpace:
     energy: float
     vectors: np.ndarray  # shape (dim, degeneracy), columns orthonormal
     basis: object
-    levels: np.ndarray  # ascending: the lowest LEVELS eigenvalues, or all of them
+    levels: np.ndarray  # ascending: the lowest LEVELS eigenvalues of each block, or all of them
     path: str
     residual: float
     momenta: Optional[tuple]
@@ -122,8 +126,10 @@ def _serial_blas(serial: bool = True):
     solve, and every dense solve below SERIAL_BLAS_BELOW, runs under it;
     everything else runs at the library's count.  ARPACK's Lanczos steps
     are too small to share: on two vCPUs a 21-point sweep at effective
-    d = 20, N = 8 took 9.7 s wall and 9.7 s CPU on one thread, against
-    12.3 s wall and 23.4 s CPU on two.  Dense ``eigh`` joins the threads
+    d = 20, N = 8 (real Lanczos on the 3260-state block) took 0.80 s wall
+    and 0.80-0.96 s CPU on one thread, against 1.07-1.13 s wall and
+    1.6-2.2 s CPU on two, and one at d = 24, N = 8 6.4 s wall and 6.5 s
+    CPU against 6.6 s and 11.7 s.  Dense ``eigh`` joins the threads
     once per column of its tridiagonal reduction, so below
     SERIAL_BLAS_BELOW a second thread gains little (1.04x at 300 states,
     1.14x at 504) and makes each join wait for a core that another
@@ -177,24 +183,33 @@ def _banded(band: tuple, diagonal: np.ndarray, count: int) -> tuple:
     return evals, gauge[:, None] * vecs
 
 
-def _arpack(block: sp.csr_matrix, diagonal: np.ndarray, count: int) -> tuple:
-    """The count lowest Ritz pairs of block + diag(diagonal) by complex
-    Lanczos (ARPACK) from the deterministic uniform start vector,
-    ascending, under ``_serial_blas``.  Complex ``eigsh`` runs ``eigs``,
-    which needs count < n - 1: a larger count is a degenerate window that
-    ARPACK cannot hold.  Every ARPACK failure is a ``ConvergenceError``."""
+def _arpack(block: sp.csr_matrix, diagonal: np.ndarray, count: int, dtype=complex) -> tuple:
+    """The count lowest Ritz pairs of block + diag(diagonal) by Lanczos
+    (ARPACK) in ``dtype`` from the deterministic uniform start vector,
+    ascending, under ``_serial_blas``.  Real ``eigsh`` needs count < n;
+    complex ``eigsh`` runs ``eigs``, which needs count < n - 1: a larger
+    count is a degenerate window that ARPACK cannot hold.  Every ARPACK
+    failure is a ``ConvergenceError``.  A "momenta" block is complex for
+    0 < K < d/2; its ARPACK_LEVELS Ritz values can still miss copies of a
+    level degenerate inside the block."""
     n = block.shape[0]
-    if count >= n - 1:
+    if count >= (n - 1 if dtype is complex else n):
         raise ConvergenceError("degenerate window exceeds the computed spectrum")
     mat = block + sp.diags(diagonal) if diagonal.any() else block
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         with _serial_blas():
-            evals, evecs = spla.eigsh(mat.astype(complex, copy=False), k=count, which="SA", v0=v0, tol=0)
+            evals, evecs = spla.eigsh(mat.astype(dtype, copy=False), k=count, which="SA", v0=v0, tol=0)
     except spla.ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed: {exc}") from exc
     order = np.argsort(evals)
     return evals[order], evecs[:, order]
+
+
+def _lanczos(block: sp.csr_matrix, diagonal: np.ndarray, count: int) -> tuple:
+    """``_arpack`` in real arithmetic, for a real "sector" block: the
+    uniform start vector overlaps its positive Perron vector."""
+    return _arpack(block, diagonal, count, float)
 
 
 def _certify(op: SparseOperator, coupling: np.ndarray) -> tuple:
@@ -232,10 +247,11 @@ class GroundSolver:
     """Ground spaces of op + gamma * diag(coupling), op = diag(D) - t * hop.
 
     ``__init__`` does everything that does not depend on gamma and keeps
-    the blocks to solve, K -> (P or None, block, reps, eigensolver): the
-    block at gamma is block + diag((D + gamma * coupling)[reps]), and the
-    eigensolver, fixed here by the block's structure and size, takes
-    (block, diagonal, count) and returns the count lowest eigenpairs.
+    the blocks to solve, K -> (P or None, block, reps, eigensolver,
+    count): the block at gamma is block + diag((D + gamma *
+    coupling)[reps]), and the eigensolver and its count, fixed here by the
+    block's structure and size, take (block, diagonal, count) and return
+    the count lowest eigenpairs.
     tol_deg must be finite and > 0.  There are three paths:
     - "sector", at any size, for an operator on a PairBasis or FullBasis
       that, with its coupling, commutes exactly with the one-site
@@ -254,22 +270,39 @@ class GroundSolver:
       (``_band``, from t and the chain's phase) with no P and every site
       as reps.  ``_banded`` allocates n x n, so n^2 is held to
       MAX_BASIS_STATES (``CapacityError``).
-    A lattice block -t * P^H hop P (``_sector_block``) is solved by
-    ``_dense`` below DENSE_LIMIT states and by ``_arpack`` from it; its
-    gamma term is diag(coupling[reps]), exact because the coupling is
+    A lattice block -t * P^H hop P (``_sector_block``) has the gamma term
+    diag(coupling[reps]), exact because the coupling is
     constant on each orbit.  An operator or a coupling that breaks T
     raises ``ValueError`` before any block exists.  The tables of the unit
     hop and its symmetries are built once per sector; the checks of the
     operator's own parts (``_certify``) run in every ``__init__``.
 
+    The eigensolvers, each for count = LEVELS (4) unless stated:
+    - "banded": ``_banded``;
+    - "sector": ``_dense`` below SECTOR_DENSE_LIMIT states, real Lanczos
+      (``_lanczos``) from it.  The limit is where Lanczos wins, measured at
+      count 4 on one BLAS thread, best of 7, over gamma U / J^2 = 1, 6,
+      10.5 and 18.125 on a 2-vCPU machine: the 280-state block of
+      effective d = 16, N = 6 took 3.2-3.4 ms dense against 3.0-4.5 ms,
+      324 states (d = 19, N = 5) 3.4-4.0 ms against 2.8-4.4 ms, and 375
+      states (d = 16, N = 7) 6.7-7.8 ms against 3.6-5.7 ms; at 600 states
+      dense took 17-22 ms against 4-10 ms;
+    - "momenta": ``_dense`` below DENSE_LIMIT, complex ``_arpack`` from it
+      for ARPACK_LEVELS (12) Ritz values: ARPACK can miss copies of a
+      level degenerate inside one block, and fewer Ritz values miss more.
+
     A call ``solver(gamma)`` forms D + gamma * coupling once and runs one
-    loop: solve each block for its LEVELS lowest levels, or for all of
+    loop: solve each block for its count lowest levels, or for all of
     them when the degeneracy window holds every level returned; apply the
     window to the union of the levels, lift the vectors inside it with
     their P, and check each against its own eigenvalue and the whole
     operator at that gamma (``op.apply``).  The window tol_deg and the
     residual bound RESIDUAL_TOL both scale with max(1, |E0|), so levels
-    split by less than the window stay in the ground space.
+    split by less than the window stay in the ground space.  A block's own
+    bound E + tol_deg * max(1, |E|) increases with its lowest level E, so
+    when the block's highest computed level lies outside it, it lies
+    outside the window of the whole operator too: no level of the window
+    is left uncomputed.
     """
 
     def __init__(self, op: SparseOperator, coupling=None, tol_deg: float = 1e-9):
@@ -286,14 +319,17 @@ class GroundSolver:
             if n * n > MAX_BASIS_STATES:
                 raise CapacityError(f"a chain of {n} sites needs {n}^2 > {MAX_BASIS_STATES} eigenvector entries")
             self.path = "banded"
-            self._blocks = {0: (None, _band(op), slice(None), _banded)}
+            self._blocks = {0: (None, _band(op), slice(None), _banded, LEVELS)}
         else:
             self.path, even = _certify(op, self._coupling)
-            ks = (0,) if self.path == "sector" else range(op.basis.d // 2 + 1)
+            sector = self.path == "sector"
+            ks = (0,) if sector else range(op.basis.d // 2 + 1)
+            limit = SECTOR_DENSE_LIMIT if sector else DENSE_LIMIT
+            iterative = (_lanczos, LEVELS) if sector else (_arpack, ARPACK_LEVELS)
             blocks = {k: _sector_block(op.basis, k, even) for k in ks}
-            self._blocks = {k: (proj, hop * -op.hopping, reps, _dense if reps.size < DENSE_LIMIT else _arpack)
+            self._blocks = {k: (proj, hop * -op.hopping, reps, *(iterative if reps.size >= limit else (_dense, LEVELS)))
                             for k, (proj, hop, reps) in blocks.items() if reps.size}
-        self.dims = tuple(self._coupling[reps].size for _, _, reps, _ in self._blocks.values())
+        self.dims = tuple(self._coupling[reps].size for _, _, reps, *_ in self._blocks.values())
 
     def __call__(self, gamma: float = 0.0) -> GroundSpace:
         """Lowest eigenvalue and all eigenvectors within tol_deg of it, of
@@ -301,9 +337,9 @@ class GroundSolver:
         tol_deg = self.tol_deg
         diagonal = self._op.diagonal + gamma * self._coupling
         solved = {}  # K -> (P, levels, block vectors, conjugated)
-        for k, (proj, block, reps, eigensolver) in self._blocks.items():
+        for k, (proj, block, reps, eigensolver, count) in self._blocks.items():
             shift = diagonal[reps]
-            evals, evecs = eigensolver(block, shift, min(LEVELS, shift.size))
+            evals, evecs = eigensolver(block, shift, min(count, shift.size))
             if evals.size < shift.size and _window(evals, tol_deg).all():
                 evals, evecs = eigensolver(block, shift, shift.size)
             solved[k] = (proj, evals, evecs, False)
@@ -433,7 +469,7 @@ class EquivalenceReport:
 
 
 def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
-    """Compare the EQUIVALENCE_LEVELS lowest effective-model energies against
+    """Compare the LEVELS lowest effective-model energies against
     the lowest levels of the full model (with the dropped constant
     -N(U + 4J^2/U) restored) and report the weight of the full ground
     state's normalized pair-sector part in the effective ground space.
@@ -469,7 +505,7 @@ def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
         fid = float(np.sum(np.abs(overlaps) ** 2)) / pnorm**2
 
     same_sectors = (eff.path == "sector") == (full.path == "sector")
-    k = min(EQUIVALENCE_LEVELS if same_sectors else 1, len(eff.levels), len(full.levels))
+    k = min(LEVELS if same_sectors else 1, len(eff.levels), len(full.levels))
     return EquivalenceReport(
         effective_energies=eff.levels[:k],
         full_energies=full.levels[:k] - constant,

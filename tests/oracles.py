@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import root
 from scipy.sparse.csgraph import connected_components
 
 from cobosons.fock import FullBasis, PairBasis, StateVector, _SectorTables, fix_phase, full_basis, popcount
@@ -500,3 +501,57 @@ def string_energy(jbar: float, gammabar: float, n: int) -> float:
         raise ValueError("need gammabar > 2 Jbar > 0")
     eta = math.acosh(gammabar / (2.0 * jbar))
     return 2.0 * jbar * math.sinh(eta) * (math.cosh(n * eta) - 1.0) / math.sinh(n * eta) - n * gammabar
+
+
+# ---------------------------------------------------- Bethe-ansatz energy
+
+BETHE_MAX_DELTA = 0.9  # bethe_energy refuses a larger anisotropy
+
+
+def _bethe_residual(k: np.ndarray, d: int, quantum: np.ndarray, delta: float) -> np.ndarray:
+    """d k_j - 2 pi I_j - sum_{l != j} theta(k_j, k_l), the Bethe equations
+    of ``bethe_energy`` at anisotropy delta."""
+    half_diff, half_sum = (k[:, None] - k[None, :]) / 2.0, (k[:, None] + k[None, :]) / 2.0
+    theta = 2.0 * np.arctan2(-delta * np.sin(half_diff), np.cos(half_sum) - delta * np.cos(half_diff))
+    np.fill_diagonal(theta, 0.0)
+    return d * k - quantum - theta.sum(axis=1)
+
+
+def bethe_energy(d: int, n: int, jbar: float, gammabar: float) -> float:
+    """Ground energy of n hard-core pairs on a ring of d sites with hopping
+    -Jbar and nearest-neighbour attraction -gammabar, from the Bethe ansatz
+    of the XXZ chain with anisotropy Delta = gammabar / (2 Jbar) (M.
+    Karbach and G. Mueller, Computers in Physics 11, 36 (1997),
+    arXiv:cond-mat/9809162).  With I_j = j - (n + 1)/2, j = 1..n,
+    half-integers for even n, the ground state's real momenta k_j solve
+
+        d k_j = 2 pi I_j + sum_{l != j} theta(k_j, k_l),
+        theta(k, q) = 2 atan2(-Delta sin((k - q)/2),
+                              cos((k + q)/2) - Delta cos((k - q)/2)),
+
+    and E0 = -2 Jbar sum_j cos k_j.  At Delta = 0, theta = 0: free
+    fermions.  The solve continues in Delta from 0 in adaptive steps, from
+    a linear predictor; a step is kept only when the equations hold to
+    1e-12 d and no k_j moved more than 0.01 (2 pi / d) from the predictor,
+    so that the roots stay on the ground-state branch.  Near Delta = 1 the
+    roots collapse toward 0 and the solve can land on another branch, so
+    it refuses Delta outside [-1, BETHE_MAX_DELTA] with ValueError."""
+    if not jbar > 0.0:
+        raise ValueError("need Jbar > 0")
+    delta = gammabar / (2.0 * jbar)
+    if not -1.0 <= delta <= BETHE_MAX_DELTA:
+        raise ValueError(f"need -1 <= Delta <= {BETHE_MAX_DELTA}, got {delta}")
+    quantum = 2.0 * math.pi * (np.arange(1, n + 1) - (n + 1) / 2.0)
+    k, slope, at, step = quantum / d, np.zeros(n), 0.0, 0.05
+    while at != delta:
+        to = at + math.copysign(min(step, abs(delta - at)), delta - at)
+        guess = k + slope * (to - at)
+        found = root(_bethe_residual, guess, args=(d, quantum, to)).x
+        if (np.abs(_bethe_residual(found, d, quantum, to)).max() <= 1e-12 * d
+                and np.abs(found - guess).max() <= 0.02 * math.pi / d):
+            slope, k, at, step = (found - k) / (to - at), found, to, 2.0 * step
+        else:
+            step /= 2.0
+            if step < 1e-7:
+                raise RuntimeError(f"Bethe continuation stalled at Delta = {at}")
+    return float(-2.0 * jbar * np.cos(k).sum())

@@ -27,7 +27,7 @@ from cobosons.solve import (
     ground_state_vector,
     spectral_equivalence_check,
 )
-from oracles import facts, geometric_tail, is_bound, string_energy
+from oracles import BETHE_MAX_DELTA, bethe_energy, facts, geometric_tail, is_bound, string_energy
 
 
 def _chain(diagonal):
@@ -121,6 +121,59 @@ def test_sector_path_matches_the_string_energy_on_large_rings(d, n, x):
     want = string_energy(params.jbar, params.gammabar, n)
     assert got.path == "sector"
     assert abs(got.energy - want) <= 1e-12 * abs(want)
+
+
+def _effective_params(d, n, x):
+    """The effective model at J = 1, U = 1000 and gamma U / J^2 = x."""
+    return ModelParams(j=1.0, u=1e3, gamma=x * 1e-3, d=d, n=n)
+
+
+def _effective_solver(d, n):
+    """One solver for the effective model at J = 1, U = 1000 and every gamma."""
+    base = build_effective_hamiltonian(_effective_params(d, n, 0.0))
+    return GroundSolver(base, gamma_coupling(base.basis))
+
+
+@pytest.mark.parametrize("d, bound", [(20, 1e-11), (24, 1e-12)])
+def test_real_lanczos_matches_the_string_energy_at_n_8(d, bound):
+    # the 3260- and 15581-state reflection-even blocks, on real Lanczos:
+    # E0 is the N-string energy; at d = 20, gamma U / J^2 = 10.5 the
+    # string's tail around the ring is not yet negligible (measured
+    # 2.3e-12 relative there, below 4e-16 at the three other points)
+    solver = _effective_solver(d, 8)
+    assert [rec[3:] for rec in solver._blocks.values()] == [(solve._lanczos, solve.LEVELS)]
+    for x in (10.5, 18.125):
+        p = _effective_params(d, 8, x)
+        got = solver(p.gamma)
+        want = string_energy(p.jbar, p.gammabar, 8)
+        assert (got.path, got.degeneracy) == ("sector", 1)
+        assert abs(got.energy - want) <= bound * abs(want), x
+
+
+def test_bethe_energy_is_free_fermions_at_zero_anisotropy_and_refuses_the_isotropic_point():
+    # Delta = 0: the momenta 2 pi I_j / d of free fermions, I_j
+    # half-integers for even N; beyond BETHE_MAX_DELTA, and below the
+    # isotropic antiferromagnet Delta = -1, a ValueError
+    for d, n in ((8, 2), (9, 3), (12, 5), (20, 8)):
+        quantum = np.arange(1, n + 1) - (n + 1) / 2.0
+        assert bethe_energy(d, n, 0.7, 0.0) == pytest.approx(-1.4 * np.cos(2 * np.pi * quantum / d).sum(), rel=1e-14)
+    for gammabar in (2.0 * BETHE_MAX_DELTA + 1e-9, 2.0, 5.0, -2.0 - 1e-9):
+        with pytest.raises(ValueError, match="Delta"):
+            bethe_energy(12, 5, 1.0, gammabar)
+
+
+@pytest.mark.parametrize("d, n", [(8, 2), (10, 3), (10, 4), (12, 5), (16, 6), (20, 8), (24, 8)])
+def test_sector_path_matches_the_bethe_energy_below_the_isotropic_point(d, n):
+    # gamma U / J^2 = 1, 3 and 3.8 are Delta = -0.5, 0.5 and 0.9 of the
+    # XXZ chain: E0 is the Bethe-ansatz energy to 1e-12 on dense blocks
+    # and on real Lanczos (N = 8)
+    solver = _effective_solver(d, n)
+    for x in (1.0, 3.0, 3.8):
+        p = _effective_params(d, n, x)
+        got = solver(p.gamma)
+        want = bethe_energy(d, n, p.jbar, p.gammabar)
+        assert (got.path, got.degeneracy) == ("sector", 1)
+        assert abs(got.energy - want) <= 1e-12 * abs(want), x
 
 
 def test_bound_state_amplitude_rule():
@@ -279,15 +332,15 @@ def _whole_operator_dense(op, shift=0.0, tol_deg=1e-9):
 @pytest.mark.parametrize("model", ["effective", "full"])
 def test_sector_path_matches_whole_operator_dense_solve(model):
     # effective sizes d <= 10 and full models with odd N_A, N_B, d <= 6:
-    # the K = 0 block, solved dense (default limit) or by ARPACK (limit 14,
-    # blocks of 14 states and more), gives the whole operator's E0,
-    # degeneracy and ground projector
+    # the K = 0 block, solved dense (default limit) or by real Lanczos
+    # (limit 14, blocks of 14 states and more), gives the whole operator's
+    # E0, degeneracy and ground projector
     for case in (c for c in SECTOR_CASES if c[0] == model):
         op = _sector_case(*case)
         energy, vectors = _whole_operator_dense(op)
         scale = max(1.0, abs(energy))
-        for limit in (solve.DENSE_LIMIT, 14):
-            with mock.patch.object(solve, "DENSE_LIMIT", limit):
+        for limit in (solve.SECTOR_DENSE_LIMIT, 14):
+            with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
                 got = ground_space(op)
             assert got.path == "sector", case
             assert got.degeneracy == vectors.shape[1] == 1, case
@@ -301,16 +354,16 @@ def test_sector_path_matches_whole_operator_dense_solve(model):
 @pytest.mark.parametrize("model", ["effective", "full"])
 def test_sector_path_solves_the_reflection_even_block(model):
     # every effective SECTOR_CASES entry and every full one (odd N_A, N_B):
-    # dense and on ARPACK (limit 14), the ground vector is invariant under
-    # the site reflection R, and every level of the block solved is a
-    # level of the whole operator
+    # dense and by real Lanczos (limit 14), the ground vector is invariant
+    # under the site reflection R, and every level of the block solved is
+    # a level of the whole operator
     for case in (c for c in SECTOR_CASES if c[0] == model):
         op = _sector_case(*case)
         whole = np.linalg.eigvalsh(op.to_csr().toarray())
         scale = max(1.0, abs(whole[0]))
         index = reflection(op.basis)
-        for limit in (solve.DENSE_LIMIT, 14):
-            with mock.patch.object(solve, "DENSE_LIMIT", limit):
+        for limit in (solve.SECTOR_DENSE_LIMIT, 14):
+            with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
                 got = ground_space(op)
             assert got.path == "sector", case
             assert np.abs(got.vectors[index] - got.vectors).max() < 1e-12, case
@@ -350,8 +403,8 @@ def test_operators_that_break_the_reflection_solve_the_whole_zero_momentum_block
         energy, vectors = _whole_operator_dense(op, gamma * coupling)
         if breaks == "operator" or gamma:
             assert np.abs(vectors[index] - vectors).max() > 1e-3
-        for limit in (solve.DENSE_LIMIT, 14):
-            with mock.patch.object(solve, "DENSE_LIMIT", limit):
+        for limit in (solve.SECTOR_DENSE_LIMIT, 14):
+            with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
                 got = GroundSolver(op, coupling)(gamma)
             assert (got.path, got.dims, got.degeneracy) == ("sector", (orbits,), 1), (gamma, limit)
             assert abs(got.energy - energy) < 1e-12 * max(1.0, abs(energy))
@@ -516,7 +569,7 @@ def test_every_block_equals_the_projected_operator():
         paths.add(solver.path)
         h = op.to_csr()
         c = np.zeros(op.dim) if coupling is None else coupling
-        for k, (proj, block, reps, _) in solver._blocks.items():
+        for k, (proj, block, reps, *_) in solver._blocks.items():
             want = (proj.conj().T @ h @ proj).toarray()
             got = block.toarray() + np.diag(op.diagonal[reps])
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, abs(h).max()), (op.basis, k)
@@ -565,13 +618,16 @@ def test_builder_parts_solve_like_their_assembled_matrix():
         paths[parts.path] += 1
         assert (parts.path == "sector") == fact.perron, case
         even = fact.perron and fact.reflection and np.array_equal(coupling[reflection(op.basis)], coupling)
-        assert any(proj is op.basis.even_projector() for proj, _, _, _ in parts._blocks.values()) == even, case
+        assert any(proj is op.basis.even_projector() for proj, *_ in parts._blocks.values()) == even, case
         solvers.append(parts)
         scale = max(1.0, abs(h).max())
-        for k, (proj, block, reps, eigensolver) in parts._blocks.items():
+        sector = parts.path == "sector"
+        limit = solve.SECTOR_DENSE_LIMIT if sector else solve.DENSE_LIMIT
+        iterative = (solve._lanczos, solve.LEVELS) if sector else (solve._arpack, solve.ARPACK_LEVELS)
+        for k, (proj, block, reps, *eigensolver) in parts._blocks.items():
             want, want_reps = _project(h, proj)
             assert np.array_equal(reps, want_reps), (case, k)
-            assert eigensolver is (solve._dense if reps.size < solve.DENSE_LIMIT else solve._arpack), (case, k)
+            assert tuple(eigensolver) == ((solve._dense, solve.LEVELS) if reps.size < limit else iterative), (case, k)
             got = block.toarray() + np.diag(op.diagonal[reps])
             assert np.abs(got - want.toarray()).max() <= 1e-14 * scale, (case, k)
         for gamma in (0.0, 3e-3):
@@ -629,6 +685,10 @@ def test_small_dense_eigensolves_run_on_one_blas_thread(n, monkeypatch):
     assert seen[1:] == [1]
     assert count() == before
     assert np.abs(evals - want).max() < 1e-10
+    evals, _ = solve._lanczos(block, diagonal, solve.LEVELS)
+    assert seen[2:] == [1]
+    assert count() == before
+    assert np.abs(evals - want).max() < 1e-10
 
 
 def test_each_eigensolver_widens_to_every_level_when_the_window_holds_them():
@@ -665,17 +725,119 @@ def test_arpack_cannot_widen_to_every_level():
         solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 19)
 
 
+def test_real_lanczos_cannot_widen_to_every_level():
+    # real eigsh computes fewer than n pairs: n - 1 of a 20-state block,
+    # but not all 20; and a certified block whose window holds its LEVELS
+    # lowest levels (Jbar = 1e-13 against the window 1e-9) is refused on
+    # the sector path, where a dense block would have widened
+    evals, _ = solve._lanczos(sp.csr_matrix((20, 20)), np.arange(20.0), 19)
+    assert np.abs(evals - np.arange(19.0)).max() < 1e-12
+    with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
+        solve._lanczos(sp.csr_matrix((20, 20)), np.arange(20.0), 20)
+    op = build_effective_from_bars(10, 4, 1e-13, 0.0)
+    gs = ground_space(op)
+    assert (gs.path, gs.dims, gs.degeneracy) == ("sector", (16,), 16)
+    with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", 14):
+        with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
+            ground_space(op)
+
+
 def test_each_block_keeps_the_eigensolver_chosen_at_construction():
-    # DENSE_LIMIT is read once, when the solver is built: a solver built at
-    # DENSE_LIMIT = 14 solves its blocks by ARPACK after the limit moves back
+    # SECTOR_DENSE_LIMIT is read once, when the solver is built: a solver
+    # built at SECTOR_DENSE_LIMIT = 14 solves its blocks by real Lanczos
+    # (ARPACK) after the limit moves back
     op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=10, n=4))
-    with mock.patch.object(solve, "DENSE_LIMIT", 14):
+    with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", 14):
         solver = GroundSolver(op)
-    assert [e for *_, e in solver._blocks.values()] == [solve._arpack]
-    assert [e for *_, e in GroundSolver(op)._blocks.values()] == [solve._dense]
+    assert [rec[3:] for rec in solver._blocks.values()] == [(solve._lanczos, solve.LEVELS)]
+    assert [rec[3:] for rec in GroundSolver(op)._blocks.values()] == [(solve._dense, solve.LEVELS)]
     with mock.patch.object(solve.spla, "eigsh", side_effect=AssertionError("ARPACK")):
         with pytest.raises(AssertionError, match="ARPACK"):
             solver()
+
+
+@pytest.mark.parametrize("model, d, n", [("effective", 16, 6), ("effective", 19, 5), ("effective", 16, 7),
+                                         ("effective", 17, 6), ("full", 9, (3, 3)), ("effective", 20, 5)])
+def test_sector_blocks_take_real_lanczos_from_the_measured_limit(model, d, n):
+    # the 280- and 324-state blocks stay dense; the 375- to 406-state
+    # blocks, just above SECTOR_DENSE_LIMIT, are solved by real Lanczos,
+    # whose LEVELS lowest levels and ground vector equal _dense's to 1e-12
+    base = _sector_case(model, d, n, 0.0)
+    solver = GroundSolver(base, gamma_coupling(base.basis))
+    (_, block, reps, eigensolver, count), = solver._blocks.values()
+    dense = reps.size < solve.SECTOR_DENSE_LIMIT
+    assert reps.size < 1.2 * solve.SECTOR_DENSE_LIMIT
+    assert (eigensolver, count) == ((solve._dense if dense else solve._lanczos), solve.LEVELS)
+    assert (reps.size == 280) == ((d, n) == (16, 6))
+    if dense:
+        return
+    for x in (1.0, 6.0, 18.125):
+        diagonal = (base.diagonal + x * (1e-3 if model == "effective" else 0.1) * solver._coupling)[reps]
+        want, want_vecs = solve._dense(block, diagonal, solve.LEVELS)
+        got, got_vecs = solve._lanczos(block, diagonal, solve.LEVELS)
+        scale = max(1.0, abs(want[0]))
+        assert np.abs(got - want).max() <= 1e-12 * scale, x
+        assert np.abs(np.abs(got_vecs[:, 0]) - np.abs(want_vecs[:, 0])).max() <= 1e-12, x
+
+
+def _translation_eigenvectors(op, gs):
+    """Each ground vector is an eigenvector of the signed one-site
+    translation with eigenvalue exp(2 pi i K / d), K its ``momenta``."""
+    index, sign = translation(op.basis, 1)
+    for vec, k in zip(gs.vectors.T, gs.momenta):
+        moved = np.zeros_like(vec)
+        moved[index] = sign * vec
+        assert np.abs(moved - np.exp(2j * np.pi * k / op.basis.d) * vec).max() < 1e-12, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_few_levels_per_block_give_the_whole_operators_ground_space(data):
+    # LEVELS = 4 on small operators of every path, against a full eigh of
+    # the assembled matrix: energy, degeneracy, momenta and ground
+    # projector.  Sector blocks of 14 states and more run on real Lanczos
+    # at limit 14; "planted" is t = 0 with D = a * bonds, whose ground level
+    # fills more than LEVELS states of one momentum block when a = 0, and a
+    # chain at t = 0 plants the minimum of its diagonal as often as drawn:
+    # both must widen
+    kind = data.draw(st.sampled_from(["effective", "full", "planted", "chain"]))
+    limit = solve.SECTOR_DENSE_LIMIT
+    if kind == "effective":
+        d = data.draw(st.integers(2, 10))
+        n = data.draw(st.integers(0, d))
+        jbar = data.draw(st.sampled_from([1.0, -1.0]))  # -1: not stoquastic, "momenta"
+        op = build_effective_from_bars(d, n, jbar, data.draw(st.floats(-2.0, 20.0)))
+        limit = data.draw(st.sampled_from([limit, 14]))
+    elif kind == "full":
+        d = data.draw(st.integers(2, 6))
+        n_a, n_b = data.draw(st.integers(1, d - 1)), data.draw(st.integers(1, d - 1))
+        x = data.draw(st.floats(0.0, 20.0))
+        op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=x * 0.1, d=d, n_a=n_a, n_b=n_b))
+        limit = data.draw(st.sampled_from([limit, 14]))
+    elif kind == "planted":
+        d, n = data.draw(st.sampled_from([(8, 3), (8, 4), (9, 3), (10, 3), (10, 4)]))
+        a = data.draw(st.sampled_from([0.0, 1.0, 2.5]))
+        basis = pair_basis(d, n)
+        op = SparseOperator(basis, a * basis.bonds() - 1.0, 0.0)
+    else:
+        diagonal = data.draw(st.lists(st.integers(-1, 3), min_size=2, max_size=30))
+        op = SparseOperator(ChainBasis("test", tuple(range(len(diagonal))), 1.0), np.array(diagonal, float),
+                            data.draw(st.sampled_from([0.0, 0.5, 1.0])))
+    with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
+        got = ground_space(op)
+    energy, vectors = _whole_operator_dense(op)
+    scale = max(1.0, abs(energy))
+    assert abs(got.energy - energy) < 1e-12 * scale
+    assert got.degeneracy == vectors.shape[1]
+    assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-12 * scale
+    if got.path == "banded":
+        assert got.momenta is None
+    else:
+        assert got.path == ("momenta" if kind == "planted" else got.path)
+        _translation_eigenvectors(op, got)
+    if (kind == "planted" and a == 0.0) or (kind == "chain" and op.hopping == 0.0 and got.degeneracy > 4):
+        widest = got.degeneracy if kind == "chain" else max(Counter(got.momenta).values())
+        assert widest > solve.LEVELS
 
 
 GRID_X =(0.0, 1.5, 4.0, 9.0, 20.0)  # gamma*U/J^2, through the isotropic point 4
@@ -689,9 +851,11 @@ GRID_CASES = [("effective", d, n) for d in range(2, 11) for n in range(0, d + 1)
 def test_ground_solver_matches_a_fresh_solve_at_every_grid_point(model, limit, monkeypatch):
     # one solver from H(0) and c, called at each gamma, against ground_space
     # of the operator built at that gamma: effective d <= 10 and every N
-    # (blocks of 14 states and more on ARPACK at limit 14), full d <= 6 with
-    # odd and even N_A, N_B (sector and momenta paths)
+    # (blocks of 14 states and more on real Lanczos at limit 14), full
+    # d <= 6 with odd and even N_A, N_B (sector and momenta paths, momentum
+    # blocks of 14 states and more on ARPACK at limit 14)
     monkeypatch.setattr(solve, "DENSE_LIMIT", limit)
+    monkeypatch.setattr(solve, "SECTOR_DENSE_LIMIT", min(limit, solve.SECTOR_DENSE_LIMIT))
     for _, d, n in (c for c in GRID_CASES if c[0] == model):
         base = _sector_case(model, d, n, 0.0)
         solver = GroundSolver(base, gamma_coupling(base.basis))
@@ -732,8 +896,8 @@ def test_effective_ground_state_is_positive(data):
     n = data.draw(st.integers(1, d - 1))
     x = data.draw(st.floats(0.0, 20.0))
     op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=x * 1e-3, d=d, n=n))
-    for limit in (solve.DENSE_LIMIT, 14):
-        with mock.patch.object(solve, "DENSE_LIMIT", limit):
+    for limit in (solve.SECTOR_DENSE_LIMIT, 14):
+        with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
             amp = ground_space(op).state.amplitudes
         assert amp.real.min() >= -1e-14
         assert np.abs(amp.imag).max() <= 1e-14

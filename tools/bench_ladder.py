@@ -10,8 +10,9 @@ this one) the script records:
   N) and checkout, alternating which side runs first, each in its own
   process so that a solve above TIMEOUT_S seconds is cut and recorded as
   not run (and not repeated), with the basis dimension, the solver path,
-  the degeneracy, the solve and build times and the peak RSS of every run,
-  and the median of each;
+  the degeneracy, the build time, the solve time split into the solver's
+  setup (``GroundSolver(op)``) and its call, and the peak RSS of every
+  run, and the median of each;
 - the chain ladder: the median of CHAIN_REPEATS ``ground_space`` solves of
   each relative chain in CHAIN_LADDER, after one untimed solve, in its own
   process, with the chain's size, the solver path and the energy;
@@ -40,8 +41,9 @@ LADDER_REPEATS = 5  # alternating parent/change solves per ladder size; one run 
 # (model, d, N); effective at J = 1, U = 1000, full at J = 100, U = 1e5
 LADDER = (
     ("effective", 10, 4), ("effective", 16, 6), ("effective", 20, 8), ("effective", 24, 8),
+    ("effective", 28, 8),  # 3.1M states, 56021 in its block; peak RSS near 1.5 GB
     ("full", 8, 2), ("full", 10, 2), ("full", 12, 2), ("full", 10, 3), ("full", 12, 3),
-    ("full", 10, 4),
+    ("full", 10, 4), ("full", 12, 4),
 )
 # (kind, r, cutoff) of build_relative_chain at J = 1, U = 3, gamma = 3, d = 10
 CHAIN_LADDER = (("two_fermion", 0, 400), ("two_pair", 0, 400), ("two_fermion", 1, 400),
@@ -51,7 +53,8 @@ CHAIN_REPEATS = 5
 SOLVE = r"""
 import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from cobosons import ModelParams, build_effective_hamiltonian, build_full_hamiltonian, ground_space
+from cobosons import ModelParams, build_effective_hamiltonian, build_full_hamiltonian
+from cobosons.solve import GroundSolver
 model, d, n, x = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), float(sys.argv[5])
 j, u = (1.0, 1e3) if model == "effective" else (100.0, 1e5)
 params = ModelParams(j=j, u=u, gamma=x * j * j / u, d=d, n=n)
@@ -59,9 +62,12 @@ build = build_effective_hamiltonian if model == "effective" else build_full_hami
 t0 = time.perf_counter()
 op = build(params)
 t1 = time.perf_counter()
-gs = ground_space(op)
+solver = GroundSolver(op)  # ground_space(op) is GroundSolver(op)(0.0)
 t2 = time.perf_counter()
-print(json.dumps({"dim": op.dim, "path": gs.path, "build_s": t1 - t0, "solve_s": t2 - t1,
+gs = solver()
+t3 = time.perf_counter()
+print(json.dumps({"dim": op.dim, "path": gs.path, "build_s": t1 - t0, "setup_s": t2 - t1, "call_s": t3 - t2,
+                  "solve_s": t3 - t1,
                   "degeneracy": gs.degeneracy, "energy": gs.energy,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
@@ -103,7 +109,7 @@ def ladder_side(runs: list) -> dict:
     and every run's values; the first run as it is if it did not solve."""
     if "solve_s" not in runs[0]:
         return runs[0]
-    timed = ("build_s", "solve_s", "peak_rss_mb")
+    timed = ("build_s", "setup_s", "call_s", "solve_s", "peak_rss_mb")
     return {**runs[0], **{key: statistics.median(r[key] for r in runs) for key in timed},
             "runs": [{key: r[key] for key in timed} for r in runs]}
 
