@@ -14,9 +14,9 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -97,16 +97,16 @@ class SweepConfig:
 def parse_target(spec: str):
     """Target syntax: c2:s,r | q:s,r | block:M | partition:M1+M2+...  ."""
     kind, _, rest = spec.partition(":")
-    if kind == "c2":
-        s, r = (int(v) for v in rest.split(","))
-        return ("c2", s, r)
-    if kind == "q":
-        s, r = (int(v) for v in rest.split(","))
-        return ("q", s, r)
-    if kind == "block":
-        return ("block", int(rest))
-    if kind == "partition":
-        return ("partition", tuple(int(v) for v in rest.split("+")))
+    try:
+        if kind in ("c2", "q"):
+            s, r = (int(v) for v in rest.split(","))
+            return (kind, s, r)
+        if kind == "block":
+            return ("block", int(rest))
+        if kind == "partition":
+            return ("partition", tuple(int(v) for v in rest.split("+")))
+    except ValueError:
+        raise ValueError(f"bad target {spec!r}; targets are c2:s,r, q:s,r, block:M or partition:M1+M2+...") from None
     raise ValueError(f"unknown target {spec!r}")
 
 
@@ -144,11 +144,8 @@ def build_target(cfg: SweepConfig, target):
 
 
 def target_label(target) -> str:
-    if target[0] in ("c2", "q"):
-        return f"{target[0]}_{target[1]}_{target[2]}"
-    if target[0] == "block":
-        return f"block_{target[1]}"
-    return "partition_" + "_".join(str(m) for m in target[1])
+    kind, *args = target
+    return "_".join(str(v) for v in (kind, *(args[0] if kind == "partition" else args)))
 
 
 # ------------------------------------------------------------------ sweeps
@@ -170,9 +167,13 @@ def _sweep(cfg: SweepConfig):
         yield gamma, x, solver(gamma)
 
 
-def _require_effective(cfg: SweepConfig, command: str) -> None:
-    if cfg.model != "effective":
-        raise ValueError(f"{command} runs on the effective model only, got --model {cfg.model}")
+def _sweep_comment(cfg: SweepConfig, effective_only: Optional[str] = None) -> str:
+    """The summary line of a sweep CSV.  A command that reads pair-basis
+    states passes its name as ``effective_only`` and is refused here, on
+    the full model, before any solve."""
+    if effective_only and cfg.model != "effective":
+        raise ValueError(f"{effective_only} runs on the effective model only, got --model {cfg.model}")
+    return f"model = {cfg.model}, d = {cfg.d}, N = {cfg.n}, J = {fmt(cfg.j)}, U = {fmt(cfg.u)}"
 
 
 # ---------------------------------------------------------------- CSV output
@@ -191,10 +192,11 @@ def write_csv(out: Optional[str], comment_lines, header, rows):
 
 
 # --------------------------------------------------------------- subcommands
+# Each takes the option values it reads (``OPTIONS``), keyed by config key.
 
-def cmd_ground_state(cfg: SweepConfig, gamma_u_j2: float) -> int:
-    gamma = cfg.gamma(gamma_u_j2)
-    gs = ground_space(_hamiltonian(cfg, gamma), tol_deg=cfg.tol)
+def cmd_ground_state(values: dict) -> int:
+    cfg = sweep_config_from(values)
+    gs = ground_space(_hamiltonian(cfg, cfg.gamma(values["gamma-u-j2"])), tol_deg=cfg.tol)
     vec = gs.state.amplitudes
     comments = [
         f"energy = {fmt(gs.energy)}",
@@ -213,14 +215,14 @@ def cmd_ground_state(cfg: SweepConfig, gamma_u_j2: float) -> int:
     return 0
 
 
-def cmd_fidelity_scan(cfg: SweepConfig) -> int:
+def cmd_fidelity_scan(values: dict) -> int:
+    cfg = sweep_config_from(values)
     if not cfg.targets:
         raise ValueError("fidelity-scan needs at least one --targets entry")
     targets = [build_target(cfg, t) for t in cfg.targets]
     rows = [[gamma, x] + [fidelity(t, gs) for t in targets] for gamma, x, gs in _sweep(cfg)]
     header = ["gamma", "gammaU_J2"] + [target_label(t) for t in cfg.targets]
-    comments = [f"model = {cfg.model}, d = {cfg.d}, N = {cfg.n}, J = {fmt(cfg.j)}, U = {fmt(cfg.u)}"]
-    write_csv(cfg.out, comments, header, rows)
+    write_csv(cfg.out, [_sweep_comment(cfg)], header, rows)
     return 0
 
 
@@ -236,7 +238,10 @@ def _oracle_prefix(d: int, n_max: int, m: int) -> list:
     return prefix
 
 
-def cmd_chi(cfg: SweepConfig, d_range, n_range, m_range) -> int:
+def cmd_chi(values: dict) -> int:
+    d_range = parse_range(values.get("d", "2:12"))
+    n_range = parse_range(values.get("n", "1:4"))
+    m_range = parse_range(values.get("m", "1"))
     header = ["d", "N", "M", "chi_closed", "chi_oracle", "ratio_next", "lower_bound"]
     rows = []
     for d in range(d_range[0], d_range[1] + 1):
@@ -250,12 +255,13 @@ def cmd_chi(cfg: SweepConfig, d_range, n_range, m_range) -> int:
                 ratio = fmt(chi_closed(d, n + 1, m) / closed) if closed else ""
                 bound = fmt(ratio_lower_bound(d, n, m))
                 rows.append([str(d), str(n), str(m), fmt(closed), oracle, ratio, bound])
-    write_csv(cfg.out, ["chi_N^(M) closed form vs explicit-construction oracle"], header, rows)
+    write_csv(values.get("out"), ["chi_N^(M) closed form vs explicit-construction oracle"], header, rows)
     return 0
 
 
-def cmd_purity_scan(cfg: SweepConfig) -> int:
-    _require_effective(cfg, "purity-scan")
+def cmd_purity_scan(values: dict) -> int:
+    cfg = sweep_config_from(values)
+    comment = _sweep_comment(cfg, effective_only="purity-scan")
     d, n = cfg.d, cfg.n
     rows = [[gamma, x, 1.0 - single_pair_purity(gs.state)[1]] for gamma, x, gs in _sweep(cfg)]
     # analytic checkpoints: independent-pairs value at gamma*U/J^2 = 4 and
@@ -265,24 +271,24 @@ def cmd_purity_scan(cfg: SweepConfig) -> int:
     for row in rows:
         row += [1.0 - uniform, 1.0 - plateau]
     header = ["gamma", "gammaU_J2", "one_minus_P1", "checkpoint_at_4", "plateau_block"]
-    comments = [f"model = effective, d = {d}, N = {n}, J = {fmt(cfg.j)}, U = {fmt(cfg.u)}"]
-    write_csv(cfg.out, comments, header, rows)
+    write_csv(cfg.out, [comment], header, rows)
     return 0
 
 
-def cmd_g2_scan(cfg: SweepConfig) -> int:
-    _require_effective(cfg, "g2-scan")
+def cmd_g2_scan(values: dict) -> int:
+    cfg = sweep_config_from(values)
+    comment = _sweep_comment(cfg, effective_only="g2-scan")
     rows = []
     for gamma, x, gs in _sweep(cfg):
         vec = gs.state
         rows += [[gamma, x, sep, g2(vec, 0, sep)] for sep in range(1, cfg.d // 2 + 1)]
     header = ["gamma", "gammaU_J2", "separation", "g2"]
-    comments = [f"model = effective, d = {cfg.d}, N = {cfg.n}, J = {fmt(cfg.j)}, U = {fmt(cfg.u)}"]
-    write_csv(cfg.out, comments, header, rows)
+    write_csv(cfg.out, [comment], header, rows)
     return 0
 
 
-def cmd_energy_ledger(cfg: SweepConfig) -> int:
+def cmd_energy_ledger(values: dict) -> int:
+    cfg = sweep_config_from(values)
     n = cfg.n
     ledger = energy_ledger(n, 1.0, 0.0)  # for the exact thresholds only
     comments = [
@@ -378,7 +384,7 @@ def _verify_checks():
     yield "effective-model fidelity at gamma*U/J^2 = 4", ok, str(rep.fidelity)
 
 
-def cmd_verify() -> int:
+def cmd_verify(values: dict) -> int:
     failures = 0
     for name, ok, detail in _verify_checks():
         if ok:
@@ -413,6 +419,63 @@ def parse_grid(text: str) -> tuple:
     return lo, hi, pts
 
 
+def parse_targets_grouped(text: str) -> tuple:
+    """Split a target list on commas, keeping 's,r' pairs together."""
+    out = []
+    for piece in text.split(","):
+        if out and ":" not in piece:
+            out[-1] = out[-1] + "," + piece
+        else:
+            out.append(piece)
+    return tuple(parse_target(s) for s in out)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: its config key (the flag is ``--key``; a flag only when
+    not ``config``), the subcommands that read it, its argparse settings,
+    and the ``SweepConfig`` fields that ``parse`` fills from its value
+    (none for the options that only ``chi`` and ``ground-state`` read)."""
+
+    key: str
+    commands: tuple
+    flag: dict
+    fields: tuple = ()
+    parse: Callable = str
+    config: bool = True
+
+
+_SOLVES = ("ground-state", "fidelity-scan", "purity-scan", "g2-scan")
+OPTIONS = {opt.key: opt for opt in (
+    Option("model", _SOLVES, dict(choices=("full", "effective")), ("model",)),
+    Option("d", (*_SOLVES, "chi"), dict(help="sites (ranges lo:hi allowed for chi)"), ("d",), int),
+    Option("n", (*_SOLVES, "energy-ledger", "chi"), dict(help="pair count N (ranges lo:hi allowed for chi)"),
+           ("n",), int),
+    Option("J", _SOLVES, dict(type=float, help="hopping energy"), ("j",), float),
+    Option("U", _SOLVES, dict(type=float, help="point-interaction energy"), ("u",), float),
+    Option("gamma-grid", ("fidelity-scan", "purity-scan", "g2-scan", "energy-ledger"),
+           dict(help="min:max:points in gamma*U/J^2 units"), ("grid_min", "grid_max", "grid_points"), parse_grid),
+    Option("targets", ("fidelity-scan",), dict(help="comma list: c2:s,r / q:s,r / block:M / partition:M1+M2+..."),
+           ("targets",), parse_targets_grouped),
+    Option("out", (*_SOLVES, "energy-ledger", "chi"), dict(help="output CSV path (default stdout)"), ("out",)),
+    Option("tol", _SOLVES, dict(type=float, help="solver degeneracy tolerance"), ("tol",), float),
+    Option("m", ("chi",), dict(help="M range lo:hi (default 1)")),
+    Option("gamma-u-j2", ("ground-state",), dict(type=float, default=0.0, help="gamma*U/J^2 value"), config=False),
+)}
+CONFIG_KEYS = tuple(key for key, opt in OPTIONS.items() if opt.config)
+
+# (name, help, runner)
+COMMANDS = (
+    ("ground-state", "ground state amplitudes at one gamma", cmd_ground_state),
+    ("fidelity-scan", "fidelities vs targets over a gamma grid", cmd_fidelity_scan),
+    ("purity-scan", "1 - P1 over a gamma grid (effective model)", cmd_purity_scan),
+    ("g2-scan", "pair g2 over a gamma grid (effective model)", cmd_g2_scan),
+    ("energy-ledger", "ledger energies and the assembly threshold", cmd_energy_ledger),
+    ("chi", "chi table over (d, N, M) ranges", cmd_chi),
+    ("verify", "run the analytic checkpoint suite", cmd_verify),
+)
+
+
 def load_config_file(path: str) -> dict:
     """Flat key = value lines; '#' starts a comment; flags override.  A
     key outside CONFIG_KEYS is an error."""
@@ -431,46 +494,35 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-CONFIG_KEYS = ("model", "d", "n", "J", "U", "gamma-grid", "targets", "out", "tol", "m")
+def sweep_config_from(values: dict) -> SweepConfig:
+    """The ``SweepConfig`` of option values keyed by config key: strings,
+    or what a flag's argparse type made of them."""
+    kw = {}
+    for key, value in values.items():
+        fields, parse = OPTIONS[key].fields, OPTIONS[key].parse
+        if fields:
+            parsed = parse(value)
+            kw.update(zip(fields, parsed if len(fields) > 1 else (parsed,)))
+    return SweepConfig(**kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``COMMANDS`` row, holding the flags of the
+    ``OPTIONS`` it reads, and ``--config`` when it reads a config key."""
     parser = argparse.ArgumentParser(
         prog="cobosons",
         description="Composite-boson assembly experiments on the 1D extended Hubbard model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value file; explicit flags win. "
-                       f"Keys: {', '.join(CONFIG_KEYS)}")
-        p.add_argument("--model", choices=("full", "effective"))
-        p.add_argument("--d", help="sites (ranges lo:hi allowed for chi)")
-        p.add_argument("--n", help="pair count N (ranges lo:hi allowed for chi)")
-        p.add_argument("--J", type=float, help="hopping energy")
-        p.add_argument("--U", type=float, help="point-interaction energy")
-        p.add_argument("--gamma-grid", help="min:max:points in gamma*U/J^2 units")
-        p.add_argument("--targets", help="comma list: c2:s,r / q:s,r / block:M / partition:M1+M2+...")
-        p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--tol", type=float, help="solver degeneracy tolerance")
-
-    p = sub.add_parser("ground-state", help="ground state amplitudes at one gamma")
-    add_common(p)
-    p.add_argument("--gamma-u-j2", type=float, default=0.0, help="gamma*U/J^2 value")
-
-    for name, txt in (
-        ("fidelity-scan", "fidelities vs targets over a gamma grid"),
-        ("purity-scan", "1 - P1 over a gamma grid (effective model)"),
-        ("g2-scan", "pair g2 over a gamma grid (effective model)"),
-        ("energy-ledger", "ledger energies and the assembly threshold"),
-    ):
-        add_common(sub.add_parser(name, help=txt))
-
-    p = sub.add_parser("chi", help="chi table over (d, N, M) ranges")
-    add_common(p)
-    p.add_argument("--m", help="M range lo:hi (default 1)")
-
-    sub.add_parser("verify", help="run the analytic checkpoint suite")
+    for name, text, runner in COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=runner)
+        options = [opt for opt in OPTIONS.values() if name in opt.commands]
+        if any(opt.config for opt in options):
+            p.add_argument("--config", help="flat key = value file; explicit flags win. "
+                           f"Keys: {', '.join(CONFIG_KEYS)}")
+        for opt in options:
+            p.add_argument(f"--{opt.key}", dest=opt.key, **opt.flag)
     return parser
 
 
@@ -481,76 +533,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _merged(args) -> dict:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            values[key] = val
-    return values
-
-
-def sweep_config_from(values: dict) -> SweepConfig:
-    cfg = SweepConfig()
-    kw = {}
-    if "model" in values:
-        kw["model"] = values["model"]
-    if "d" in values:
-        kw["d"] = int(values["d"])
-    if "n" in values:
-        kw["n"] = int(values["n"])
-    if "J" in values:
-        kw["j"] = float(values["J"])
-    if "U" in values:
-        kw["u"] = float(values["U"])
-    if "gamma-grid" in values:
-        lo, hi, pts = parse_grid(values["gamma-grid"])
-        kw.update(grid_min=lo, grid_max=hi, grid_points=pts)
-    if "targets" in values:
-        kw["targets"] = parse_targets_grouped(values["targets"])
-    if "out" in values:
-        kw["out"] = values["out"]
-    if "tol" in values:
-        kw["tol"] = float(values["tol"])
-    return replace(cfg, **kw)
-
-
-def parse_targets_grouped(text: str) -> tuple:
-    """Split a target list on commas, keeping 's,r' pairs together."""
-    out = []
-    for piece in text.split(","):
-        if out and ":" not in piece:
-            out[-1] = out[-1] + "," + piece
-        else:
-            out.append(piece)
-    return tuple(parse_target(s) for s in out)
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify()
-    values = _merged(args)
-    if args.command == "chi":
-        d_range = parse_range(str(values.get("d", "2:12")))
-        n_range = parse_range(str(values.get("n", "1:4")))
-        m_range = parse_range(str(values.get("m", "1")))
-        cfg = SweepConfig(out=values.get("out"))
-        return cmd_chi(cfg, d_range, n_range, m_range)
-    cfg = sweep_config_from(values)
-    if args.command == "ground-state":
-        return cmd_ground_state(cfg, args.gamma_u_j2)
-    if args.command == "fidelity-scan":
-        return cmd_fidelity_scan(cfg)
-    if args.command == "purity-scan":
-        return cmd_purity_scan(cfg)
-    if args.command == "g2-scan":
-        return cmd_g2_scan(cfg)
-    if args.command == "energy-ledger":
-        return cmd_energy_ledger(cfg)
-    raise AssertionError(f"unhandled command {args.command}")
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    # a config file may hold any key; the command reads its own, and flags win
+    values = {key: value for key, value in values.items() if args.command in OPTIONS[key].commands}
+    values.update((key, value) for key, value in vars(args).items() if key in OPTIONS and value is not None)
+    return args.run(values)
 
 
 def run(argv=None) -> int:

@@ -106,9 +106,12 @@ class _SectorTables:
 
     @_table
     def hop_block(self, K: int, even: bool) -> tuple:
-        """``_project(hop(), P)``, P = ``even_projector()`` when ``even``
-        (K = 0), else ``projector(K)``: (block, representatives)."""
-        return _project(self.hop(), self.even_projector() if even else self.projector(K))
+        """(P, ``_project(hop(), P)``): P = ``even_projector()`` when
+        ``even`` (K = 0), else ``projector(K)``, then P^H hop P and the
+        representative of each column.  The block of diag(D) is
+        diag(D[representatives])."""
+        proj = self.even_projector() if even else self.projector(K)
+        return (proj, *_project(self.hop(), proj))
 
     @_table
     def translation_table(self) -> tuple:

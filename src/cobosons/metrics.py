@@ -279,6 +279,8 @@ def single_pair_rdm(psi: StateVector) -> np.ndarray:
     basis = psi.basis
     if not isinstance(basis, PairBasis):
         raise BasisMismatchError("single-pair RDM is defined on the pair basis")
+    if basis.n == 0:
+        raise ValueError(f"single-pair RDM needs N >= 1 pairs, got a zero-pair state on d = {basis.d}")
     # eta_i^dag eta_j joins the (N-1)-pair rest m to a pair at j or at i:
     # rho_ij = sum_m conj(A[m, i]) A[m, j] / N with A[m, k] = psi(m | 1 << k),
     # and 0 where m holds k (the basis's gather table points past the end)
@@ -363,7 +365,7 @@ def ledger_vs_exact_check(d, n, partition, jbar, gammabar) -> LedgerDeviation:
     if partition.total != n:
         raise ValueError(f"partition {partition} does not sum to N={n}")
     state, _ = build_partition_state(d, partition)
-    h_eff = build_effective_from_bars(d, n, jbar, gammabar, state.basis)
+    h_eff = build_effective_from_bars(d, n, jbar, gammabar)
     exact = h_eff.expectation(state).real
     r = sum(1 for m in partition.parts if m == 1)
     k = len(partition.parts)

@@ -14,7 +14,6 @@ from .fock import (
     MAX_BASIS_STATES,
     BasisMismatchError,
     CapacityError,
-    FullBasis,
     PairBasis,
     StateVector,
     _table,
@@ -125,37 +124,36 @@ class SparseOperator:
 
 # ------------------------------------------------------------- full Hubbard
 
-def build_full_hamiltonian(params: ModelParams, basis: Optional[FullBasis] = None):
-    """H = J*H0 + U*Hp + gamma*Hnn on the two-species basis, from the
-    basis's hop (the Kronecker sum of the two species hops), on-site pair
-    count and bond count."""
-    if basis is None:
-        if params.n_a is None or params.n_b is None:
-            n = params.pair_count()
-            basis = full_basis(params.d, n, n)
-        else:
-            basis = full_basis(params.d, params.n_a, params.n_b)
+def build_full_hamiltonian(params: ModelParams):
+    """H = J*H0 + U*Hp + gamma*Hnn on the shared two-species basis of
+    (d, N_A, N_B), N_A = N_B = N when ``params`` gives N, from the basis's
+    hop (the Kronecker sum of the two species hops), on-site pair count
+    and bond count."""
+    if params.n_a is None or params.n_b is None:
+        n = params.pair_count()
+        basis = full_basis(params.d, n, n)
+    else:
+        basis = full_basis(params.d, params.n_a, params.n_b)
     diag = -params.u * basis.onsite() - params.gamma * basis.bonds()
     return SparseOperator(basis, diag, params.j)
 
 
 # -------------------------------------------------------- effective pair model
 
-def build_effective_hamiltonian(params: ModelParams, basis: Optional[PairBasis] = None):
-    """Strong-coupling pair model: hopping -2J^2/U and nearest-neighbour
-    attraction -(2*gamma - 4J^2/U); the N-dependent constant is dropped."""
+def build_effective_hamiltonian(params: ModelParams):
+    """Strong-coupling pair model on the shared pair basis of (d, N):
+    hopping -2J^2/U and nearest-neighbour attraction -(2*gamma - 4J^2/U);
+    the N-dependent constant is dropped."""
     if params.u == 0:
         raise ValueError("effective model undefined for U = 0")
-    if basis is None:
-        basis = pair_basis(params.d, params.pair_count())
     # 2*gamma - 4J^2/U == gammabar, so the pair model closes over the bars
-    return build_effective_from_bars(params.d, basis.n, params.jbar, params.gammabar, basis)
+    return build_effective_from_bars(params.d, params.pair_count(), params.jbar, params.gammabar)
 
 
-def build_effective_from_bars(d, n, jbar, gammabar, basis: Optional[PairBasis] = None):
-    """Pair model directly from the renormalized couplings Jbar, gammabar."""
-    if basis is None:
-        basis = pair_basis(d, n)
+def build_effective_from_bars(d, n, jbar, gammabar):
+    """Pair model on the shared pair basis of (d, N) directly from the
+    renormalized couplings Jbar, gammabar."""
+    basis = pair_basis(d, n)
     return SparseOperator(basis, -gammabar * basis.bonds(), jbar)
 
 

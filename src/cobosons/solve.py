@@ -23,8 +23,6 @@ from .fock import (
     PairBasis,
     StateVector,
     fix_phase,
-    full_basis,
-    pair_basis,
     project_to_pair_sector,
 )
 from .model import (
@@ -234,15 +232,6 @@ def _certify(op: SparseOperator, coupling: np.ndarray) -> tuple:
     return "sector", fixed(op.basis.reflection_index())
 
 
-def _sector_block(basis, K: int, even: bool) -> tuple:
-    """(P, hop block, reps) of one block of a translation-invariant builder
-    operator on ``basis``: P = ``even_projector()`` when ``even`` (K = 0),
-    else ``projector(K)``, and P^H hop P = ``hop_block(K, even)``, kept
-    with the basis; the block of diag(D) is diag(D[reps])."""
-    proj = basis.even_projector() if even else basis.projector(K)
-    return (proj, *basis.hop_block(K, even))
-
-
 class GroundSolver:
     """Ground spaces of op + gamma * diag(coupling), op = diag(D) - t * hop.
 
@@ -270,7 +259,8 @@ class GroundSolver:
       (``_band``, from t and the chain's phase) with no P and every site
       as reps.  ``_banded`` allocates n x n, so n^2 is held to
       MAX_BASIS_STATES (``CapacityError``).
-    A lattice block -t * P^H hop P (``_sector_block``) has the gamma term
+    A lattice block -t * P^H hop P (``basis.hop_block(K, even)``, which
+    returns (P, P^H hop P, reps)) has the gamma term
     diag(coupling[reps]), exact because the coupling is
     constant on each orbit.  An operator or a coupling that breaks T
     raises ``ValueError`` before any block exists.  The tables of the unit
@@ -326,7 +316,7 @@ class GroundSolver:
             ks = (0,) if sector else range(op.basis.d // 2 + 1)
             limit = SECTOR_DENSE_LIMIT if sector else DENSE_LIMIT
             iterative = (_lanczos, LEVELS) if sector else (_arpack, ARPACK_LEVELS)
-            blocks = {k: _sector_block(op.basis, k, even) for k in ks}
+            blocks = {k: op.basis.hop_block(k, even) for k in ks}
             self._blocks = {k: (proj, hop * -op.hopping, reps, *(iterative if reps.size >= limit else (_dense, LEVELS)))
                             for k, (proj, hop, reps) in blocks.items() if reps.size}
         self.dims = tuple(self._coupling[reps].size for _, _, reps, *_ in self._blocks.values())
@@ -492,11 +482,10 @@ def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
             constant=constant,
         )
 
-    pbasis = pair_basis(params.d, n)
-    eff = ground_space(build_effective_hamiltonian(params, pbasis))
-    full = ground_space(build_full_hamiltonian(params, full_basis(params.d, n, n)))
+    eff = ground_space(build_effective_hamiltonian(params))
+    full = ground_space(build_full_hamiltonian(params))
 
-    projected = project_to_pair_sector(full.state, pbasis)
+    projected = project_to_pair_sector(full.state, eff.basis)
     pnorm = projected.norm
     if pnorm == 0.0:
         fid = 0.0

@@ -45,6 +45,13 @@ def test_parse_target_forms():
         parse_target("bogus:1")
 
 
+@pytest.mark.parametrize("spec", ["q:1", "c2:0", "block:x", "partition:", "q:1,2,3"])
+def test_parse_target_names_a_malformed_target_and_the_syntax(spec):
+    with pytest.raises(ValueError) as err:
+        parse_target(spec)
+    assert str(err.value) == f"bad target {spec!r}; targets are c2:s,r, q:s,r, block:M or partition:M1+M2+..."
+
+
 def test_parse_targets_grouped():
     targets = parse_targets_grouped("q:1,0,partition:2+1,block:3")
     assert targets == (("q", 1, 0), ("partition", (2, 1)), ("block", 3))
@@ -174,6 +181,8 @@ def test_console_entry_reports_input_errors_in_one_line(tmp_path):
         ([*scan, "0:1:1"], "bad grid '0:1:1'"),
         (["chi", "--d", "5:2"], "bad range '5:2'"),
         (["ground-state", "--model", "full", "--d", "4", "--n", "1", "--U", "0"], "need finite J >= 0 and U > 0"),
+        (["fidelity-scan", "--d", "6", "--n", "2", "--targets", "q:1"], "bad target 'q:1'; targets are c2:s,r"),
+        (["purity-scan", "--d", "6", "--n", "0", "--gamma-grid", "0:1:2"], "single-pair RDM needs N >= 1 pairs"),
     ]
     for argv, message in cases:
         proc = subprocess.run([sys.executable, "-m", "cobosons.cli", *argv],
@@ -504,3 +513,88 @@ def test_successive_calls_in_one_process_print_what_fresh_processes_print(capsys
         out, _ = proc.communicate(timeout=120)
         assert proc.returncode == 0, argv
         assert capsys.readouterr().out == out, argv
+
+
+FLAGS = {  # the flags of each subcommand: the options it reads
+    "ground-state": "--config --model --d --n --J --U --tol --out --gamma-u-j2",
+    "fidelity-scan": "--config --model --d --n --J --U --gamma-grid --targets --tol --out",
+    "purity-scan": "--config --model --d --n --J --U --gamma-grid --tol --out",
+    "g2-scan": "--config --model --d --n --J --U --gamma-grid --tol --out",
+    "energy-ledger": "--config --n --gamma-grid --out",
+    "chi": "--config --d --n --m --out",
+    "verify": "",
+}
+REFUSED = {  # flags each subcommand once accepted and ignored
+    "ground-state": "--gamma-grid --targets",
+    "purity-scan": "--targets",
+    "g2-scan": "--targets",
+    "energy-ledger": "--model --d --J --U --targets --tol",
+    "chi": "--model --J --U --gamma-grid --targets --tol",
+}
+FLAG_VALUES = {"--model": "effective", "--d": "6", "--n": "2", "--J": "1", "--U": "1000",
+               "--gamma-grid": "0:1:2", "--targets": "block:2", "--tol": "1e-9"}
+
+
+def test_each_subcommand_has_exactly_the_flags_it_reads():
+    from cobosons.cli import build_parser
+
+    commands = build_parser()._subparsers._group_actions[0].choices
+    got = {name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+           for name, p in commands.items()}
+    assert got == {name: set(flags.split()) for name, flags in FLAGS.items()}
+    assert list(commands) == list(FLAGS)
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REFUSED.items() for f in flags.split()])
+def test_a_flag_the_subcommand_does_not_read_is_refused(command, flag, capsys):
+    assert flag not in FLAGS[command].split()
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--n", "2", flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"cobosons: error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}"
+
+
+class _Read(Exception):
+    """Stops a subcommand once it has read its options."""
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("ground-state", "model", "full"), ("ground-state", "d", "7"), ("ground-state", "n", "3"),
+    ("ground-state", "J", "2.5"), ("ground-state", "U", "500"), ("purity-scan", "gamma-grid", "1:3:5"),
+    ("fidelity-scan", "targets", "q:1,0,partition:1+1"), ("g2-scan", "out", "x.csv"),
+    ("ground-state", "tol", "1e-7"), ("energy-ledger", "n", "5"), ("energy-ledger", "gamma-grid", "0:2:3"),
+])
+def test_a_config_key_reads_as_its_flag(command, key, value, tmp_path, monkeypatch):
+    import cobosons.cli as cli
+
+    read = []
+
+    def stop(values):
+        read.append(sweep_config_from(values))
+        raise _Read
+
+    monkeypatch.setattr(cli, "sweep_config_from", stop)
+    cfgfile = tmp_path / "one.cfg"
+    cfgfile.write_text(f"{key} = {value}\n", encoding="utf-8")
+    for argv in ([command, f"--{key}", value], [command, "--config", str(cfgfile)]):
+        with pytest.raises(_Read):
+            main(argv)
+    assert read[0] == read[1] != SweepConfig()
+
+
+@pytest.mark.parametrize("key, value", [("d", "4:5"), ("n", "1:2"), ("m", "2:3")])
+def test_a_chi_config_key_reads_as_its_flag(key, value, tmp_path, monkeypatch):
+    import cobosons.cli as cli
+
+    ranges = []
+    monkeypatch.setattr(cli, "parse_range", lambda text: ranges.append(parse_range(text)) or ranges[-1])
+    cfgfile = tmp_path / "chi.cfg"
+    cfgfile.write_text(f"{key} = {value}\nmodel = full\ntargets = block:2\n", encoding="utf-8")
+    small = {"d": "5", "n": "1", "m": "1"}
+    rest = [arg for other, v in small.items() if other != key for arg in (f"--{other}", v)]
+    for argv in (["chi", f"--{key}", value], ["chi", "--config", str(cfgfile)]):
+        main([*argv, *rest, "--out", str(tmp_path / "chi.csv")])
+    assert ranges[:3] == ranges[3:]
+    assert parse_range(value) in ranges[:3]

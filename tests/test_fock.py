@@ -381,7 +381,7 @@ def test_facts_of_the_stoquastic_part_of_an_even_n_full_model():
     # negative: stoquastic and connected, but |.| drops the signs -1 of the
     # signed translation, so Perron-Frobenius does not certify it
     basis = full_basis(4, 2, 2)
-    h = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2), basis).to_csr()
+    h = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2)).to_csr()
     diag = sp.diags(h.diagonal())
     got = facts(diag - abs(h - diag), basis)
     assert (got.negative, got.connected, got.sign_free, got.perron) == (True, True, False, False)

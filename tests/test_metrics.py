@@ -207,6 +207,14 @@ def test_single_pair_rdm_properties():
     assert evals.min() > -1e-12
 
 
+def test_single_pair_rdm_refuses_a_zero_pair_state():
+    psi = StateVector(pair_basis(6, 0), np.ones(1))
+    with pytest.raises(ValueError, match="single-pair RDM needs N >= 1 pairs, got a zero-pair state on d = 6"):
+        single_pair_rdm(psi)
+    with pytest.raises(ValueError, match="zero-pair state"):
+        single_pair_purity(psi)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(2, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),

@@ -54,8 +54,9 @@ def test_full_hamiltonian_is_hermitian_and_real_spectrum():
 def test_full_hamiltonian_diagonal_terms():
     d = 5
     p = ModelParams(j=0.0, u=3.0, gamma=0.25, d=d, n_a=2, n_b=2)
-    basis = full_basis(d, 2, 2)
-    h = build_full_hamiltonian(p, basis)
+    h = build_full_hamiltonian(p)
+    basis = h.basis
+    assert basis is full_basis(d, 2, 2)
     dense = h.to_csr().toarray()
     full = (1 << d) - 1
     for i, (ma, mb) in enumerate(basis.states):
@@ -70,8 +71,8 @@ def test_full_hamiltonian_diagonal_terms():
 
 def test_full_hamiltonian_translation_symmetry(rng):
     p = ModelParams(j=1.0, u=2.0, gamma=0.7, d=4, n=2)
-    basis = full_basis(4, 2, 2)
-    h = build_full_hamiltonian(p, basis)
+    h = build_full_hamiltonian(p)
+    basis = h.basis
     a = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     psi = StateVector(basis, a / np.linalg.norm(a))
     lhs = h.to_csr() @ translate(psi, 1).amplitudes
@@ -82,8 +83,9 @@ def test_full_hamiltonian_translation_symmetry(rng):
 def test_effective_matrix_elements():
     d = 5
     p = ModelParams(j=1.0, u=10.0, gamma=0.8, d=d, n=2)
-    basis = pair_basis(d, 2)
-    h = build_effective_hamiltonian(p, basis)
+    h = build_effective_hamiltonian(p)
+    basis = h.basis
+    assert basis is pair_basis(d, 2)
     dense = h.to_csr().toarray()
     jbar = p.jbar
     vnn = 2.0 * p.gamma - 4.0 * p.j**2 / p.u
@@ -110,10 +112,25 @@ def test_effective_model_closes_over_bars():
     assert np.allclose(direct, bars)
 
 
+def test_builders_name_their_sector_by_parameters_only():
+    # the sector is (d, N) or (d, N_A, N_B) from the parameters; no basis
+    # argument can override it
+    p = ModelParams(j=1.0, u=10.0, gamma=0.2, d=6, n=2)
+    assert build_effective_from_bars(10, 3, 1.0, 0.5).basis is pair_basis(10, 3)
+    assert build_effective_hamiltonian(p).basis is pair_basis(6, 2)
+    assert build_full_hamiltonian(p).basis is full_basis(6, 2, 2)
+    unequal = ModelParams(j=1.0, u=10.0, gamma=0.2, d=6, n_a=1, n_b=2)
+    assert build_full_hamiltonian(unequal).basis is full_basis(6, 1, 2)
+    for build, args in ((build_effective_from_bars, (10, 3, 1.0, 0.5)), (build_effective_hamiltonian, (p,)),
+                        (build_full_hamiltonian, (p,))):
+        with pytest.raises(TypeError):
+            build(*args, pair_basis(6, 2))
+
+
 def test_matvec_free_agrees_with_stored_operator(rng):
     p = ModelParams(j=1.0, u=12.0, gamma=0.4, d=7, n=3)
-    basis = pair_basis(7, 3)
-    h = build_effective_hamiltonian(p, basis)
+    h = build_effective_hamiltonian(p)
+    basis = h.basis
     a = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     psi = StateVector(basis, a / np.linalg.norm(a))
     assert np.allclose(matvec_effective_free(p, psi).amplitudes, h.to_csr() @ psi.amplitudes)
@@ -138,16 +155,14 @@ def test_builders_match_loop_oracles_exactly():
             for n_a in range(d + 1):
                 for n_b in range(d + 1):
                     p = ModelParams(j=j, u=u, gamma=gamma, d=d, n_a=n_a, n_b=n_b)
-                    basis = full_basis(d, n_a, n_b)
-                    _assert_same_csr(build_full_hamiltonian(p, basis), full_hamiltonian_oracle(p, basis))
+                    h = build_full_hamiltonian(p)
+                    _assert_same_csr(h, full_hamiltonian_oracle(p, full_basis(d, n_a, n_b)))
             if u == 0:
                 continue
             for n in range(d + 1):
                 p = ModelParams(j=j, u=u, gamma=gamma, d=d, n=n)
-                basis = pair_basis(d, n)
-                _assert_same_csr(
-                    build_effective_hamiltonian(p, basis), effective_hamiltonian_oracle(p, basis)
-                )
+                h = build_effective_hamiltonian(p)
+                _assert_same_csr(h, effective_hamiltonian_oracle(p, pair_basis(d, n)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -164,10 +179,10 @@ def test_builders_match_oracles_and_commute_with_translation(sizes, j, u, gamma,
     d, n_a, n_b = sizes
     rng = np.random.default_rng(seed)
     p = ModelParams(j=j, u=u, gamma=gamma, d=d, n_a=n_a, n_b=n_b)
-    cases = [(p, build_full_hamiltonian(p, full_basis(d, n_a, n_b)), full_hamiltonian_oracle)]
+    cases = [(p, build_full_hamiltonian(p), full_hamiltonian_oracle)]
     if u > 0:
         pp = ModelParams(j=j, u=u, gamma=gamma, d=d, n=n_a)
-        cases.append((pp, build_effective_hamiltonian(pp, pair_basis(d, n_a)), effective_hamiltonian_oracle))
+        cases.append((pp, build_effective_hamiltonian(pp), effective_hamiltonian_oracle))
     for params, h, oracle in cases:
         basis = h.basis
         _assert_same_csr(h, oracle(params, basis))

@@ -506,7 +506,7 @@ def test_uncertified_operators_solve_the_whole_operator(name):
     if name in INVARIANT:
         _assert_momenta_path_matches_whole_operator(op, name)
         return
-    with mock.patch.object(solve, "_sector_block", side_effect=AssertionError("block built")):
+    with mock.patch.object(fock._SectorTables, "hop_block", side_effect=AssertionError("block built")):
         with pytest.raises(ValueError, match="no solver path: .*breaks the lattice translation"):
             ground_space(op)
 
@@ -881,7 +881,7 @@ def test_ground_solver_refuses_a_coupling_that_breaks_the_translation():
     # path solves the family, and no block is built
     op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=3))
     site = (op.basis.states & 1).astype(float)
-    with mock.patch.object(solve, "_sector_block", side_effect=AssertionError("block built")):
+    with mock.patch.object(fock._SectorTables, "hop_block", side_effect=AssertionError("block built")):
         with pytest.raises(ValueError, match="the operator or the coupling breaks the lattice translation"):
             GroundSolver(op, site)
     assert GroundSolver(op, gamma_coupling(op.basis)).path == "sector"
