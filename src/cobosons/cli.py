@@ -239,9 +239,9 @@ def _oracle_prefix(d: int, n_max: int, m: int) -> list:
 
 
 def cmd_chi(values: dict) -> int:
-    d_range = parse_range(values.get("d", "2:12"))
-    n_range = parse_range(values.get("n", "1:4"))
-    m_range = parse_range(values.get("m", "1"))
+    d_range = _parsed("d", parse_range, values.get("d", "2:12"))
+    n_range = _parsed("n", parse_range, values.get("n", "1:4"))
+    m_range = _parsed("m", parse_range, values.get("m", "1"))
     header = ["d", "N", "M", "chi_closed", "chi_oracle", "ratio_next", "lower_bound"]
     rows = []
     for d in range(d_range[0], d_range[1] + 1):
@@ -398,25 +398,46 @@ def cmd_verify(values: dict) -> int:
 
 # -------------------------------------------------------------------- parsing
 
+def parse_int(text: str) -> int:
+    """One integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad integer {text!r}; expected one integer") from None
+
+
 def parse_range(text: str) -> tuple:
-    """'lo:hi' or a single integer."""
-    if ":" in text:
-        lo, hi = (int(v) for v in text.split(":"))
-    else:
-        lo = hi = int(text)
+    """'lo:hi' or a single integer, 1 <= lo <= hi."""
+    try:
+        lo, hi = (int(v) for v in text.split(":")) if ":" in text else (int(text),) * 2
+    except ValueError:
+        lo = hi = 0
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
+        raise ValueError(f"bad range {text!r}; expected lo:hi or one integer, 1 <= lo <= hi")
     return lo, hi
 
 
 def parse_grid(text: str) -> tuple:
+    """'min:max:points', min <= max and points >= 2."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be min:max:points, got {text!r}")
-    lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        lo = hi = pts = 0
     if pts < 2 or hi < lo:
-        raise ValueError(f"bad grid {text!r}")
+        raise ValueError(f"bad grid {text!r}; expected min:max:points, numbers min <= max and an integer points >= 2")
     return lo, hi, pts
+
+
+def _parsed(key: str, parse: Callable, value):
+    """parse(value), with a ValueError that names the option, as argparse
+    names a flag: 'argument --key: ...'."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"argument --{key}: {exc}") from None
 
 
 def parse_targets_grouped(text: str) -> tuple:
@@ -448,9 +469,9 @@ class Option:
 _SOLVES = ("ground-state", "fidelity-scan", "purity-scan", "g2-scan")
 OPTIONS = {opt.key: opt for opt in (
     Option("model", _SOLVES, dict(choices=("full", "effective")), ("model",)),
-    Option("d", (*_SOLVES, "chi"), dict(help="sites (ranges lo:hi allowed for chi)"), ("d",), int),
+    Option("d", (*_SOLVES, "chi"), dict(help="sites (ranges lo:hi allowed for chi)"), ("d",), parse_int),
     Option("n", (*_SOLVES, "energy-ledger", "chi"), dict(help="pair count N (ranges lo:hi allowed for chi)"),
-           ("n",), int),
+           ("n",), parse_int),
     Option("J", _SOLVES, dict(type=float, help="hopping energy"), ("j",), float),
     Option("U", _SOLVES, dict(type=float, help="point-interaction energy"), ("u",), float),
     Option("gamma-grid", ("fidelity-scan", "purity-scan", "g2-scan", "energy-ledger"),
@@ -501,7 +522,7 @@ def sweep_config_from(values: dict) -> SweepConfig:
     for key, value in values.items():
         fields, parse = OPTIONS[key].fields, OPTIONS[key].parse
         if fields:
-            parsed = parse(value)
+            parsed = _parsed(key, parse, value)
             kw.update(zip(fields, parsed if len(fields) > 1 else (parsed,)))
     return SweepConfig(**kw)
 

@@ -106,12 +106,21 @@ class _SectorTables:
 
     @_table
     def hop_block(self, K: int, even: bool) -> tuple:
-        """(P, ``_project(hop(), P)``): P = ``even_projector()`` when
-        ``even`` (K = 0), else ``projector(K)``, then P^H hop P and the
-        representative of each column.  The block of diag(D) is
-        diag(D[representatives])."""
+        """(P, P^H hop P, reps), the block real float64 and exactly
+        symmetric: P = ``even_projector()`` when ``even`` (K = 0), else
+        ``projector(K)``, real for K = 0 and K = d / 2.  A complex P_K
+        (0 < K < d / 2) becomes P_K W, with the W of ``_real_gauge`` that
+        makes W^H (P_K^H hop P_K) W real.  reps[a] is the representative
+        of column a of ``_project(hop(), P_K)``; diag(D[reps]) is the block
+        of diag(D) when D is constant on the orbits of T and fixed by R,
+        since W mixes only the columns of orbits that R swaps."""
         proj = self.even_projector() if even else self.projector(K)
-        return (proj, *_project(self.hop(), proj))
+        block, reps = _project(self.hop(), proj)
+        if np.iscomplexobj(proj):
+            gauge = _real_gauge(proj, self.reflection_index())
+            proj, block = proj @ gauge, (gauge.conj().T @ block @ gauge).real
+            block = (block + block.T) * 0.5
+        return proj, block, reps
 
     @_table
     def translation_table(self) -> tuple:
@@ -548,6 +557,34 @@ def _project(h: sp.csr_matrix, proj: sp.csr_matrix) -> tuple:
     block = h[reps] @ proj
     block.data /= np.repeat(csc.data[first], np.diff(block.indptr))
     return (block + block.conj().T) * 0.5, reps
+
+
+def _real_gauge(proj: sp.csr_matrix, reflection_index: np.ndarray) -> sp.csr_matrix:
+    """The unitary W that makes W^H (P_K^H h P_K) W real for a real h
+    that commutes with T and with the bare site reflection R
+    (``reflection``), from P_K = ``Orbits.projector(K)``.
+
+    R T R = T^-1 (the fermionic reflection is R times a constant sign),
+    so R maps sector K onto -K, whose projector is conj(P_K): R P_K =
+    conj(P_K) Q with Q = P_K^T R P_K unitary, symmetric (R = R^T = R^-1)
+    and monomial (R maps orbits onto orbits).  Then conj(P_K^H h P_K) =
+    Q (P_K^H h P_K) Q^H, and any W with conj(W) W^H = Q makes the
+    transformed block equal to its conjugate.  Column by column: an orbit
+    that R maps onto itself, Q_rr = e^(i phi), gets W_rr = e^(-i phi/2);
+    a pair of orbits r < r' that R swaps, Q_r'r = Q_rr' = e^(i phi), gets
+    e^(-i phi/2) / sqrt(2) [[1, i], [1, -i]] on rows and columns (r, r'),
+    the cos and sin combinations of the two orbit sums."""
+    q = (proj.T @ proj[reflection_index]).tocsc()  # one entry per column
+    n = q.shape[0]
+    column, partner = np.arange(n), q.indices
+    half = np.exp(-0.5j * np.angle(q.data))
+    fixed, first = partner == column, partner > column
+    own, pair, other = column[fixed], column[first], partner[first]
+    c = half[first] / math.sqrt(2.0)
+    rows = np.concatenate([own, pair, other, pair, other])
+    cols = np.concatenate([own, pair, pair, other, other])
+    vals = np.concatenate([half[fixed], c, c, 1j * c, -1j * c])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 # ------------------------------------------------------- pair/full embedding

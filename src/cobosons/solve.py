@@ -32,11 +32,11 @@ from .model import (
     build_full_hamiltonian,
 )
 
-DENSE_LIMIT = 2000  # "momenta" blocks from this size go to complex ARPACK
+DENSE_LIMIT = 2000  # "momenta" blocks from this size go to ARPACK
 SECTOR_DENSE_LIMIT = 350  # "sector" blocks from this size go to real Lanczos (see GroundSolver)
 RESIDUAL_TOL = 1e-10
 LEVELS = 4  # eigenpairs per block solve; all of them when the window holds every one
-ARPACK_LEVELS = 12  # Ritz values per complex ARPACK block (see _arpack)
+ARPACK_LEVELS = 12  # Ritz values per "momenta" ARPACK block (see _arpack)
 # Dense eigensolves below this size run on one BLAS thread (see _serial_blas).
 SERIAL_BLAS_BELOW = 512
 
@@ -55,7 +55,7 @@ class GroundSpace:
     site reflection, else the K = 0 block), every momentum block on
     "momenta" and the whole chain on "banded".  ``path`` names the path.
     Each block is solved for its LEVELS (4) lowest levels, ARPACK_LEVELS
-    (12) on a complex ARPACK block, or for all of them when the degeneracy
+    (12) on a "momenta" ARPACK block, or for all of them when the degeneracy
     window holds every one.  ``levels`` are the union of those levels,
     ascending, cut to the lowest LEVELS on "momenta"; on "sector" that is
     at most LEVELS levels unless the window held them all.  ``residual``
@@ -144,14 +144,10 @@ def _serial_blas(serial: bool = True):
 
 
 def _dense(block: sp.csr_matrix, diagonal: np.ndarray, count: int) -> tuple:
-    """The count lowest eigenpairs of block + diag(diagonal), on a dense
-    copy solved as real when its imaginary part is exactly zero (a momentum
-    block takes its dtype from P_K, not from the operator).  One BLAS
-    thread below SERIAL_BLAS_BELOW (``_serial_blas``)."""
+    """The count lowest eigenpairs of the real block + diag(diagonal), on a
+    dense copy.  One BLAS thread below SERIAL_BLAS_BELOW (``_serial_blas``)."""
     a = block.toarray()
     a.flat[::a.shape[0] + 1] += diagonal
-    if np.iscomplexobj(a) and not a.imag.any():
-        a = a.real
     with _serial_blas(a.shape[0] < SERIAL_BLAS_BELOW):
         return la.eigh(a, subset_by_index=None if count == a.shape[0] else [0, count - 1])
 
@@ -181,33 +177,27 @@ def _banded(band: tuple, diagonal: np.ndarray, count: int) -> tuple:
     return evals, gauge[:, None] * vecs
 
 
-def _arpack(block: sp.csr_matrix, diagonal: np.ndarray, count: int, dtype=complex) -> tuple:
-    """The count lowest Ritz pairs of block + diag(diagonal) by Lanczos
-    (ARPACK) in ``dtype`` from the deterministic uniform start vector,
-    ascending, under ``_serial_blas``.  Real ``eigsh`` needs count < n;
-    complex ``eigsh`` runs ``eigs``, which needs count < n - 1: a larger
+def _arpack(block: sp.csr_matrix, diagonal: np.ndarray, count: int) -> tuple:
+    """The count lowest Ritz pairs of the real block + diag(diagonal) by
+    real Lanczos (ARPACK ``eigsh``) from the deterministic uniform start
+    vector, which overlaps the positive Perron vector of a "sector" block,
+    ascending, under ``_serial_blas``.  ``eigsh`` needs count < n: a larger
     count is a degenerate window that ARPACK cannot hold.  Every ARPACK
-    failure is a ``ConvergenceError``.  A "momenta" block is complex for
-    0 < K < d/2; its ARPACK_LEVELS Ritz values can still miss copies of a
-    level degenerate inside the block."""
+    failure is a ``ConvergenceError``.  The ARPACK_LEVELS Ritz values of a
+    "momenta" block can still miss copies of a level degenerate inside
+    the block."""
     n = block.shape[0]
-    if count >= (n - 1 if dtype is complex else n):
+    if count >= n:
         raise ConvergenceError("degenerate window exceeds the computed spectrum")
     mat = block + sp.diags(diagonal) if diagonal.any() else block
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         with _serial_blas():
-            evals, evecs = spla.eigsh(mat.astype(dtype, copy=False), k=count, which="SA", v0=v0, tol=0)
+            evals, evecs = spla.eigsh(mat, k=count, which="SA", v0=v0, tol=0)
     except spla.ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed: {exc}") from exc
     order = np.argsort(evals)
     return evals[order], evecs[:, order]
-
-
-def _lanczos(block: sp.csr_matrix, diagonal: np.ndarray, count: int) -> tuple:
-    """``_arpack`` in real arithmetic, for a real "sector" block: the
-    uniform start vector overlaps its positive Perron vector."""
-    return _arpack(block, diagonal, count, float)
 
 
 def _certify(op: SparseOperator, coupling: np.ndarray) -> tuple:
@@ -218,8 +208,9 @@ def _certify(op: SparseOperator, coupling: np.ndarray) -> tuple:
     (``fock._hop``), so D and c decide the symmetries: ValueError when T
     moves either.  "sector" when every sign of T is +1, which makes every
     hop entry > 0, and t > 0 or dim = 1: then every off-diagonal of
-    -t * hop is < 0 on a connected graph.  ``even`` when the path is
-    "sector" and R fixes D and c too."""
+    -t * hop is < 0 on a connected graph; ``even`` when R fixes D and c
+    too.  Otherwise "momenta", whose real blocks (``hop_block``) need R
+    to fix D and c: ValueError when it moves either."""
     index, sign = op.basis.translation_table()
 
     def fixed(perm) -> bool:
@@ -227,9 +218,12 @@ def _certify(op: SparseOperator, coupling: np.ndarray) -> tuple:
 
     if not fixed(index):
         raise ValueError("no solver path: the operator or the coupling breaks the lattice translation")
-    if not (np.all(sign == 1) and (op.dim == 1 or op.hopping > 0)):
-        return "momenta", False
-    return "sector", fixed(op.basis.reflection_index())
+    even = fixed(op.basis.reflection_index())
+    if np.all(sign == 1) and (op.dim == 1 or op.hopping > 0):
+        return "sector", even
+    if not even:
+        raise ValueError("no solver path: the operator or the coupling breaks the site reflection")
+    return "momenta", False
 
 
 class GroundSolver:
@@ -251,34 +245,38 @@ class GroundSolver:
       (``basis.even_projector()``) when the operator and the coupling are
       exactly invariant under the bare site reflection R too
       (``fock.reflection``), else the K = 0 block;
-    - "momenta", at any size, for any other such operator: P_K =
-      ``basis.projector(K)`` for every K = 0..d/2 with a column; a lattice
-      operator is real, so its -K blocks are the conjugates of the +K ones;
+    - "momenta", at any size, for any other such operator that, with its
+      coupling, is exactly invariant under R too: P_K =
+      ``basis.projector(K)`` for every K = 0..d/2 with a column, times the
+      gauge W that makes the block real for 0 < K < d/2
+      (``fock._real_gauge``); a lattice operator is real, so its -K blocks
+      are the conjugates of the +K ones;
     - "banded", on a ChainBasis (the relative chains), which has no
       lattice translation: the whole operator is the one block, its band
       (``_band``, from t and the chain's phase) with no P and every site
       as reps.  ``_banded`` allocates n x n, so n^2 is held to
       MAX_BASIS_STATES (``CapacityError``).
     A lattice block -t * P^H hop P (``basis.hop_block(K, even)``, which
-    returns (P, P^H hop P, reps)) has the gamma term
-    diag(coupling[reps]), exact because the coupling is
-    constant on each orbit.  An operator or a coupling that breaks T
-    raises ``ValueError`` before any block exists.  The tables of the unit
+    returns (P, P^H hop P, reps), the block real on every path) has the
+    gamma term diag(coupling[reps]), exact because the coupling is
+    constant on each orbit and, on "momenta", fixed by R.  An operator or
+    a coupling that breaks T, or on "momenta" R, raises ``ValueError``
+    before any block exists.  The tables of the unit
     hop and its symmetries are built once per sector; the checks of the
     operator's own parts (``_certify``) run in every ``__init__``.
 
     The eigensolvers, each for count = LEVELS (4) unless stated:
     - "banded": ``_banded``;
     - "sector": ``_dense`` below SECTOR_DENSE_LIMIT states, real Lanczos
-      (``_lanczos``) from it.  The limit is where Lanczos wins, measured at
+      (``_arpack``) from it.  The limit is where Lanczos wins, measured at
       count 4 on one BLAS thread, best of 7, over gamma U / J^2 = 1, 6,
       10.5 and 18.125 on a 2-vCPU machine: the 280-state block of
       effective d = 16, N = 6 took 3.2-3.4 ms dense against 3.0-4.5 ms,
       324 states (d = 19, N = 5) 3.4-4.0 ms against 2.8-4.4 ms, and 375
       states (d = 16, N = 7) 6.7-7.8 ms against 3.6-5.7 ms; at 600 states
       dense took 17-22 ms against 4-10 ms;
-    - "momenta": ``_dense`` below DENSE_LIMIT, complex ``_arpack`` from it
-      for ARPACK_LEVELS (12) Ritz values: ARPACK can miss copies of a
+    - "momenta": ``_dense`` below DENSE_LIMIT, ``_arpack`` from it for
+      ARPACK_LEVELS (12) Ritz values: ARPACK can miss copies of a
       level degenerate inside one block, and fewer Ritz values miss more.
 
     A call ``solver(gamma)`` forms D + gamma * coupling once and runs one
@@ -315,7 +313,7 @@ class GroundSolver:
             sector = self.path == "sector"
             ks = (0,) if sector else range(op.basis.d // 2 + 1)
             limit = SECTOR_DENSE_LIMIT if sector else DENSE_LIMIT
-            iterative = (_lanczos, LEVELS) if sector else (_arpack, ARPACK_LEVELS)
+            iterative = (_arpack, LEVELS if sector else ARPACK_LEVELS)
             blocks = {k: op.basis.hop_block(k, even) for k in ks}
             self._blocks = {k: (proj, hop * -op.hopping, reps, *(iterative if reps.size >= limit else (_dense, LEVELS)))
                             for k, (proj, hop, reps) in blocks.items() if reps.size}

@@ -172,16 +172,23 @@ def test_config_file_rejects_unknown_key_before_any_basis(tmp_path, monkeypatch)
 def test_console_entry_reports_input_errors_in_one_line(tmp_path):
     cfgfile = tmp_path / "typo.cfg"
     cfgfile.write_text("dd = 12\nmodel = effective\nn = 2\n", encoding="utf-8")
+    badfile = tmp_path / "bad.cfg"
+    badfile.write_text("n = two\n", encoding="utf-8")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     scan = ["fidelity-scan", "--d", "6", "--n", "2", "--targets", "block:2", "--gamma-grid"]
     cases = [
         (["ground-state", "--config", str(cfgfile)], "unknown config key 'dd'"),
-        ([*scan, "1:2"], "grid must be min:max:points"),
-        ([*scan, "0:1:1"], "bad grid '0:1:1'"),
-        (["chi", "--d", "5:2"], "bad range '5:2'"),
+        ([*scan, "1:2"], "argument --gamma-grid: grid must be min:max:points"),
+        ([*scan, "0:1:1"], "argument --gamma-grid: bad grid '0:1:1'; expected min:max:points"),
+        (["purity-scan", "--gamma-grid", "a:b:3"], "argument --gamma-grid: bad grid 'a:b:3'; expected min:max:points"),
+        (["chi", "--d", "5:2"], "argument --d: bad range '5:2'; expected lo:hi or one integer"),
+        (["chi", "--d", "1:2:3"], "argument --d: bad range '1:2:3'; expected lo:hi or one integer"),
+        (["chi", "--d", "x"], "argument --d: bad range 'x'; expected lo:hi or one integer"),
+        (["ground-state", "--d", "x"], "argument --d: bad integer 'x'; expected one integer"),
+        (["energy-ledger", "--config", str(badfile)], "argument --n: bad integer 'two'; expected one integer"),
         (["ground-state", "--model", "full", "--d", "4", "--n", "1", "--U", "0"], "need finite J >= 0 and U > 0"),
-        (["fidelity-scan", "--d", "6", "--n", "2", "--targets", "q:1"], "bad target 'q:1'; targets are c2:s,r"),
+        (["fidelity-scan", "--d", "6", "--n", "2", "--targets", "q:1"], "argument --targets: bad target 'q:1'; targets are c2:s,r"),
         (["purity-scan", "--d", "6", "--n", "0", "--gamma-grid", "0:1:2"], "single-pair RDM needs N >= 1 pairs"),
     ]
     for argv, message in cases:

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from cobosons import (
     pair_basis,
 )
 from cobosons import ChainBasis, fock, solve
-from cobosons.fock import _project, occupations, reflection, translation, translation_orbits
+from cobosons.fock import occupations, reflection, translation, translation_orbits
 from cobosons.model import SparseOperator, gamma_coupling
 from cobosons.solve import (
     GroundSolver,
@@ -141,7 +142,7 @@ def test_real_lanczos_matches_the_string_energy_at_n_8(d, bound):
     # string's tail around the ring is not yet negligible (measured
     # 2.3e-12 relative there, below 4e-16 at the three other points)
     solver = _effective_solver(d, 8)
-    assert [rec[3:] for rec in solver._blocks.values()] == [(solve._lanczos, solve.LEVELS)]
+    assert [rec[3:] for rec in solver._blocks.values()] == [(solve._arpack, solve.LEVELS)]
     for x in (10.5, 18.125):
         p = _effective_params(d, 8, x)
         got = solver(p.gamma)
@@ -578,6 +579,49 @@ def test_every_block_equals_the_projected_operator():
     assert paths == {"sector", "momenta"}
 
 
+@pytest.mark.parametrize("model, d", [("full", d) for d in range(2, 7)] + [("effective", d) for d in range(2, 11)])
+def test_momenta_blocks_are_real_and_hold_the_complex_blocks_levels(model, d):
+    # full models at every (N_A, N_B) on "momenta" and the effective model
+    # with Jbar = -1 at every N: each block record is float64 and exactly
+    # symmetric, its levels are those of the complex P_K^H h P_K, and its
+    # eigenvectors lifted with its P are momentum-K eigenvectors of T
+    if model == "full":
+        ops = [build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.4, d=d, n_a=n_a, n_b=n_b))
+               for n_a in range(d + 1) for n_b in range(d + 1)]
+    else:
+        ops = [build_effective_from_bars(d, n, -1.0, 0.7) for n in range(d + 1)]
+    solvers = [s for s in map(GroundSolver, ops) if s.path == "momenta"]
+    assert solvers
+    for solver in solvers:
+        op = solver._op
+        h, (index, sign) = op.to_csr(), translation(op.basis, 1)
+        for k, (proj, block, reps, *_) in solver._blocks.items():
+            case = (op.basis, k)
+            assert block.dtype == np.float64 and (block != block.T).nnz == 0, case
+            complex_proj = op.basis.projector(k)
+            want = np.linalg.eigvalsh((complex_proj.conj().T @ h @ complex_proj).toarray())
+            evals, vecs = np.linalg.eigh(block.toarray() + np.diag(op.diagonal[reps]))
+            assert np.abs(evals - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), case
+            lifted = proj @ vecs
+            moved = np.zeros_like(lifted)
+            moved[index] = sign[:, None] * lifted
+            assert np.abs(moved - np.exp(2j * np.pi * k / d) * lifted).max() < 1e-12, case
+
+
+def test_momenta_path_refuses_an_operator_that_breaks_the_reflection():
+    # the real momenta blocks need R to fix D and the coupling: the chiral
+    # 1101 count on the Jbar = -1 model, in D or in the coupling, raises
+    # before any block is built; without it the model takes "momenta"
+    base = build_effective_from_bars(8, 3, -1.0, 0.5)
+    chiral = _chiral_count(base.basis)
+    assert GroundSolver(base).path == "momenta"
+    with mock.patch.object(fock._SectorTables, "hop_block", side_effect=AssertionError("block built")):
+        with pytest.raises(ValueError, match="no solver path: .*breaks the site reflection"):
+            GroundSolver(SparseOperator(base.basis, base.diagonal + 0.5 * chiral, base.hopping))
+        with pytest.raises(ValueError, match="no solver path: .*breaks the site reflection"):
+            GroundSolver(base, chiral)
+
+
 def _builder_cases():
     """Builder operators diag(D) - t * hop: effective d <= 10 at every N and
     full d <= 6 with odd and even N, each with J > 0 and J = 0 at gamma = 0
@@ -623,13 +667,12 @@ def test_builder_parts_solve_like_their_assembled_matrix():
         scale = max(1.0, abs(h).max())
         sector = parts.path == "sector"
         limit = solve.SECTOR_DENSE_LIMIT if sector else solve.DENSE_LIMIT
-        iterative = (solve._lanczos, solve.LEVELS) if sector else (solve._arpack, solve.ARPACK_LEVELS)
+        iterative = (solve._arpack, solve.LEVELS if sector else solve.ARPACK_LEVELS)
         for k, (proj, block, reps, *eigensolver) in parts._blocks.items():
-            want, want_reps = _project(h, proj)
-            assert np.array_equal(reps, want_reps), (case, k)
             assert tuple(eigensolver) == ((solve._dense, solve.LEVELS) if reps.size < limit else iterative), (case, k)
             got = block.toarray() + np.diag(op.diagonal[reps])
-            assert np.abs(got - want.toarray()).max() <= 1e-14 * scale, (case, k)
+            want = (proj.conj().T @ h @ proj).toarray()
+            assert np.abs(got - want).max() <= 1e-14 * scale, (case, k)
         for gamma in (0.0, 3e-3):
             got = parts(gamma)
             energy, vectors = _whole_operator_dense(op, gamma * coupling)
@@ -685,10 +728,6 @@ def test_small_dense_eigensolves_run_on_one_blas_thread(n, monkeypatch):
     assert seen[1:] == [1]
     assert count() == before
     assert np.abs(evals - want).max() < 1e-10
-    evals, _ = solve._lanczos(block, diagonal, solve.LEVELS)
-    assert seen[2:] == [1]
-    assert count() == before
-    assert np.abs(evals - want).max() < 1e-10
 
 
 def test_each_eigensolver_widens_to_every_level_when_the_window_holds_them():
@@ -708,7 +747,7 @@ def test_each_eigensolver_widens_to_every_level_when_the_window_holds_them():
 
 
 def test_arpack_cannot_widen_to_every_level():
-    # ARPACK (complex eigs) computes fewer than n - 1 pairs, so a block
+    # ARPACK (real eigsh) computes fewer than n pairs, so a block
     # whose window holds every Ritz value fails: the effective d = 10,
     # N = 4 model at J = 0 (a zero block, on which ARPACK's own start
     # fails), and t = 0 with a constant D (ARPACK converges, and the window
@@ -722,7 +761,21 @@ def test_arpack_cannot_widen_to_every_level():
         with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
             ground_space(constant)
     with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
-        solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 19)
+        solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 20)
+
+
+def test_real_arpack_returns_no_fewer_copies_of_an_in_block_degeneracy_than_complex():
+    # a 30-state diagonal block with 13 levels at -1 below 0..16: ARPACK
+    # with ARPACK_LEVELS Ritz values misses copies of the degenerate level
+    # (the guard is open), and real eigsh misses no more than complex
+    # eigsh from the same start vector (nine copies each)
+    diagonal = np.concatenate([np.full(13, -1.0), np.arange(17.0)])
+    evals, _ = solve._arpack(sp.csr_matrix((30, 30)), diagonal, solve.ARPACK_LEVELS)
+    v0 = np.full(30, 1.0 / math.sqrt(30))
+    complex_evals = spla.eigsh(sp.diags(diagonal).astype(complex), k=solve.ARPACK_LEVELS, which="SA",
+                               v0=v0, tol=0, return_eigenvectors=False)
+    copies = np.sum(np.abs(evals + 1.0) < 1e-12)
+    assert copies >= np.sum(np.abs(complex_evals + 1.0) < 1e-12) == 9
 
 
 def test_real_lanczos_cannot_widen_to_every_level():
@@ -730,10 +783,10 @@ def test_real_lanczos_cannot_widen_to_every_level():
     # but not all 20; and a certified block whose window holds its LEVELS
     # lowest levels (Jbar = 1e-13 against the window 1e-9) is refused on
     # the sector path, where a dense block would have widened
-    evals, _ = solve._lanczos(sp.csr_matrix((20, 20)), np.arange(20.0), 19)
+    evals, _ = solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 19)
     assert np.abs(evals - np.arange(19.0)).max() < 1e-12
     with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
-        solve._lanczos(sp.csr_matrix((20, 20)), np.arange(20.0), 20)
+        solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 20)
     op = build_effective_from_bars(10, 4, 1e-13, 0.0)
     gs = ground_space(op)
     assert (gs.path, gs.dims, gs.degeneracy) == ("sector", (16,), 16)
@@ -749,7 +802,7 @@ def test_each_block_keeps_the_eigensolver_chosen_at_construction():
     op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=10, n=4))
     with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", 14):
         solver = GroundSolver(op)
-    assert [rec[3:] for rec in solver._blocks.values()] == [(solve._lanczos, solve.LEVELS)]
+    assert [rec[3:] for rec in solver._blocks.values()] == [(solve._arpack, solve.LEVELS)]
     assert [rec[3:] for rec in GroundSolver(op)._blocks.values()] == [(solve._dense, solve.LEVELS)]
     with mock.patch.object(solve.spla, "eigsh", side_effect=AssertionError("ARPACK")):
         with pytest.raises(AssertionError, match="ARPACK"):
@@ -767,14 +820,14 @@ def test_sector_blocks_take_real_lanczos_from_the_measured_limit(model, d, n):
     (_, block, reps, eigensolver, count), = solver._blocks.values()
     dense = reps.size < solve.SECTOR_DENSE_LIMIT
     assert reps.size < 1.2 * solve.SECTOR_DENSE_LIMIT
-    assert (eigensolver, count) == ((solve._dense if dense else solve._lanczos), solve.LEVELS)
+    assert (eigensolver, count) == ((solve._dense if dense else solve._arpack), solve.LEVELS)
     assert (reps.size == 280) == ((d, n) == (16, 6))
     if dense:
         return
     for x in (1.0, 6.0, 18.125):
         diagonal = (base.diagonal + x * (1e-3 if model == "effective" else 0.1) * solver._coupling)[reps]
         want, want_vecs = solve._dense(block, diagonal, solve.LEVELS)
-        got, got_vecs = solve._lanczos(block, diagonal, solve.LEVELS)
+        got, got_vecs = solve._arpack(block, diagonal, solve.LEVELS)
         scale = max(1.0, abs(want[0]))
         assert np.abs(got - want).max() <= 1e-12 * scale, x
         assert np.abs(np.abs(got_vecs[:, 0]) - np.abs(want_vecs[:, 0])).max() <= 1e-12, x
