@@ -89,7 +89,8 @@ class SweepConfig:
         return np.linspace(self.grid_min, self.grid_max, self.grid_points)
 
     def gamma(self, x: float) -> float:
-        return x * self.j**2 / self.u
+        """gamma at x = gamma*U/J^2, refused when ``ModelParams`` refuses it."""
+        return ModelParams(j=self.j, u=self.u, gamma=x * self.j**2 / self.u, d=self.d).gamma
 
 
 # ------------------------------------------------------------- target states
@@ -150,18 +151,17 @@ def target_label(target) -> str:
 
 # ------------------------------------------------------------------ sweeps
 
-def _hamiltonian(cfg: SweepConfig, gamma: float):
-    params = ModelParams(j=cfg.j, u=cfg.u, gamma=gamma, d=cfg.d, n=cfg.n)
-    if cfg.model == "full":
-        return build_full_hamiltonian(params)
-    return build_effective_hamiltonian(params)
+def _solver(cfg: SweepConfig) -> GroundSolver:
+    """The solver of every sweep and of ``ground-state``: H(gamma) = H(0) +
+    gamma * diag(``gamma_coupling``), so a point has the same bits on each."""
+    params = ModelParams(j=cfg.j, u=cfg.u, gamma=0.0, d=cfg.d, n=cfg.n)
+    op = build_full_hamiltonian(params) if cfg.model == "full" else build_effective_hamiltonian(params)
+    return GroundSolver(op, gamma_coupling(op.basis), tol_deg=cfg.tol)
 
 
 def _sweep(cfg: SweepConfig):
-    """(gamma, x, ground space) at each point x of the grid, all from one
-    solver: H(gamma) = H(0) + gamma * diag(c)."""
-    op = _hamiltonian(cfg, 0.0)
-    solver = GroundSolver(op, gamma_coupling(op.basis), tol_deg=cfg.tol)
+    """(gamma, x, ground space) at each point x of the grid, from one ``_solver``."""
+    solver = _solver(cfg)
     for x in cfg.grid.tolist():
         gamma = cfg.gamma(x)
         yield gamma, x, solver(gamma)
@@ -196,7 +196,8 @@ def write_csv(out: Optional[str], comment_lines, header, rows):
 
 def cmd_ground_state(values: dict) -> int:
     cfg = sweep_config_from(values)
-    gs = ground_space(_hamiltonian(cfg, cfg.gamma(values["gamma-u-j2"])), tol_deg=cfg.tol)
+    gamma = cfg.gamma(values["gamma-u-j2"])
+    gs = _solver(cfg)(gamma)
     vec = gs.state.amplitudes
     comments = [
         f"energy = {fmt(gs.energy)}",
@@ -406,6 +407,14 @@ def parse_int(text: str) -> int:
         raise ValueError(f"bad integer {text!r}; expected one integer") from None
 
 
+def parse_float(text: str) -> float:
+    """One number."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"bad number {text!r}; expected one number") from None
+
+
 def parse_range(text: str) -> tuple:
     """'lo:hi' or a single integer, 1 <= lo <= hi."""
     try:
@@ -472,14 +481,14 @@ OPTIONS = {opt.key: opt for opt in (
     Option("d", (*_SOLVES, "chi"), dict(help="sites (ranges lo:hi allowed for chi)"), ("d",), parse_int),
     Option("n", (*_SOLVES, "energy-ledger", "chi"), dict(help="pair count N (ranges lo:hi allowed for chi)"),
            ("n",), parse_int),
-    Option("J", _SOLVES, dict(type=float, help="hopping energy"), ("j",), float),
-    Option("U", _SOLVES, dict(type=float, help="point-interaction energy"), ("u",), float),
+    Option("J", _SOLVES, dict(help="hopping energy"), ("j",), parse_float),
+    Option("U", _SOLVES, dict(help="point-interaction energy"), ("u",), parse_float),
     Option("gamma-grid", ("fidelity-scan", "purity-scan", "g2-scan", "energy-ledger"),
            dict(help="min:max:points in gamma*U/J^2 units"), ("grid_min", "grid_max", "grid_points"), parse_grid),
     Option("targets", ("fidelity-scan",), dict(help="comma list: c2:s,r / q:s,r / block:M / partition:M1+M2+..."),
            ("targets",), parse_targets_grouped),
     Option("out", (*_SOLVES, "energy-ledger", "chi"), dict(help="output CSV path (default stdout)"), ("out",)),
-    Option("tol", _SOLVES, dict(type=float, help="solver degeneracy tolerance"), ("tol",), float),
+    Option("tol", _SOLVES, dict(help="solver degeneracy tolerance"), ("tol",), parse_float),
     Option("m", ("chi",), dict(help="M range lo:hi (default 1)")),
     Option("gamma-u-j2", ("ground-state",), dict(type=float, default=0.0, help="gamma*U/J^2 value"), config=False),
 )}

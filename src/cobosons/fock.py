@@ -277,35 +277,32 @@ def _masks(d: int, n: int) -> np.ndarray:
     return out
 
 
-_shared = {}  # kind -> (key, basis) of the sector of that kind asked for last
+@functools.lru_cache(maxsize=1)
+def _pair_sector(d: int, n: int) -> PairBasis:
+    return PairBasis(d, n, _masks(d, n))
 
 
-def _shared_basis(kind, key: tuple, make):
-    """The shared basis of ``kind`` for ``key``; ``make()`` builds it, and
-    drops the one kept, when the last basis of that kind asked for had
-    another key."""
-    kept = _shared.get(kind)
-    if kept is None or kept[0] != key:
-        kept = _shared[kind] = (key, make())
-    return kept[1]
+@functools.lru_cache(maxsize=1)
+def _full_sector(d: int, n_a: int, n_b: int) -> FullBasis:
+    return FullBasis(d, n_a, n_b, _masks(d, n_a), _masks(d, n_b))
 
 
 def clear_shared_bases() -> None:
     """Drop every shared basis, and with it the tables built on it."""
-    _shared.clear()
+    _pair_sector.cache_clear()
+    _full_sector.cache_clear()
 
 
 def pair_basis(d: int, n: int) -> PairBasis:
     """The shared PairBasis(d, n); the size check runs on every call."""
     _check_size("pair basis", d, MAX_PAIR_SITES, N=n)
-    return _shared_basis(PairBasis, (d, n), lambda: PairBasis(d, n, _masks(d, n)))
+    return _pair_sector(d, n)
 
 
 def full_basis(d: int, n_a: int, n_b: int) -> FullBasis:
     """The shared FullBasis(d, n_a, n_b); the size check runs on every call."""
     _check_size("full basis", d, MAX_FULL_SITES, N_A=n_a, N_B=n_b)
-    return _shared_basis(FullBasis, (d, n_a, n_b),
-                         lambda: FullBasis(d, n_a, n_b, _masks(d, n_a), _masks(d, n_b)))
+    return _full_sector(d, n_a, n_b)
 
 
 # ------------------------------------------------------ vectorized bit moves
@@ -395,12 +392,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def unit(self) -> "StateVector":
-        nrm = self.norm
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amplitudes / nrm)
 
 
 def inner_product(psi: StateVector, phi: StateVector) -> complex:

@@ -4,7 +4,7 @@ relative-coordinate chains, all as Hermitian sparse operators."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,7 +16,6 @@ from .fock import (
     CapacityError,
     PairBasis,
     StateVector,
-    _table,
     full_basis,
     pair_basis,
 )
@@ -67,16 +66,14 @@ class ChainBasis:
     kind: str
     sites: tuple
     phase: complex
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.sites)
 
-    @_table
     def hop(self) -> sp.csr_matrix:
         """The unit hop: ``phase`` on the subdiagonal (site i to i + 1), its
-        conjugate above; float64 when the phase is real."""
+        conjugate above; float64 when the phase is real; built per call."""
         off = np.full(self.size - 1, complex(self.phase))
         off = off if self.phase.imag else off.real
         return sp.diags([off, off.conj()], [-1, 1], shape=(self.size,) * 2, format="csr")

@@ -168,9 +168,10 @@ def _banded(band: tuple, diagonal: np.ndarray, count: int) -> tuple:
     """The count lowest eigenpairs of a chain, from its band (``_band``)
     and its diagonal; the vectors u of the real tridiagonal matrix give
     the chain's as G u.  LAPACK's MRRR driver (``stemr``) computes them:
-    the inverse iteration behind the band solver's index selection
-    (``stein``) returns a NaN ground vector once a bound-state tail
-    underflows, as at 2401 sites with r0 = 1/2."""
+    the band solver's index selection (``stebz``, then ``stein``'s inverse
+    iteration) returns NaN vectors once a bound-state tail underflows, at
+    some counts only: at 2401 sites with r0 = 1/2 at counts 2, 5, 9, 12
+    and 13, not at 4 (scipy 1.17.1, OpenBLAS 0.3.30)."""
     size, gauge = band
     select = {} if count == diagonal.size else {"select": "i", "select_range": (0, count - 1)}
     evals, vecs = la.eigh_tridiagonal(diagonal, size, lapack_driver="stemr", **select)

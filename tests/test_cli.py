@@ -169,13 +169,13 @@ def test_config_file_rejects_unknown_key_before_any_basis(tmp_path, monkeypatch)
     assert not out.exists()
 
 
-def test_console_entry_reports_input_errors_in_one_line(tmp_path):
+def test_console_entry_reports_input_errors_in_one_line(tmp_path, capsys):
+    # each case through the console entry ``run`` in this process, and the
+    # first also as ``python -m cobosons.cli``
     cfgfile = tmp_path / "typo.cfg"
     cfgfile.write_text("dd = 12\nmodel = effective\nn = 2\n", encoding="utf-8")
     badfile = tmp_path / "bad.cfg"
     badfile.write_text("n = two\n", encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     scan = ["fidelity-scan", "--d", "6", "--n", "2", "--targets", "block:2", "--gamma-grid"]
     cases = [
         (["ground-state", "--config", str(cfgfile)], "unknown config key 'dd'"),
@@ -190,14 +190,25 @@ def test_console_entry_reports_input_errors_in_one_line(tmp_path):
         (["ground-state", "--model", "full", "--d", "4", "--n", "1", "--U", "0"], "need finite J >= 0 and U > 0"),
         (["fidelity-scan", "--d", "6", "--n", "2", "--targets", "q:1"], "argument --targets: bad target 'q:1'; targets are c2:s,r"),
         (["purity-scan", "--d", "6", "--n", "0", "--gamma-grid", "0:1:2"], "single-pair RDM needs N >= 1 pairs"),
+        (["ground-state", "--gamma-u-j2", "-1"], "gamma must be finite and >= 0, got -0.001"),
+        (["ground-state", "--gamma-u-j2", "nan"], "gamma must be finite and >= 0, got nan"),
+        (["ground-state", "--gamma-u-j2", "inf"], "gamma must be finite and >= 0, got inf"),
+        (["ground-state", "--J", "x"], "argument --J: bad number 'x'; expected one number"),
     ]
-    for argv, message in cases:
-        proc = subprocess.run([sys.executable, "-m", "cobosons.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2, argv
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines() == [proc.stderr.strip()]
-        assert proc.stderr.startswith(f"cobosons: error: {message}"), proc.stderr
+    for key in ("J", "U", "tol"):
+        numberfile = tmp_path / f"{key}.cfg"
+        numberfile.write_text(f"{key} = x\n", encoding="utf-8")
+        cases.append((["ground-state", "--config", str(numberfile)], f"argument --{key}: bad number 'x'; expected one number"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cobosons.cli", *cases[0][0]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    outcomes = [(proc.returncode, proc.stderr)] + [(run(argv), capsys.readouterr().err) for argv, _ in cases]
+    for (status, stderr), (argv, message) in zip(outcomes, [cases[0], *cases]):
+        assert status == 2, argv
+        assert "Traceback" not in stderr
+        assert stderr.splitlines() == [stderr.strip()]
+        assert stderr.startswith(f"cobosons: error: {message}"), stderr
 
 
 def test_console_entry_reports_a_failed_solve_in_one_line(tmp_path, capsys, monkeypatch):
@@ -213,6 +224,38 @@ def test_console_entry_reports_a_failed_solve_in_one_line(tmp_path, capsys, monk
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith("cobosons: error: ARPACK failed: "), captured.err
     assert not out.exists()
+
+
+@pytest.fixture
+def kept_solvers(monkeypatch):
+    """Every ``GroundSolver`` the CLI builds, in order."""
+    import cobosons.cli as cli
+
+    solvers = []
+
+    def kept_solver(*args, **kwargs):
+        solvers.append(solve.GroundSolver(*args, **kwargs))
+        return solvers[-1]
+
+    monkeypatch.setattr(cli, "GroundSolver", kept_solver)
+    return solvers
+
+
+@pytest.mark.parametrize("model, d, n", [("effective", 12, 5), ("full", 6, 3)])
+def test_ground_state_writes_the_point_the_sweep_solves(model, d, n, kept_solvers, tmp_path):
+    # one solver route: ground-state at x prints exactly the energy and the
+    # amplitudes that the solver of a sweep returns at x (effective (12, 5)
+    # at x = 6 once differed in the last digit on 420 of 792 rows)
+    common = ["--model", model, "--d", str(d), "--n", str(n), "--J", "1", "--U", "1000"]
+    run_cli("fidelity-scan", *common, "--gamma-grid", "6:7:2", "--targets", "partition:" + "+".join(["1"] * n),
+            "--out", str(tmp_path / "sweep.csv"))
+    run_cli("ground-state", *common, "--gamma-u-j2", "6", "--out", str(tmp_path / "gs.csv"))
+    gs = kept_solvers[0](SweepConfig(j=1.0, u=1000.0).gamma(6.0))
+    text = read(tmp_path / "gs.csv")
+    assert text.splitlines()[0] == f"# energy = {gs.energy:.15g}"
+    _, rows = data_rows(text)
+    amplitudes = gs.state.amplitudes
+    assert [row[-2:] for row in rows] == [[f"{a.real:.15g}", f"{a.imag:.15g}"] for a in amplitudes]
 
 
 def test_ground_state_uniform_at_compensation_point(tmp_path):
@@ -376,12 +419,12 @@ def test_sweep_builds_once_per_sweep(command, model, targets, builds, monkeypatc
 
 @pytest.mark.parametrize("model, n, path", [("effective", 3, "sector"), ("full", 3, "sector"),
                                             ("full", 2, "momenta")])
-def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n, path, monkeypatch, tmp_path):
+def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n, path, kept_solvers, monkeypatch,
+                                                                       tmp_path):
     # the orbit walk, the hop and its projected blocks belong to the
     # shared basis and are built once while it is shared; the checks of
     # the operator's own parts (D and t) run in every sweep and the
     # residual at every point, and neither sweep assembles the whole H
-    import cobosons.cli as cli
     from cobosons import fock, model as model_module, solve
 
     blocks = 1 if path == "sector" else 4  # the momenta K = 0..d/2
@@ -400,13 +443,6 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
                         (model_module.SparseOperator, "to_csr"), (fock, "_project"),
                         (fock, "translation_orbits"), (fock, "_hop"), (fock, "_masks")):
         count(owner, name)
-    solvers = []
-
-    def kept_solver(*args, **kwargs):
-        solvers.append(solve.GroundSolver(*args, **kwargs))
-        return solvers[-1]
-
-    monkeypatch.setattr(cli, "GroundSolver", kept_solver)
     argv = ["fidelity-scan", "--model", model, "--d", "6", "--n", str(n), "--J", "1", "--U", "1000",
             "--gamma-grid", "0:8:3", "--targets", "partition:" + "+".join(["1"] * n)]
     outputs = []
@@ -414,7 +450,7 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
         calls.clear()
         run_cli(*argv, "--out", str(tmp_path / f"run{run}.csv"))
         outputs.append(read(tmp_path / f"run{run}.csv"))
-        assert solvers[-1].path == path and len(solvers[-1].dims) == blocks
+        assert kept_solvers[-1].path == path and len(kept_solvers[-1].dims) == blocks
         assert (calls["_certify"], calls["apply"], calls["to_csr"]) == (1, 3, 0), run
         built = {name: calls[name] for name in ("_project", "translation_orbits", "_hop", "_masks")}
         if run:
