@@ -89,7 +89,9 @@ class SweepConfig:
         return np.linspace(self.grid_min, self.grid_max, self.grid_points)
 
     def gamma(self, x: float) -> float:
-        """gamma at x = gamma*U/J^2, refused when ``ModelParams`` refuses it."""
+        """gamma at x = gamma*U/J^2; x must be finite and >= 0."""
+        if not (math.isfinite(x) and x >= 0):
+            raise ValueError(f"gamma*U/J^2 must be finite and >= 0, got {x:g}")
         return ModelParams(j=self.j, u=self.u, gamma=x * self.j**2 / self.u, d=self.d).gamma
 
 
@@ -196,7 +198,7 @@ def write_csv(out: Optional[str], comment_lines, header, rows):
 
 def cmd_ground_state(values: dict) -> int:
     cfg = sweep_config_from(values)
-    gamma = cfg.gamma(values["gamma-u-j2"])
+    gamma = cfg.gamma(_parsed("gamma-u-j2", OPTIONS["gamma-u-j2"].parse, values["gamma-u-j2"]))
     gs = _solver(cfg)(gamma)
     vec = gs.state.amplitudes
     comments = [
@@ -490,7 +492,7 @@ OPTIONS = {opt.key: opt for opt in (
     Option("out", (*_SOLVES, "energy-ledger", "chi"), dict(help="output CSV path (default stdout)"), ("out",)),
     Option("tol", _SOLVES, dict(help="solver degeneracy tolerance"), ("tol",), parse_float),
     Option("m", ("chi",), dict(help="M range lo:hi (default 1)")),
-    Option("gamma-u-j2", ("ground-state",), dict(type=float, default=0.0, help="gamma*U/J^2 value"), config=False),
+    Option("gamma-u-j2", ("ground-state",), dict(default="0", help="gamma*U/J^2"), parse=parse_float, config=False),
 )}
 CONFIG_KEYS = tuple(key for key, opt in OPTIONS.items() if opt.config)
 

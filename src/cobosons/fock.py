@@ -101,26 +101,17 @@ class _SectorTables:
     """Tables that depend only on the sector (the kind of basis, d and the
     particle counts): the unit nearest-neighbour hop with its projected
     blocks, the bond counts, the one-site translation with its orbits and
-    momentum projectors, and the site reflection.  Nothing here depends on
+    K = 0 projectors, and the site reflection.  Nothing here depends on
     an operator."""
 
     @_table
-    def hop_block(self, K: int, even: bool) -> tuple:
-        """(P, P^H hop P, reps), the block real float64 and exactly
-        symmetric: P = ``even_projector()`` when ``even`` (K = 0), else
-        ``projector(K)``, real for K = 0 and K = d / 2.  A complex P_K
-        (0 < K < d / 2) becomes P_K W, with the W of ``_real_gauge`` that
-        makes W^H (P_K^H hop P_K) W real.  reps[a] is the representative
-        of column a of ``_project(hop(), P_K)``; diag(D[reps]) is the block
-        of diag(D) when D is constant on the orbits of T and fixed by R,
-        since W mixes only the columns of orbits that R swaps."""
-        proj = self.even_projector() if even else self.projector(K)
-        block, reps = _project(self.hop(), proj)
-        if np.iscomplexobj(proj):
-            gauge = _real_gauge(proj, self.reflection_index())
-            proj, block = proj @ gauge, (gauge.conj().T @ block @ gauge).real
-            block = (block + block.T) * 0.5
-        return proj, block, reps
+    def hop_block(self, even: bool) -> tuple:
+        """(P, P^T hop P, reps) for P = ``even_projector()`` when ``even``,
+        else the signed K = 0 isometry ``Orbits.projector``: the block real
+        and exactly symmetric, reps[a] the representative of column a
+        (``_project``)."""
+        proj = self.even_projector() if even else self.orbits().projector()
+        return (proj, *_project(self.hop(), proj))
 
     @_table
     def translation_table(self) -> tuple:
@@ -135,11 +126,6 @@ class _SectorTables:
     def reflection_index(self) -> np.ndarray:
         """The bare site reflection (``reflection``)."""
         return reflection(self)
-
-    @_table
-    def projector(self, K: int) -> sp.csr_matrix:
-        """``Orbits.projector(K)`` of the one-site translation."""
-        return self.orbits().projector(K)
 
     @_table
     def even_projector(self) -> sp.csr_matrix:
@@ -470,112 +456,66 @@ class Orbits:
     (from ``translation(basis, 1)``), from one walk over the d shifts.
 
     An orbit is labelled by its representative r, the smallest basis index
-    (the minimum of ``rotate``) on it; ``reps`` holds them ascending and
-    ``size`` the period p of each.  State i lies on orbit ``orbit[i]`` and
-    reaches its representative after ``shift[i]`` shifts,
-    T^shift |i> = to_rep[i] |r>; ``period_sign[o]`` is s_p in
-    T^p |r> = s_p |r>.  Memory stays O(dim); the arrays are read-only."""
+    on it; ``reps`` holds them ascending and ``size`` the period p of each.
+    State i lies on orbit ``orbit[i]``, and T^m |i> = to_rep[i] |r> for
+    the first shift m that reaches r; ``period_sign[o]`` is s_p in
+    T^p |r> = s_p |r>.  The arrays are read-only."""
 
-    d: int
     reps: np.ndarray
     size: np.ndarray
     orbit: np.ndarray
-    shift: np.ndarray
     to_rep: np.ndarray
     period_sign: np.ndarray
 
-    def in_sector(self, K: int) -> np.ndarray:
-        """Mask of the orbits that give sector K a column: those with
-        exp(-2 pi i K p / d) s_p = 1."""
-        d = self.d
-        return (2 * (K % d) * self.size) % (2 * d) == np.where(self.period_sign > 0, 0, d)
-
-    def projector(self, K: int) -> sp.csr_matrix:
-        """(dim, states) isometry P_K onto momentum sector K:
-        T P_K = exp(2 pi i K / d) P_K.  An orbit in the sector has the
-        amplitude to_rep[i] exp(2 pi i K shift[i] / d) / sqrt(p) on state i;
-        columns follow the representatives in ascending order.  P_K is
-        real for K = 0 and for K = d / 2; with K = 0 and every sign +1 it
-        is the uniform orbit sum."""
-        d, K = self.d, K % self.d
-        keep = self.in_sector(K)
+    def projector(self) -> sp.csr_matrix:
+        """(dim, states) isometry P onto the K = 0 sector, T P = P: the
+        orbits with s_p = +1, each with the real amplitude
+        to_rep[i] / sqrt(p) on its state i; columns follow the
+        representatives in ascending order.  With every sign +1 it is the
+        uniform orbit sum."""
+        keep = self.period_sign > 0
         rows = np.flatnonzero(keep[self.orbit])
-        amp = 1.0 / np.sqrt(self.size[self.orbit])
-        if 2 * K % d == 0:
-            amp = amp * self.to_rep * np.where(2 * K * self.shift // d % 2, -1.0, 1.0)
-        else:
-            amp = amp * self.to_rep * np.exp(2j * np.pi * (K * self.shift % d) / d)
+        amp = self.to_rep / np.sqrt(self.size[self.orbit])
         cols = (np.cumsum(keep) - 1)[self.orbit[rows]]
         return sp.csr_matrix((amp[rows], (rows, cols)), shape=(self.orbit.size, int(keep.sum())))
 
 
 def translation_orbits(index: np.ndarray, sign: np.ndarray, d: int) -> Orbits:
     """Walk every state once around its orbit of the one-site translation
-    (see ``Orbits``); every momentum sector reuses the result."""
+    (see ``Orbits``)."""
     dim = index.size
     signed = np.any(sign != 1)
     rep = pos = np.arange(dim)
-    shift = np.zeros(dim, dtype=np.int64)
     acc = to_rep = np.ones(dim)
-    for m in range(1, d):
+    for _ in range(1, d):
         if signed:
             acc = acc * sign[pos]
         pos = index[pos]
-        new = pos < rep
-        shift[new] = m
         if signed:
-            to_rep = np.where(new, acc, to_rep)
+            to_rep = np.where(pos < rep, acc, to_rep)
         rep = np.minimum(rep, pos)
     reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
     # T^p |r> = sign[r] T^(p-1) |index[r]> = sign[r] to_rep[index[r]] |r>
     period_sign = sign[reps] * to_rep[index[reps]]
-    tables = reps, size, orbit, shift, to_rep, period_sign
+    tables = reps, size, orbit, to_rep, period_sign
     for a in tables:
         a.setflags(write=False)
-    return Orbits(d, *tables)
+    return Orbits(*tables)
 
 
 def _project(h: sp.csr_matrix, proj: sp.csr_matrix) -> tuple:
-    """(P^H h P, the representative of each column) for an isometry P
+    """(P^T h P, the representative of each column) for a real isometry P
     whose columns have disjoint supports and span a subspace that h maps
-    into itself.  Then h P = P (P^H h P), so with r_a the first row of
-    column a, (P^H h P)[a, b] = (h[r_a] P)[b] / P[r_a, a]: only the rows
-    of the representatives are read.  The mean with the conjugate
-    transpose makes the block exactly Hermitian."""
+    into itself.  Then h P = P (P^T h P), so with r_a the first row of
+    column a, (P^T h P)[a, b] = (h[r_a] P)[b] / P[r_a, a]: only the rows
+    of the representatives are read.  The mean with the transpose makes
+    the block exactly symmetric."""
     csc = proj.tocsc()  # its indices ascend within each column
     first = csc.indptr[:-1]
     reps = csc.indices[first]
     block = h[reps] @ proj
     block.data /= np.repeat(csc.data[first], np.diff(block.indptr))
-    return (block + block.conj().T) * 0.5, reps
-
-
-def _real_gauge(proj: sp.csr_matrix, reflection_index: np.ndarray) -> sp.csr_matrix:
-    """The unitary W that makes W^H (P_K^H h P_K) W real for a real h
-    that commutes with T and with the bare site reflection R
-    (``reflection``), from P_K = ``Orbits.projector(K)``.
-
-    R T R = T^-1 (the fermionic reflection is R times a constant sign),
-    so R maps sector K onto -K, whose projector is conj(P_K): R P_K =
-    conj(P_K) Q with Q = P_K^T R P_K unitary, symmetric (R = R^T = R^-1)
-    and monomial (R maps orbits onto orbits).  Then conj(P_K^H h P_K) =
-    Q (P_K^H h P_K) Q^H, and any W with conj(W) W^H = Q makes the
-    transformed block equal to its conjugate.  Column by column: an orbit
-    that R maps onto itself, Q_rr = e^(i phi), gets W_rr = e^(-i phi/2);
-    a pair of orbits r < r' that R swaps, Q_r'r = Q_rr' = e^(i phi), gets
-    e^(-i phi/2) / sqrt(2) [[1, i], [1, -i]] on rows and columns (r, r'),
-    the cos and sin combinations of the two orbit sums."""
-    q = (proj.T @ proj[reflection_index]).tocsc()  # one entry per column
-    n = q.shape[0]
-    column, partner = np.arange(n), q.indices
-    half = np.exp(-0.5j * np.angle(q.data))
-    fixed, first = partner == column, partner > column
-    own, pair, other = column[fixed], column[first], partner[first]
-    c = half[first] / math.sqrt(2.0)
-    rows = np.concatenate([own, pair, other, pair, other])
-    cols = np.concatenate([own, pair, pair, other, other])
-    vals = np.concatenate([half[fixed], c, c, 1j * c, -1j * c])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return (block + block.T) * 0.5, reps
 
 
 # ------------------------------------------------------- pair/full embedding

@@ -85,9 +85,11 @@ class SparseOperator:
     float64, ``hopping`` a float); Hermitian because the unit hop is by
     construction (``fock._hop``, ``ChainBasis.hop``).  ``to_csr()``
     assembles the CSR matrix, zeros dropped: float64 unless the hop is
-    complex, and complex128 then."""
+    complex, and complex128 then.  ``couplings`` is the (U, gamma) that
+    ``build_full_hamiltonian`` formed the diagonal from (``full_diagonal``),
+    and None on every other operator."""
 
-    def __init__(self, basis, diagonal, hopping: float):
+    def __init__(self, basis, diagonal, hopping: float, couplings: Optional[tuple] = None):
         diagonal = np.asarray(diagonal)
         if diagonal.shape != (basis.size,):
             raise ValueError(f"diagonal shape {diagonal.shape} does not match basis size {basis.size}")
@@ -96,6 +98,7 @@ class SparseOperator:
         if not (np.isfinite(diagonal).all() and np.isfinite(hopping)):
             raise ValueError("operator parts must be finite (inf or NaN in the diagonal or hopping)")
         self.basis, self.diagonal, self.hopping = basis, diagonal.astype(float), float(hopping)
+        self.couplings = couplings
         self.diagonal.setflags(write=False)
 
     @property
@@ -121,18 +124,25 @@ class SparseOperator:
 
 # ------------------------------------------------------------- full Hubbard
 
+def full_diagonal(basis, u: float, gamma: float) -> np.ndarray:
+    """D = -U * onsite - gamma * bonds of the full model on ``basis``: the
+    one place its bits are formed, by the builder and again by the
+    spin-reflection certificate (``solve._lieb_couplings``)."""
+    return -u * basis.onsite() - gamma * basis.bonds()
+
+
 def build_full_hamiltonian(params: ModelParams):
     """H = J*H0 + U*Hp + gamma*Hnn on the shared two-species basis of
     (d, N_A, N_B), N_A = N_B = N when ``params`` gives N, from the basis's
     hop (the Kronecker sum of the two species hops), on-site pair count
-    and bond count."""
+    and bond count; the operator records (U, gamma) as ``couplings``."""
     if params.n_a is None or params.n_b is None:
         n = params.pair_count()
         basis = full_basis(params.d, n, n)
     else:
         basis = full_basis(params.d, params.n_a, params.n_b)
-    diag = -params.u * basis.onsite() - params.gamma * basis.bonds()
-    return SparseOperator(basis, diag, params.j)
+    diag = full_diagonal(basis, params.u, params.gamma)
+    return SparseOperator(basis, diag, params.j, (params.u, params.gamma))
 
 
 # -------------------------------------------------------- effective pair model

@@ -30,13 +30,13 @@ from .model import (
     SparseOperator,
     build_effective_hamiltonian,
     build_full_hamiltonian,
+    full_diagonal,
+    gamma_coupling,
 )
 
-DENSE_LIMIT = 2000  # "momenta" blocks from this size go to ARPACK
-SECTOR_DENSE_LIMIT = 350  # "sector" blocks from this size go to real Lanczos (see GroundSolver)
+DENSE_LIMIT = 350  # lattice blocks from this size go to real Lanczos (see GroundSolver)
 RESIDUAL_TOL = 1e-10
 LEVELS = 4  # eigenpairs per block solve; all of them when the window holds every one
-ARPACK_LEVELS = 12  # Ritz values per "momenta" ARPACK block (see _arpack)
 # Dense eigensolves below this size run on one BLAS thread (see _serial_blas).
 SERIAL_BLAS_BELOW = 512
 
@@ -50,29 +50,20 @@ class GroundSpace:
     """Lowest eigenvalue with an orthonormal basis of its eigenspace, every
     eigenvalue the solver computed, and how they were computed.
 
-    ``GroundSolver`` solves blocks of the operator: one block on "sector"
-    (the reflection-even K = 0 block when the operator commutes with the
-    site reflection, else the K = 0 block), every momentum block on
-    "momenta" and the whole chain on "banded".  ``path`` names the path.
-    Each block is solved for its LEVELS (4) lowest levels, ARPACK_LEVELS
-    (12) on a "momenta" ARPACK block, or for all of them when the degeneracy
-    window holds every one.  ``levels`` are the union of those levels,
-    ascending, cut to the lowest LEVELS on "momenta"; on "sector" that is
-    at most LEVELS levels unless the window held them all.  ``residual``
-    is the largest |H v - e v| over the ground vectors, each against its
-    own eigenvalue e and the whole operator.  ``momenta`` is the momentum
-    K (in units of 2 pi / d) of the block of each ground vector, all 0 on
-    "sector", None on "banded".  ``dims`` is the dimension of every block
-    solved, in order of K.
+    ``path`` names the path ``GroundSolver`` took: "sector" (one certified
+    K = 0 block), "banded" (a chain) or "whole".  ``levels`` are the LEVELS
+    (4) lowest levels of the block solved, ascending, or all of them when
+    the degeneracy window held every one.  ``residual`` is the largest
+    |H v - e v| over the ground vectors, each against its own eigenvalue e
+    and the whole operator.  ``dims`` is (the dimension of the block,).
     """
 
     energy: float
     vectors: np.ndarray  # shape (dim, degeneracy), columns orthonormal
     basis: object
-    levels: np.ndarray  # ascending: the lowest LEVELS eigenvalues of each block, or all of them
+    levels: np.ndarray  # ascending: the lowest LEVELS eigenvalues of the block, or all of them
     path: str
     residual: float
-    momenta: Optional[tuple]
     dims: tuple
 
     @property
@@ -178,120 +169,133 @@ def _banded(band: tuple, diagonal: np.ndarray, count: int) -> tuple:
     return evals, gauge[:, None] * vecs
 
 
-def _arpack(block: sp.csr_matrix, diagonal: np.ndarray, count: int) -> tuple:
+def _arpack(block: sp.csr_matrix, diagonal: np.ndarray, count: int, start: np.ndarray) -> tuple:
     """The count lowest Ritz pairs of the real block + diag(diagonal) by
-    real Lanczos (ARPACK ``eigsh``) from the deterministic uniform start
-    vector, which overlaps the positive Perron vector of a "sector" block,
-    ascending, under ``_serial_blas``.  ``eigsh`` needs count < n: a larger
-    count is a degenerate window that ARPACK cannot hold.  Every ARPACK
-    failure is a ``ConvergenceError``.  The ARPACK_LEVELS Ritz values of a
-    "momenta" block can still miss copies of a level degenerate inside
-    the block."""
+    real Lanczos (ARPACK ``eigsh``) from the deterministic vector
+    ``start`` (``_start``, which overlaps the ground vector of a certified
+    block), ascending, under ``_serial_blas``.  ``eigsh`` needs count < n:
+    a larger count is a degenerate window that ARPACK cannot hold.  Every
+    ARPACK failure is a ``ConvergenceError``."""
     n = block.shape[0]
     if count >= n:
         raise ConvergenceError("degenerate window exceeds the computed spectrum")
     mat = block + sp.diags(diagonal) if diagonal.any() else block
-    v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         with _serial_blas():
-            evals, evecs = spla.eigsh(mat, k=count, which="SA", v0=v0, tol=0)
+            evals, evecs = spla.eigsh(mat, k=count, which="SA", v0=start, tol=0)
     except spla.ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed: {exc}") from exc
     order = np.argsort(evals)
     return evals[order], evecs[:, order]
 
 
+def _start(basis, reps: np.ndarray) -> np.ndarray:
+    """The normalized indicator of the block columns whose representative
+    is paired (mask_a == mask_b; every column on a PairBasis or when none
+    is).  It overlaps every certified ground vector: a Perron vector is
+    positive, and a Lieb one has weight Tr W > 0 on the paired states,
+    whose orbits T maps with sign +1 (``docs/decisions.md`` §6)."""
+    paired = np.ones(reps.size, dtype=bool)
+    if isinstance(basis, FullBasis):
+        i_a, i_b = np.divmod(reps, basis.masks_b.size)
+        paired = basis.masks_a[i_a] == basis.masks_b[i_b]
+        paired = paired if paired.any() else ~paired
+    return paired / math.sqrt(paired.sum())
+
+
+def _lieb_couplings(op: SparseOperator, coupling: np.ndarray) -> Optional[tuple]:
+    """(U, gamma, kappa) when D is ``full_diagonal(basis, U, gamma)`` for
+    the (U, gamma) the operator records (``build_full_hamiltonian``) and
+    the coupling is kappa * ``gamma_coupling(basis)`` (-kappa * bonds),
+    both re-formed and compared bit for bit, on a FullBasis with
+    N_A = N_B and t > 0; else None.  kappa is read on the state with the
+    most bonds.  D's rounding does not fix U and gamma above half
+    filling, where every state has both an on-site pair and a bond, so
+    they are not read back from D's bits."""
+    basis = op.basis
+    if not (isinstance(basis, FullBasis) and basis.n_a == basis.n_b and op.hopping > 0 and op.couplings):
+        return None
+    (u, gamma), unit = op.couplings, gamma_coupling(basis)
+    most = np.argmin(unit)
+    kappa = float(coupling[most]) / float(unit[most]) if unit[most] else 0.0
+    if np.array_equal(full_diagonal(basis, u, gamma), op.diagonal) and np.array_equal(kappa * unit, coupling):
+        return float(u), float(gamma), kappa
+    return None
+
+
 def _certify(op: SparseOperator, coupling: np.ndarray) -> tuple:
-    """(path, even) of a builder operator diag(D) - t * hop with the
-    coupling c on a PairBasis or FullBasis, from D, t, c and the signs of
-    the one-site translation T.  The hop is symmetric, invariant under T
-    and the bare site reflection R, and connected by construction
-    (``fock._hop``), so D and c decide the symmetries: ValueError when T
-    moves either.  "sector" when every sign of T is +1, which makes every
-    hop entry > 0, and t > 0 or dim = 1: then every off-diagonal of
-    -t * hop is < 0 on a connected graph; ``even`` when R fixes D and c
-    too.  Otherwise "momenta", whose real blocks (``hop_block``) need R
-    to fix D and c: ValueError when it moves either."""
+    """(path, even, lieb) of a builder operator diag(D) - t * hop with the
+    coupling c on a PairBasis or FullBasis.  The hop is symmetric,
+    invariant under T and the bare site reflection R, and connected by
+    construction (``fock._hop``), so D, t, c and the signs of T decide:
+    - "sector" by Perron-Frobenius, at every gamma: D and c fixed by T,
+      every sign of T +1 (then every hop entry is > 0), and t > 0 or
+      dim = 1; ``even`` when R fixes D and c too;
+    - "sector" by spin-reflection positivity, at each gamma with
+      U > 2 |gamma_0 + kappa * gamma|: ``lieb`` = (U, gamma_0, kappa)
+      from ``_lieb_couplings``; the block is the signed K = 0 one;
+    - "whole" otherwise."""
     index, sign = op.basis.translation_table()
 
     def fixed(perm) -> bool:
         return np.array_equal(op.diagonal[perm], op.diagonal) and np.array_equal(coupling[perm], coupling)
 
-    if not fixed(index):
-        raise ValueError("no solver path: the operator or the coupling breaks the lattice translation")
-    even = fixed(op.basis.reflection_index())
-    if np.all(sign == 1) and (op.dim == 1 or op.hopping > 0):
-        return "sector", even
-    if not even:
-        raise ValueError("no solver path: the operator or the coupling breaks the site reflection")
-    return "momenta", False
+    if fixed(index) and np.all(sign == 1) and (op.dim == 1 or op.hopping > 0):
+        return "sector", fixed(op.basis.reflection_index()), None
+    lieb = _lieb_couplings(op, coupling)
+    return ("whole", False, None) if lieb is None else ("sector", False, lieb)
+
+
+def _hold_square(n: int, chain: bool) -> None:
+    """CapacityError when the n x n array that ``_banded`` or ``_dense``
+    of a whole operator allocates exceeds MAX_BASIS_STATES entries
+    (n > 4096, 128 MB)."""
+    if n * n > MAX_BASIS_STATES:
+        what = f"a chain of {n} sites" if chain else f"an operator that no certificate covers, of {n} states,"
+        raise CapacityError(f"{what} needs {n}^2 > {MAX_BASIS_STATES} matrix entries")
 
 
 class GroundSolver:
     """Ground spaces of op + gamma * diag(coupling), op = diag(D) - t * hop.
 
     ``__init__`` does everything that does not depend on gamma and keeps
-    the blocks to solve, K -> (P or None, block, reps, eigensolver,
-    count): the block at gamma is block + diag((D + gamma *
-    coupling)[reps]), and the eigensolver and its count, fixed here by the
-    block's structure and size, take (block, diagonal, count) and return
-    the count lowest eigenpairs.
-    tol_deg must be finite and > 0.  There are three paths:
-    - "sector", at any size, for an operator on a PairBasis or FullBasis
-      that, with its coupling, commutes exactly with the one-site
-      translation T, when Perron-Frobenius makes its ground state the
-      unique positive vector at every gamma (``_certify``).  That vector is
-      fixed by every basis permutation that commutes with the operator, so
-      one block is kept: the reflection-even K = 0 block
-      (``basis.even_projector()``) when the operator and the coupling are
-      exactly invariant under the bare site reflection R too
-      (``fock.reflection``), else the K = 0 block;
-    - "momenta", at any size, for any other such operator that, with its
-      coupling, is exactly invariant under R too: P_K =
-      ``basis.projector(K)`` for every K = 0..d/2 with a column, times the
-      gauge W that makes the block real for 0 < K < d/2
-      (``fock._real_gauge``); a lattice operator is real, so its -K blocks
-      are the conjugates of the +K ones;
-    - "banded", on a ChainBasis (the relative chains), which has no
-      lattice translation: the whole operator is the one block, its band
-      (``_band``, from t and the chain's phase) with no P and every site
-      as reps.  ``_banded`` allocates n x n, so n^2 is held to
-      MAX_BASIS_STATES (``CapacityError``).
-    A lattice block -t * P^H hop P (``basis.hop_block(K, even)``, which
-    returns (P, P^H hop P, reps), the block real on every path) has the
-    gamma term diag(coupling[reps]), exact because the coupling is
-    constant on each orbit and, on "momenta", fixed by R.  An operator or
-    a coupling that breaks T, or on "momenta" R, raises ``ValueError``
-    before any block exists.  The tables of the unit
-    hop and its symmetries are built once per sector; the checks of the
-    operator's own parts (``_certify``) run in every ``__init__``.
+    at most one block, (P or None, block, reps, eigensolver): the block at
+    gamma is block + diag((D + gamma * coupling)[reps]), and the
+    eigensolver, fixed by the block's structure and size, takes (block,
+    diagonal, count) and returns the count lowest eigenpairs.  tol_deg
+    must be finite and > 0.  The paths (``docs/decisions.md`` §4, §6):
+    - "sector", at any size, when a certificate (``_certify``) makes the
+      ground state unique and places it in one block of
+      ``basis.hop_block(even)``: Perron-Frobenius at every gamma, in the
+      reflection-even K = 0 block when R fixes the operator and the
+      coupling too, else the K = 0 block; spin-reflection positivity (the
+      even-N full model) at each gamma with U > 2 |gamma_0 + kappa *
+      gamma|, in the signed K = 0 block; a call outside that range solves
+      the whole operator, path "whole".  The gamma term of the block is
+      diag(coupling[reps]), exact because the coupling is constant on each
+      orbit.  ``_dense`` below DENSE_LIMIT states, real Lanczos
+      (``_arpack``, from ``_start``) from it: where Lanczos wins at count
+      4 on one BLAS thread (README "Ground solver");
+    - "banded", on a ChainBasis (the relative chains): the whole chain,
+      its band (``_band``) with no P and every site as reps, by
+      ``_banded``;
+    - "whole", for an operator that no certificate covers: -t * hop with
+      no P and every state as reps, formed at each call, by ``_dense``.
+    ``_banded`` and ``_dense`` of a whole operator allocate n x n, so n^2
+    is held to MAX_BASIS_STATES (``CapacityError``) before anything is
+    built: in ``__init__``, or at the call that falls back to "whole".
+    The tables of the unit hop and its symmetries are built once per
+    sector; the checks of the operator's own parts run in every
+    ``__init__``.
 
-    The eigensolvers, each for count = LEVELS (4) unless stated:
-    - "banded": ``_banded``;
-    - "sector": ``_dense`` below SECTOR_DENSE_LIMIT states, real Lanczos
-      (``_arpack``) from it.  The limit is where Lanczos wins, measured at
-      count 4 on one BLAS thread, best of 7, over gamma U / J^2 = 1, 6,
-      10.5 and 18.125 on a 2-vCPU machine: the 280-state block of
-      effective d = 16, N = 6 took 3.2-3.4 ms dense against 3.0-4.5 ms,
-      324 states (d = 19, N = 5) 3.4-4.0 ms against 2.8-4.4 ms, and 375
-      states (d = 16, N = 7) 6.7-7.8 ms against 3.6-5.7 ms; at 600 states
-      dense took 17-22 ms against 4-10 ms;
-    - "momenta": ``_dense`` below DENSE_LIMIT, ``_arpack`` from it for
-      ARPACK_LEVELS (12) Ritz values: ARPACK can miss copies of a
-      level degenerate inside one block, and fewer Ritz values miss more.
-
-    A call ``solver(gamma)`` forms D + gamma * coupling once and runs one
-    loop: solve each block for its count lowest levels, or for all of
-    them when the degeneracy window holds every level returned; apply the
-    window to the union of the levels, lift the vectors inside it with
-    their P, and check each against its own eigenvalue and the whole
-    operator at that gamma (``op.apply``).  The window tol_deg and the
-    residual bound RESIDUAL_TOL both scale with max(1, |E0|), so levels
-    split by less than the window stay in the ground space.  A block's own
-    bound E + tol_deg * max(1, |E|) increases with its lowest level E, so
-    when the block's highest computed level lies outside it, it lies
-    outside the window of the whole operator too: no level of the window
-    is left uncomputed.
+    A call ``solver(gamma)`` forms D + gamma * coupling once, solves the
+    block for its LEVELS (4) lowest levels, or for all of them when the
+    degeneracy window holds every level returned, applies the window,
+    lifts the vectors inside it with P, and checks each against its own
+    eigenvalue and the whole operator at that gamma (``op.apply``).  The
+    window tol_deg and the residual bound RESIDUAL_TOL both scale with
+    max(1, |E0|), so levels split by less than the window stay in the
+    ground space.
     """
 
     def __init__(self, op: SparseOperator, coupling=None, tol_deg: float = 1e-9):
@@ -304,50 +308,46 @@ class GroundSolver:
         self._coupling = np.zeros(n) if coupling is None else np.asarray(coupling, dtype=float)
         if self._coupling.shape != (n,):
             raise ValueError(f"coupling shape {self._coupling.shape} does not match basis size {n}")
+        self._block, self._lieb = None, None
         if not isinstance(op.basis, (PairBasis, FullBasis)):
-            if n * n > MAX_BASIS_STATES:
-                raise CapacityError(f"a chain of {n} sites needs {n}^2 > {MAX_BASIS_STATES} eigenvector entries")
-            self.path = "banded"
-            self._blocks = {0: (None, _band(op), slice(None), _banded, LEVELS)}
+            _hold_square(n, chain=True)
+            self.path, self._block = "banded", (None, _band(op), slice(None), _banded)
         else:
-            self.path, even = _certify(op, self._coupling)
-            sector = self.path == "sector"
-            ks = (0,) if sector else range(op.basis.d // 2 + 1)
-            limit = SECTOR_DENSE_LIMIT if sector else DENSE_LIMIT
-            iterative = (_arpack, LEVELS if sector else ARPACK_LEVELS)
-            blocks = {k: op.basis.hop_block(k, even) for k in ks}
-            self._blocks = {k: (proj, hop * -op.hopping, reps, *(iterative if reps.size >= limit else (_dense, LEVELS)))
-                            for k, (proj, hop, reps) in blocks.items() if reps.size}
-        self.dims = tuple(self._coupling[reps].size for _, _, reps, *_ in self._blocks.values())
+            self.path, even, self._lieb = _certify(op, self._coupling)
+            if self.path == "whole":
+                _hold_square(n, chain=False)
+            else:
+                proj, hop, reps = op.basis.hop_block(even)
+                eigensolver = _dense if reps.size < DENSE_LIMIT else functools.partial(
+                    _arpack, start=_start(op.basis, reps))
+                self._block = (proj, hop * -op.hopping, reps, eigensolver)
+        self.dims = (n,) if self._block is None else (self._coupling[self._block[2]].size,)
+
+    def _whole(self) -> tuple:
+        """The block record of the whole operator: -t * hop, no P, every
+        state as reps, solved by ``_dense``."""
+        _hold_square(self._op.dim, chain=False)
+        return None, self.basis.hop() * -self._op.hopping, slice(None), _dense
 
     def __call__(self, gamma: float = 0.0) -> GroundSpace:
         """Lowest eigenvalue and all eigenvectors within tol_deg of it, of
         op + gamma * diag(coupling)."""
         tol_deg = self.tol_deg
+        path, block = self.path, self._block
+        if self._lieb is not None:
+            u, gamma_0, kappa = self._lieb
+            if not u > 2.0 * abs(gamma_0 + kappa * gamma):
+                path, block = "whole", None
+        proj, matrix, reps, eigensolver = self._whole() if block is None else block
         diagonal = self._op.diagonal + gamma * self._coupling
-        solved = {}  # K -> (P, levels, block vectors, conjugated)
-        for k, (proj, block, reps, eigensolver, count) in self._blocks.items():
-            shift = diagonal[reps]
-            evals, evecs = eigensolver(block, shift, min(count, shift.size))
-            if evals.size < shift.size and _window(evals, tol_deg).all():
-                evals, evecs = eigensolver(block, shift, shift.size)
-            solved[k] = (proj, evals, evecs, False)
-            if 0 < k < self.basis.d - k:  # only momentum blocks have K > 0
-                solved[self.basis.d - k] = (proj, evals, evecs, True)
-        # the union of the levels, sorted stably by level and then by K
-        ks = np.concatenate([np.full(s[1].size, k) for k, s in solved.items()])
-        slots = np.concatenate([np.arange(s[1].size) for s in solved.values()])
-        evals = np.concatenate([s[1] for s in solved.values()])
-        order = np.lexsort((ks, evals))
-        evals, ks, slots = evals[order], ks[order], slots[order]
+        shift = diagonal[reps]
+        evals, evecs = eigensolver(matrix, shift, min(LEVELS, shift.size))
+        if evals.size < shift.size and _window(evals, tol_deg).all():
+            evals, evecs = eigensolver(matrix, shift, shift.size)
         sel = _window(evals, tol_deg)
-        cols = []
-        for k, slot in zip(ks[sel], slots[sel]):
-            proj, _, evecs, conjugated = solved[k]
-            vec = evecs[:, slot] if proj is None else proj @ evecs[:, slot]
-            cols.append(vec.conj() if conjugated else vec)
+        vecs = evecs[:, sel] if proj is None else proj @ evecs[:, sel]
         # re-orthonormalize (eigh already orthonormal; cheap safeguard)
-        vecs, _ = np.linalg.qr(np.asarray(np.column_stack(cols), dtype=complex))
+        vecs, _ = np.linalg.qr(np.asarray(vecs, dtype=complex))
         scale = max(1.0, abs(evals[0]))
         hv = self._op.apply(vecs)
         if gamma:
@@ -355,9 +355,7 @@ class GroundSolver:
         res = float(np.linalg.norm(hv - vecs * evals[sel], axis=0).max())
         if not res < RESIDUAL_TOL * scale:  # a NaN residual fails too
             raise ConvergenceError(f"residual {res:g} above tolerance")
-        momenta = None if self.path == "banded" else tuple(int(k) for k in ks[sel])
-        levels = evals[:LEVELS] if self.path == "momenta" else evals
-        return GroundSpace(float(evals[0]), vecs, self.basis, levels, self.path, res, momenta, self.dims)
+        return GroundSpace(float(evals[0]), vecs, self.basis, evals, path, res, (shift.size,))
 
 
 def ground_space(op: SparseOperator, tol_deg: float = 1e-9) -> GroundSpace:
@@ -463,10 +461,11 @@ def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
     -N(U + 4J^2/U) restored) and report the weight of the full ground
     state's normalized pair-sector part in the effective ground space.
 
-    The levels are each model's ``GroundSpace.levels``.  A model solved on
-    the sector path has K = 0 levels only, so when just one of the two
-    models took it only E0 is compared: a certified model's ground level
-    lies at K = 0, so its lowest K = 0 level is its E0."""
+    The levels are each model's ``GroundSpace.levels``, of the
+    reflection-even K = 0 block for the effective model and the full model
+    with odd N.  The full model with even N is solved on its signed K = 0
+    block (or whole), so there only E0, every path's lowest level, is
+    compared."""
     if params.u < 100.0 * params.j:
         raise ValueError("spectral equivalence requires U/J >= 100")
     n = params.pair_count()
@@ -492,8 +491,7 @@ def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
         overlaps = eff.vectors.conj().T @ projected.amplitudes
         fid = float(np.sum(np.abs(overlaps) ** 2)) / pnorm**2
 
-    same_sectors = (eff.path == "sector") == (full.path == "sector")
-    k = min(LEVELS if same_sectors else 1, len(eff.levels), len(full.levels))
+    k = min(LEVELS if n % 2 else 1, len(eff.levels), len(full.levels))
     return EquivalenceReport(
         effective_energies=eff.levels[:k],
         full_energies=full.levels[:k] - constant,

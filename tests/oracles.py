@@ -21,7 +21,16 @@ import scipy.sparse as sp
 from scipy.optimize import root
 from scipy.sparse.csgraph import connected_components
 
-from cobosons.fock import FullBasis, PairBasis, StateVector, _SectorTables, fix_phase, full_basis, popcount
+from cobosons.fock import (
+    FullBasis,
+    PairBasis,
+    StateVector,
+    _SectorTables,
+    fix_phase,
+    full_basis,
+    popcount,
+    translation,
+)
 
 
 # ------------------------------------------------------- scalar fermion operators
@@ -383,6 +392,32 @@ def orbit_projector(index: np.ndarray, d: int) -> sp.csr_matrix:
         rep = np.minimum(rep, pos)
     _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
     return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(dim), orbit)), shape=(dim, size.size))
+
+
+def momentum_projector(basis, K: int) -> sp.csr_matrix:
+    """(dim, states) complex isometry onto momentum sector K of the signed
+    one-site translation T (``translation(basis, 1)``), one orbit at a
+    time: an orbit with smallest index r and period p, T^m |r> = c_m
+    |i_m>, belongs to sector K when exp(-2 pi i K p / d) c_p = 1, and its
+    column puts c_m exp(-2 pi i K m / d) / sqrt(p) on i_m, so that
+    T P_K = exp(2 pi i K / d) P_K."""
+    index, sign = translation(basis, 1)
+    d = basis.d
+    rows, vals, cols, columns = [], [], [], 0
+    for r in range(index.size):
+        orbit, coeff, pos, c = [], [], r, 1.0
+        while not orbit or pos != r:
+            orbit.append(pos)
+            coeff.append(c)
+            c, pos = c * sign[pos], int(index[pos])
+        if min(orbit) != r or abs(cmath.exp(-2j * cmath.pi * K * len(orbit) / d) * c - 1) > 1e-9:
+            continue
+        for m, (i, cm) in enumerate(zip(orbit, coeff)):
+            rows.append(i)
+            vals.append(cm * cmath.exp(-2j * cmath.pi * K * m / d) / math.sqrt(len(orbit)))
+            cols.append(columns)
+        columns += 1
+    return sp.csr_matrix((vals, (rows, cols)), shape=(index.size, columns), dtype=complex)
 
 
 def build_c_sr_loop(d: int, s: int, r: int, power: int = 1) -> StateVector:

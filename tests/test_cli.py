@@ -190,9 +190,12 @@ def test_console_entry_reports_input_errors_in_one_line(tmp_path, capsys):
         (["ground-state", "--model", "full", "--d", "4", "--n", "1", "--U", "0"], "need finite J >= 0 and U > 0"),
         (["fidelity-scan", "--d", "6", "--n", "2", "--targets", "q:1"], "argument --targets: bad target 'q:1'; targets are c2:s,r"),
         (["purity-scan", "--d", "6", "--n", "0", "--gamma-grid", "0:1:2"], "single-pair RDM needs N >= 1 pairs"),
-        (["ground-state", "--gamma-u-j2", "-1"], "gamma must be finite and >= 0, got -0.001"),
-        (["ground-state", "--gamma-u-j2", "nan"], "gamma must be finite and >= 0, got nan"),
-        (["ground-state", "--gamma-u-j2", "inf"], "gamma must be finite and >= 0, got inf"),
+        (["ground-state", "--gamma-u-j2", "-1"], "gamma*U/J^2 must be finite and >= 0, got -1"),
+        (["ground-state", "--gamma-u-j2", "nan"], "gamma*U/J^2 must be finite and >= 0, got nan"),
+        (["ground-state", "--gamma-u-j2", "inf"], "gamma*U/J^2 must be finite and >= 0, got inf"),
+        (["ground-state", "--gamma-u-j2", "x"], "argument --gamma-u-j2: bad number 'x'; expected one number"),
+        (["ground-state", "--model", "effective", "--d", "20", "--n", "8", "--J", "0"],
+         "an operator that no certificate covers, of 125970 states, needs 125970^2 > 16777216 matrix entries"),
         (["ground-state", "--J", "x"], "argument --J: bad number 'x'; expected one number"),
     ]
     for key in ("J", "U", "tol"):
@@ -212,17 +215,19 @@ def test_console_entry_reports_input_errors_in_one_line(tmp_path, capsys):
 
 
 def test_console_entry_reports_a_failed_solve_in_one_line(tmp_path, capsys, monkeypatch):
-    # valid input whose solve fails: the effective d = 10, N = 4 model at
-    # J = 0 is zero in every momentum block, which ARPACK (DENSE_LIMIT = 14
-    # here, as at d = 20, N = 8 by default) cannot start from; exit status 1
+    # valid input whose solve fails: at --tol 1 the degeneracy window of
+    # the effective d = 10, N = 4 model holds the 4 lowest levels of its
+    # 16-state block, which real Lanczos (DENSE_LIMIT = 14 here, as at
+    # d = 20, N = 8 by default) cannot widen to; exit status 1
     monkeypatch.setattr(solve, "DENSE_LIMIT", 14)
     out = tmp_path / "gs.csv"
-    argv = ["ground-state", "--model", "effective", "--d", "10", "--n", "4", "--J", "0", "--U", "1000", "--out", str(out)]
+    argv = ["ground-state", "--model", "effective", "--d", "10", "--n", "4", "--J", "1", "--U", "1000",
+            "--tol", "1", "--out", str(out)]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.splitlines() == [captured.err.strip()]
-    assert captured.err.startswith("cobosons: error: ARPACK failed: "), captured.err
+    assert captured.err == "cobosons: error: degenerate window exceeds the computed spectrum\n", captured.err
     assert not out.exists()
 
 
@@ -293,6 +298,17 @@ def test_ground_state_degeneracy_report(tmp_path):
     assert "# degeneracy = 5" in text
     header_line = next(l for l in text.splitlines() if not l.startswith("#"))
     assert header_line == "mask_a,mask_b,re,im"
+
+
+def test_even_n_full_ground_state_is_unique(tmp_path):
+    # spin-reflection positivity: full d = 8, N = 4 at gamma U / J^2 = 20
+    # has one ground state, solved on its K = 0 block; the eight levels of
+    # the molecular band at K = 0..7 lie within 1e-6 of it, inside the
+    # window of 4e-6 that the whole operator's |E0| = 4000 would give
+    out = tmp_path / "gs.csv"
+    run_cli("ground-state", "--model", "full", "--d", "8", "--n", "4", "--J", "1", "--U", "1000",
+            "--gamma-u-j2", "20", "--out", str(out))
+    assert read(out).splitlines()[1] == "# degeneracy = 1"
 
 
 def test_summary_lines_never_interleave(tmp_path):
@@ -418,16 +434,16 @@ def test_sweep_builds_once_per_sweep(command, model, targets, builds, monkeypatc
 
 
 @pytest.mark.parametrize("model, n, path", [("effective", 3, "sector"), ("full", 3, "sector"),
-                                            ("full", 2, "momenta")])
+                                            ("full", 2, "sector")])
 def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n, path, kept_solvers, monkeypatch,
                                                                        tmp_path):
-    # the orbit walk, the hop and its projected blocks belong to the
+    # the orbit walk, the hop and its projected block belong to the
     # shared basis and are built once while it is shared; the checks of
     # the operator's own parts (D and t) run in every sweep and the
-    # residual at every point, and neither sweep assembles the whole H
+    # residual at every point, and neither sweep assembles the whole H.
+    # Odd N is Perron-certified, even N by spin-reflection positivity
     from cobosons import fock, model as model_module, solve
 
-    blocks = 1 if path == "sector" else 4  # the momenta K = 0..d/2
     calls = Counter()
 
     def count(owner, name):
@@ -450,14 +466,14 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
         calls.clear()
         run_cli(*argv, "--out", str(tmp_path / f"run{run}.csv"))
         outputs.append(read(tmp_path / f"run{run}.csv"))
-        assert kept_solvers[-1].path == path and len(kept_solvers[-1].dims) == blocks
+        assert kept_solvers[-1].path == path and len(kept_solvers[-1].dims) == 1
         assert (calls["_certify"], calls["apply"], calls["to_csr"]) == (1, 3, 0), run
         built = {name: calls[name] for name in ("_project", "translation_orbits", "_hop", "_masks")}
         if run:
             assert built == dict.fromkeys(built, 0)
         else:
             # a full sweep also enumerates the pair basis of its target
-            assert built == {"_project": blocks, "translation_orbits": 1,
+            assert built == {"_project": 1, "translation_orbits": 1,
                              "_hop": 1 if model == "effective" else 2, "_masks": 1 if model == "effective" else 3}
     assert outputs[0] == outputs[1]
 

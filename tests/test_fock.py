@@ -35,6 +35,7 @@ from oracles import (
     fermion_a_create,
     fermion_b_create,
     facts,
+    momentum_projector,
     orbit_projector,
     project_to_pair_sector_loop,
     translate_loop,
@@ -165,12 +166,13 @@ def test_each_kind_shares_the_sector_asked_for_last():
 def _table_arrays(basis):
     orbits = basis.orbits()
     tables = [basis.bonds(), *basis.translation_table(), basis.reflection_index(),
-              *(getattr(orbits, name) for name in ("reps", "size", "orbit", "shift", "to_rep", "period_sign"))]
+              *(getattr(orbits, name) for name in ("reps", "size", "orbit", "to_rep", "period_sign"))]
     if isinstance(basis, fock.PairBasis):
         tables += [basis.occupation(), basis.rdm_gather()]
     else:
         tables += [basis.onsite()]
-    csrs = [basis.hop(), basis.even_projector(), *(basis.projector(k) for k in range(basis.d))]
+    csrs = [basis.hop(), basis.even_projector(),
+            *(block for even in (False, True) for block in basis.hop_block(even)[:2])]
     return tables + [a for m in csrs for a in (m.data, m.indices, m.indptr)]
 
 
@@ -327,23 +329,30 @@ MOMENTUM_BASES = [pair_basis(d, n) for d in range(1, 11) for n in range(d + 1)] 
 
 
 def test_momentum_projectors_are_isometries_onto_translation_eigenspaces():
-    # T P_K = exp(2 pi i K / d) P_K, P_K^H P_K = 1, and the d sectors
-    # together hold every state, with the signs -1 of even-N species
+    # the library's K = 0 projector: real, P^T P = 1 and T P = P, with the
+    # signs -1 of even-N species, spanning the K = 0 sector of the loop
+    # oracle; the oracle's d sectors P_K, T P_K = exp(2 pi i K / d) P_K,
+    # together hold every state
     for basis in MOMENTUM_BASES:
         d = basis.d
         index, sign = translation(basis, 1)
         shift = sp.csr_matrix((sign, (index, np.arange(basis.size))), shape=(basis.size,) * 2)
-        orbits = translation_orbits(index, sign, d)
+        proj = translation_orbits(index, sign, d).projector()
+        assert not np.iscomplexobj(proj), basis
+        gram = (proj.T @ proj).toarray()
+        assert np.abs(gram - np.eye(proj.shape[1])).max(initial=0.0) < 1e-14, basis
+        assert np.abs((shift @ proj - proj).toarray()).max(initial=0.0) < 1e-14, basis
         total = 0
         for k in range(d):
-            proj = orbits.projector(k)
-            total += proj.shape[1]
-            if 2 * k % d == 0:
-                assert not np.iscomplexobj(proj), (basis, k)
-            gram = (proj.conj().T @ proj).toarray()
-            assert np.abs(gram - np.eye(proj.shape[1])).max(initial=0.0) < 1e-14, (basis, k)
+            oracle = momentum_projector(basis, k)
+            total += oracle.shape[1]
+            gram = (oracle.conj().T @ oracle).toarray()
+            assert np.abs(gram - np.eye(oracle.shape[1])).max(initial=0.0) < 1e-14, (basis, k)
             phase = np.exp(2j * np.pi * k / d)
-            assert np.abs((shift @ proj - phase * proj).toarray()).max(initial=0.0) < 1e-14, (basis, k)
+            assert np.abs((shift @ oracle - phase * oracle).toarray()).max(initial=0.0) < 1e-14, (basis, k)
+            if k == 0:
+                same = (proj @ proj.T - oracle @ oracle.conj().T).toarray()
+                assert oracle.shape[1] == proj.shape[1] and np.abs(same).max(initial=0.0) < 1e-14, basis
         assert total == basis.size, basis
 
 
@@ -352,7 +361,7 @@ def test_zero_momentum_projector_with_positive_signs_is_the_orbit_sum():
         index, sign = translation(basis, 1)
         if np.any(sign != 1):
             continue
-        got, want = translation_orbits(index, sign, basis.d).projector(0), orbit_projector(index, basis.d)
+        got, want = translation_orbits(index, sign, basis.d).projector(), orbit_projector(index, basis.d)
         assert got.dtype == want.dtype and got.shape == want.shape, basis
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part)), (basis, part)

@@ -192,7 +192,7 @@ def test_fidelity_with_a_ground_space_matches_the_column_loop(k):
     rng = np.random.default_rng(k)
     raw = rng.standard_normal((psi.basis.size, k)) + 1j * rng.standard_normal((psi.basis.size, k))
     vecs, _ = np.linalg.qr(raw / np.sqrt(psi.basis.size) + psi.amplitudes[:, None])
-    gs = GroundSpace(0.0, vecs, psi.basis, np.zeros(k), "momenta", 0.0, None, (psi.basis.size,))
+    gs = GroundSpace(0.0, vecs, psi.basis, np.zeros(k), "whole", 0.0, (psi.basis.size,))
     want = sum(abs(np.vdot(vecs[:, c], psi.amplitudes)) ** 2 for c in range(k))
     assert abs(fidelity(psi, gs) - want) < 1e-14
     assert want > 0.1

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
@@ -28,7 +29,22 @@ from cobosons.solve import (
     ground_state_vector,
     spectral_equivalence_check,
 )
-from oracles import BETHE_MAX_DELTA, bethe_energy, facts, geometric_tail, is_bound, string_energy
+from oracles import (
+    BETHE_MAX_DELTA,
+    bethe_energy,
+    facts,
+    geometric_tail,
+    is_bound,
+    momentum_projector,
+    string_energy,
+)
+
+
+def _eigensolver(solver):
+    """The eigensolver function of the block ``solver`` keeps (``_arpack``
+    is kept with its start vector bound)."""
+    eigensolver = solver._block[3]
+    return getattr(eigensolver, "func", eigensolver)
 
 
 def _chain(diagonal):
@@ -142,7 +158,7 @@ def test_real_lanczos_matches_the_string_energy_at_n_8(d, bound):
     # string's tail around the ring is not yet negligible (measured
     # 2.3e-12 relative there, below 4e-16 at the three other points)
     solver = _effective_solver(d, 8)
-    assert [rec[3:] for rec in solver._blocks.values()] == [(solve._arpack, solve.LEVELS)]
+    assert _eigensolver(solver) is solve._arpack
     for x in (10.5, 18.125):
         p = _effective_params(d, 8, x)
         got = solver(p.gamma)
@@ -251,8 +267,9 @@ def test_spectral_equivalence_degenerate_flag():
 
 
 def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
-    # at DENSE_LIMIT = 30 the full model's momentum blocks (36 to 39
-    # states) go to ARPACK and no block of 30 states or more is densified
+    # at DENSE_LIMIT = 30 the full model's signed K = 0 block (39 states,
+    # certified by spin-reflection positivity) goes to ARPACK and no block
+    # of 30 states or more is densified
     p = ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2)
     want = spectral_equivalence_check(p)
     dense, arpack = solve._dense, solve._arpack
@@ -262,9 +279,9 @@ def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
         assert block.shape[0] < 30, f"densified a dim-{block.shape[0]} block"
         return dense(block, diagonal, count)
 
-    def counted(block, diagonal, count):
+    def counted(block, diagonal, count, start):
         arpack_dims.append(block.shape[0])
-        return arpack(block, diagonal, count)
+        return arpack(block, diagonal, count, start)
 
     monkeypatch.setattr(solve, "DENSE_LIMIT", 30)
     monkeypatch.setattr(solve, "_dense", guarded)
@@ -279,8 +296,10 @@ def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
 
 @pytest.mark.parametrize("d, n, levels", [(8, 3, 4), (6, 3, 3), (6, 2, 1)])
 def test_spectral_equivalence_compares_levels_of_the_same_sectors(d, n, levels):
-    # effective model on the sector path; the full model with odd N too,
-    # with even N on "momenta", where only E0 is comparable
+    # the effective model and the full model with odd N on their
+    # reflection-even K = 0 blocks; with even N the full model is solved on
+    # its signed K = 0 block, whose levels include reflection-odd ones, so
+    # only E0 is comparable
     rep = spectral_equivalence_check(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
     assert len(rep.effective_energies) == len(rep.full_energies) == levels
     assert np.abs(rep.full_energies - rep.effective_energies).max() < 1e-6
@@ -342,17 +361,17 @@ def test_sector_path_matches_whole_operator_dense_solve(model):
     # effective sizes d <= 10 and full models with odd N_A, N_B, d <= 6:
     # the K = 0 block, solved dense (default limit) or by real Lanczos
     # (limit 14, blocks of 14 states and more), gives the whole operator's
-    # E0, degeneracy and ground projector
+    # E0, degeneracy and ground projector, and a T-invariant ground vector
     for case in (c for c in SECTOR_CASES if c[0] == model):
         op = _sector_case(*case)
         energy, vectors = _whole_operator_dense(op)
         scale = max(1.0, abs(energy))
-        for limit in (solve.SECTOR_DENSE_LIMIT, 14):
-            with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
+        for limit in (solve.DENSE_LIMIT, 14):
+            with mock.patch.object(solve, "DENSE_LIMIT", limit):
                 got = ground_space(op)
             assert got.path == "sector", case
             assert got.degeneracy == vectors.shape[1] == 1, case
-            assert got.momenta == (0,), case
+            _translation_invariant(op, got)
             assert abs(got.energy - energy) < 1e-12 * scale, case
             want = vectors @ vectors.conj().T
             assert np.abs(_ground_projector(got) - want).max() < 1e-12 * scale, case
@@ -370,8 +389,8 @@ def test_sector_path_solves_the_reflection_even_block(model):
         whole = np.linalg.eigvalsh(op.to_csr().toarray())
         scale = max(1.0, abs(whole[0]))
         index = reflection(op.basis)
-        for limit in (solve.SECTOR_DENSE_LIMIT, 14):
-            with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
+        for limit in (solve.DENSE_LIMIT, 14):
+            with mock.patch.object(solve, "DENSE_LIMIT", limit):
                 got = ground_space(op)
             assert got.path == "sector", case
             assert np.abs(got.vectors[index] - got.vectors).max() < 1e-12, case
@@ -411,8 +430,8 @@ def test_operators_that_break_the_reflection_solve_the_whole_zero_momentum_block
         energy, vectors = _whole_operator_dense(op, gamma * coupling)
         if breaks == "operator" or gamma:
             assert np.abs(vectors[index] - vectors).max() > 1e-3
-        for limit in (solve.SECTOR_DENSE_LIMIT, 14):
-            with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
+        for limit in (solve.DENSE_LIMIT, 14):
+            with mock.patch.object(solve, "DENSE_LIMIT", limit):
                 got = GroundSolver(op, coupling)(gamma)
             assert (got.path, got.dims, got.degeneracy) == ("sector", (orbits,), 1), (gamma, limit)
             assert abs(got.energy - energy) < 1e-12 * max(1.0, abs(energy))
@@ -444,8 +463,8 @@ def _sector_sizes(basis):
 
 def test_ground_space_reports_the_dimension_of_each_block_solved():
     # sector: one column per bracelet (280 at d = 16, N = 6, from 504
-    # necklaces); momenta: every real sector K = 0..d/2; banded: the whole
-    # chain
+    # necklaces), and for the even-N full model the K = 0 sector of the
+    # signed translation; whole: every state; banded: the whole chain
     for d, n in ((8, 3), (10, 4), (16, 6)):
         op = _sector_case("effective", d, n, 15.5)
         assert ground_space(op).dims == (_bracelets(op.basis),), (d, n)
@@ -453,8 +472,10 @@ def test_ground_space_reports_the_dimension_of_each_block_solved():
 
     op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=6, n=2))
     gs = ground_space(op)
-    assert gs.path == "momenta"
-    assert gs.dims == tuple(_sector_sizes(op.basis)[: op.basis.d // 2 + 1])
+    assert (gs.path, gs.dims) == ("sector", (_sector_sizes(op.basis)[0],))
+
+    op = build_effective_hamiltonian(ModelParams(j=0.0, u=1e3, gamma=4e-3, d=6, n=3))
+    assert (ground_space(op).path, ground_space(op).dims) == ("whole", (20,))
 
     chain = build_relative_chain("two_pair", ModelParams(j=1.0, u=3.0, gamma=3.0, d=10, n=2), cutoff=400)
     assert (ground_space(chain).path, ground_space(chain).dims) == ("banded", (400,))
@@ -469,8 +490,9 @@ def _with_site_potential(op):
 UNCERTIFIED = {
     # no off-diagonal element: the graph is disconnected
     "J = 0": lambda: build_effective_hamiltonian(ModelParams(j=0.0, u=1e3, gamma=4e-3, d=6, n=3)),
-    # even N per species: the wrap bond is +J and T has signs -1
-    "even N": lambda: build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=4, n=2)),
+    # even N per species with U < 2 gamma: T has signs -1, and V = U + gamma
+    # (ring adjacency) is indefinite
+    "even N": lambda: build_full_hamiltonian(ModelParams(j=1.0, u=2.0, gamma=1.5, d=4, n=2)),
     # hopping +Jbar: connected, T-invariant with signs +1, but not stoquastic
     "positive hopping": lambda: build_effective_from_bars(6, 2, -2e-3, 4e-3),
     "diagonal, not invariant": lambda: SparseOperator(pair_basis(6, 3), np.arange(20.0), 0.0),
@@ -478,45 +500,36 @@ UNCERTIFIED = {
     "site potential": lambda: _with_site_potential(
         build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=3))),
 }
-INVARIANT = {"J = 0", "even N", "positive hopping"}
 
 
-def _assert_momenta_path_matches_whole_operator(op, case):
-    """At the default DENSE_LIMIT and at 14 (blocks of 14 states and more
-    on ARPACK): the "momenta" path gives the whole operator's E0,
-    degeneracy and ground projector, and each ground vector lies in the
-    sector ``momenta`` names."""
-    energy, vectors = _whole_operator_dense(op)
+def _assert_whole_path_matches_whole_operator(op, coupling=None, gamma=0.0, case=None):
+    """The "whole" path gives the assembled matrix's E0, degeneracy and
+    ground projector, solved as one block of every state."""
+    c = np.zeros(op.dim) if coupling is None else coupling
+    energy, vectors = _whole_operator_dense(op, gamma * c)
     scale = max(1.0, abs(energy))
-    index, sign = translation(op.basis, 1)
-    d = op.basis.d
-    for limit in (solve.DENSE_LIMIT, 14):
-        with mock.patch.object(solve, "DENSE_LIMIT", limit):
-            got = ground_space(op)
-        assert got.path == "momenta", case
-        assert got.degeneracy == vectors.shape[1], case
-        assert abs(got.energy - energy) < 1e-12 * scale, case
-        want = vectors @ vectors.conj().T
-        assert np.abs(_ground_projector(got) - want).max() < 1e-12 * scale, case
-        assert got.residual < solve.RESIDUAL_TOL * scale
-        assert len(got.momenta) == got.degeneracy
-        for vec, k in zip(got.vectors.T, got.momenta):
-            moved = np.zeros_like(vec)
-            moved[index] = sign * vec
-            assert np.abs(moved - np.exp(2j * np.pi * k / d) * vec).max() < 1e-12, case
+    got = GroundSolver(op, coupling)(gamma)
+    assert (got.path, got.dims) == ("whole", (op.dim,)), case
+    assert got.degeneracy == vectors.shape[1], case
+    assert abs(got.energy - energy) < 1e-12 * scale, case
+    assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-12 * scale, case
+    assert got.residual < solve.RESIDUAL_TOL * scale
 
 
 @pytest.mark.parametrize("name", sorted(UNCERTIFIED))
 def test_uncertified_operators_solve_the_whole_operator(name):
-    # translation-invariant operators in every momentum sector; the others,
-    # whose D breaks T, raise before any block is built
+    # no certificate covers them, so each is solved as one block of every
+    # state, and no sector block is built; the even-N full model has the
+    # Lieb form, certified at a gamma with U > 2 gamma, so its solver keeps
+    # the K = 0 block and this call solves the whole operator
     op = UNCERTIFIED[name]()
-    if name in INVARIANT:
-        _assert_momenta_path_matches_whole_operator(op, name)
+    if name == "even N":
+        assert GroundSolver(op).path == "sector"
+        _assert_whole_path_matches_whole_operator(op, case=name)
         return
     with mock.patch.object(fock._SectorTables, "hop_block", side_effect=AssertionError("block built")):
-        with pytest.raises(ValueError, match="no solver path: .*breaks the lattice translation"):
-            ground_space(op)
+        assert GroundSolver(op).path == "whole"
+        _assert_whole_path_matches_whole_operator(op, case=name)
 
 
 EVEN_N_CASES = [
@@ -525,29 +538,46 @@ EVEN_N_CASES = [
     for n_a in range(1, d)
     for n_b in range(1, d)
     if n_a % 2 == 0 or n_b % 2 == 0
-    for x in (0.0, 4.0)
+    for x in (0.0, 4.0, 60.0)
 ]
 
 
-def test_even_n_full_models_solve_every_momentum_sector():
+def test_even_n_full_models_solve_one_block():
+    # N_A = N_B even at U = 10 > 2 gamma (x = 0, 4): spin-reflection
+    # positivity certifies the signed K = 0 block, whose ground vector is
+    # the whole operator's; at x = 60 (2 gamma = 12 > U), and whenever
+    # N_A != N_B, no certificate holds and the whole operator is solved.
+    # Every case is solved as a sweep solves it, H(0) plus gamma times the
+    # coupling, and gives the assembled matrix's ground space
     for d, n_a, n_b, x in EVEN_N_CASES:
+        case = (d, n_a, n_b, x)
         op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=x * 0.1, d=d, n_a=n_a, n_b=n_b))
-        _assert_momenta_path_matches_whole_operator(op, (d, n_a, n_b, x))
+        base = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.0, d=d, n_a=n_a, n_b=n_b))
+        coupling = gamma_coupling(base.basis)
+        if n_a != n_b or x == 60.0:
+            _assert_whole_path_matches_whole_operator(base, coupling, x * 0.1, case=case)
+            continue
+        energy, vectors = _whole_operator_dense(op)
+        got = GroundSolver(base, coupling)(x * 0.1)
+        assert (got.path, got.dims, got.degeneracy) == ("sector", (_sector_sizes(op.basis)[0],), 1), case
+        assert abs(got.energy - energy) < 1e-12 * abs(energy), case
+        assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-12 * abs(energy), case
+        _translation_invariant(op, got)
 
 
 def test_momentum_blocks_hold_the_whole_spectrum():
     # every effective size with d <= 10 and every full size with d <= 6:
-    # the d blocks P_K^H H P_K together have the spectrum of H
+    # the d blocks P_K^H H P_K of the oracle's momentum projectors, from
+    # the library's signed translation, together have the spectrum of H
     ops = [build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
            for d in range(2, 11) for n in range(0, d + 1)]
     ops += [build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.4, d=d, n_a=n_a, n_b=n_b))
             for d in range(2, 7) for n_a in range(0, d + 1) for n_b in range(0, d + 1)]
     for op in ops:
         h, d = op.to_csr(), op.basis.d
-        orbits = translation_orbits(*translation(op.basis, 1), d)
         levels = []
         for k in range(d):
-            proj = orbits.projector(k)
+            proj = momentum_projector(op.basis, k)
             levels.append(np.linalg.eigvalsh((proj.conj().T @ h @ proj).toarray()))
         want = np.linalg.eigvalsh(op.to_csr().toarray())
         scale = max(1.0, np.abs(want).max())
@@ -557,8 +587,8 @@ def test_momentum_blocks_hold_the_whole_spectrum():
 def test_every_block_equals_the_projected_operator():
     # effective d <= 10 and full d <= 6 at every filling, with the gamma
     # coupling, and both reflection-breaking cases:
-    # each block the solver keeps, plus diag(D[reps]), is P^H h P, and
-    # diag(c[reps]) is P^H diag(c) P;
+    # the block the solver keeps, plus diag(D[reps]), is P^T h P, and
+    # diag(c[reps]) is P^T diag(c) P;
     # and the oracle reads off every sector's unit hop what the solver
     # takes from its construction: real, exactly symmetric, invariant
     # under T and R, connected, and every entry > 0 when T is sign-free
@@ -568,65 +598,58 @@ def test_every_block_equals_the_projected_operator():
              + [build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.4, d=d, n_a=n_a, n_b=n_b))
                 for d in range(2, 7) for n_a in range(0, d + 1) for n_b in range(0, d + 1)]]
     cases += [_chiral_case(breaks) for breaks in ("operator", "coupling")]
-    paths = set()
+    paths = Counter()
     for op, coupling in cases:
         hop = facts(op.basis.hop(), op.basis)
         assert hop.real and hop.symmetric and hop.translation and hop.reflection and hop.connected, op.basis
         assert hop.positive or not hop.sign_free, op.basis
         solver = GroundSolver(op, coupling)
-        paths.add(solver.path)
+        paths[solver.path] += 1
+        if solver._block is None:
+            continue
+        proj, block, reps, _ = solver._block
         h = op.to_csr()
-        c = np.zeros(op.dim) if coupling is None else coupling
-        for k, (proj, block, reps, *_) in solver._blocks.items():
-            want = (proj.conj().T @ h @ proj).toarray()
-            got = block.toarray() + np.diag(op.diagonal[reps])
-            assert np.abs(got - want).max() <= 1e-12 * max(1.0, abs(h).max()), (op.basis, k)
-            want = (proj.conj().T @ sp.diags(c) @ proj).toarray()
-            assert np.abs(np.diag(c[reps]) - want).max() <= 1e-12 * max(1.0, np.abs(c).max()), (op.basis, k)
-    assert paths == {"sector", "momenta"}
+        want = (proj.T @ h @ proj).toarray()
+        got = block.toarray() + np.diag(op.diagonal[reps])
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, abs(h).max()), op.basis
+        want = (proj.T @ sp.diags(coupling) @ proj).toarray()
+        assert np.abs(np.diag(coupling[reps]) - want).max() <= 1e-12 * max(1.0, np.abs(coupling).max()), op.basis
+    assert set(paths) == {"sector", "whole"} and paths["sector"] > 100
 
 
 @pytest.mark.parametrize("model, d", [("full", d) for d in range(2, 7)] + [("effective", d) for d in range(2, 11)])
 def test_momenta_blocks_are_real_and_hold_the_complex_blocks_levels(model, d):
-    # full models at every (N_A, N_B) on "momenta" and the effective model
-    # with Jbar = -1 at every N: each block record is float64 and exactly
-    # symmetric, its levels are those of the complex P_K^H h P_K, and its
-    # eigenvectors lifted with its P are momentum-K eigenvectors of T
+    # full models at every (N_A, N_B) and the effective model with
+    # Jbar = +-1 at every N: the one momentum block a solver keeps, K = 0,
+    # is float64 and exactly symmetric; its levels are those of the
+    # complex P_0^H h P_0 of the oracle's momentum projector, all of them
+    # on the signed K = 0 block and some on the reflection-even one; and
+    # its eigenvectors lifted with its P are T-invariant.  Jbar = -1 and
+    # N_A != N_B with an even count keep no block
     if model == "full":
         ops = [build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.4, d=d, n_a=n_a, n_b=n_b))
                for n_a in range(d + 1) for n_b in range(d + 1)]
     else:
-        ops = [build_effective_from_bars(d, n, -1.0, 0.7) for n in range(d + 1)]
-    solvers = [s for s in map(GroundSolver, ops) if s.path == "momenta"]
-    assert solvers
-    for solver in solvers:
-        op = solver._op
+        ops = [build_effective_from_bars(d, n, jbar, 0.7) for n in range(d + 1) for jbar in (1.0, -1.0)]
+    solvers = [GroundSolver(op) for op in ops]
+    assert any(s._block is not None for s in solvers)
+    for solver in (s for s in solvers if s._block is not None):
+        op, (proj, block, reps, _) = solver._op, solver._block
         h, (index, sign) = op.to_csr(), translation(op.basis, 1)
-        for k, (proj, block, reps, *_) in solver._blocks.items():
-            case = (op.basis, k)
-            assert block.dtype == np.float64 and (block != block.T).nnz == 0, case
-            complex_proj = op.basis.projector(k)
-            want = np.linalg.eigvalsh((complex_proj.conj().T @ h @ complex_proj).toarray())
-            evals, vecs = np.linalg.eigh(block.toarray() + np.diag(op.diagonal[reps]))
-            assert np.abs(evals - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), case
-            lifted = proj @ vecs
-            moved = np.zeros_like(lifted)
-            moved[index] = sign[:, None] * lifted
-            assert np.abs(moved - np.exp(2j * np.pi * k / d) * lifted).max() < 1e-12, case
-
-
-def test_momenta_path_refuses_an_operator_that_breaks_the_reflection():
-    # the real momenta blocks need R to fix D and the coupling: the chiral
-    # 1101 count on the Jbar = -1 model, in D or in the coupling, raises
-    # before any block is built; without it the model takes "momenta"
-    base = build_effective_from_bars(8, 3, -1.0, 0.5)
-    chiral = _chiral_count(base.basis)
-    assert GroundSolver(base).path == "momenta"
-    with mock.patch.object(fock._SectorTables, "hop_block", side_effect=AssertionError("block built")):
-        with pytest.raises(ValueError, match="no solver path: .*breaks the site reflection"):
-            GroundSolver(SparseOperator(base.basis, base.diagonal + 0.5 * chiral, base.hopping))
-        with pytest.raises(ValueError, match="no solver path: .*breaks the site reflection"):
-            GroundSolver(base, chiral)
+        case = op.basis
+        assert block.dtype == np.float64 and (block != block.T).nnz == 0, case
+        complex_proj = momentum_projector(op.basis, 0)
+        want = np.linalg.eigvalsh((complex_proj.conj().T @ h @ complex_proj).toarray())
+        evals, vecs = np.linalg.eigh(block.toarray() + np.diag(op.diagonal[reps]))
+        scale = max(1.0, np.abs(want).max())
+        if proj is op.basis.even_projector():
+            assert np.abs(evals[:, None] - want).min(axis=1).max() <= 1e-12 * scale, case
+        else:
+            assert np.abs(evals - want).max() <= 1e-12 * scale, case
+        lifted = proj @ vecs
+        moved = np.zeros_like(lifted)
+        moved[index] = sign[:, None] * lifted
+        assert np.abs(moved - lifted).max() < 1e-12, case
 
 
 def _builder_cases():
@@ -650,46 +673,44 @@ def _builder_cases():
 def test_builder_parts_solve_like_their_assembled_matrix():
     # the solver certifies a builder operator from its own D and t and the
     # signs of T; the oracle reads the facts off its assembled CSR matrix.
-    # The solver refuses it iff that matrix breaks T, takes "sector" iff
-    # Perron-Frobenius certifies the matrix, and the reflection-even block
-    # iff R fixes the matrix and the coupling; its blocks are that matrix
-    # projected, and its ground space is the whole matrix's
+    # The solver takes "sector" iff Perron-Frobenius certifies the matrix
+    # or it is a full model with N_A = N_B and J > 0 (spin-reflection
+    # positivity: U = 10 > 2 gamma here), the reflection-even block iff
+    # Perron-Frobenius does and R fixes the matrix and the coupling, and
+    # "whole" otherwise; its block is that matrix projected, and its
+    # ground space is the whole matrix's
     paths, solvers = Counter(), []
     for op in _builder_cases():
         h = op.to_csr()
         case = (op.basis, op.hopping)
         fact = facts(h, op.basis)
         coupling = gamma_coupling(op.basis)
-        if not fact.translation:
-            with pytest.raises(ValueError, match="breaks the lattice translation"):
-                GroundSolver(op, coupling)
-            paths["refused"] += 1
-            continue
         parts = GroundSolver(op, coupling)
         paths[parts.path] += 1
-        assert (parts.path == "sector") == fact.perron, case
-        even = fact.perron and fact.reflection and np.array_equal(coupling[reflection(op.basis)], coupling)
-        assert any(proj is op.basis.even_projector() for proj, *_ in parts._blocks.values()) == even, case
         solvers.append(parts)
-        scale = max(1.0, abs(h).max())
-        sector = parts.path == "sector"
-        limit = solve.SECTOR_DENSE_LIMIT if sector else solve.DENSE_LIMIT
-        iterative = (solve._arpack, solve.LEVELS if sector else solve.ARPACK_LEVELS)
-        for k, (proj, block, reps, *eigensolver) in parts._blocks.items():
-            assert tuple(eigensolver) == ((solve._dense, solve.LEVELS) if reps.size < limit else iterative), (case, k)
+        lieb = isinstance(op.basis, fock.FullBasis) and op.hopping > 0
+        assert (parts.path == "sector") == (fact.perron or lieb), case
+        even = fact.perron and fact.reflection and np.array_equal(coupling[reflection(op.basis)], coupling)
+        if parts.path == "whole":
+            assert parts._block is None and parts.dims == (op.dim,), case
+        else:
+            proj, block, reps, _ = parts._block
+            assert (proj is op.basis.even_projector()) == even, case
+            assert _eigensolver(parts) is (solve._dense if reps.size < solve.DENSE_LIMIT else solve._arpack), case
             got = block.toarray() + np.diag(op.diagonal[reps])
-            want = (proj.conj().T @ h @ proj).toarray()
-            assert np.abs(got - want).max() <= 1e-14 * scale, (case, k)
+            want = (proj.T @ h @ proj).toarray()
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, abs(h).max()), case
         for gamma in (0.0, 3e-3):
             got = parts(gamma)
             energy, vectors = _whole_operator_dense(op, gamma * coupling)
             assert abs(got.energy - energy) <= 1e-12 * max(1.0, abs(energy)), (case, gamma)
             assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-10, (case, gamma)
     # the last two cases: D that breaks R keeps the whole K = 0 block, D
-    # that breaks T is refused
-    breaks_r = solvers[-1]
+    # that breaks T is solved whole
+    breaks_r, breaks_t = solvers[-2:]
     assert (breaks_r.path, breaks_r.dims) == ("sector", (breaks_r.basis.orbits().reps.size,))
-    assert paths["refused"] == 1 and paths["sector"] > 100 and paths["momenta"] > 100
+    assert breaks_t.path == "whole"
+    assert paths["sector"] > 100 and paths["whole"] > 100
 
 
 def test_ground_space_reports_real_banded_levels_and_residual():
@@ -731,7 +752,7 @@ def test_small_dense_eigensolves_run_on_one_blas_thread(n, monkeypatch):
     assert seen == [1 if n < solve.SERIAL_BLAS_BELOW else before]
     assert count() == before
     assert np.abs(evals - want).max() < 1e-12
-    evals, _ = solve._arpack(block, diagonal, solve.LEVELS)
+    evals, _ = solve._arpack(block, diagonal, solve.LEVELS, _uniform(n))
     assert seen[1:] == [1]
     assert count() == before
     assert np.abs(evals - want).max() < 1e-10
@@ -741,7 +762,7 @@ def test_each_eigensolver_widens_to_every_level_when_the_window_holds_them():
     # the LEVELS lowest levels of a block, or all of them when the
     # degeneracy window holds every level returned, on each eigensolver:
     # a 20-site chain of zeros ("banded"), and the effective d = 10, N = 4
-    # model at J = 0 (every momentum block zero) on "dense"
+    # model at J = 0 (a zero operator, "whole") on "dense"
     gs = ground_space(_chain(np.zeros(20)))
     assert (gs.path, gs.degeneracy, gs.levels.size) == ("banded", 20, 20)
     op = build_effective_hamiltonian(ModelParams(j=0.0, u=1e3, gamma=0.0, d=10, n=4))
@@ -749,37 +770,45 @@ def test_each_eigensolver_widens_to_every_level_when_the_window_holds_them():
     dense = solve._dense
     with mock.patch.object(solve, "_dense", lambda b, d, count: (counts.append((b.shape[0], count)), dense(b, d, count))[1]):
         gs = ground_space(op)
-    assert (gs.path, gs.degeneracy, gs.levels.size) == ("momenta", 210, solve.LEVELS)
-    assert counts == [c for n in gs.dims for c in ((n, min(solve.LEVELS, n)), (n, n))]
+    assert (gs.path, gs.degeneracy, gs.levels.size) == ("whole", 210, 210)
+    assert counts == [(210, solve.LEVELS), (210, 210)]
+
+
+def _uniform(n):
+    return np.full(n, 1.0 / math.sqrt(n))
 
 
 def test_arpack_cannot_widen_to_every_level():
-    # ARPACK (real eigsh) computes fewer than n pairs, so a block
-    # whose window holds every Ritz value fails: the effective d = 10,
-    # N = 4 model at J = 0 (a zero block, on which ARPACK's own start
-    # fails), and t = 0 with a constant D (ARPACK converges, and the window
-    # holds all of its levels).  Every block there has more than 14 states
-    op = build_effective_hamiltonian(ModelParams(j=0.0, u=1e3, gamma=0.0, d=10, n=4))
-    constant = SparseOperator(op.basis, np.full(op.dim, -1.0), 0.0)
-    with mock.patch.object(solve, "DENSE_LIMIT", 14):
-        assert min(GroundSolver(op).dims) > 14
-        with pytest.raises(solve.ConvergenceError, match="ARPACK failed"):
-            ground_space(op)
-        with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
-            ground_space(constant)
+    # ARPACK (real eigsh) computes fewer than n pairs, so a block whose
+    # window holds every Ritz value fails: a 20-state zero block, on which
+    # ARPACK's own iteration fails, and a constant diagonal (ARPACK
+    # converges, and the window holds all of its levels); and the
+    # certified 16-state block of effective d = 10, N = 4 at tol_deg = 1,
+    # on real Lanczos at DENSE_LIMIT = 14, whose window holds its LEVELS
+    # lowest levels
+    zero = sp.csr_matrix((20, 20))
+    with pytest.raises(solve.ConvergenceError, match="ARPACK failed"):
+        solve._arpack(zero, np.zeros(20), solve.LEVELS, _uniform(20))
     with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
-        solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 20)
+        solve._arpack(zero, np.full(20, -1.0), 20, _uniform(20))
+    op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=0.0, d=10, n=4))
+    with mock.patch.object(solve, "DENSE_LIMIT", 14):
+        solver = GroundSolver(op, tol_deg=1.0)
+    assert (solver.dims, _eigensolver(solver)) == ((16,), solve._arpack)
+    with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
+        solver()
 
 
 def test_real_arpack_returns_no_fewer_copies_of_an_in_block_degeneracy_than_complex():
     # a 30-state diagonal block with 13 levels at -1 below 0..16: ARPACK
-    # with ARPACK_LEVELS Ritz values misses copies of the degenerate level
-    # (the guard is open), and real eigsh misses no more than complex
-    # eigsh from the same start vector (nine copies each)
+    # with 12 Ritz values misses copies of the degenerate level, and real
+    # eigsh misses no more than complex eigsh from the same start vector
+    # (nine copies each).  Lanczos runs only on certified blocks, whose
+    # ground level is unique
     diagonal = np.concatenate([np.full(13, -1.0), np.arange(17.0)])
-    evals, _ = solve._arpack(sp.csr_matrix((30, 30)), diagonal, solve.ARPACK_LEVELS)
-    v0 = np.full(30, 1.0 / math.sqrt(30))
-    complex_evals = spla.eigsh(sp.diags(diagonal).astype(complex), k=solve.ARPACK_LEVELS, which="SA",
+    v0 = _uniform(30)
+    evals, _ = solve._arpack(sp.csr_matrix((30, 30)), diagonal, 12, v0)
+    complex_evals = spla.eigsh(sp.diags(diagonal).astype(complex), k=12, which="SA",
                                v0=v0, tol=0, return_eigenvectors=False)
     copies = np.sum(np.abs(evals + 1.0) < 1e-12)
     assert copies >= np.sum(np.abs(complex_evals + 1.0) < 1e-12) == 9
@@ -790,27 +819,27 @@ def test_real_lanczos_cannot_widen_to_every_level():
     # but not all 20; and a certified block whose window holds its LEVELS
     # lowest levels (Jbar = 1e-13 against the window 1e-9) is refused on
     # the sector path, where a dense block would have widened
-    evals, _ = solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 19)
+    evals, _ = solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 19, _uniform(20))
     assert np.abs(evals - np.arange(19.0)).max() < 1e-12
     with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
-        solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 20)
+        solve._arpack(sp.csr_matrix((20, 20)), np.arange(20.0), 20, _uniform(20))
     op = build_effective_from_bars(10, 4, 1e-13, 0.0)
     gs = ground_space(op)
     assert (gs.path, gs.dims, gs.degeneracy) == ("sector", (16,), 16)
-    with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", 14):
+    with mock.patch.object(solve, "DENSE_LIMIT", 14):
         with pytest.raises(solve.ConvergenceError, match="degenerate window exceeds the computed spectrum"):
             ground_space(op)
 
 
 def test_each_block_keeps_the_eigensolver_chosen_at_construction():
-    # SECTOR_DENSE_LIMIT is read once, when the solver is built: a solver
-    # built at SECTOR_DENSE_LIMIT = 14 solves its blocks by real Lanczos
-    # (ARPACK) after the limit moves back
+    # DENSE_LIMIT is read once, when the solver is built: a solver built at
+    # DENSE_LIMIT = 14 solves its block by real Lanczos (ARPACK) after the
+    # limit moves back
     op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=10, n=4))
-    with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", 14):
+    with mock.patch.object(solve, "DENSE_LIMIT", 14):
         solver = GroundSolver(op)
-    assert [rec[3:] for rec in solver._blocks.values()] == [(solve._arpack, solve.LEVELS)]
-    assert [rec[3:] for rec in GroundSolver(op)._blocks.values()] == [(solve._dense, solve.LEVELS)]
+    assert _eigensolver(solver) is solve._arpack
+    assert _eigensolver(GroundSolver(op)) is solve._dense
     with mock.patch.object(solve.spla, "eigsh", side_effect=AssertionError("ARPACK")):
         with pytest.raises(AssertionError, match="ARPACK"):
             solver()
@@ -820,34 +849,36 @@ def test_each_block_keeps_the_eigensolver_chosen_at_construction():
                                          ("effective", 17, 6), ("full", 9, (3, 3)), ("effective", 20, 5)])
 def test_sector_blocks_take_real_lanczos_from_the_measured_limit(model, d, n):
     # the 280- and 324-state blocks stay dense; the 375- to 406-state
-    # blocks, just above SECTOR_DENSE_LIMIT, are solved by real Lanczos,
-    # whose LEVELS lowest levels and ground vector equal _dense's to 1e-12
+    # blocks, just above DENSE_LIMIT, are solved by real Lanczos, whose
+    # LEVELS lowest levels and ground vector equal _dense's to 1e-12; a
+    # pair block starts from the uniform vector
     base = _sector_case(model, d, n, 0.0)
     solver = GroundSolver(base, gamma_coupling(base.basis))
-    (_, block, reps, eigensolver, count), = solver._blocks.values()
-    dense = reps.size < solve.SECTOR_DENSE_LIMIT
-    assert reps.size < 1.2 * solve.SECTOR_DENSE_LIMIT
-    assert (eigensolver, count) == ((solve._dense if dense else solve._arpack), solve.LEVELS)
+    _, block, reps, eigensolver = solver._block
+    dense = reps.size < solve.DENSE_LIMIT
+    assert reps.size < 1.2 * solve.DENSE_LIMIT
+    assert _eigensolver(solver) is (solve._dense if dense else solve._arpack)
     assert (reps.size == 280) == ((d, n) == (16, 6))
     if dense:
         return
+    if model == "effective":
+        assert np.array_equal(eigensolver.keywords["start"], _uniform(reps.size))
     for x in (1.0, 6.0, 18.125):
         diagonal = (base.diagonal + x * (1e-3 if model == "effective" else 0.1) * solver._coupling)[reps]
         want, want_vecs = solve._dense(block, diagonal, solve.LEVELS)
-        got, got_vecs = solve._arpack(block, diagonal, solve.LEVELS)
+        got, got_vecs = eigensolver(block, diagonal, solve.LEVELS)
         scale = max(1.0, abs(want[0]))
         assert np.abs(got - want).max() <= 1e-12 * scale, x
         assert np.abs(np.abs(got_vecs[:, 0]) - np.abs(want_vecs[:, 0])).max() <= 1e-12, x
 
 
-def _translation_eigenvectors(op, gs):
-    """Each ground vector is an eigenvector of the signed one-site
-    translation with eigenvalue exp(2 pi i K / d), K its ``momenta``."""
+def _translation_invariant(op, gs):
+    """Each ground vector is invariant under the signed one-site
+    translation: it lies at K = 0."""
     index, sign = translation(op.basis, 1)
-    for vec, k in zip(gs.vectors.T, gs.momenta):
-        moved = np.zeros_like(vec)
-        moved[index] = sign * vec
-        assert np.abs(moved - np.exp(2j * np.pi * k / op.basis.d) * vec).max() < 1e-12, k
+    moved = np.zeros_like(gs.vectors)
+    moved[index] = sign[:, None] * gs.vectors
+    assert np.abs(moved - gs.vectors).max() < 1e-12
 
 
 class _Drawn:
@@ -864,21 +895,21 @@ class _Drawn:
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 # whose whole-operator eigh vector was once 4.12e-11 off, above the bound
-@example(data=_Drawn("effective", 10, 5, 1.0, 10.0, solve.SECTOR_DENSE_LIMIT))
+@example(data=_Drawn("effective", 10, 5, 1.0, 10.0, solve.DENSE_LIMIT))
 def test_few_levels_per_block_give_the_whole_operators_ground_space(data):
     # LEVELS = 4 on small operators of every path, against a full eigh of
-    # the assembled matrix: energy, degeneracy, momenta and ground
-    # projector.  Sector blocks of 14 states and more run on real Lanczos
-    # at limit 14; "planted" is t = 0 with D = a * bonds, whose ground level
-    # fills more than LEVELS states of one momentum block when a = 0, and a
-    # chain at t = 0 plants the minimum of its diagonal as often as drawn:
-    # both must widen
+    # the assembled matrix: energy, degeneracy and ground projector, and
+    # a K = 0 ground space on "sector".  Sector blocks of 14 states and
+    # more run on real Lanczos at limit 14; "planted" is t = 0 with
+    # D = a * bonds, solved whole, whose ground level fills more than
+    # LEVELS states when a = 0, and a chain at t = 0 plants the minimum of
+    # its diagonal as often as drawn: both must widen
     kind = data.draw(st.sampled_from(["effective", "full", "planted", "chain"]))
-    limit = solve.SECTOR_DENSE_LIMIT
+    limit = solve.DENSE_LIMIT
     if kind == "effective":
         d = data.draw(st.integers(2, 10))
         n = data.draw(st.integers(0, d))
-        jbar = data.draw(st.sampled_from([1.0, -1.0]))  # -1: not stoquastic, "momenta"
+        jbar = data.draw(st.sampled_from([1.0, -1.0]))  # -1: not stoquastic, "whole"
         op = build_effective_from_bars(d, n, jbar, data.draw(st.floats(-2.0, 20.0)))
         limit = data.draw(st.sampled_from([limit, 14]))
     elif kind == "full":
@@ -896,39 +927,36 @@ def test_few_levels_per_block_give_the_whole_operators_ground_space(data):
         diagonal = data.draw(st.lists(st.integers(-1, 3), min_size=2, max_size=30))
         op = SparseOperator(ChainBasis("test", tuple(range(len(diagonal))), 1.0), np.array(diagonal, float),
                             data.draw(st.sampled_from([0.0, 0.5, 1.0])))
-    with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
+    with mock.patch.object(solve, "DENSE_LIMIT", limit):
         got = ground_space(op)
     energy, vectors = _whole_operator_dense(op)
     scale = max(1.0, abs(energy))
     assert abs(got.energy - energy) < 1e-12 * scale
     assert got.degeneracy == vectors.shape[1]
     assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-12 * scale
-    if got.path == "banded":
-        assert got.momenta is None
-    else:
-        assert got.path == ("momenta" if kind == "planted" else got.path)
-        _translation_eigenvectors(op, got)
+    if kind == "planted":
+        assert got.path == "whole"
+    if got.path == "sector":
+        _translation_invariant(op, got)
     if (kind == "planted" and a == 0.0) or (kind == "chain" and op.hopping == 0.0 and got.degeneracy > 4):
-        widest = got.degeneracy if kind == "chain" else max(Counter(got.momenta).values())
-        assert widest > solve.LEVELS
+        assert got.degeneracy > solve.LEVELS
 
 
-GRID_X =(0.0, 1.5, 4.0, 9.0, 20.0)  # gamma*U/J^2, through the isotropic point 4
+GRID_X = (0.0, 1.5, 4.0, 9.0, 20.0, 60.0)  # gamma*U/J^2, through the isotropic point 4
 GRID_CASES = [("effective", d, n) for d in range(2, 11) for n in range(0, d + 1)] + [
     ("full", d, (n_a, n_b)) for d in range(2, 7) for n_a in range(1, d) for n_b in range(1, d)
 ]
 
 
-@pytest.mark.parametrize("model, limit", [("effective", solve.DENSE_LIMIT), ("effective", 14),
-                                          ("full", solve.DENSE_LIMIT)])
+@pytest.mark.parametrize("model, limit", [("effective", 2000), ("effective", 14), ("full", 2000)])
 def test_ground_solver_matches_a_fresh_solve_at_every_grid_point(model, limit, monkeypatch):
     # one solver from H(0) and c, called at each gamma, against ground_space
     # of the operator built at that gamma: effective d <= 10 and every N
-    # (blocks of 14 states and more on real Lanczos at limit 14), full
-    # d <= 6 with odd and even N_A, N_B (sector and momenta paths, momentum
-    # blocks of 14 states and more on ARPACK at limit 14)
+    # (every block dense at limit 2000, blocks of 14 states and more on
+    # real Lanczos at limit 14), full d <= 6 with odd and even N_A, N_B
+    # (Perron and Lieb "sector" blocks, and "whole" for N_A != N_B with an
+    # even count and for U = 10 < 2 gamma at x = 60)
     monkeypatch.setattr(solve, "DENSE_LIMIT", limit)
-    monkeypatch.setattr(solve, "SECTOR_DENSE_LIMIT", min(limit, solve.SECTOR_DENSE_LIMIT))
     for _, d, n in (c for c in GRID_CASES if c[0] == model):
         base = _sector_case(model, d, n, 0.0)
         solver = GroundSolver(base, gamma_coupling(base.basis))
@@ -937,7 +965,8 @@ def test_ground_solver_matches_a_fresh_solve_at_every_grid_point(model, limit, m
             want = ground_space(_sector_case(model, d, n, x))
             got = solver(x * (1e-3 if model == "effective" else 0.1))
             scale = max(1.0, abs(want.energy))
-            assert (got.path, got.degeneracy, got.momenta) == (want.path, want.degeneracy, want.momenta), case
+            assert got.degeneracy == want.degeneracy, case
+            assert got.path == want.path, case
             assert abs(got.energy - want.energy) < 1e-12 * scale, case
             diff = np.abs(_ground_projector(got) - _ground_projector(want)).max()
             assert diff < 1e-12 * scale, case
@@ -949,14 +978,15 @@ def test_ground_solver_rejects_a_coupling_of_another_size():
         GroundSolver(op, np.zeros(op.dim + 1))
 
 
-def test_ground_solver_refuses_a_coupling_that_breaks_the_translation():
+def test_a_coupling_that_breaks_the_translation_is_solved_whole():
     # H(0) commutes with T, the coupling (a site potential) does not: no
-    # path solves the family, and no block is built
+    # certificate covers the family, so every point is solved whole and no
+    # block is built
     op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=3))
     site = (op.basis.states & 1).astype(float)
     with mock.patch.object(fock._SectorTables, "hop_block", side_effect=AssertionError("block built")):
-        with pytest.raises(ValueError, match="the operator or the coupling breaks the lattice translation"):
-            GroundSolver(op, site)
+        for gamma in (0.0, 0.7e-3):
+            _assert_whole_path_matches_whole_operator(op, site, gamma, case=gamma)
     assert GroundSolver(op, gamma_coupling(op.basis)).path == "sector"
 
 
@@ -969,8 +999,8 @@ def test_effective_ground_state_is_positive(data):
     n = data.draw(st.integers(1, d - 1))
     x = data.draw(st.floats(0.0, 20.0))
     op = build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=x * 1e-3, d=d, n=n))
-    for limit in (solve.SECTOR_DENSE_LIMIT, 14):
-        with mock.patch.object(solve, "SECTOR_DENSE_LIMIT", limit):
+    for limit in (solve.DENSE_LIMIT, 14):
+        with mock.patch.object(solve, "DENSE_LIMIT", limit):
             amp = ground_space(op).state.amplitudes
         assert amp.real.min() >= -1e-14
         assert np.abs(amp.imag).max() <= 1e-14
@@ -1009,7 +1039,7 @@ def test_relative_chains_take_the_banded_path(kind, r, cutoff):
         got = GroundSolver(chain, site)(gamma)
         evals, evecs = np.linalg.eigh(chain.to_csr().toarray() + gamma * np.diag(site))
         scale = max(1.0, abs(evals[0]))
-        assert (got.path, got.dims, got.momenta, got.degeneracy) == ("banded", (chain.dim,), None, 1)
+        assert (got.path, got.dims, got.degeneracy) == ("banded", (chain.dim,), 1)
         assert np.abs(got.levels - evals[: got.levels.size]).max() < 1e-12 * scale
         assert got.levels.size == min(solve.LEVELS, chain.dim)
         want = np.outer(evecs[:, 0], evecs[:, 0].conj())
@@ -1072,3 +1102,121 @@ def test_a_nan_ground_vector_fails_the_residual_check(monkeypatch):
     monkeypatch.setattr(solve.la, "eigh_tridiagonal", lambda *a, **kw: (tridiagonal(*a, **kw)[0], nan_vectors))
     with pytest.raises(solve.ConvergenceError, match="residual nan"):
         ground_space(chain)
+
+
+# ------------------------------------------ spin-reflection positivity (Lieb)
+
+LIEB_SIZES = [(4, 2), (6, 2), (7, 2), (8, 2), (6, 4), (7, 4), (8, 4)]
+LIEB_COUPLINGS = {1000.0: (0.0, 6.0, 30.0), 5.0: (0.0, 6.0, 12.0)}  # U/J: gamma U / J^2, all with U > 2 gamma
+
+
+def _sector_levels(h, projectors):
+    """(level, K, vector) of the two lowest levels of every momentum block
+    P_K^H h P_K of the assembled matrix h, solved by eigh."""
+    out = []
+    for k, proj in projectors.items():
+        evals, evecs = la.eigh((proj.conj().T @ h @ proj).toarray(), subset_by_index=[0, min(1, proj.shape[1] - 1)])
+        out += [(e, k, proj @ v) for e, v in zip(evals, evecs.T)]
+    return sorted(out, key=lambda level: level[0])
+
+
+@pytest.mark.parametrize("d, n", LIEB_SIZES)
+def test_spin_reflection_positivity_certifies_the_even_n_full_model(d, n):
+    # the oracle: the assembled matrix in the oracle's momentum sectors
+    # K = 0..d/2 (a real matrix has the levels of -K at K), each solved by
+    # eigh.  Its ground state is unique, at K = 0, even under the bare
+    # reflection R, and as the matrix W of amplitudes W[alpha, beta] of
+    # |alpha>_A |beta>_B it is symmetric and positive semidefinite with
+    # Tr W > 0, each to 1e-9 (eigh's vector is good to about
+    # eps * |H| / gap, and the gap is 1.1e-7 at (8, 4), x = 30).  The
+    # solver, built as a sweep builds it and from the operator at gamma,
+    # takes "sector" with the one K = 0 block and gives that E0 to 1e-12
+    basis = fock.full_basis(d, n, n)
+    projectors = {k: momentum_projector(basis, k) for k in range(d // 2 + 1)}
+    reflected, side = reflection(basis), basis.masks_a.size
+    for u, xs in LIEB_COUPLINGS.items():
+        base = build_full_hamiltonian(ModelParams(j=1.0, u=u, gamma=0.0, d=d, n=n))
+        coupling = gamma_coupling(basis)
+        solver = GroundSolver(base, coupling)
+        assert (solver.path, solver.dims) == ("sector", (projectors[0].shape[1],))
+        for x in xs:
+            case, gamma = (d, n, u, x), x / u
+            (energy, k, psi), (second, *_) = _sector_levels(base.to_csr() + gamma * sp.diags(coupling), projectors)[:2]
+            assert k == 0 and second - energy > 1e-10, case
+            psi = psi * abs(psi[np.argmax(abs(psi))]) / psi[np.argmax(abs(psi))]
+            assert np.abs(psi.imag).max() < 1e-9 and np.abs(psi[reflected] - psi).max() < 1e-9, case
+            w = psi.real.reshape(side, side)
+            w *= np.sign(np.trace(w))
+            assert np.trace(w) > 0 and np.abs(w - w.T).max() < 1e-9 and np.linalg.eigvalsh(w).min() > -1e-9, case
+            for got in (solver(gamma), ground_space(build_full_hamiltonian(
+                    ModelParams(j=1.0, u=u, gamma=gamma, d=d, n=n)))):
+                assert (got.path, got.dims, got.degeneracy) == ("sector", solver.dims, 1), case
+                assert abs(got.energy - energy) <= 1e-12 * abs(energy), case
+
+
+def test_an_indefinite_interaction_is_solved_whole_or_refused():
+    # U/J = 2 and gamma U / J^2 = 3, so 2 gamma = 3 > U: at (4, 2) the
+    # ground state lies at K = d/2, and the call solves the whole operator
+    # as the assembled matrix does; at (8, 4) the whole operator, 4900
+    # states, is refused before its dense copy exists
+    gamma = 1.5
+    base = build_full_hamiltonian(ModelParams(j=1.0, u=2.0, gamma=0.0, d=4, n=2))
+    solver = GroundSolver(base, gamma_coupling(base.basis))
+    assert solver.path == "sector"
+    got = solver(gamma)
+    energy, vectors = _whole_operator_dense(base, gamma * gamma_coupling(base.basis))
+    assert (got.path, got.dims, got.degeneracy) == ("whole", (36,), vectors.shape[1])
+    assert abs(got.energy - energy) < 1e-12 * abs(energy)
+    assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-12
+    half = momentum_projector(base.basis, 2)
+    assert np.abs(np.linalg.norm(half.conj().T @ vectors, axis=0) - 1).max() < 1e-12
+    base = build_full_hamiltonian(ModelParams(j=1.0, u=2.0, gamma=0.0, d=8, n=4))
+    solver = GroundSolver(base, gamma_coupling(base.basis))
+    at_gamma = build_full_hamiltonian(ModelParams(j=1.0, u=2.0, gamma=gamma, d=8, n=4))
+    with mock.patch.object(solve, "_dense", side_effect=AssertionError("allocated")):
+        for solve_it in (lambda: solver(gamma), lambda: ground_space(at_gamma)):
+            with pytest.raises(fock.CapacityError, match="4900 states, needs 4900\\^2 > 16777216"):
+                solve_it()
+
+
+def test_the_lieb_certificate_reads_every_builder_operator_and_no_other():
+    # the certificate re-forms D from the (U, gamma) the builder records,
+    # so every even-N full operator built at U > 2 gamma is "sector", also
+    # above half filling with gamma inside D, where every state has an
+    # on-site pair and a bond and D's bits do not fix U and gamma (44100
+    # states at (10, 6), one 4420-state block); the same D without that
+    # record, or with a record it does not reproduce, is solved whole
+    for d, n in [(3, 2), (5, 4), (6, 4), (7, 4), (7, 6), (8, 6)]:
+        for u in (1000.0, 37.3, 5.0):
+            for x in (0.5, 3.7, 6.0, 12.0, 30.0):
+                if u > 2 * x / u:
+                    op = build_full_hamiltonian(ModelParams(j=1.0, u=u, gamma=x / u, d=d, n=n))
+                    assert GroundSolver(op, gamma_coupling(op.basis)).path == "sector", (d, n, u, x)
+    op = build_full_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=0.03, d=10, n=6))
+    assert (ground_space(op).path, ground_space(op).dims) == ("sector", (4420,))
+    op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.6, d=4, n=2))
+    for couplings in (None, (10.0, 0.0), (10.0 + 1e-12, 0.6)):
+        bare = SparseOperator(op.basis, op.diagonal, op.hopping, couplings)
+        _assert_whole_path_matches_whole_operator(bare, case=couplings)
+    assert ground_space(op).path == "sector"
+
+
+def test_the_even_n_lanczos_block_starts_from_the_paired_columns():
+    # full (8, 4): its 618-state K = 0 block runs on real Lanczos from the
+    # indicator of the columns whose representative is paired (mask_a ==
+    # mask_b), and gives dense eigh's E0 on the block to 1e-12 and its
+    # ground vector to 1e-9 (the next K = 0 level is 8e-5 above E0 at
+    # gamma U / J^2 = 6)
+    base = build_full_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=0.0, d=8, n=4))
+    solver = GroundSolver(base, gamma_coupling(base.basis))
+    proj, block, reps, eigensolver = solver._block
+    assert (solver.dims, _eigensolver(solver)) == ((618,), solve._arpack)
+    start = eigensolver.keywords["start"]
+    states = base.basis.states[reps]
+    paired = states[:, 0] == states[:, 1]
+    assert 0 < paired.sum() < reps.size and np.array_equal(start, paired / math.sqrt(paired.sum()))
+    for x in (6.0, 20.0):
+        got = solver(x * 1e-3)
+        want, vectors = solve._dense(block, (base.diagonal + x * 1e-3 * solver._coupling)[reps], solve.LEVELS)
+        assert abs(got.energy - want[0]) <= 1e-12 * abs(want[0]), x
+        assert np.abs(_ground_projector(got) - np.outer(proj @ vectors[:, 0], proj @ vectors[:, 0])).max() < 1e-9
