@@ -100,17 +100,20 @@ def _table(build):
 class _SectorTables:
     """Tables that depend only on the sector (the kind of basis, d and the
     particle counts): the unit nearest-neighbour hop with its projected
-    blocks, the bond counts, the one-site translation with its orbits and
-    K = 0 projectors, and the site reflection.  Nothing here depends on
-    an operator."""
+    blocks, the bond counts, the one-site translation with its orbits,
+    and the site reflection.  Nothing here depends on an operator."""
 
     @_table
-    def hop_block(self, even: bool) -> tuple:
-        """(P, P^T hop P, reps) for P = ``even_projector()`` when ``even``,
-        else the signed K = 0 isometry ``Orbits.projector``: the block real
-        and exactly symmetric, reps[a] the representative of column a
-        (``_project``)."""
-        proj = self.even_projector() if even else self.orbits().projector()
+    def hop_block(self, reflect: bool, swap: bool) -> tuple:
+        """(P, P^T hop P, reps) for the isometry P onto the states even
+        under the signed translation T, the bare site reflection R when
+        ``reflect`` and the bare species swap S when ``swap``
+        (``symmetric_projector``): the block real and exactly symmetric,
+        reps[a] the representative of column a (``_project``)."""
+        flips = [self.reflection_index()] if reflect else []
+        if swap:
+            flips.append(self.swap_index())
+        proj = symmetric_projector(self.orbits(), flips)
         return (proj, *_project(self.hop(), proj))
 
     @_table
@@ -126,20 +129,6 @@ class _SectorTables:
     def reflection_index(self) -> np.ndarray:
         """The bare site reflection (``reflection``)."""
         return reflection(self)
-
-    @_table
-    def even_projector(self) -> sp.csr_matrix:
-        """(dim, orbits) isometry onto the normalized orbit sums of the group
-        of T and the bare site reflection R: the representative of a state
-        is min(trep[i], trep[R[i]]), with trep its translation-orbit
-        representative.  Columns follow the representatives in ascending
-        order."""
-        orbits = self.orbits()
-        rep = orbits.reps[orbits.orbit]
-        rep = np.minimum(rep, rep[self.reflection_index()])
-        _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
-        return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(rep.size), orbit)),
-                             shape=(rep.size, size.size))
 
 
 @dataclass(frozen=True)
@@ -242,6 +231,16 @@ class FullBasis(_SectorTables):
         hop_a = _hop(self.masks_a, self.d, (-1) ** (self.n_a - 1))
         hop_b = _hop(self.masks_b, self.d, (-1) ** (self.n_b - 1))
         return sp.kronsum(hop_b, hop_a).tocsr()
+
+    @_table
+    def swap_index(self) -> np.ndarray:
+        """The bare species swap S|i_a, i_b> = |i_b, i_a> as the permutation
+        ``index``, S|i> = |index[i]>; N_A = N_B only, where both species
+        have the same masks."""
+        if self.n_a != self.n_b:
+            raise ValueError(f"no species swap with N_A = {self.n_a} != N_B = {self.n_b}")
+        side = self.masks_a.size
+        return np.arange(self.size).reshape(side, side).T.ravel()
 
 
 def _masks(d: int, n: int) -> np.ndarray:
@@ -467,18 +466,6 @@ class Orbits:
     to_rep: np.ndarray
     period_sign: np.ndarray
 
-    def projector(self) -> sp.csr_matrix:
-        """(dim, states) isometry P onto the K = 0 sector, T P = P: the
-        orbits with s_p = +1, each with the real amplitude
-        to_rep[i] / sqrt(p) on its state i; columns follow the
-        representatives in ascending order.  With every sign +1 it is the
-        uniform orbit sum."""
-        keep = self.period_sign > 0
-        rows = np.flatnonzero(keep[self.orbit])
-        amp = self.to_rep / np.sqrt(self.size[self.orbit])
-        cols = (np.cumsum(keep) - 1)[self.orbit[rows]]
-        return sp.csr_matrix((amp[rows], (rows, cols)), shape=(self.orbit.size, int(keep.sum())))
-
 
 def translation_orbits(index: np.ndarray, sign: np.ndarray, d: int) -> Orbits:
     """Walk every state once around its orbit of the one-site translation
@@ -501,6 +488,45 @@ def translation_orbits(index: np.ndarray, sign: np.ndarray, d: int) -> Orbits:
     for a in tables:
         a.setflags(write=False)
     return Orbits(*tables)
+
+
+def symmetric_projector(orbits: Orbits, flips) -> sp.csr_matrix:
+    """(dim, states) isometry P onto the states even under the group G of
+    the signed translation T (``orbits``) and the bare permutations
+    ``flips`` (index arrays): commuting involutions, each with
+    F T F = T or F T F = T^-1, signs included, so that every element of G
+    is c T^m with c a product of flips, a coset.  A state i's
+    representative is the smallest state of its G-orbit, the smallest of
+    reps[orbit[c(i)]] over the cosets c, and its sign is to_rep[c(i)] of a
+    c that reaches it.  A G-orbit has a column only if no element that
+    fixes its representative carries a sign -1: its period_sign is +1 and
+    no two cosets reach the representative's T-orbit with different
+    signs.  The column puts sign / sqrt(size) on each of its size states,
+    and columns follow the representatives in ascending order.  With no
+    flips P is the K = 0 projector, and with every sign +1 the uniform
+    orbit sum (``docs/decisions.md`` §6)."""
+    rep, sign = orbits.reps[orbits.orbit], orbits.to_rep.copy()
+    odd = orbits.period_sign[orbits.orbit] < 0
+    cosets = []
+    for flip in flips:
+        cosets += [flip] + [flip[c] for c in cosets]
+    # one coset at a time, in place, so that no (cosets, dim) array is held
+    for c in cosets:
+        other, other_sign = orbits.reps[orbits.orbit[c]], orbits.to_rep[c]
+        odd |= (other == rep) & (other_sign != sign)
+        np.copyto(sign, other_sign, where=other < rep)
+        np.minimum(rep, other, out=rep)
+    # a representative r has rep[r] == r, and odd[r] holds every check of
+    # its stabilizer; each kept state is the one entry of its row
+    size = np.bincount(rep, minlength=rep.size)
+    keep = (size > 0) & ~odd
+    kept = keep[rep]
+    rep, sign = rep[kept], sign[kept]
+    sign /= np.sqrt(size[rep])
+    column = np.cumsum(keep, dtype=np.int32) - 1
+    indptr = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(kept, out=indptr[1:])
+    return sp.csr_matrix((sign, column[rep], indptr), shape=(kept.size, int(column[-1]) + 1))
 
 
 def _project(h: sp.csr_matrix, proj: sp.csr_matrix) -> tuple:

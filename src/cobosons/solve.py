@@ -194,7 +194,8 @@ def _start(basis, reps: np.ndarray) -> np.ndarray:
     is paired (mask_a == mask_b; every column on a PairBasis or when none
     is).  It overlaps every certified ground vector: a Perron vector is
     positive, and a Lieb one has weight Tr W > 0 on the paired states,
-    whose orbits T maps with sign +1 (``docs/decisions.md`` §6)."""
+    whose orbits under T, R and S hold paired states only, each with
+    sign +1 (``docs/decisions.md`` §6)."""
     paired = np.ones(reps.size, dtype=bool)
     if isinstance(basis, FullBasis):
         i_a, i_b = np.divmod(reps, basis.masks_b.size)
@@ -224,26 +225,35 @@ def _lieb_couplings(op: SparseOperator, coupling: np.ndarray) -> Optional[tuple]
 
 
 def _certify(op: SparseOperator, coupling: np.ndarray) -> tuple:
-    """(path, even, lieb) of a builder operator diag(D) - t * hop with the
-    coupling c on a PairBasis or FullBasis.  The hop is symmetric,
-    invariant under T and the bare site reflection R, and connected by
-    construction (``fock._hop``), so D, t, c and the signs of T decide:
+    """(path, reflect, swap, lieb) of a builder operator diag(D) - t * hop
+    with the coupling c on a PairBasis or FullBasis.  The hop is
+    symmetric, invariant under T, the bare site reflection R and (with
+    N_A = N_B) the bare species swap S, and connected by construction
+    (``fock._hop``), so D, t, c and the signs of T decide:
     - "sector" by Perron-Frobenius, at every gamma: D and c fixed by T,
       every sign of T +1 (then every hop entry is > 0), and t > 0 or
-      dim = 1; ``even`` when R fixes D and c too;
+      dim = 1;
     - "sector" by spin-reflection positivity, at each gamma with
       U > 2 |gamma_0 + kappa * gamma|: ``lieb`` = (U, gamma_0, kappa)
-      from ``_lieb_couplings``; the block is the signed K = 0 one;
-    - "whole" otherwise."""
-    index, sign = op.basis.translation_table()
+      from ``_lieb_couplings``;
+    - "whole" otherwise.
+    Either certificate makes the ground state even under every one of
+    these symmetries that commutes with the operator, so the block keeps
+    R (``reflect``) when R fixes D and c, and S (``swap``, a FullBasis
+    with N_A = N_B) when S does (``docs/decisions.md`` §6)."""
+    basis = op.basis
+    index, sign = basis.translation_table()
 
     def fixed(perm) -> bool:
         return np.array_equal(op.diagonal[perm], op.diagonal) and np.array_equal(coupling[perm], coupling)
 
-    if fixed(index) and np.all(sign == 1) and (op.dim == 1 or op.hopping > 0):
-        return "sector", fixed(op.basis.reflection_index()), None
-    lieb = _lieb_couplings(op, coupling)
-    return ("whole", False, None) if lieb is None else ("sector", False, lieb)
+    lieb = None
+    if not (fixed(index) and np.all(sign == 1) and (op.dim == 1 or op.hopping > 0)):
+        lieb = _lieb_couplings(op, coupling)
+        if lieb is None:
+            return "whole", False, False, None
+    swap = isinstance(basis, FullBasis) and basis.n_a == basis.n_b and fixed(basis.swap_index())
+    return "sector", fixed(basis.reflection_index()), swap, lieb
 
 
 def _hold_square(n: int, chain: bool) -> None:
@@ -266,16 +276,17 @@ class GroundSolver:
     must be finite and > 0.  The paths (``docs/decisions.md`` §4, §6):
     - "sector", at any size, when a certificate (``_certify``) makes the
       ground state unique and places it in one block of
-      ``basis.hop_block(even)``: Perron-Frobenius at every gamma, in the
-      reflection-even K = 0 block when R fixes the operator and the
-      coupling too, else the K = 0 block; spin-reflection positivity (the
-      even-N full model) at each gamma with U > 2 |gamma_0 + kappa *
-      gamma|, in the signed K = 0 block; a call outside that range solves
-      the whole operator, path "whole".  The gamma term of the block is
-      diag(coupling[reps]), exact because the coupling is constant on each
-      orbit.  ``_dense`` below DENSE_LIMIT states, real Lanczos
-      (``_arpack``, from ``_start``) from it: where Lanczos wins at count
-      4 on one BLAS thread (README "Ground solver");
+      ``basis.hop_block(reflect, swap)``: the K = 0 states, even under
+      the site reflection R when R fixes the operator and the coupling,
+      and under the species swap S when S does.  Perron-Frobenius holds
+      at every gamma; spin-reflection positivity (the even-N full model)
+      at each gamma with U > 2 |gamma_0 + kappa * gamma|, and a call
+      outside that range solves the whole operator, path "whole".  The
+      gamma term of the block is diag(coupling[reps]), exact because the
+      coupling is constant on each orbit.  ``_dense`` below DENSE_LIMIT
+      states, real Lanczos (``_arpack``, from ``_start``) from it: where
+      Lanczos wins at count 4 on one BLAS thread (README "Ground
+      solver");
     - "banded", on a ChainBasis (the relative chains): the whole chain,
       its band (``_band``) with no P and every site as reps, by
       ``_banded``;
@@ -313,11 +324,11 @@ class GroundSolver:
             _hold_square(n, chain=True)
             self.path, self._block = "banded", (None, _band(op), slice(None), _banded)
         else:
-            self.path, even, self._lieb = _certify(op, self._coupling)
+            self.path, reflect, swap, self._lieb = _certify(op, self._coupling)
             if self.path == "whole":
                 _hold_square(n, chain=False)
             else:
-                proj, hop, reps = op.basis.hop_block(even)
+                proj, hop, reps = op.basis.hop_block(reflect, swap)
                 eigensolver = _dense if reps.size < DENSE_LIMIT else functools.partial(
                     _arpack, start=_start(op.basis, reps))
                 self._block = (proj, hop * -op.hopping, reps, eigensolver)
@@ -461,11 +472,10 @@ def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
     -N(U + 4J^2/U) restored) and report the weight of the full ground
     state's normalized pair-sector part in the effective ground space.
 
-    The levels are each model's ``GroundSpace.levels``, of the
-    reflection-even K = 0 block for the effective model and the full model
-    with odd N.  The full model with even N is solved on its signed K = 0
-    block (or whole), so there only E0, every path's lowest level, is
-    compared."""
+    The levels are each model's ``GroundSpace.levels``: of the
+    reflection-even K = 0 block for the effective model, and of the
+    K = 0 block even under the reflection and the species swap for the
+    full model, at every N."""
     if params.u < 100.0 * params.j:
         raise ValueError("spectral equivalence requires U/J >= 100")
     n = params.pair_count()
@@ -491,7 +501,7 @@ def spectral_equivalence_check(params: ModelParams) -> EquivalenceReport:
         overlaps = eff.vectors.conj().T @ projected.amplitudes
         fid = float(np.sum(np.abs(overlaps) ** 2)) / pnorm**2
 
-    k = min(LEVELS if n % 2 else 1, len(eff.levels), len(full.levels))
+    k = min(LEVELS, len(eff.levels), len(full.levels))
     return EquivalenceReport(
         effective_energies=eff.levels[:k],
         full_energies=full.levels[:k] - constant,

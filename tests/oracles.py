@@ -394,6 +394,103 @@ def orbit_projector(index: np.ndarray, d: int) -> sp.csr_matrix:
     return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(dim), orbit)), shape=(dim, size.size))
 
 
+def zero_momentum_projector(orbits) -> sp.csr_matrix:
+    """(dim, states) isometry P onto the K = 0 sector, T P = P: the
+    orbits with s_p = +1, each with the real amplitude
+    to_rep[i] / sqrt(p) on its state i; columns follow the
+    representatives in ascending order.  With every sign +1 it is the
+    uniform orbit sum.  (The library's former ``Orbits.projector``, on
+    the ``Orbits`` of ``translation_orbits``.)"""
+    keep = orbits.period_sign > 0
+    rows = np.flatnonzero(keep[orbits.orbit])
+    amp = orbits.to_rep / np.sqrt(orbits.size[orbits.orbit])
+    cols = (np.cumsum(keep) - 1)[orbits.orbit[rows]]
+    return sp.csr_matrix((amp[rows], (rows, cols)), shape=(orbits.orbit.size, int(keep.sum())))
+
+
+def even_projector(basis) -> sp.csr_matrix:
+    """(dim, orbits) isometry onto the normalized orbit sums of the group
+    of T and the bare site reflection R: the representative of a state
+    is min(trep[i], trep[R[i]]), with trep its translation-orbit
+    representative.  Columns follow the representatives in ascending
+    order.  (The library's former ``even_projector()``, sign-free: on a
+    basis whose T has signs -1 it is not the even sector.)"""
+    orbits = basis.orbits()
+    rep = orbits.reps[orbits.orbit]
+    rep = np.minimum(rep, rep[basis.reflection_index()])
+    _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+    return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(rep.size), orbit)),
+                         shape=(rep.size, size.size))
+
+
+def reversed_bits(mask: int, d: int) -> int:
+    """The bits of ``mask`` mirrored, k -> d - 1 - k."""
+    return sum(1 << (d - 1 - k) for k in range(d) if mask >> k & 1)
+
+
+def generator_keys(basis) -> list:
+    """(reflect, swap) of every block ``hop_block`` builds on a basis: the
+    species swap needs a FullBasis with N_A = N_B."""
+    swaps = (False, True) if isinstance(basis, FullBasis) and basis.n_a == basis.n_b else (False,)
+    return [(reflect, swap) for reflect in (False, True) for swap in swaps]
+
+
+def group_images(basis, cfg, reflect: bool, swap: bool) -> list:
+    """(configuration, sign) of g|cfg> for every element g = S^s R^r T^m
+    of the group of the signed one-site translation T, the bare site
+    reflection R (when ``reflect``) and the bare species swap S (when
+    ``swap``): up to 4d elements, each applied by the per-configuration
+    rules, T^m with the (-1)^(n-1)-per-wrapped-mode sign of
+    ``translate_loop``, R reversing the bits of every mask and S
+    exchanging the two masks."""
+    d, full = basis.d, isinstance(basis, FullBasis)
+    images = []
+    for m in range(d):
+        top = (1 << d) - (1 << (d - m)) if m else 0
+        if full:
+            (ma, mb), sign = cfg, 1
+            sign = (-1) ** ((basis.n_a - 1) * popcount(ma & top) + (basis.n_b - 1) * popcount(mb & top))
+            moved = (_shift_mask(ma, m, d), _shift_mask(mb, m, d))
+        else:
+            moved, sign = _shift_mask(cfg, m, d), 1
+        for r in range(1 + reflect):
+            image = moved
+            if r:
+                image = tuple(reversed_bits(x, d) for x in image) if full else reversed_bits(image, d)
+            images.append((image, sign))
+            if swap:
+                images.append((image[::-1], sign))
+    return images
+
+
+def group_projector(basis, reflect: bool, swap: bool) -> sp.csr_matrix:
+    """(dim, states) isometry onto the states even under every element of
+    the group of ``group_images``, one orbit at a time by brute force: the
+    orbit of its smallest index r is the set of g|r> over all elements,
+    and it has a column only when no element reaches a state with two
+    signs, so that no element of r's stabilizer carries -1.  The column
+    puts sign / sqrt(size) on each state g|r> = sign |i>; columns follow
+    r in ascending order."""
+    index = index_of(basis)
+    seen = np.zeros(basis.size, dtype=bool)
+    rows, vals, cols, columns = [], [], [], 0
+    for r, cfg in enumerate(configs(basis)):
+        if seen[r]:
+            continue
+        orbit, odd = {}, False
+        for image, sign in group_images(basis, cfg, reflect, swap):
+            odd |= orbit.setdefault(index[image], sign) != sign
+        seen[list(orbit)] = True
+        if odd:
+            continue
+        for i, sign in orbit.items():
+            rows.append(i)
+            vals.append(sign / math.sqrt(len(orbit)))
+            cols.append(columns)
+        columns += 1
+    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.size, columns))
+
+
 def momentum_projector(basis, K: int) -> sp.csr_matrix:
     """(dim, states) complex isometry onto momentum sector K of the signed
     one-site translation T (``translation(basis, 1)``), one orbit at a
@@ -451,13 +548,15 @@ def build_c_sr_loop(d: int, s: int, r: int, power: int = 1) -> StateVector:
 
 class Facts(NamedTuple):
     """Exact structure of a CSR operator h on a basis, from ``facts``.
-    Off a lattice basis (no ``translation_table``) the three symmetry
-    facts are False.  A fact about the stored off-diagonal entries holds
+    Off a lattice basis (no ``translation_table``) the four symmetry
+    facts are False, and ``swap`` is False off a FullBasis with
+    N_A = N_B.  A fact about the stored off-diagonal entries holds
     when there are none."""
 
     symmetric: bool  # h == h^H entry for entry
     translation: bool  # T h T^-1 == h for the signed one-site translation T
     reflection: bool  # R h R^T == h for the bare site reflection R
+    swap: bool  # S h S^T == h for the bare species swap S (a FullBasis with N_A = N_B)
     sign_free: bool  # every sign of T is +1
     real: bool
     positive: bool  # real, and every stored off-diagonal entry > 0
@@ -510,6 +609,7 @@ def facts(h: sp.csr_matrix, basis) -> Facts:
         symmetric=_same(adjoint, h),
         translation=lattice and _invariant(h, coo, index, sign),
         reflection=lattice and _invariant(h, coo, basis.reflection_index()),
+        swap=isinstance(basis, FullBasis) and basis.n_a == basis.n_b and _invariant(h, coo, basis.swap_index()),
         sign_free=lattice and bool(np.all(sign == 1)),
         real=real,
         positive=real and bool(np.all(off > 0)),

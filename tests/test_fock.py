@@ -24,6 +24,7 @@ from cobosons.fock import (
     popcount,
     project_to_pair_sector,
     reflection,
+    symmetric_projector,
     translation,
     translation_orbits,
 )
@@ -31,14 +32,19 @@ from oracles import (
     _lower_sign,
     create_string,
     embed_pair_state_loop,
+    even_projector,
     fermion_a_annihilate,
     fermion_a_create,
     fermion_b_create,
     facts,
+    generator_keys,
+    group_projector,
     momentum_projector,
     orbit_projector,
     project_to_pair_sector_loop,
+    reversed_bits,
     translate_loop,
+    zero_momentum_projector,
 )
 
 
@@ -167,16 +173,19 @@ def _table_arrays(basis):
     orbits = basis.orbits()
     tables = [basis.bonds(), *basis.translation_table(), basis.reflection_index(),
               *(getattr(orbits, name) for name in ("reps", "size", "orbit", "to_rep", "period_sign"))]
+    keys = [(False, False), (True, False)]
     if isinstance(basis, fock.PairBasis):
         tables += [basis.occupation(), basis.rdm_gather()]
     else:
         tables += [basis.onsite()]
-    csrs = [basis.hop(), basis.even_projector(),
-            *(block for even in (False, True) for block in basis.hop_block(even)[:2])]
+    if isinstance(basis, fock.FullBasis) and basis.n_a == basis.n_b:
+        tables += [basis.swap_index()]
+        keys += [(False, True), (True, True)]
+    csrs = [basis.hop(), *(block for key in keys for block in basis.hop_block(*key)[:2])]
     return tables + [a for m in csrs for a in (m.data, m.indices, m.indptr)]
 
 
-@pytest.mark.parametrize("make", [lambda: pair_basis(6, 3), lambda: full_basis(4, 2, 1)])
+@pytest.mark.parametrize("make", [lambda: pair_basis(6, 3), lambda: full_basis(4, 2, 1), lambda: full_basis(4, 2, 2)])
 def test_sector_tables_are_read_only_and_built_once(make):
     basis = make()
     arrays = _table_arrays(basis)
@@ -337,7 +346,7 @@ def test_momentum_projectors_are_isometries_onto_translation_eigenspaces():
         d = basis.d
         index, sign = translation(basis, 1)
         shift = sp.csr_matrix((sign, (index, np.arange(basis.size))), shape=(basis.size,) * 2)
-        proj = translation_orbits(index, sign, d).projector()
+        proj = symmetric_projector(translation_orbits(index, sign, d), ())
         assert not np.iscomplexobj(proj), basis
         gram = (proj.T @ proj).toarray()
         assert np.abs(gram - np.eye(proj.shape[1])).max(initial=0.0) < 1e-14, basis
@@ -356,19 +365,56 @@ def test_momentum_projectors_are_isometries_onto_translation_eigenspaces():
         assert total == basis.size, basis
 
 
+def _assert_same_csr(got, want, case):
+    assert got.dtype == want.dtype and got.shape == want.shape, case
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), (case, part)
+
+
 def test_zero_momentum_projector_with_positive_signs_is_the_orbit_sum():
     for basis in MOMENTUM_BASES:
         index, sign = translation(basis, 1)
         if np.any(sign != 1):
             continue
-        got, want = translation_orbits(index, sign, basis.d).projector(), orbit_projector(index, basis.d)
-        assert got.dtype == want.dtype and got.shape == want.shape, basis
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(want, part)), (basis, part)
+        _assert_same_csr(symmetric_projector(translation_orbits(index, sign, basis.d), ()),
+                         orbit_projector(index, basis.d), basis)
 
 
-def _reversed_bits(mask, d):
-    return sum(1 << (d - 1 - k) for k in range(d) if mask >> k & 1)
+SYMMETRY_BASES = MOMENTUM_BASES + [pair_basis(d, n) for d in (11, 12) for n in range(d + 1)] + [
+    full_basis(7, n, n) for n in range(8)] + [full_basis(8, 2, 2), full_basis(8, 4, 4), full_basis(10, 4, 4)]
+
+
+def test_symmetric_projector_matches_the_group_oracle():
+    # every block's projector, entry for entry, against the brute-force
+    # orbits of the up to 4d elements S^s R^r T^m and the signs of their
+    # stabilizers: every pair basis with d <= 12, every full basis with
+    # d <= 6, N_A = N_B at d = 7, and (8, 2), (8, 4) and (10, 4)
+    for basis in SYMMETRY_BASES:
+        for reflect, swap in generator_keys(basis):
+            _assert_same_csr(basis.hop_block(reflect, swap)[0], group_projector(basis, reflect, swap),
+                             (basis, reflect, swap))
+
+
+def test_symmetric_projector_without_the_swap_is_the_former_projectors():
+    # without S the projector is, bit for bit, the former signed K = 0
+    # projector (Orbits.projector) on every basis and the former
+    # sign-free reflection-even one (even_projector) wherever every sign
+    # of T is +1, every pair basis among them
+    for basis in SYMMETRY_BASES:
+        _assert_same_csr(basis.hop_block(False, False)[0], zero_momentum_projector(basis.orbits()), basis)
+        if np.all(basis.translation_table()[1] == 1):
+            _assert_same_csr(basis.hop_block(True, False)[0], even_projector(basis), basis)
+
+
+def test_swap_index_exchanges_the_species():
+    # S|i_a, i_b> = |i_b, i_a> against the masks, an involution; no swap
+    # when N_A != N_B
+    for basis in (full_basis(4, 2, 2), full_basis(6, 3, 3), full_basis(5, 0, 0)):
+        index, states = basis.swap_index(), basis.states
+        assert np.array_equal(states[index], states[:, ::-1]), basis
+        assert np.array_equal(index[index], np.arange(basis.size)), basis
+    with pytest.raises(ValueError, match="no species swap"):
+        full_basis(4, 2, 1).swap_index()
 
 
 def test_reflection_reverses_the_sites_of_every_state():
@@ -377,9 +423,9 @@ def test_reflection_reverses_the_sites_of_every_state():
     for basis in MOMENTUM_BASES:
         index, d = reflection(basis), basis.d
         if isinstance(basis, fock.PairBasis):
-            want = [basis.rank([_reversed_bits(int(m), d)])[0] for m in basis.states]
+            want = [basis.rank([reversed_bits(int(m), d)])[0] for m in basis.states]
         else:
-            want = [basis.rank([_reversed_bits(int(a), d)], [_reversed_bits(int(b), d)])[0]
+            want = [basis.rank([reversed_bits(int(a), d)], [reversed_bits(int(b), d)])[0]
                     for a, b in basis.states]
         assert np.array_equal(index, want), basis
         assert np.array_equal(index[index], np.arange(basis.size)), basis

@@ -33,7 +33,9 @@ from oracles import (
     BETHE_MAX_DELTA,
     bethe_energy,
     facts,
+    generator_keys,
     geometric_tail,
+    group_projector,
     is_bound,
     momentum_projector,
     string_energy,
@@ -267,39 +269,39 @@ def test_spectral_equivalence_degenerate_flag():
 
 
 def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
-    # at DENSE_LIMIT = 30 the full model's signed K = 0 block (39 states,
-    # certified by spin-reflection positivity) goes to ARPACK and no block
-    # of 30 states or more is densified
+    # at DENSE_LIMIT = 14 the full model's K = 0 block even under R and S
+    # (16 states, certified by spin-reflection positivity) goes to ARPACK
+    # and no block of 14 states or more is densified
     p = ModelParams(j=1.0, u=1e3, gamma=4e-3, d=6, n=2)
     want = spectral_equivalence_check(p)
     dense, arpack = solve._dense, solve._arpack
     arpack_dims = []
 
     def guarded(block, diagonal, count):
-        assert block.shape[0] < 30, f"densified a dim-{block.shape[0]} block"
+        assert block.shape[0] < 14, f"densified a dim-{block.shape[0]} block"
         return dense(block, diagonal, count)
 
     def counted(block, diagonal, count, start):
         arpack_dims.append(block.shape[0])
         return arpack(block, diagonal, count, start)
 
-    monkeypatch.setattr(solve, "DENSE_LIMIT", 30)
+    monkeypatch.setattr(solve, "DENSE_LIMIT", 14)
     monkeypatch.setattr(solve, "_dense", guarded)
     monkeypatch.setattr(solve, "_arpack", counted)
     got = spectral_equivalence_check(p)
-    assert arpack_dims and min(arpack_dims) >= 30
+    assert arpack_dims == [group_projector(fock.full_basis(6, 2, 2), True, True).shape[1]] == [16]
     assert np.abs(got.effective_energies - want.effective_energies).max() < 1e-9
     assert np.abs(got.full_energies - want.full_energies).max() < 1e-9
     assert got.fidelity == pytest.approx(want.fidelity, abs=1e-9)
     assert got.constant == want.constant
 
 
-@pytest.mark.parametrize("d, n, levels", [(8, 3, 4), (6, 3, 3), (6, 2, 1)])
+@pytest.mark.parametrize("d, n, levels", [(8, 3, 4), (6, 3, 3), (6, 2, 3)])
 def test_spectral_equivalence_compares_levels_of_the_same_sectors(d, n, levels):
-    # the effective model and the full model with odd N on their
-    # reflection-even K = 0 blocks; with even N the full model is solved on
-    # its signed K = 0 block, whose levels include reflection-odd ones, so
-    # only E0 is comparable
+    # the effective model on its reflection-even K = 0 block and the full
+    # model, odd N or even, on its K = 0 block even under R and S: their
+    # LEVELS lowest levels, or all of the effective block's (3 states at
+    # d = 6), agree
     rep = spectral_equivalence_check(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
     assert len(rep.effective_energies) == len(rep.full_energies) == levels
     assert np.abs(rep.full_energies - rep.effective_energies).max() < 1e-6
@@ -461,10 +463,17 @@ def _sector_sizes(basis):
     return np.rint((phases @ np.array(traces)).real / d).astype(int)
 
 
+def _even_size(basis):
+    """Columns of the full model's K = 0 block even under the reflection R
+    and the species swap S: the group oracle's count."""
+    return group_projector(basis, True, True).shape[1]
+
+
 def test_ground_space_reports_the_dimension_of_each_block_solved():
     # sector: one column per bracelet (280 at d = 16, N = 6, from 504
-    # necklaces), and for the even-N full model the K = 0 sector of the
-    # signed translation; whole: every state; banded: the whole chain
+    # necklaces), and for the even-N full model the K = 0 states even
+    # under R and S (16 at d = 6, N = 2, of the 39 of its signed K = 0
+    # sector); whole: every state; banded: the whole chain
     for d, n in ((8, 3), (10, 4), (16, 6)):
         op = _sector_case("effective", d, n, 15.5)
         assert ground_space(op).dims == (_bracelets(op.basis),), (d, n)
@@ -472,7 +481,8 @@ def test_ground_space_reports_the_dimension_of_each_block_solved():
 
     op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.2, d=6, n=2))
     gs = ground_space(op)
-    assert (gs.path, gs.dims) == ("sector", (_sector_sizes(op.basis)[0],))
+    assert (gs.path, gs.dims) == ("sector", (_even_size(op.basis),)) == ("sector", (16,))
+    assert _sector_sizes(op.basis)[0] == 39
 
     op = build_effective_hamiltonian(ModelParams(j=0.0, u=1e3, gamma=4e-3, d=6, n=3))
     assert (ground_space(op).path, ground_space(op).dims) == ("whole", (20,))
@@ -544,9 +554,10 @@ EVEN_N_CASES = [
 
 def test_even_n_full_models_solve_one_block():
     # N_A = N_B even at U = 10 > 2 gamma (x = 0, 4): spin-reflection
-    # positivity certifies the signed K = 0 block, whose ground vector is
-    # the whole operator's; at x = 60 (2 gamma = 12 > U), and whenever
-    # N_A != N_B, no certificate holds and the whole operator is solved.
+    # positivity certifies the signed K = 0 block even under R and S,
+    # whose ground vector is the whole operator's; at x = 60
+    # (2 gamma = 12 > U), and whenever N_A != N_B, no certificate holds
+    # and the whole operator is solved.
     # Every case is solved as a sweep solves it, H(0) plus gamma times the
     # coupling, and gives the assembled matrix's ground space
     for d, n_a, n_b, x in EVEN_N_CASES:
@@ -559,7 +570,7 @@ def test_even_n_full_models_solve_one_block():
             continue
         energy, vectors = _whole_operator_dense(op)
         got = GroundSolver(base, coupling)(x * 0.1)
-        assert (got.path, got.dims, got.degeneracy) == ("sector", (_sector_sizes(op.basis)[0],), 1), case
+        assert (got.path, got.dims, got.degeneracy) == ("sector", (_even_size(op.basis),), 1), case
         assert abs(got.energy - energy) < 1e-12 * abs(energy), case
         assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-12 * abs(energy), case
         _translation_invariant(op, got)
@@ -591,7 +602,8 @@ def test_every_block_equals_the_projected_operator():
     # diag(c[reps]) is P^T diag(c) P;
     # and the oracle reads off every sector's unit hop what the solver
     # takes from its construction: real, exactly symmetric, invariant
-    # under T and R, connected, and every entry > 0 when T is sign-free
+    # under T and R (and under S with N_A = N_B), connected, and every
+    # entry > 0 when T is sign-free
     cases = [(op, gamma_coupling(op.basis)) for op in
              [build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=4e-3, d=d, n=n))
               for d in range(2, 11) for n in range(0, d + 1)]
@@ -602,6 +614,7 @@ def test_every_block_equals_the_projected_operator():
     for op, coupling in cases:
         hop = facts(op.basis.hop(), op.basis)
         assert hop.real and hop.symmetric and hop.translation and hop.reflection and hop.connected, op.basis
+        assert hop.swap == (isinstance(op.basis, fock.FullBasis) and op.basis.n_a == op.basis.n_b), op.basis
         assert hop.positive or not hop.sign_free, op.basis
         solver = GroundSolver(op, coupling)
         paths[solver.path] += 1
@@ -620,12 +633,13 @@ def test_every_block_equals_the_projected_operator():
 @pytest.mark.parametrize("model, d", [("full", d) for d in range(2, 7)] + [("effective", d) for d in range(2, 11)])
 def test_momenta_blocks_are_real_and_hold_the_complex_blocks_levels(model, d):
     # full models at every (N_A, N_B) and the effective model with
-    # Jbar = +-1 at every N: the one momentum block a solver keeps, K = 0,
-    # is float64 and exactly symmetric; its levels are those of the
-    # complex P_0^H h P_0 of the oracle's momentum projector, all of them
-    # on the signed K = 0 block and some on the reflection-even one; and
-    # its eigenvectors lifted with its P are T-invariant.  Jbar = -1 and
-    # N_A != N_B with an even count keep no block
+    # Jbar = +-1 at every N: the one block a solver keeps, inside K = 0,
+    # is float64 and exactly symmetric; its levels are those of h
+    # projected onto the group oracle's isometry of the same generators,
+    # some of the levels of the complex P_0^H h P_0 of the oracle's
+    # momentum projector, and all of them on a block with neither R nor
+    # S; and its eigenvectors lifted with its P are T-invariant.
+    # Jbar = -1 and N_A != N_B with an even count keep no block
     if model == "full":
         ops = [build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.4, d=d, n_a=n_a, n_b=n_b))
                for n_a in range(d + 1) for n_b in range(d + 1)]
@@ -642,9 +656,11 @@ def test_momenta_blocks_are_real_and_hold_the_complex_blocks_levels(model, d):
         want = np.linalg.eigvalsh((complex_proj.conj().T @ h @ complex_proj).toarray())
         evals, vecs = np.linalg.eigh(block.toarray() + np.diag(op.diagonal[reps]))
         scale = max(1.0, np.abs(want).max())
-        if proj is op.basis.even_projector():
-            assert np.abs(evals[:, None] - want).min(axis=1).max() <= 1e-12 * scale, case
-        else:
+        key = next(key for key in generator_keys(op.basis) if op.basis.hop_block(*key)[0] is proj)
+        group = group_projector(op.basis, *key)
+        assert np.abs(evals - np.linalg.eigvalsh((group.T @ h @ group).toarray())).max() <= 1e-12 * scale, case
+        assert np.abs(evals[:, None] - want).min(axis=1).max() <= 1e-12 * scale, case
+        if key == (False, False):
             assert np.abs(evals - want).max() <= 1e-12 * scale, case
         lifted = proj @ vecs
         moved = np.zeros_like(lifted)
@@ -675,10 +691,10 @@ def test_builder_parts_solve_like_their_assembled_matrix():
     # signs of T; the oracle reads the facts off its assembled CSR matrix.
     # The solver takes "sector" iff Perron-Frobenius certifies the matrix
     # or it is a full model with N_A = N_B and J > 0 (spin-reflection
-    # positivity: U = 10 > 2 gamma here), the reflection-even block iff
-    # Perron-Frobenius does and R fixes the matrix and the coupling, and
-    # "whole" otherwise; its block is that matrix projected, and its
-    # ground space is the whole matrix's
+    # positivity: U = 10 > 2 gamma here), and "whole" otherwise; a
+    # "sector" block is even under R iff R fixes the matrix and the
+    # coupling, and under S iff S does; its block is that matrix
+    # projected, and its ground space is the whole matrix's
     paths, solvers = Counter(), []
     for op in _builder_cases():
         h = op.to_csr()
@@ -690,12 +706,13 @@ def test_builder_parts_solve_like_their_assembled_matrix():
         solvers.append(parts)
         lieb = isinstance(op.basis, fock.FullBasis) and op.hopping > 0
         assert (parts.path == "sector") == (fact.perron or lieb), case
-        even = fact.perron and fact.reflection and np.array_equal(coupling[reflection(op.basis)], coupling)
+        reflect = fact.reflection and np.array_equal(coupling[reflection(op.basis)], coupling)
+        swap = fact.swap and np.array_equal(coupling[op.basis.swap_index()], coupling)
         if parts.path == "whole":
             assert parts._block is None and parts.dims == (op.dim,), case
         else:
             proj, block, reps, _ = parts._block
-            assert (proj is op.basis.even_projector()) == even, case
+            assert proj is op.basis.hop_block(reflect, swap)[0], case
             assert _eigensolver(parts) is (solve._dense if reps.size < solve.DENSE_LIMIT else solve._arpack), case
             got = block.toarray() + np.diag(op.diagonal[reps])
             want = (proj.T @ h @ proj).toarray()
@@ -1130,7 +1147,8 @@ def test_spin_reflection_positivity_certifies_the_even_n_full_model(d, n):
     # Tr W > 0, each to 1e-9 (eigh's vector is good to about
     # eps * |H| / gap, and the gap is 1.1e-7 at (8, 4), x = 30).  The
     # solver, built as a sweep builds it and from the operator at gamma,
-    # takes "sector" with the one K = 0 block and gives that E0 to 1e-12
+    # takes "sector" with the one block of K = 0 states even under R and
+    # S (the group oracle's columns) and gives that E0 to 1e-12
     basis = fock.full_basis(d, n, n)
     projectors = {k: momentum_projector(basis, k) for k in range(d // 2 + 1)}
     reflected, side = reflection(basis), basis.masks_a.size
@@ -1138,7 +1156,7 @@ def test_spin_reflection_positivity_certifies_the_even_n_full_model(d, n):
         base = build_full_hamiltonian(ModelParams(j=1.0, u=u, gamma=0.0, d=d, n=n))
         coupling = gamma_coupling(basis)
         solver = GroundSolver(base, coupling)
-        assert (solver.path, solver.dims) == ("sector", (projectors[0].shape[1],))
+        assert (solver.path, solver.dims) == ("sector", (_even_size(basis),))
         for x in xs:
             case, gamma = (d, n, u, x), x / u
             (energy, k, psi), (second, *_) = _sector_levels(base.to_csr() + gamma * sp.diags(coupling), projectors)[:2]
@@ -1184,7 +1202,7 @@ def test_the_lieb_certificate_reads_every_builder_operator_and_no_other():
     # so every even-N full operator built at U > 2 gamma is "sector", also
     # above half filling with gamma inside D, where every state has an
     # on-site pair and a bond and D's bits do not fix U and gamma (44100
-    # states at (10, 6), one 4420-state block); the same D without that
+    # states at (10, 6), one 1181-state block); the same D without that
     # record, or with a record it does not reproduce, is solved whole
     for d, n in [(3, 2), (5, 4), (6, 4), (7, 4), (7, 6), (8, 6)]:
         for u in (1000.0, 37.3, 5.0):
@@ -1193,7 +1211,7 @@ def test_the_lieb_certificate_reads_every_builder_operator_and_no_other():
                     op = build_full_hamiltonian(ModelParams(j=1.0, u=u, gamma=x / u, d=d, n=n))
                     assert GroundSolver(op, gamma_coupling(op.basis)).path == "sector", (d, n, u, x)
     op = build_full_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=0.03, d=10, n=6))
-    assert (ground_space(op).path, ground_space(op).dims) == ("sector", (4420,))
+    assert (ground_space(op).path, ground_space(op).dims) == ("sector", (1181,))
     op = build_full_hamiltonian(ModelParams(j=1.0, u=10.0, gamma=0.6, d=4, n=2))
     for couplings in (None, (10.0, 0.0), (10.0 + 1e-12, 0.6)):
         bare = SparseOperator(op.basis, op.diagonal, op.hopping, couplings)
@@ -1201,22 +1219,53 @@ def test_the_lieb_certificate_reads_every_builder_operator_and_no_other():
     assert ground_space(op).path == "sector"
 
 
-def test_the_even_n_lanczos_block_starts_from_the_paired_columns():
-    # full (8, 4): its 618-state K = 0 block runs on real Lanczos from the
-    # indicator of the columns whose representative is paired (mask_a ==
-    # mask_b), and gives dense eigh's E0 on the block to 1e-12 and its
-    # ground vector to 1e-9 (the next K = 0 level is 8e-5 above E0 at
-    # gamma U / J^2 = 6)
-    base = build_full_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=0.0, d=8, n=4))
-    solver = GroundSolver(base, gamma_coupling(base.basis))
-    proj, block, reps, eigensolver = solver._block
-    assert (solver.dims, _eigensolver(solver)) == ((618,), solve._arpack)
-    start = eigensolver.keywords["start"]
-    states = base.basis.states[reps]
-    paired = states[:, 0] == states[:, 1]
-    assert 0 < paired.sum() < reps.size and np.array_equal(start, paired / math.sqrt(paired.sum()))
-    for x in (6.0, 20.0):
-        got = solver(x * 1e-3)
+def test_the_even_n_lanczos_block_starts_from_the_paired_columns(monkeypatch):
+    # full (8, 4) and (10, 4), their 181- and 1181-state blocks on real
+    # Lanczos (DENSE_LIMIT = 14): the start vector is the indicator of
+    # the columns whose representative is paired (mask_a == mask_b),
+    # whose orbits hold paired states only, each with an entry > 0, and
+    # it overlaps the ground vector with the sign of Tr W > 0 (W its
+    # amplitudes as a matrix).  The solve gives dense eigh's E0 on the
+    # block to 1e-12 and its ground vector to 1e-9 (the next level is
+    # 8e-5 above E0 at (8, 4), gamma U / J^2 = 6)
+    monkeypatch.setattr(solve, "DENSE_LIMIT", 14)
+    for d, n, x in ((8, 4, 6.0), (10, 4, 10.5)):
+        base = build_full_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=0.0, d=d, n=n))
+        solver = GroundSolver(base, gamma_coupling(base.basis))
+        proj, block, reps, eigensolver = solver._block
+        assert (solver.dims, _eigensolver(solver)) == ((_even_size(base.basis),), solve._arpack), d
+        start = eigensolver.keywords["start"]
+        states = base.basis.states[reps]
+        paired = states[:, 0] == states[:, 1]
+        assert 0 < paired.sum() < reps.size and np.array_equal(start, paired / math.sqrt(paired.sum())), d
+        columns = proj[:, paired].tocoo()
+        members = base.basis.states[columns.row]
+        assert np.array_equal(members[:, 0], members[:, 1]) and columns.data.min() > 0, d
         want, vectors = solve._dense(block, (base.diagonal + x * 1e-3 * solver._coupling)[reps], solve.LEVELS)
-        assert abs(got.energy - want[0]) <= 1e-12 * abs(want[0]), x
-        assert np.abs(_ground_projector(got) - np.outer(proj @ vectors[:, 0], proj @ vectors[:, 0])).max() < 1e-9
+        ground = proj @ vectors[:, 0]
+        side = base.basis.masks_a.size
+        assert np.trace(ground.reshape(side, side)) * (start @ vectors[:, 0]) > 0, d
+        got = solver(x * 1e-3)
+        assert abs(got.energy - want[0]) <= 1e-12 * abs(want[0]) and got.degeneracy == 1, d
+        overlap = np.vdot(got.vectors[:, 0], ground)
+        assert np.abs(got.vectors[:, 0] * overlap / abs(overlap) - ground).max() < 1e-9, d
+
+
+WHOLE_SIZES = LIEB_SIZES + [(5, 1), (6, 3), (7, 3), (8, 3), (7, 5)]
+
+
+@pytest.mark.parametrize("d, n", WHOLE_SIZES)
+def test_even_blocks_give_the_whole_operators_energy(d, n):
+    # the Lieb sizes above and odd-N (Perron) ones at U/J = 1000,
+    # gamma U / J^2 = 10.5: E0 of the block even under T, R and S equals
+    # the lowest eigenvalue of a dense eigh of the whole operator to
+    # 1e-12, and the lifted ground vector is invariant under the signed
+    # T, the bare R and the bare S
+    op = build_full_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=10.5e-3, d=d, n=n))
+    got = ground_space(op)
+    want = la.eigh(op.to_csr().toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert (got.path, got.dims, got.degeneracy) == ("sector", (_even_size(op.basis),), 1)
+    assert abs(got.energy - want) <= 1e-12 * abs(want)
+    _translation_invariant(op, got)
+    for index in (reflection(op.basis), op.basis.swap_index()):
+        assert np.abs(got.vectors[index] - got.vectors).max() < 1e-12
