@@ -126,7 +126,7 @@ def build_partition_state(d: int, partition) -> tuple:
     Pauli-annihilating block overlaps are dropped and the result is
     normalized numerically.  Returns (state, norm_factor_sq) where
     norm_factor_sq is the exact N^2 relating the normalized state to the
-    raw d^{-k/2}-weighted product.
+    raw d^{-k/2}-weighted product.  The amplitudes are real (float64).
     """
     if not isinstance(partition, Partition):
         partition = Partition(tuple(partition))
@@ -149,7 +149,7 @@ def build_partition_state(d: int, partition) -> tuple:
         for config in configs:
             holds |= (basis.states & config) == config
         configs = basis.states[holds]
-    amp = np.zeros(basis.size, dtype=complex)
+    amp = np.zeros(basis.size)
     amp[basis.rank(configs)] = 1.0
     norm_factor_sq = Fraction(d ** len(partition.parts), configs.size)
     return _unit(basis, amp), norm_factor_sq

@@ -358,12 +358,13 @@ def fix_phase(amp: np.ndarray) -> np.ndarray:
 
 
 class StateVector:
-    """Complex amplitudes over a basis; immutable after construction."""
+    """Amplitudes over a basis, float64 when given real and complex128 when
+    given complex; immutable after construction."""
 
     __slots__ = ("basis", "amplitudes")
 
     def __init__(self, basis, amplitudes):
-        amp = np.ascontiguousarray(amplitudes, dtype=complex)
+        amp = np.ascontiguousarray(amplitudes, dtype=complex if np.iscomplexobj(amplitudes) else float)
         if amp.shape != (basis.size,):
             raise ValueError(
                 f"amplitude length {amp.shape} does not match basis size {basis.size}"
@@ -442,9 +443,9 @@ def reflection(basis) -> np.ndarray:
 
 
 def translate(state: StateVector, shift: int) -> StateVector:
-    """T^shift applied to a state (see ``translation``)."""
+    """T^shift applied to a state (see ``translation``), in its dtype."""
     index, sign = translation(state.basis, shift)
-    amp = np.zeros(state.basis.size, dtype=complex)
+    amp = np.zeros_like(state.amplitudes)
     amp[index] = sign * state.amplitudes
     return StateVector(state.basis, amp)
 
@@ -547,12 +548,13 @@ def _project(h: sp.csr_matrix, proj: sp.csr_matrix) -> tuple:
 # ------------------------------------------------------- pair/full embedding
 
 def embed_pair_state(state: StateVector, full: FullBasis) -> StateVector:
+    """A pair-basis state on the full basis (mask_a = mask_b), in its dtype."""
     basis = state.basis
     if not isinstance(basis, PairBasis):
         raise BasisMismatchError("embedding expects a pair-basis state")
     if full.d != basis.d or full.n_a != basis.n or full.n_b != basis.n:
         raise BasisMismatchError("full basis incompatible with pair sector")
-    amp = np.zeros(full.size, dtype=complex)
+    amp = np.zeros(full.size, dtype=state.amplitudes.dtype)
     amp[full.rank(basis.states, basis.states)] = state.amplitudes
     return StateVector(full, amp)
 

@@ -300,7 +300,10 @@ def g2(psi: StateVector, i: int, j: int) -> float:
     """Normal-ordered pair correlation
     <eta_i^dag eta_j^dag eta_j eta_i> / (<n_i><n_j>), from raw expectation
     values (never from closed forms).  Hard-core pairs cannot share a
-    site, so the on-site value g2(psi, i, i) is 0."""
+    site, so the on-site value g2(psi, i, i) is 0.  The occupation sums
+    are einsums, not BLAS dot products: OpenBLAS threads a dot product of
+    about 1e5 states, and its last digit then followed the thread count
+    (effective d = 20, N = 8)."""
     basis = psi.basis
     if not isinstance(basis, PairBasis):
         raise BasisMismatchError("g2 is defined on the pair basis")
@@ -309,9 +312,9 @@ def g2(psi: StateVector, i: int, j: int) -> float:
         raise ValueError(f"sites ({i}, {j}) outside [0, d={d})")
     occ = basis.occupation()
     prob = np.abs(psi.amplitudes) ** 2
-    occ_i = float(prob @ occ[:, i])
-    occ_j = float(prob @ occ[:, j])
-    occ_ij = float(prob @ (occ[:, i] & occ[:, j])) if i != j else 0.0
+    occ_i = float(np.einsum("k,k->", prob, occ[:, i]))
+    occ_j = float(np.einsum("k,k->", prob, occ[:, j]))
+    occ_ij = float(np.einsum("k,k->", prob, occ[:, i] & occ[:, j])) if i != j else 0.0
     if occ_i == 0.0 or occ_j == 0.0:
         raise ValueError("zero mean occupation; g2 undefined")
     if abs(occ_i - n / d) > 1e-8 or abs(occ_j - n / d) > 1e-8:

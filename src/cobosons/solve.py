@@ -56,10 +56,13 @@ class GroundSpace:
     the degeneracy window held every one.  ``residual`` is the largest
     |H v - e v| over the ground vectors, each against its own eigenvalue e
     and the whole operator.  ``dims`` is (the dimension of the block,).
+    ``vectors`` are float64 wherever the block and P are real: on
+    "sector", on "whole" and on a chain with a real hop (r = 0); complex128
+    on a chain with a complex hop (r != 0).
     """
 
     energy: float
-    vectors: np.ndarray  # shape (dim, degeneracy), columns orthonormal
+    vectors: np.ndarray  # (dim, degeneracy), orthonormal columns; float64 unless the operator is complex
     basis: object
     levels: np.ndarray  # ascending: the lowest LEVELS eigenvalues of the block, or all of them
     path: str
@@ -134,13 +137,36 @@ def _serial_blas(serial: bool = True):
         set_threads(previous)
 
 
-def _dense(block: sp.csr_matrix, diagonal: np.ndarray, count: int) -> tuple:
-    """The count lowest eigenpairs of the real block + diag(diagonal), on a
-    dense copy.  One BLAS thread below SERIAL_BLAS_BELOW (``_serial_blas``)."""
+def _dense(block: sp.csr_matrix, diagonal: np.ndarray, count: int, dense=None, work=None) -> tuple:
+    """The count lowest eigenpairs of the real block + diag(diagonal), by
+    ``eigh`` in place on a Fortran-order n x n array.  ``GroundSolver``
+    binds to a sector block ``dense``, the block as that array, and
+    ``work``, one buffer of its shape: a call copies ``dense`` into
+    ``work``, adds the diagonal and lets ``eigh`` overwrite it, so it
+    allocates no n x n array.  Unbound (the whole operator, formed at each
+    call) the array is made from ``block``.  One BLAS thread below
+    SERIAL_BLAS_BELOW (``_serial_blas``)."""
+    if dense is None:
+        work = block.toarray(order="F")
+    else:
+        np.copyto(work, dense)
+    n = work.shape[0]
+    work.ravel(order="F")[:: n + 1] += diagonal  # a view: work is Fortran-contiguous
+    with _serial_blas(n < SERIAL_BLAS_BELOW):
+        return la.eigh(work, overwrite_a=True, subset_by_index=None if count == n else [0, count - 1])
+
+
+def _inverse_step(block: sp.csr_matrix, diagonal: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """(block + diag(diagonal))^-1 vecs on a dense copy: one step of
+    inverse iteration, which the QR in ``GroundSolver.__call__``
+    normalizes.  Dense ``eigh`` vectors of the whole operator are good to
+    about eps * |H| / gap, with the gap to the next level of any symmetry
+    sector (3.8e-5 at effective d = 10, N = 5, Jbar = -1, gammabar = 12,
+    where that put the ground projector 1.25e-10 off); the step at the
+    window's width below E0 refines them to about eps * |H|."""
     a = block.toarray()
-    a.flat[::a.shape[0] + 1] += diagonal
-    with _serial_blas(a.shape[0] < SERIAL_BLAS_BELOW):
-        return la.eigh(a, subset_by_index=None if count == a.shape[0] else [0, count - 1])
+    a.flat[:: a.shape[0] + 1] += diagonal
+    return np.linalg.solve(a, vecs)
 
 
 def _band(op: SparseOperator) -> tuple:
@@ -284,14 +310,15 @@ class GroundSolver:
       outside that range solves the whole operator, path "whole".  The
       gamma term of the block is diag(coupling[reps]), exact because the
       coupling is constant on each orbit.  ``_dense`` below DENSE_LIMIT
-      states, real Lanczos (``_arpack``, from ``_start``) from it: where
-      Lanczos wins at count 4 on one BLAS thread (README "Ground
-      solver");
+      states, bound to the block's dense copy and a work buffer, real
+      Lanczos (``_arpack``, from ``_start``) from it: where Lanczos wins
+      at count 4 on one BLAS thread (README "Ground solver");
     - "banded", on a ChainBasis (the relative chains): the whole chain,
       its band (``_band``) with no P and every site as reps, by
       ``_banded``;
     - "whole", for an operator that no certificate covers: -t * hop with
-      no P and every state as reps, formed at each call, by ``_dense``.
+      no P and every state as reps, formed at each call, by ``_dense``
+      unbound, its window vectors refined by ``_inverse_step``.
     ``_banded`` and ``_dense`` of a whole operator allocate n x n, so n^2
     is held to MAX_BASIS_STATES (``CapacityError``) before anything is
     built: in ``__init__``, or at the call that falls back to "whole".
@@ -304,6 +331,8 @@ class GroundSolver:
     degeneracy window holds every level returned, applies the window,
     lifts the vectors inside it with P, and checks each against its own
     eigenvalue and the whole operator at that gamma (``op.apply``).  The
+    vectors stay real wherever the block and P are (``GroundSpace``), so
+    the residual reads the int8 hop at 8 bytes per entry.  The
     window tol_deg and the residual bound RESIDUAL_TOL both scale with
     max(1, |E0|), so levels split by less than the window stay in the
     ground space.
@@ -329,9 +358,18 @@ class GroundSolver:
                 _hold_square(n, chain=False)
             else:
                 proj, hop, reps = op.basis.hop_block(reflect, swap)
-                eigensolver = _dense if reps.size < DENSE_LIMIT else functools.partial(
-                    _arpack, start=_start(op.basis, reps))
-                self._block = (proj, hop * -op.hopping, reps, eigensolver)
+                block = hop * -op.hopping
+                if reps.size < DENSE_LIMIT:
+                    # the dense copy and the work buffer, Fortran-order, in one
+                    # allocation: as two, their release with each solver let
+                    # malloc trim the heap and fault the pages in again, about
+                    # 520 more minor faults per effective d = 16, N = 6 sweep
+                    kept = np.empty(block.shape + (2,), order="F")
+                    kept[:, :, 0] = block.toarray()
+                    eigensolver = functools.partial(_dense, dense=kept[:, :, 0], work=kept[:, :, 1])
+                else:
+                    eigensolver = functools.partial(_arpack, start=_start(op.basis, reps))
+                self._block = (proj, block, reps, eigensolver)
         self.dims = (n,) if self._block is None else (self._coupling[self._block[2]].size,)
 
     def _whole(self) -> tuple:
@@ -356,10 +394,13 @@ class GroundSolver:
         if evals.size < shift.size and _window(evals, tol_deg).all():
             evals, evecs = eigensolver(matrix, shift, shift.size)
         sel = _window(evals, tol_deg)
-        vecs = evecs[:, sel] if proj is None else proj @ evecs[:, sel]
-        # re-orthonormalize (eigh already orthonormal; cheap safeguard)
-        vecs, _ = np.linalg.qr(np.asarray(vecs, dtype=complex))
         scale = max(1.0, abs(evals[0]))
+        vecs = evecs[:, sel] if proj is None else proj @ evecs[:, sel]
+        if path == "whole":  # below E0 by the window's width, and strictly below it
+            below = min(evals[0] - tol_deg * scale, np.nextafter(evals[0], -np.inf))
+            vecs = _inverse_step(matrix, shift - below, vecs)
+        # orthonormal columns: the refined ones, and a cheap safeguard on the rest
+        vecs, _ = np.linalg.qr(vecs)
         hv = self._op.apply(vecs)
         if gamma:
             hv = hv + (gamma * self._coupling)[:, None] * vecs

@@ -146,6 +146,7 @@ def test_partition_states_match_the_placement_loop():
                         build_partition_state(d, parts)
                     continue
                 psi, nsq = build_partition_state(d, parts)
+                assert psi.amplitudes.dtype == np.float64, (d, parts)
                 support = np.flatnonzero(psi.amplitudes)
                 assert psi.basis.states[support].tolist() == sorted(configs), (d, parts)
                 assert np.all(psi.amplitudes[support] == psi.amplitudes[support[0]]), (d, parts)

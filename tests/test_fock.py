@@ -250,9 +250,14 @@ def test_state_vector_validation():
         StateVector(basis, np.ones(3))
     with pytest.raises(ValueError):
         StateVector(basis, np.full(basis.size, np.nan))
+    with pytest.raises(ValueError):
+        StateVector(basis, np.full(basis.size, np.inf + 0j))
     vec = StateVector(basis, np.ones(basis.size))
     with pytest.raises(ValueError):
         vec.amplitudes[0] = 2.0  # immutable
+    # float64 when given real (ints too), complex128 when given complex
+    assert vec.amplitudes.dtype == StateVector(basis, np.ones(basis.size, int)).amplitudes.dtype == np.float64
+    assert StateVector(basis, np.ones(basis.size, complex)).amplitudes.dtype == np.complex128
 
 
 def test_inner_product_basis_mismatch(random_state):
@@ -298,11 +303,17 @@ def test_translate_full_basis_composition(rng):
 
 
 def test_embed_project_roundtrip(random_state):
-    fb = full_basis(6, 2, 2)
-    embedded = embed_pair_state(random_state, fb)
-    assert abs(embedded.norm - 1.0) < 1e-12
-    back = project_to_pair_sector(embedded, random_state.basis)
-    assert np.allclose(back.amplitudes, random_state.amplitudes)
+    # embedding, projection and translation keep the state's dtype
+    amp = random_state.amplitudes.real
+    real = StateVector(random_state.basis, amp / np.linalg.norm(amp))
+    for psi, dtype in ((random_state, np.complex128), (real, np.float64)):
+        fb = full_basis(6, 2, 2)
+        embedded = embed_pair_state(psi, fb)
+        assert abs(embedded.norm - 1.0) < 1e-12
+        back = project_to_pair_sector(embedded, psi.basis)
+        assert np.allclose(back.amplitudes, psi.amplitudes)
+        assert embedded.amplitudes.dtype == back.amplitudes.dtype == dtype
+        assert translate(psi, 1).amplitudes.dtype == translate(embedded, 1).amplitudes.dtype == dtype
 
 
 def _random_state(basis, seed):

@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobosons import (
+    ModelParams,
     StateVector,
     build_block,
+    build_effective_hamiltonian,
     build_partition_state,
     chi_closed,
     chi_oracle,
     energy_ledger,
     fidelity,
     g2,
+    ground_space,
     ladder_report,
     ledger_vs_exact_check,
     pair_basis,
@@ -233,6 +236,24 @@ def test_rdm_and_g2_match_loop_oracles(sizes, seed):
         for i in range(d):
             for j in range(d):
                 assert g2(psi, i, j) == pytest.approx(g2_loop(psi, i, j), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(8, 3), (10, 5), (12, 4)])
+def test_purity_of_a_real_state_equals_that_of_its_complex_cast(d, n):
+    # real amplitudes take the real RDM product: P1 and the RDM of the
+    # partition states, a ground state and a random real state equal
+    # those of the same amplitudes as complex128 to 1e-15
+    rng = np.random.default_rng(d * n)
+    basis = pair_basis(d, n)
+    amp = rng.normal(size=basis.size)
+    ground = ground_space(build_effective_hamiltonian(ModelParams(j=1.0, u=1e3, gamma=6e-3, d=d, n=n))).state
+    states = [build_partition_state(d, [n])[0], build_partition_state(d, [1] * n)[0], ground,
+              StateVector(basis, amp / np.linalg.norm(amp))]
+    for psi in states:
+        assert psi.amplitudes.dtype == np.float64
+        rho, p1 = single_pair_purity(psi)
+        rho_c, p1_c = single_pair_purity(StateVector(basis, psi.amplitudes.astype(complex)))
+        assert abs(p1 - p1_c) <= 1e-15 and np.abs(rho - rho_c).max() <= 1e-15
 
 
 def test_uniform_state_purity_closed_form():

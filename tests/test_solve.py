@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -277,9 +278,9 @@ def test_spectral_equivalence_solves_large_full_model_with_arpack(monkeypatch):
     dense, arpack = solve._dense, solve._arpack
     arpack_dims = []
 
-    def guarded(block, diagonal, count):
+    def guarded(block, diagonal, count, **bound):  # bound: the kept dense copy and work buffer
         assert block.shape[0] < 14, f"densified a dim-{block.shape[0]} block"
-        return dense(block, diagonal, count)
+        return dense(block, diagonal, count, **bound)
 
     def counted(block, diagonal, count, start):
         arpack_dims.append(block.shape[0])
@@ -791,6 +792,18 @@ def test_each_eigensolver_widens_to_every_level_when_the_window_holds_them():
     assert counts == [(210, solve.LEVELS), (210, 210)]
 
 
+def test_the_whole_path_refines_its_vectors_at_any_window_width():
+    # a diagonal operator solved whole at tol_deg = 1e-300, whose window
+    # width rounds away against E0 = -1: the inverse step still shifts
+    # strictly below E0, and the ground space is the 16 states with no bond
+    basis = pair_basis(8, 3)
+    op = SparseOperator(basis, basis.bonds() - 1.0, 0.0)
+    gs = ground_space(op, tol_deg=1e-300)
+    zero_bond = np.flatnonzero(basis.bonds() == 0)
+    assert (gs.path, gs.energy, gs.degeneracy) == ("whole", -1.0, zero_bond.size) == ("whole", -1.0, 16)
+    assert np.abs(np.linalg.norm(gs.vectors[zero_bond], axis=0) - 1).max() < 1e-15
+
+
 def _uniform(n):
     return np.full(n, 1.0 / math.sqrt(n))
 
@@ -889,6 +902,28 @@ def test_sector_blocks_take_real_lanczos_from_the_measured_limit(model, d, n):
         assert np.abs(np.abs(got_vecs[:, 0]) - np.abs(want_vecs[:, 0])).max() <= 1e-12, x
 
 
+def test_a_dense_sector_call_allocates_no_square_array():
+    # the 280-state block of effective (16, 6) keeps its dense copy and one
+    # work buffer, so a call copies, adds the diagonal and runs eigh in
+    # place: its traced peak is LAPACK's workspace and eigh's finite check,
+    # well below one n x n array (a fresh copy and eigh's own would be two)
+    base = _sector_case("effective", 16, 6, 0.0)
+    solver = GroundSolver(base, gamma_coupling(base.basis))
+    _, block, reps, eigensolver = solver._block
+    assert reps.size == 280 and _eigensolver(solver) is solve._dense
+    diagonal = (base.diagonal + 10.5e-3 * solver._coupling)[reps]
+    want = eigensolver(block, diagonal, solve.LEVELS)
+    tracemalloc.start()
+    try:
+        got = eigensolver(block, diagonal, solve.LEVELS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < reps.size**2 * 8 / 4, peak
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(eigensolver.keywords["dense"], block.toarray())
+
+
 def _translation_invariant(op, gs):
     """Each ground vector is invariant under the signed one-site
     translation: it lies at K = 0."""
@@ -913,6 +948,9 @@ class _Drawn:
 @given(st.data())
 # whose whole-operator eigh vector was once 4.12e-11 off, above the bound
 @example(data=_Drawn("effective", 10, 5, 1.0, 10.0, solve.DENSE_LIMIT))
+# path "whole", whose unrefined eigh vectors put the projector 1.25e-10 off
+# against the bound 4.8e-11 (the gap to the next level is 3.8e-5)
+@example(data=_Drawn("effective", 10, 5, -1.0, 12.0, solve.DENSE_LIMIT))
 def test_few_levels_per_block_give_the_whole_operators_ground_space(data):
     # LEVELS = 4 on small operators of every path, against a full eigh of
     # the assembled matrix: energy, degeneracy and ground projector, and
@@ -951,6 +989,7 @@ def test_few_levels_per_block_give_the_whole_operators_ground_space(data):
     assert abs(got.energy - energy) < 1e-12 * scale
     assert got.degeneracy == vectors.shape[1]
     assert np.abs(_ground_projector(got) - vectors @ vectors.conj().T).max() < 1e-12 * scale
+    assert got.vectors.dtype == got.state.amplitudes.dtype == np.float64  # every operator here is real
     if kind == "planted":
         assert got.path == "whole"
     if got.path == "sector":
@@ -1057,6 +1096,7 @@ def test_relative_chains_take_the_banded_path(kind, r, cutoff):
         evals, evecs = np.linalg.eigh(chain.to_csr().toarray() + gamma * np.diag(site))
         scale = max(1.0, abs(evals[0]))
         assert (got.path, got.dims, got.degeneracy) == ("banded", (chain.dim,), 1)
+        assert got.vectors.dtype == (np.complex128 if r else np.float64)
         assert np.abs(got.levels - evals[: got.levels.size]).max() < 1e-12 * scale
         assert got.levels.size == min(solve.LEVELS, chain.dim)
         want = np.outer(evecs[:, 0], evecs[:, 0].conj())
