@@ -169,12 +169,15 @@ def _sweep(cfg: SweepConfig):
         yield gamma, x, solver(gamma)
 
 
-def _sweep_comment(cfg: SweepConfig, effective_only: Optional[str] = None) -> str:
-    """The summary line of a sweep CSV.  A command that reads pair-basis
-    states passes its name as ``effective_only`` and is refused here, on
-    the full model, before any solve."""
-    if effective_only and cfg.model != "effective":
-        raise ValueError(f"{effective_only} runs on the effective model only, got --model {cfg.model}")
+def _sweep_comment(cfg: SweepConfig, pair_scan: Optional[str] = None) -> str:
+    """The summary line of a sweep CSV.  A command that reads the
+    single-pair RDM of pair-basis states passes its name as ``pair_scan``
+    and is refused here, on the full model or with no pairs, before any
+    basis is built."""
+    if pair_scan and cfg.model != "effective":
+        raise ValueError(f"{pair_scan} runs on the effective model only, got --model {cfg.model}")
+    if pair_scan and cfg.n < 1:
+        raise ValueError(f"single-pair RDM needs N >= 1 pairs, got --n {cfg.n} for {pair_scan}")
     return f"model = {cfg.model}, d = {cfg.d}, N = {cfg.n}, J = {fmt(cfg.j)}, U = {fmt(cfg.u)}"
 
 
@@ -264,7 +267,7 @@ def cmd_chi(values: dict) -> int:
 
 def cmd_purity_scan(values: dict) -> int:
     cfg = sweep_config_from(values)
-    comment = _sweep_comment(cfg, effective_only="purity-scan")
+    comment = _sweep_comment(cfg, pair_scan="purity-scan")
     d, n = cfg.d, cfg.n
     rows = [[gamma, x, 1.0 - single_pair_purity(gs.state)[1]] for gamma, x, gs in _sweep(cfg)]
     # analytic checkpoints: independent-pairs value at gamma*U/J^2 = 4 and
@@ -280,7 +283,7 @@ def cmd_purity_scan(values: dict) -> int:
 
 def cmd_g2_scan(values: dict) -> int:
     cfg = sweep_config_from(values)
-    comment = _sweep_comment(cfg, effective_only="g2-scan")
+    comment = _sweep_comment(cfg, pair_scan="g2-scan")
     rows = []
     for gamma, x, gs in _sweep(cfg):
         vec = gs.state

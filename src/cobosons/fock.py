@@ -69,8 +69,8 @@ def _rank(masks: np.ndarray, query) -> np.ndarray:
 
 def _read_only(table):
     """``table`` with its arrays made read-only when it is an array, a
-    sparse matrix or a tuple of them; ``translation`` and
-    ``translation_orbits`` make theirs read-only where they are built."""
+    sparse matrix or a tuple of them; ``translation`` makes its own
+    read-only where it is built."""
     if isinstance(table, tuple):
         for part in table:
             _read_only(part)
@@ -100,8 +100,8 @@ def _table(build):
 class _SectorTables:
     """Tables that depend only on the sector (the kind of basis, d and the
     particle counts): the unit nearest-neighbour hop with its projected
-    blocks, the bond counts, the one-site translation with its orbits,
-    and the site reflection.  Nothing here depends on an operator."""
+    blocks, the bond counts, the one-site translation and the site
+    reflection.  Nothing here depends on an operator."""
 
     @_table
     def hop_block(self, reflect: bool, swap: bool) -> tuple:
@@ -109,21 +109,17 @@ class _SectorTables:
         under the signed translation T, the bare site reflection R when
         ``reflect`` and the bare species swap S when ``swap``
         (``symmetric_projector``): the block real and exactly symmetric,
-        reps[a] the representative of column a (``_project``)."""
+        reps[a] the representative of column a."""
         flips = [self.reflection_index()] if reflect else []
         if swap:
             flips.append(self.swap_index())
-        proj = symmetric_projector(self.orbits(), flips)
-        return (proj, *_project(self.hop(), proj))
+        proj, reps = symmetric_projector(*self.translation_table(), self.d, flips)
+        return proj, _project(self.hop(), proj, reps), reps
 
     @_table
     def translation_table(self) -> tuple:
         """(index, sign) of the one-site translation (``translation``)."""
         return translation(self, 1)
-
-    @_table
-    def orbits(self) -> "Orbits":
-        return translation_orbits(*self.translation_table(), self.d)
 
     @_table
     def reflection_index(self) -> np.ndarray:
@@ -450,99 +446,76 @@ def translate(state: StateVector, shift: int) -> StateVector:
     return StateVector(state.basis, amp)
 
 
-@dataclass(frozen=True)
-class Orbits:
-    """The orbits of the one-site translation T|i> = sign[i] |index[i]>
-    (from ``translation(basis, 1)``), from one walk over the d shifts.
+def symmetric_projector(index: np.ndarray, sign: np.ndarray, d: int, flips) -> tuple:
+    """(P, reps): the (dim, states) isometry P onto the states even under
+    the group G of the signed one-site translation T|i> = sign[i] |index[i]>
+    (``translation(basis, 1)``) and the bare permutations ``flips`` (index
+    arrays), and reps[a] the representative of column a, int32.  The flips
+    are commuting involutions, each with F T F = T or F T F = T^-1, signs
+    included, so that every element of G is c T^m with c a product of
+    flips, a coset.
 
-    An orbit is labelled by its representative r, the smallest basis index
-    on it; ``reps`` holds them ascending and ``size`` the period p of each.
-    State i lies on orbit ``orbit[i]``, and T^m |i> = to_rep[i] |r> for
-    the first shift m that reaches r; ``period_sign[o]`` is s_p in
-    T^p |r> = s_p |r>.  The arrays are read-only."""
-
-    reps: np.ndarray
-    size: np.ndarray
-    orbit: np.ndarray
-    to_rep: np.ndarray
-    period_sign: np.ndarray
-
-
-def translation_orbits(index: np.ndarray, sign: np.ndarray, d: int) -> Orbits:
-    """Walk every state once around its orbit of the one-site translation
-    (see ``Orbits``)."""
+    One walk over the d shifts gives each state i its translation-orbit
+    representative trep[i], the smallest index on its T-orbit, and the
+    sign to_rep[i] of T^m |i> = to_rep[i] |trep[i]> at the first shift m
+    that reaches it.  A state's G-representative is the smallest of
+    trep[c(i)] over the cosets c, and its sign is to_rep[c(i)] of a c that
+    reaches it.  A G-orbit has a column only if no element that fixes its
+    representative r carries a sign -1: T^p |r> = +|r> for the period p,
+    and no two cosets reach the T-orbit of r with different signs.  The
+    column puts sign / sqrt(size) on each of its size states, and columns
+    follow the representatives in ascending order.  With no flips P is
+    the K = 0 projector, and with every sign +1 the uniform orbit sum
+    (``docs/decisions.md`` §6)."""
     dim = index.size
     signed = np.any(sign != 1)
-    rep = pos = np.arange(dim)
+    trep = pos = np.arange(dim)
     acc = to_rep = np.ones(dim)
     for _ in range(1, d):
         if signed:
             acc = acc * sign[pos]
         pos = index[pos]
         if signed:
-            to_rep = np.where(pos < rep, acc, to_rep)
-        rep = np.minimum(rep, pos)
-    reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+            to_rep = np.where(pos < trep, acc, to_rep)
+        trep = np.minimum(trep, pos)
     # T^p |r> = sign[r] T^(p-1) |index[r]> = sign[r] to_rep[index[r]] |r>
-    period_sign = sign[reps] * to_rep[index[reps]]
-    tables = reps, size, orbit, to_rep, period_sign
-    for a in tables:
-        a.setflags(write=False)
-    return Orbits(*tables)
-
-
-def symmetric_projector(orbits: Orbits, flips) -> sp.csr_matrix:
-    """(dim, states) isometry P onto the states even under the group G of
-    the signed translation T (``orbits``) and the bare permutations
-    ``flips`` (index arrays): commuting involutions, each with
-    F T F = T or F T F = T^-1, signs included, so that every element of G
-    is c T^m with c a product of flips, a coset.  A state i's
-    representative is the smallest state of its G-orbit, the smallest of
-    reps[orbit[c(i)]] over the cosets c, and its sign is to_rep[c(i)] of a
-    c that reaches it.  A G-orbit has a column only if no element that
-    fixes its representative carries a sign -1: its period_sign is +1 and
-    no two cosets reach the representative's T-orbit with different
-    signs.  The column puts sign / sqrt(size) on each of its size states,
-    and columns follow the representatives in ascending order.  With no
-    flips P is the K = 0 projector, and with every sign +1 the uniform
-    orbit sum (``docs/decisions.md`` §6)."""
-    rep, sign = orbits.reps[orbits.orbit], orbits.to_rep.copy()
-    odd = orbits.period_sign[orbits.orbit] < 0
+    # at a representative r; at every other state i the same product is
+    # to_rep[i], so odd marks exactly the representatives with T^p |r> = -|r>
+    odd = sign * to_rep[index] != to_rep
+    rep, rep_sign = trep.copy(), to_rep.copy()
     cosets = []
     for flip in flips:
         cosets += [flip] + [flip[c] for c in cosets]
     # one coset at a time, in place, so that no (cosets, dim) array is held
     for c in cosets:
-        other, other_sign = orbits.reps[orbits.orbit[c]], orbits.to_rep[c]
-        odd |= (other == rep) & (other_sign != sign)
-        np.copyto(sign, other_sign, where=other < rep)
+        other, other_sign = trep[c], to_rep[c]
+        odd |= (other == rep) & (other_sign != rep_sign)
+        np.copyto(rep_sign, other_sign, where=other < rep)
         np.minimum(rep, other, out=rep)
     # a representative r has rep[r] == r, and odd[r] holds every check of
     # its stabilizer; each kept state is the one entry of its row
-    size = np.bincount(rep, minlength=rep.size)
+    size = np.bincount(rep, minlength=dim)
     keep = (size > 0) & ~odd
     kept = keep[rep]
-    rep, sign = rep[kept], sign[kept]
-    sign /= np.sqrt(size[rep])
+    rep, rep_sign = rep[kept], rep_sign[kept]
+    rep_sign /= np.sqrt(size[rep])
     column = np.cumsum(keep, dtype=np.int32) - 1
-    indptr = np.zeros(kept.size + 1, dtype=np.int32)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(kept, out=indptr[1:])
-    return sp.csr_matrix((sign, column[rep], indptr), shape=(kept.size, int(column[-1]) + 1))
+    proj = sp.csr_matrix((rep_sign, column[rep], indptr), shape=(dim, int(column[-1]) + 1))
+    return proj, np.flatnonzero(keep).astype(np.int32)
 
 
-def _project(h: sp.csr_matrix, proj: sp.csr_matrix) -> tuple:
-    """(P^T h P, the representative of each column) for a real isometry P
-    whose columns have disjoint supports and span a subspace that h maps
-    into itself.  Then h P = P (P^T h P), so with r_a the first row of
-    column a, (P^T h P)[a, b] = (h[r_a] P)[b] / P[r_a, a]: only the rows
-    of the representatives are read.  The mean with the transpose makes
-    the block exactly symmetric."""
-    csc = proj.tocsc()  # its indices ascend within each column
-    first = csc.indptr[:-1]
-    reps = csc.indices[first]
+def _project(h: sp.csr_matrix, proj: sp.csr_matrix, reps: np.ndarray) -> sp.csr_matrix:
+    """P^T h P for a real isometry P whose columns have disjoint supports
+    and span a subspace that h maps into itself, with reps[a] a row of
+    column a (``symmetric_projector``).  Then h P = P (P^T h P), so
+    (P^T h P)[a, b] = (h[reps[a]] P)[b] / P[reps[a], a]: only the rows of
+    the representatives are read, and each is the one entry of its row of
+    P.  The mean with the transpose makes the block exactly symmetric."""
     block = h[reps] @ proj
-    block.data /= np.repeat(csc.data[first], np.diff(block.indptr))
-    return (block + block.T) * 0.5, reps
+    block.data /= np.repeat(proj.data[proj.indptr[reps]], np.diff(block.indptr))
+    return (block + block.T) * 0.5
 
 
 # ------------------------------------------------------- pair/full embedding

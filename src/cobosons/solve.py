@@ -37,8 +37,6 @@ from .model import (
 DENSE_LIMIT = 350  # lattice blocks from this size go to real Lanczos (see GroundSolver)
 RESIDUAL_TOL = 1e-10
 LEVELS = 4  # eigenpairs per block solve; all of them when the window holds every one
-# Dense eigensolves below this size run on one BLAS thread (see _serial_blas).
-SERIAL_BLAS_BELOW = 512
 
 
 class ConvergenceError(RuntimeError):
@@ -112,21 +110,21 @@ def _blas_thread_setter():
 
 
 @contextlib.contextmanager
-def _serial_blas(serial: bool = True):
-    """scipy's OpenBLAS on one thread inside the block when ``serial``, its
-    count restored after.  The one thread rule of the solver: every ARPACK
-    solve, and every dense solve below SERIAL_BLAS_BELOW, runs under it;
-    everything else runs at the library's count.  ARPACK's Lanczos steps
-    are too small to share: on two vCPUs a 21-point sweep at effective
-    d = 20, N = 8 (real Lanczos on the 3260-state block) took 0.80 s wall
-    and 0.80-0.96 s CPU on one thread, against 1.07-1.13 s wall and
-    1.6-2.2 s CPU on two, and one at d = 24, N = 8 6.4 s wall and 6.5 s
-    CPU against 6.6 s and 11.7 s.  Dense ``eigh`` joins the threads
-    once per column of its tridiagonal reduction, so below
-    SERIAL_BLAS_BELOW a second thread gains little (1.04x at 300 states,
-    1.14x at 504) and makes each join wait for a core that another
-    process may hold; above it gains 1.2x-1.7x."""
-    set_threads = _blas_thread_setter() if serial else None
+def _serial_blas():
+    """scipy's OpenBLAS on one thread inside the block, its count restored
+    after: every ARPACK and every dense eigensolve runs under it.  Their
+    steps are too small to share: on two vCPUs a 21-point sweep at
+    effective d = 20, N = 8 (real Lanczos on the 3260-state block) took
+    0.80 s wall and 0.80-0.96 s CPU on one thread, against 1.07-1.13 s
+    wall and 1.6-2.2 s CPU on two, and one at d = 24, N = 8 6.4 s wall
+    and 6.5 s CPU against 6.6 s and 11.7 s.  Dense ``eigh`` joins the
+    threads once per column of its tridiagonal reduction, so a second
+    thread gains little on a sector block, below DENSE_LIMIT (1.04x at
+    300 states), and makes each join wait for a core that another
+    process may hold.  Only a "whole" solve reaches the sizes where it
+    gained 1.2x-1.7x (from 512 states: J = 0, a Lieb call with
+    U <= 2 |gamma|, a hand-built operator), and no sweep does."""
+    set_threads = _blas_thread_setter()
     if set_threads is None:
         yield
         return
@@ -139,20 +137,20 @@ def _serial_blas(serial: bool = True):
 
 def _dense(block: sp.csr_matrix, diagonal: np.ndarray, count: int, dense=None, work=None) -> tuple:
     """The count lowest eigenpairs of the real block + diag(diagonal), by
-    ``eigh`` in place on a Fortran-order n x n array.  ``GroundSolver``
-    binds to a sector block ``dense``, the block as that array, and
-    ``work``, one buffer of its shape: a call copies ``dense`` into
-    ``work``, adds the diagonal and lets ``eigh`` overwrite it, so it
-    allocates no n x n array.  Unbound (the whole operator, formed at each
-    call) the array is made from ``block``.  One BLAS thread below
-    SERIAL_BLAS_BELOW (``_serial_blas``)."""
+    ``eigh`` in place on a Fortran-order n x n array, on one BLAS thread
+    (``_serial_blas``).  ``GroundSolver`` binds to a sector block
+    ``dense``, the block as that array, and ``work``, one buffer of its
+    shape: a call copies ``dense`` into ``work``, adds the diagonal and
+    lets ``eigh`` overwrite it, so it allocates no n x n array.  Unbound
+    (the whole operator, formed at each call) the array is made from
+    ``block``."""
     if dense is None:
         work = block.toarray(order="F")
     else:
         np.copyto(work, dense)
     n = work.shape[0]
     work.ravel(order="F")[:: n + 1] += diagonal  # a view: work is Fortran-contiguous
-    with _serial_blas(n < SERIAL_BLAS_BELOW):
+    with _serial_blas():
         return la.eigh(work, overwrite_a=True, subset_by_index=None if count == n else [0, count - 1])
 
 

@@ -394,13 +394,83 @@ def orbit_projector(index: np.ndarray, d: int) -> sp.csr_matrix:
     return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(dim), orbit)), shape=(dim, size.size))
 
 
-def zero_momentum_projector(orbits) -> sp.csr_matrix:
+class Orbits(NamedTuple):
+    """The orbits of the one-site translation T|i> = sign[i] |index[i]>,
+    labelled by their representatives r, the smallest basis index on each:
+    ``reps`` ascending with the period p of each in ``size``; state i lies
+    on orbit ``orbit[i]``, and T^m |i> = to_rep[i] |r> for the first shift
+    m that reaches r; ``period_sign[o]`` is s_p in T^p |r> = s_p |r>."""
+
+    reps: np.ndarray
+    size: np.ndarray
+    orbit: np.ndarray
+    to_rep: np.ndarray
+    period_sign: np.ndarray
+
+
+def translation_orbits(index: np.ndarray, sign: np.ndarray, d: int) -> Orbits:
+    """Every state walked once around its orbit of the one-site
+    translation, the orbits labelled by ``np.unique``.  (The library's
+    former ``fock.translation_orbits``.)"""
+    dim = index.size
+    signed = np.any(sign != 1)
+    rep = pos = np.arange(dim)
+    acc = to_rep = np.ones(dim)
+    for _ in range(1, d):
+        if signed:
+            acc = acc * sign[pos]
+        pos = index[pos]
+        if signed:
+            to_rep = np.where(pos < rep, acc, to_rep)
+        rep = np.minimum(rep, pos)
+    reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+    # T^p |r> = sign[r] T^(p-1) |index[r]> = sign[r] to_rep[index[r]] |r>
+    period_sign = sign[reps] * to_rep[index[reps]]
+    return Orbits(reps, size, orbit, to_rep, period_sign)
+
+
+def hop_block_former(basis, reflect: bool, swap: bool) -> tuple:
+    """(P, P^T hop P, reps) of ``basis.hop_block(reflect, swap)`` by the
+    library's former route: the orbits of ``translation_orbits``, the
+    cosets of the flips merged over them, and the representatives read
+    back from P's CSC form, the first row of each column."""
+    orbits = translation_orbits(*basis.translation_table(), basis.d)
+    flips = [basis.reflection_index()] if reflect else []
+    if swap:
+        flips.append(basis.swap_index())
+    rep, sign = orbits.reps[orbits.orbit], orbits.to_rep.copy()
+    odd = orbits.period_sign[orbits.orbit] < 0
+    cosets = []
+    for flip in flips:
+        cosets += [flip] + [flip[c] for c in cosets]
+    for c in cosets:
+        other, other_sign = orbits.reps[orbits.orbit[c]], orbits.to_rep[c]
+        odd |= (other == rep) & (other_sign != sign)
+        np.copyto(sign, other_sign, where=other < rep)
+        np.minimum(rep, other, out=rep)
+    size = np.bincount(rep, minlength=rep.size)
+    keep = (size > 0) & ~odd
+    kept = keep[rep]
+    rep, sign = rep[kept], sign[kept]
+    sign /= np.sqrt(size[rep])
+    column = np.cumsum(keep, dtype=np.int32) - 1
+    indptr = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(kept, out=indptr[1:])
+    proj = sp.csr_matrix((sign, column[rep], indptr), shape=(kept.size, int(column[-1]) + 1))
+    csc = proj.tocsc()  # its indices ascend within each column
+    first = csc.indptr[:-1]
+    reps = csc.indices[first]
+    block = basis.hop()[reps] @ proj
+    block.data /= np.repeat(csc.data[first], np.diff(block.indptr))
+    return proj, (block + block.T) * 0.5, reps
+
+
+def zero_momentum_projector(orbits: Orbits) -> sp.csr_matrix:
     """(dim, states) isometry P onto the K = 0 sector, T P = P: the
     orbits with s_p = +1, each with the real amplitude
     to_rep[i] / sqrt(p) on its state i; columns follow the
     representatives in ascending order.  With every sign +1 it is the
-    uniform orbit sum.  (The library's former ``Orbits.projector``, on
-    the ``Orbits`` of ``translation_orbits``.)"""
+    uniform orbit sum.  (The library's former ``Orbits.projector``.)"""
     keep = orbits.period_sign > 0
     rows = np.flatnonzero(keep[orbits.orbit])
     amp = orbits.to_rep / np.sqrt(orbits.size[orbits.orbit])
@@ -415,7 +485,7 @@ def even_projector(basis) -> sp.csr_matrix:
     representative.  Columns follow the representatives in ascending
     order.  (The library's former ``even_projector()``, sign-free: on a
     basis whose T has signs -1 it is not the even sector.)"""
-    orbits = basis.orbits()
+    orbits = translation_orbits(*basis.translation_table(), basis.d)
     rep = orbits.reps[orbits.orbit]
     rep = np.minimum(rep, rep[basis.reflection_index()])
     _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)

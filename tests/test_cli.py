@@ -190,6 +190,7 @@ def test_console_entry_reports_input_errors_in_one_line(tmp_path, capsys):
         (["ground-state", "--model", "full", "--d", "4", "--n", "1", "--U", "0"], "need finite J >= 0 and U > 0"),
         (["fidelity-scan", "--d", "6", "--n", "2", "--targets", "q:1"], "argument --targets: bad target 'q:1'; targets are c2:s,r"),
         (["purity-scan", "--d", "6", "--n", "0", "--gamma-grid", "0:1:2"], "single-pair RDM needs N >= 1 pairs"),
+        (["g2-scan", "--d", "6", "--n", "0", "--gamma-grid", "0:1:2"], "single-pair RDM needs N >= 1 pairs"),
         (["ground-state", "--gamma-u-j2", "-1"], "gamma*U/J^2 must be finite and >= 0, got -1"),
         (["ground-state", "--gamma-u-j2", "nan"], "gamma*U/J^2 must be finite and >= 0, got nan"),
         (["ground-state", "--gamma-u-j2", "inf"], "gamma*U/J^2 must be finite and >= 0, got inf"),
@@ -392,6 +393,19 @@ def test_correlation_scans_reject_full_model(command, monkeypatch, tmp_path):
                 "--U", "1000", "--gamma-grid", "0:4:2", "--out", str(tmp_path / "x.csv"))
 
 
+@pytest.mark.parametrize("command", ["purity-scan", "g2-scan"])
+def test_correlation_scans_reject_zero_pairs_before_any_basis(command, monkeypatch, tmp_path):
+    from cobosons import fock
+
+    def never(d, n):
+        raise AssertionError(f"enumerated a basis ({d}, {n}) before rejecting --n 0")
+
+    monkeypatch.setattr(fock, "_masks", never)
+    with pytest.raises(ValueError, match=f"single-pair RDM needs N >= 1 pairs, got --n 0 for {command}"):
+        run_cli(command, "--d", "6", "--n", "0", "--gamma-grid", "0:4:2", "--out", str(tmp_path / "x.csv"))
+    assert not (tmp_path / "x.csv").exists()
+
+
 SWEEPS = [  # (command, model, targets, target builds)
     ("fidelity-scan", "effective", "q:1,0,partition:1+1,block:2",
      ("build_q_sr", "build_partition_state", "build_block")),
@@ -424,12 +438,12 @@ def test_sweep_builds_once_per_sweep(command, model, targets, builds, monkeypatc
                  "build_c_sr", "build_partition_state", "build_block"):
         count(cli, name)
     count(solve, "_certify")
-    count(fock, "translation_orbits")
+    count(fock, "symmetric_projector")
     argv = [command, "--model", model, "--d", "6", "--n", "2", "--J", "1", "--U", "1000",
             "--gamma-grid", "0:8:5", "--out", str(tmp_path / "sweep.csv")]
     run_cli(*argv, *(["--targets", targets] if targets else []))
     assert len(data_rows(read(tmp_path / "sweep.csv"))[1]) == 5 * (3 if command == "g2-scan" else 1)
-    want = Counter([f"build_{model}_hamiltonian", "_certify", "translation_orbits", *builds])
+    want = Counter([f"build_{model}_hamiltonian", "_certify", "symmetric_projector", *builds])
     assert calls == want
 
 
@@ -457,7 +471,7 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
 
     for owner, name in ((solve, "_certify"), (model_module.SparseOperator, "apply"),
                         (model_module.SparseOperator, "to_csr"), (fock, "_project"),
-                        (fock, "translation_orbits"), (fock, "_hop"), (fock, "_masks")):
+                        (fock, "symmetric_projector"), (fock, "_hop"), (fock, "_masks")):
         count(owner, name)
     argv = ["fidelity-scan", "--model", model, "--d", "6", "--n", str(n), "--J", "1", "--U", "1000",
             "--gamma-grid", "0:8:3", "--targets", "partition:" + "+".join(["1"] * n)]
@@ -468,12 +482,12 @@ def test_second_sweep_reuses_the_sector_tables_but_checks_its_operator(model, n,
         outputs.append(read(tmp_path / f"run{run}.csv"))
         assert kept_solvers[-1].path == path and len(kept_solvers[-1].dims) == 1
         assert (calls["_certify"], calls["apply"], calls["to_csr"]) == (1, 3, 0), run
-        built = {name: calls[name] for name in ("_project", "translation_orbits", "_hop", "_masks")}
+        built = {name: calls[name] for name in ("_project", "symmetric_projector", "_hop", "_masks")}
         if run:
             assert built == dict.fromkeys(built, 0)
         else:
             # a full sweep also enumerates the pair basis of its target
-            assert built == {"_project": 1, "translation_orbits": 1,
+            assert built == {"_project": 1, "symmetric_projector": 1,
                              "_hop": 1 if model == "effective" else 2, "_masks": 1 if model == "effective" else 3}
     assert outputs[0] == outputs[1]
 

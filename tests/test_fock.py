@@ -26,7 +26,6 @@ from cobosons.fock import (
     reflection,
     symmetric_projector,
     translation,
-    translation_orbits,
 )
 from oracles import (
     _lower_sign,
@@ -39,11 +38,13 @@ from oracles import (
     facts,
     generator_keys,
     group_projector,
+    hop_block_former,
     momentum_projector,
     orbit_projector,
     project_to_pair_sector_loop,
     reversed_bits,
     translate_loop,
+    translation_orbits,
     zero_momentum_projector,
 )
 
@@ -170,9 +171,7 @@ def test_each_kind_shares_the_sector_asked_for_last():
 
 
 def _table_arrays(basis):
-    orbits = basis.orbits()
-    tables = [basis.bonds(), *basis.translation_table(), basis.reflection_index(),
-              *(getattr(orbits, name) for name in ("reps", "size", "orbit", "to_rep", "period_sign"))]
+    tables = [basis.bonds(), *basis.translation_table(), basis.reflection_index()]
     keys = [(False, False), (True, False)]
     if isinstance(basis, fock.PairBasis):
         tables += [basis.occupation(), basis.rdm_gather()]
@@ -181,6 +180,7 @@ def _table_arrays(basis):
     if isinstance(basis, fock.FullBasis) and basis.n_a == basis.n_b:
         tables += [basis.swap_index()]
         keys += [(False, True), (True, True)]
+    tables += [basis.hop_block(*key)[2] for key in keys]
     csrs = [basis.hop(), *(block for key in keys for block in basis.hop_block(*key)[:2])]
     return tables + [a for m in csrs for a in (m.data, m.indices, m.indptr)]
 
@@ -357,7 +357,7 @@ def test_momentum_projectors_are_isometries_onto_translation_eigenspaces():
         d = basis.d
         index, sign = translation(basis, 1)
         shift = sp.csr_matrix((sign, (index, np.arange(basis.size))), shape=(basis.size,) * 2)
-        proj = symmetric_projector(translation_orbits(index, sign, d), ())
+        proj, _ = symmetric_projector(index, sign, d, ())
         assert not np.iscomplexobj(proj), basis
         gram = (proj.T @ proj).toarray()
         assert np.abs(gram - np.eye(proj.shape[1])).max(initial=0.0) < 1e-14, basis
@@ -387,8 +387,7 @@ def test_zero_momentum_projector_with_positive_signs_is_the_orbit_sum():
         index, sign = translation(basis, 1)
         if np.any(sign != 1):
             continue
-        _assert_same_csr(symmetric_projector(translation_orbits(index, sign, basis.d), ()),
-                         orbit_projector(index, basis.d), basis)
+        _assert_same_csr(symmetric_projector(index, sign, basis.d, ())[0], orbit_projector(index, basis.d), basis)
 
 
 SYMMETRY_BASES = MOMENTUM_BASES + [pair_basis(d, n) for d in (11, 12) for n in range(d + 1)] + [
@@ -412,9 +411,25 @@ def test_symmetric_projector_without_the_swap_is_the_former_projectors():
     # sign-free reflection-even one (even_projector) wherever every sign
     # of T is +1, every pair basis among them
     for basis in SYMMETRY_BASES:
-        _assert_same_csr(basis.hop_block(False, False)[0], zero_momentum_projector(basis.orbits()), basis)
+        orbits = translation_orbits(*basis.translation_table(), basis.d)
+        _assert_same_csr(basis.hop_block(False, False)[0], zero_momentum_projector(orbits), basis)
         if np.all(basis.translation_table()[1] == 1):
             _assert_same_csr(basis.hop_block(True, False)[0], even_projector(basis), basis)
+
+
+def test_every_block_is_the_former_route_bit_for_bit():
+    # P, the block and reps of every hop_block, dtypes and bytes, against
+    # the former route: the translation orbits labelled by np.unique, the
+    # cosets merged over them and the representatives read from P's CSC
+    # form.  The CSV bytes depend on these bits
+    for basis in SYMMETRY_BASES:
+        for key in generator_keys(basis):
+            proj, block, reps = basis.hop_block(*key)
+            want_proj, want_block, want_reps = hop_block_former(basis, *key)
+            _assert_same_csr(proj, want_proj, (basis, key))
+            _assert_same_csr(block, want_block, (basis, key))
+            assert reps.dtype == want_reps.dtype == np.int32, (basis, key)
+            assert np.array_equal(reps, want_reps), (basis, key)
 
 
 def test_swap_index_exchanges_the_species():

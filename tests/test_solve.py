@@ -23,7 +23,7 @@ from cobosons import (
     pair_basis,
 )
 from cobosons import ChainBasis, fock, solve
-from cobosons.fock import occupations, reflection, translation, translation_orbits
+from cobosons.fock import occupations, reflection, translation
 from cobosons.model import SparseOperator, gamma_coupling
 from cobosons.solve import (
     GroundSolver,
@@ -426,7 +426,7 @@ def test_operators_that_break_the_reflection_solve_the_whole_zero_momentum_block
     # the solver keeps every K = 0 orbit sum of T and matches the whole
     # operator's dense solve, whose ground vector is not R-invariant
     op, coupling = _chiral_case(breaks)
-    orbits = translation_orbits(*translation(op.basis, 1), op.basis.d).reps.size
+    orbits = group_projector(op.basis, False, False).shape[1]
     assert ground_space(_sector_case("effective", 8, 3, 6.0)).dims[0] < orbits
     index = reflection(op.basis)
     for gamma in (0.0, 0.7e-3):
@@ -726,7 +726,7 @@ def test_builder_parts_solve_like_their_assembled_matrix():
     # the last two cases: D that breaks R keeps the whole K = 0 block, D
     # that breaks T is solved whole
     breaks_r, breaks_t = solvers[-2:]
-    assert (breaks_r.path, breaks_r.dims) == ("sector", (breaks_r.basis.orbits().reps.size,))
+    assert (breaks_r.path, breaks_r.dims) == ("sector", (group_projector(breaks_r.basis, False, False).shape[1],))
     assert breaks_t.path == "whole"
     assert paths["sector"] > 100 and paths["whole"] > 100
 
@@ -744,12 +744,12 @@ def test_ground_space_reports_real_banded_levels_and_residual():
     assert gs.residual == np.linalg.norm(h @ gs.vectors - gs.vectors * gs.energy, axis=0).max()
 
 
-@pytest.mark.parametrize("n", [solve.SERIAL_BLAS_BELOW - 1, solve.SERIAL_BLAS_BELOW])
+@pytest.mark.parametrize("n", [511, 512])
 def test_small_dense_eigensolves_run_on_one_blas_thread(n, monkeypatch):
-    # scipy's OpenBLAS count inside eigh of an n-state dense solve (one
-    # thread below SERIAL_BLAS_BELOW, the library's count from it) and
-    # inside eigsh of an n-state ARPACK solve (one thread at any size),
-    # and restored after each
+    # scipy's OpenBLAS count inside eigh of an n-state dense solve and
+    # inside eigsh of an n-state ARPACK solve: one thread at any size, on
+    # either side of the 512 states where a former rule let dense solves
+    # have the library's count, and restored after each
     set_threads = solve._blas_thread_setter()
     if set_threads is None:
         pytest.skip("scipy.linalg does not run on OpenBLAS 0.3.27 or newer")
@@ -767,7 +767,7 @@ def test_small_dense_eigensolves_run_on_one_blas_thread(n, monkeypatch):
     block, diagonal = sp.csr_matrix(-np.eye(n, k=1) - np.eye(n, k=-1)), np.arange(n, dtype=float)
     want = np.linalg.eigvalsh(block.toarray() + np.diag(diagonal))[: solve.LEVELS]
     evals, _ = solve._dense(block, diagonal, solve.LEVELS)
-    assert seen == [1 if n < solve.SERIAL_BLAS_BELOW else before]
+    assert seen == [1]
     assert count() == before
     assert np.abs(evals - want).max() < 1e-12
     evals, _ = solve._arpack(block, diagonal, solve.LEVELS, _uniform(n))
