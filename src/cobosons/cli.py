@@ -162,10 +162,15 @@ def _solver(cfg: SweepConfig) -> GroundSolver:
 
 
 def _sweep(cfg: SweepConfig):
-    """(gamma, x, ground space) at each point x of the grid, from one ``_solver``."""
+    """(gamma, x, ground space) at each point x of the grid, from one
+    ``_solver``.  Every point's path (``GroundSolver.path_at``) is checked
+    before the first solve, so a point out of capacity stops the sweep
+    before it solves anything."""
     solver = _solver(cfg)
-    for x in cfg.grid.tolist():
-        gamma = cfg.gamma(x)
+    points = [(cfg.gamma(x), x) for x in cfg.grid.tolist()]
+    for gamma, _ in points:
+        solver.path_at(gamma)
+    for gamma, x in points:
         yield gamma, x, solver(gamma)
 
 

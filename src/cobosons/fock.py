@@ -2,15 +2,15 @@
 
 Bit ``k`` of a mask set means site ``k`` is occupied.  A basis keeps its
 masks as read-only ascending int64 arrays, one per species, and ``rank``
-finds masks in them by binary search; a full basis is mask_a-major, so a
-configuration's index is ``i_a * len(masks_b) + i_b``.  ``pair_basis`` and
-``full_basis`` hand out one shared basis per sector (the last sector asked
-for of each kind), and a basis builds each of its sector tables (hop,
-bonds, symmetry tables, projectors, the projected blocks of the hop) once,
-on first use.  The canonical operator ordering for the full sector is: all
-a-type creation operators in ascending mode order, then all b-type ones in
-ascending mode order.  All fermionic signs below follow from that
-convention.  The unit hop built from it is, by construction, exactly
+finds masks built elsewhere in them by binary search; a full basis is
+mask_a-major, so a configuration's index is ``i_a * len(masks_b) + i_b``.
+``pair_basis`` and ``full_basis`` hand out one shared basis per sector (the
+last sector asked for of each kind), and a basis builds each of its sector
+tables (hop, bonds, symmetry tables, projectors, the projected blocks of
+the hop) once, on first use.  The canonical operator ordering for the full
+sector is: all a-type creation operators in ascending mode order, then all
+b-type ones in ascending mode order.  All fermionic signs below follow from
+that convention.  The unit hop built from it is, by construction, exactly
 symmetric, invariant under the signed translation and the bare site
 reflection, and connected (``_hop``; ``docs/decisions.md`` §5).
 """
@@ -145,19 +145,13 @@ class PairBasis(_SectorTables):
         return _rank(self.states, masks)
 
     @_table
-    def occupation(self) -> np.ndarray:
-        """(size, d) uint8 ``occupations`` of the states, filled one site
-        at a time, without the int64 (size, d) array."""
-        occ = np.empty((self.size, self.d), dtype=np.uint8)
-        for k in range(self.d):
-            occ[:, k] = (self.states >> k) & 1
-        return occ
-
-    @_table
     def bonds(self) -> np.ndarray:
-        """Adjacent pairs (periodic) of every state."""
-        occ = self.occupation()
-        return np.sum(occ & np.roll(occ, -1, axis=1), axis=1, dtype=np.int64)
+        """Adjacent pairs (periodic) of every state, one bond at a time."""
+        paired = self.states & rotate(self.states, -1, self.d)  # bit k: sites k and k + 1 held
+        bonds = np.zeros(self.size, dtype=np.int64)
+        for k in range(self.d):
+            bonds += (paired >> k) & 1
+        return bonds
 
     @_table
     def hop(self) -> sp.csr_matrix:
@@ -168,14 +162,14 @@ class PairBasis(_SectorTables):
     def rdm_gather(self) -> np.ndarray:
         """(C(d, n-1), d) gather table of the single-pair RDM: entry [m, k]
         is the index of the (n-1)-pair rest m plus a pair at k, and
-        ``size`` where m holds k."""
+        ``size`` where m holds k.  A pair added at k keeps the order of
+        the rests, so column k lists the states with bit k set."""
         d = self.d
         _check_size("pair basis", d, MAX_PAIR_SITES, N=self.n - 1)
         rest = _masks(d, self.n - 1)
         table = np.full((rest.size, d), self.size, dtype=np.int64)
         for k in range(d):
-            free = np.flatnonzero(((rest >> k) & 1) == 0)
-            table[free, k] = self.rank(rest[free] | (1 << k))
+            table[(rest & (1 << k)) == 0, k] = np.flatnonzero(self.states & (1 << k))
         return table
 
 
@@ -294,13 +288,13 @@ def occupations(masks: np.ndarray, d: int) -> np.ndarray:
 
 
 def move(masks: np.ndarray, src: int, dst: int) -> tuple:
-    """Move one particle from site ``src`` to ``dst`` in every mask of the
-    ascending int64 array ``masks`` where that is allowed (src occupied,
-    dst empty).  Returns (from_idx, to_idx): positions of the old and the
-    new masks in ``masks``."""
-    allowed = (((masks >> src) & 1) == 1) & (((masks >> dst) & 1) == 0)
-    from_idx = np.flatnonzero(allowed)
-    return from_idx, _rank(masks, masks[from_idx] ^ ((1 << src) | (1 << dst)))
+    """Move one particle from site ``src`` to ``dst`` in every mask of a
+    basis's ascending int64 array ``masks`` where that is allowed (src
+    occupied, dst empty).  Returns (from_idx, to_idx): positions of the old
+    and the new masks in ``masks``.  Adding 2^dst - 2^src keeps the order,
+    so the k-th mask that can move lands on the k-th that can move back."""
+    at_src, at_dst = (masks & (1 << src)) != 0, (masks & (1 << dst)) != 0
+    return np.flatnonzero(at_src > at_dst), np.flatnonzero(at_dst > at_src)
 
 
 def _hop(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
@@ -310,8 +304,8 @@ def _hop(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
     With the canonical ascending mode order a nearest-neighbour hop
     passes no other particle, except across the periodic bond (d-1, 0),
     where it passes all n - 1 others: wrap_sign = (-1)^(n-1) for
-    fermions, +1 for hard-core pairs.  Each bond is entered in both
-    directions with one sign, so the hop is exactly symmetric; the
+    fermions, +1 for hard-core pairs.  One ``move`` per bond gives both
+    directions, entered with one sign, so the hop is exactly symmetric; the
     translation and the reflection map bonds onto bonds, and the wrap sign
     is the sign the translation carries, so the hop commutes with both;
     and ring moves connect every mask with n bits.  The entries are int8,
@@ -323,16 +317,12 @@ def _hop(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
     rows, cols, vals = [], [], []
     for k in range(d):
         kp = (k + 1) % d
-        sign = wrap_sign if kp == 0 else 1
-        for src, dst in ((kp, k), (k, kp)):
-            from_idx, to_idx = move(masks, src, dst)
-            rows.append(to_idx.astype(np.int32))
-            cols.append(from_idx.astype(np.int32))
-            vals.append(np.full(from_idx.size, sign, dtype=np.int8))
-    dim = masks.size
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    )
+        there, back = (idx.astype(np.int32) for idx in move(masks, kp, k))
+        rows += [back, there]
+        cols += [there, back]
+        vals.append(np.full(2 * there.size, wrap_sign if kp == 0 else 1, dtype=np.int8))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(masks.size,) * 2)
 
 
 def rotate(masks, shift, d: int):
@@ -391,9 +381,28 @@ def _wrap_signs(masks: np.ndarray, n: int, shift: int, d: int) -> np.ndarray:
     return np.where((n - 1) * wrapped % 2, -1.0, 1.0)
 
 
+def _image_index(basis, image) -> np.ndarray:
+    """The permutation ``index`` of the basis states under the site map
+    ``image`` of int64 masks: per species, the inverse of one argsort of
+    the mapped masks, which must be its masks reordered (KeyError if not)."""
+
+    def species(masks):
+        mapped = image(masks)
+        order = np.argsort(mapped)
+        if not np.array_equal(mapped[order], masks):
+            raise KeyError("a site map sends a mask out of the basis")
+        index = np.empty_like(order)
+        index[order] = np.arange(order.size)
+        return index
+
+    if isinstance(basis, PairBasis):
+        return species(basis.states)
+    return (species(basis.masks_a)[:, None] * basis.masks_b.size + species(basis.masks_b)).ravel()
+
+
 def translation(basis, shift: int) -> tuple:
     """Cyclic site shift k -> k + shift (mod d) of every basis state:
-    (index, sign) with T^shift |i> = sign[i] |index[i]>.
+    (index, sign) with T^shift |i> = sign[i] |index[i]> (``_image_index``).
 
     On the full basis, creation operators whose mode wraps past d-1 are
     moved back to the front of their species string, giving a
@@ -402,13 +411,12 @@ def translation(basis, shift: int) -> tuple:
     """
     d = basis.d
     shift %= d
+    index = _image_index(basis, lambda masks: rotate(masks, shift, d))
     if isinstance(basis, PairBasis):
-        index, sign = basis.rank(rotate(basis.states, shift, d)), np.ones(basis.size)
+        sign = np.ones(basis.size)
     else:
-        ma, mb = basis.masks_a, basis.masks_b
-        index = basis.rank(rotate(ma, shift, d)[:, None], rotate(mb, shift, d)[None, :]).ravel()
-        sign = np.multiply.outer(_wrap_signs(ma, basis.n_a, shift, d),
-                                 _wrap_signs(mb, basis.n_b, shift, d)).ravel()
+        sign = np.multiply.outer(_wrap_signs(basis.masks_a, basis.n_a, shift, d),
+                                 _wrap_signs(basis.masks_b, basis.n_b, shift, d)).ravel()
     index.setflags(write=False)
     sign.setflags(write=False)
     return index, sign
@@ -424,18 +432,9 @@ def _reverse(masks: np.ndarray, d: int) -> np.ndarray:
 
 def reflection(basis) -> np.ndarray:
     """Site reflection k -> d - 1 - k of every basis state, as the bare
-    permutation R|i> = |index[i]> (no fermionic sign): ``index``."""
-    d = basis.d
-    if isinstance(basis, PairBasis):
-        # the reversed masks are the basis masks in another order: sorted
-        # first, they are found in one cache-friendly pass
-        reversed_masks = _reverse(basis.states, d)
-        order = np.argsort(reversed_masks)
-        index = np.empty_like(order)
-        index[order] = basis.rank(reversed_masks[order])
-        return index
-    index = basis.rank(_reverse(basis.masks_a, d)[:, None], _reverse(basis.masks_b, d)[None, :])
-    return index.ravel()
+    permutation R|i> = |index[i]> (no fermionic sign): ``index``
+    (``_image_index``)."""
+    return _image_index(basis, lambda masks: _reverse(masks, basis.d))
 
 
 def translate(state: StateVector, shift: int) -> StateVector:

@@ -319,7 +319,8 @@ class GroundSolver:
       unbound, its window vectors refined by ``_inverse_step``.
     ``_banded`` and ``_dense`` of a whole operator allocate n x n, so n^2
     is held to MAX_BASIS_STATES (``CapacityError``) before anything is
-    built: in ``__init__``, or at the call that falls back to "whole".
+    built: in ``__init__``, or by ``path_at`` for a call that falls back
+    to "whole".
     The tables of the unit hop and its symmetries are built once per
     sector; the checks of the operator's own parts run in every
     ``__init__``.
@@ -370,22 +371,27 @@ class GroundSolver:
                 self._block = (proj, block, reps, eigensolver)
         self.dims = (n,) if self._block is None else (self._coupling[self._block[2]].size,)
 
-    def _whole(self) -> tuple:
-        """The block record of the whole operator: -t * hop, no P, every
-        state as reps, solved by ``_dense``."""
-        _hold_square(self._op.dim, chain=False)
-        return None, self.basis.hop() * -self._op.hopping, slice(None), _dense
+    def path_at(self, gamma: float) -> str:
+        """The path of the call at gamma, found without allocating: a
+        spin-reflection call with U <= 2 |gamma_0 + kappa * gamma| solves
+        the whole operator, held to MAX_BASIS_STATES (``CapacityError``);
+        every other call takes the path ``__init__`` chose."""
+        if self._lieb is not None:
+            u, gamma_0, kappa = self._lieb
+            if not u > 2.0 * abs(gamma_0 + kappa * gamma):
+                _hold_square(self._op.dim, chain=False)
+                return "whole"
+        return self.path
 
     def __call__(self, gamma: float = 0.0) -> GroundSpace:
         """Lowest eigenvalue and all eigenvectors within tol_deg of it, of
         op + gamma * diag(coupling)."""
         tol_deg = self.tol_deg
-        path, block = self.path, self._block
-        if self._lieb is not None:
-            u, gamma_0, kappa = self._lieb
-            if not u > 2.0 * abs(gamma_0 + kappa * gamma):
-                path, block = "whole", None
-        proj, matrix, reps, eigensolver = self._whole() if block is None else block
+        path = self.path_at(gamma)
+        if path == "whole":  # -t * hop, no P, every state as reps
+            proj, matrix, reps, eigensolver = None, self.basis.hop() * -self._op.hopping, slice(None), _dense
+        else:
+            proj, matrix, reps, eigensolver = self._block
         diagonal = self._op.diagonal + gamma * self._coupling
         shift = diagonal[reps]
         evals, evecs = eigensolver(matrix, shift, min(LEVELS, shift.size))

@@ -22,13 +22,20 @@ from scipy.optimize import root
 from scipy.sparse.csgraph import connected_components
 
 from cobosons.fock import (
+    MAX_PAIR_SITES,
     FullBasis,
     PairBasis,
     StateVector,
+    _check_size,
+    _masks,
+    _rank,
+    _reverse,
     _SectorTables,
+    _wrap_signs,
     fix_phase,
     full_basis,
     popcount,
+    rotate,
     translation,
 )
 
@@ -612,6 +619,107 @@ def build_c_sr_loop(d: int, s: int, r: int, power: int = 1) -> StateVector:
     amp = np.zeros(basis.size, dtype=complex)
     amp[basis.rank(cfgs[:, 0], cfgs[:, 1])] = list(coeffs.values())
     return StateVector(basis, fix_phase(amp / np.linalg.norm(amp)))
+
+
+# ------------------------------------------- former sector tables, by search
+
+def move_former(masks: np.ndarray, src: int, dst: int) -> tuple:
+    """(from_idx, to_idx) of ``fock.move`` with each moved mask found by a
+    binary search.  (The library's former ``move``.)"""
+    allowed = (((masks >> src) & 1) == 1) & (((masks >> dst) & 1) == 0)
+    from_idx = np.flatnonzero(allowed)
+    return from_idx, _rank(masks, masks[from_idx] ^ ((1 << src) | (1 << dst)))
+
+
+def hop_former(masks: np.ndarray, d: int, wrap_sign) -> sp.csr_matrix:
+    """``fock._hop`` from two searched moves per bond.  (The library's
+    former ``_hop``.)"""
+    rows, cols, vals = [], [], []
+    for k in range(d):
+        kp = (k + 1) % d
+        sign = wrap_sign if kp == 0 else 1
+        for src, dst in ((kp, k), (k, kp)):
+            from_idx, to_idx = move_former(masks, src, dst)
+            rows.append(to_idx.astype(np.int32))
+            cols.append(from_idx.astype(np.int32))
+            vals.append(np.full(from_idx.size, sign, dtype=np.int8))
+    dim = masks.size
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
+
+
+def hop_of_basis_former(basis) -> sp.csr_matrix:
+    """``basis.hop()`` from ``hop_former``."""
+    if isinstance(basis, PairBasis):
+        return hop_former(basis.states, basis.d, 1)
+    hop_a = hop_former(basis.masks_a, basis.d, (-1) ** (basis.n_a - 1))
+    hop_b = hop_former(basis.masks_b, basis.d, (-1) ** (basis.n_b - 1))
+    return sp.kronsum(hop_b, hop_a).tocsr()
+
+
+def pair_occupation(basis: PairBasis) -> np.ndarray:
+    """(size, d) uint8 occupations of the states.  (The library's former
+    ``PairBasis.occupation()`` table.)"""
+    occ = np.empty((basis.size, basis.d), dtype=np.uint8)
+    for k in range(basis.d):
+        occ[:, k] = (basis.states >> k) & 1
+    return occ
+
+
+def bonds_former(basis: PairBasis) -> np.ndarray:
+    """``PairBasis.bonds()`` from the occupation table."""
+    occ = pair_occupation(basis)
+    return np.sum(occ & np.roll(occ, -1, axis=1), axis=1, dtype=np.int64)
+
+
+def rdm_gather_former(basis: PairBasis) -> np.ndarray:
+    """``PairBasis.rdm_gather()`` with every (n-1)-pair rest plus a pair
+    found by a binary search."""
+    _check_size("pair basis", basis.d, MAX_PAIR_SITES, N=basis.n - 1)
+    rest = _masks(basis.d, basis.n - 1)
+    table = np.full((rest.size, basis.d), basis.size, dtype=np.int64)
+    for k in range(basis.d):
+        free = np.flatnonzero(((rest >> k) & 1) == 0)
+        table[free, k] = basis.rank(rest[free] | (1 << k))
+    return table
+
+
+def translation_former(basis, shift: int) -> tuple:
+    """``fock.translation`` with every shifted mask found by a binary
+    search."""
+    d = basis.d
+    shift %= d
+    if isinstance(basis, PairBasis):
+        return basis.rank(rotate(basis.states, shift, d)), np.ones(basis.size)
+    ma, mb = basis.masks_a, basis.masks_b
+    index = basis.rank(rotate(ma, shift, d)[:, None], rotate(mb, shift, d)[None, :]).ravel()
+    sign = np.multiply.outer(_wrap_signs(ma, basis.n_a, shift, d),
+                             _wrap_signs(mb, basis.n_b, shift, d)).ravel()
+    return index, sign
+
+
+def reflection_former(basis) -> np.ndarray:
+    """``fock.reflection`` by binary search: on a pair basis over the
+    reversed masks sorted first, on a full basis per species."""
+    d = basis.d
+    if isinstance(basis, PairBasis):
+        reversed_masks = _reverse(basis.states, d)
+        order = np.argsort(reversed_masks)
+        index = np.empty_like(order)
+        index[order] = basis.rank(reversed_masks[order])
+        return index
+    return basis.rank(_reverse(basis.masks_a, d)[:, None], _reverse(basis.masks_b, d)[None, :]).ravel()
+
+
+def g2_former(psi: StateVector, i: int, j: int) -> float:
+    """``metrics.g2``'s value from the occupation table's columns i and j."""
+    occ = pair_occupation(psi.basis)
+    prob = np.abs(psi.amplitudes) ** 2
+    occ_i = float(np.einsum("k,k->", prob, occ[:, i]))
+    occ_j = float(np.einsum("k,k->", prob, occ[:, j]))
+    occ_ij = float(np.einsum("k,k->", prob, occ[:, i] & occ[:, j])) if i != j else 0.0
+    return occ_ij / (occ_i * occ_j)
 
 
 # ------------------------------------------------- structure of an operator

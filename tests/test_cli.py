@@ -232,6 +232,43 @@ def test_console_entry_reports_a_failed_solve_in_one_line(tmp_path, capsys, monk
     assert not out.exists()
 
 
+OUT_OF_CAPACITY = ["fidelity-scan", "--model", "full", "--d", "8", "--n", "4", "--J", "1", "--U", "5",
+                   "--targets", "partition:4"]
+
+
+def test_a_sweep_out_of_capacity_fails_before_its_first_solve(tmp_path, capsys, monkeypatch):
+    # full (8, 4) at U/J = 5: from x = 12.5 on, U <= 2 gamma, so the
+    # spin-reflection certificate does not hold and the 4900-state operator
+    # would be solved whole.  Every grid point is checked first, so the
+    # sweep exits 2 with the capacity error before any eigensolver runs
+    calls = Counter()
+    for name in ("_dense", "_arpack", "_banded"):
+        monkeypatch.setattr(solve, name, lambda *args, _name=name, **kwargs: calls.update([_name]))
+    out = tmp_path / "scan.csv"
+    assert run([*OUT_OF_CAPACITY, "--gamma-grid", "0:20:5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("cobosons: error: an operator that no certificate covers, of 4900 states, "
+                                       "needs 4900^2 > 16777216 matrix entries\n")
+    assert not calls and not out.exists()
+
+
+def test_a_sweep_inside_capacity_writes_what_it_wrote_without_the_check(monkeypatch, tmp_path):
+    # x = 0, 5, 10 stay inside U > 2 gamma: the checked sweep writes the
+    # bytes of the former sweep, which solved each point as it came
+    import cobosons.cli as cli
+
+    def unchecked_sweep(cfg):
+        solver = cli._solver(cfg)
+        for x in cfg.grid.tolist():
+            gamma = cfg.gamma(x)
+            yield gamma, x, solver(gamma)
+
+    run_cli(*OUT_OF_CAPACITY, "--gamma-grid", "0:10:3", "--out", str(tmp_path / "checked.csv"))
+    monkeypatch.setattr(cli, "_sweep", unchecked_sweep)
+    run_cli(*OUT_OF_CAPACITY, "--gamma-grid", "0:10:3", "--out", str(tmp_path / "unchecked.csv"))
+    assert len(data_rows(read(tmp_path / "checked.csv"))[1]) == 3
+    assert read(tmp_path / "checked.csv") == read(tmp_path / "unchecked.csv")
+
+
 @pytest.fixture
 def kept_solvers(monkeypatch):
     """Every ``GroundSolver`` the CLI builds, in order."""

@@ -29,6 +29,7 @@ from cobosons.fock import (
 )
 from oracles import (
     _lower_sign,
+    bonds_former,
     create_string,
     embed_pair_state_loop,
     even_projector,
@@ -39,11 +40,16 @@ from oracles import (
     generator_keys,
     group_projector,
     hop_block_former,
+    hop_former,
+    hop_of_basis_former,
     momentum_projector,
     orbit_projector,
     project_to_pair_sector_loop,
+    rdm_gather_former,
+    reflection_former,
     reversed_bits,
     translate_loop,
+    translation_former,
     translation_orbits,
     zero_momentum_projector,
 )
@@ -174,7 +180,7 @@ def _table_arrays(basis):
     tables = [basis.bonds(), *basis.translation_table(), basis.reflection_index()]
     keys = [(False, False), (True, False)]
     if isinstance(basis, fock.PairBasis):
-        tables += [basis.occupation(), basis.rdm_gather()]
+        tables += [basis.rdm_gather()]
     else:
         tables += [basis.onsite()]
     if isinstance(basis, fock.FullBasis) and basis.n_a == basis.n_b:
@@ -430,6 +436,51 @@ def test_every_block_is_the_former_route_bit_for_bit():
             _assert_same_csr(block, want_block, (basis, key))
             assert reps.dtype == want_reps.dtype == np.int32, (basis, key)
             assert np.array_equal(reps, want_reps), (basis, key)
+
+
+FORMER_ROUTE_BASES = [fock.PairBasis(d, n, fock._masks(d, n)) for d in range(1, 15) for n in range(d + 1)] + [
+    fock.FullBasis(d, n_a, n_b, fock._masks(d, n_a), fock._masks(d, n_b))
+    for d in range(1, 8) for n_a in range(d + 1) for n_b in range(d + 1)] + SYMMETRY_BASES
+
+
+def _assert_same_array(got, want, case):
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), case
+
+
+def test_sector_tables_are_the_former_route_bit_for_bit():
+    # the hop (with both wrap signs on a pair basis's masks), the bonds, the
+    # RDM gather table, the translation and the reflection, dtypes and
+    # bytes, against the former route that found every moved or mapped
+    # mask by a binary search and read the bonds from an occupation table:
+    # every pair basis with d <= 14, every full basis with d <= 7 and
+    # SYMMETRY_BASES (the first two built privately, so that no shared
+    # basis is replaced)
+    for basis in FORMER_ROUTE_BASES:
+        _assert_same_csr(basis.hop(), hop_of_basis_former(basis), basis)
+        _assert_same_array(basis.reflection_index(), reflection_former(basis), basis)
+        for shift in range(basis.d):
+            for got, want in zip(translation(basis, shift), translation_former(basis, shift)):
+                _assert_same_array(got, want, (basis, shift))
+        if isinstance(basis, fock.FullBasis):
+            continue
+        for wrap_sign in (1, -1):
+            _assert_same_csr(fock._hop(basis.states, basis.d, wrap_sign),
+                             hop_former(basis.states, basis.d, wrap_sign), (basis, wrap_sign))
+        _assert_same_array(basis.bonds(), bonds_former(basis), basis)
+        if basis.n:
+            _assert_same_array(basis.rdm_gather(), rdm_gather_former(basis), basis)
+        else:
+            for gather in (basis.rdm_gather, lambda: rdm_gather_former(basis)):
+                with pytest.raises(ValueError, match="outside"):
+                    gather()
+
+
+def test_a_site_map_out_of_the_basis_is_refused():
+    # the one check of the inverse sort: mapped masks that are not the
+    # basis's masks reordered (here a shift with no wrap) raise KeyError
+    for basis in (pair_basis(6, 2), full_basis(5, 2, 1)):
+        with pytest.raises(KeyError, match="out of the basis"):
+            fock._image_index(basis, lambda masks: masks << 1)
 
 
 def test_swap_index_exchanges_the_species():

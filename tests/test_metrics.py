@@ -30,7 +30,7 @@ from cobosons import (
 from cobosons import metrics
 from cobosons.fock import MAX_BASIS_STATES, CapacityError
 from cobosons.metrics import chi_oracle_series, ledger_energy, single_pair_rdm
-from oracles import chi_direct_expansion, chi_from_lambdas, chi_oracle_dict, g2_loop, single_pair_rdm_loop
+from oracles import chi_direct_expansion, chi_from_lambdas, chi_oracle_dict, g2_former, g2_loop, single_pair_rdm_loop
 
 lambdas_strategy = st.lists(
     st.floats(0.01, 1.0, allow_nan=False), min_size=3, max_size=8
@@ -292,6 +292,25 @@ def test_g2_rejects_sites_outside_lattice():
     for i, j in ((-1, 0), (0, 10)):
         with pytest.raises(ValueError):
             g2(psi, i, j)
+
+
+def test_g2_is_the_occupation_table_form_bit_for_bit():
+    # the site occupations read from the masks give the bits of the former
+    # (size, d) uint8 occupation table's columns, on random real and
+    # complex states of every pair basis with d <= 14 and N >= 1: every
+    # site pair up to d = 8, the pairs from sites 0 and d // 2 above
+    rng = np.random.default_rng(32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # random states are not translation invariant
+        for d in range(1, 15):
+            sites = [(i, j) for i in (range(d) if d <= 8 else (0, d // 2)) for j in range(d)]
+            for n in range(1, d + 1):
+                basis = pair_basis(d, n)
+                for amp in (rng.normal(size=basis.size), [1, 1j] @ rng.normal(size=(2, basis.size))):
+                    psi = StateVector(basis, amp)
+                    for i, j in sites:
+                        got, want = g2(psi, i, j), g2_former(psi, i, j)
+                        assert got == want or (math.isnan(got) and math.isnan(want)), (d, n, i, j)
 
 
 def test_energy_ledger_entries_and_threshold():

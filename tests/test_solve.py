@@ -1216,11 +1216,12 @@ def test_an_indefinite_interaction_is_solved_whole_or_refused():
     # U/J = 2 and gamma U / J^2 = 3, so 2 gamma = 3 > U: at (4, 2) the
     # ground state lies at K = d/2, and the call solves the whole operator
     # as the assembled matrix does; at (8, 4) the whole operator, 4900
-    # states, is refused before its dense copy exists
+    # states, is refused before its dense copy exists, and ``path_at``
+    # gives each call's path, or that refusal, without solving
     gamma = 1.5
     base = build_full_hamiltonian(ModelParams(j=1.0, u=2.0, gamma=0.0, d=4, n=2))
     solver = GroundSolver(base, gamma_coupling(base.basis))
-    assert solver.path == "sector"
+    assert (solver.path, solver.path_at(0.0), solver.path_at(gamma)) == ("sector", "sector", "whole")
     got = solver(gamma)
     energy, vectors = _whole_operator_dense(base, gamma * gamma_coupling(base.basis))
     assert (got.path, got.dims, got.degeneracy) == ("whole", (36,), vectors.shape[1])
@@ -1231,8 +1232,9 @@ def test_an_indefinite_interaction_is_solved_whole_or_refused():
     base = build_full_hamiltonian(ModelParams(j=1.0, u=2.0, gamma=0.0, d=8, n=4))
     solver = GroundSolver(base, gamma_coupling(base.basis))
     at_gamma = build_full_hamiltonian(ModelParams(j=1.0, u=2.0, gamma=gamma, d=8, n=4))
+    assert solver.path_at(0.0) == "sector"
     with mock.patch.object(solve, "_dense", side_effect=AssertionError("allocated")):
-        for solve_it in (lambda: solver(gamma), lambda: ground_space(at_gamma)):
+        for solve_it in (lambda: solver.path_at(gamma), lambda: solver(gamma), lambda: ground_space(at_gamma)):
             with pytest.raises(fock.CapacityError, match="4900 states, needs 4900\\^2 > 16777216"):
                 solve_it()
 
